@@ -27,6 +27,7 @@ Python API.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -58,6 +59,10 @@ class PhaseShifter:
 
     path: int
     omega: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.omega):
+            raise CircuitError(f"phase {self.omega!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -278,30 +283,27 @@ def _parse_param(token: str, key: str, lineno: int, col: int) -> float:
         raise ParseError(f"bad number in {token!r}", lineno, col) from None
 
 
+# gate name -> (constructor, number of path indices, parameter key, usage)
+_GATE_SYNTAX = {
+    "BS": (BeamSplitter, 2, "R", "BS takes two path indices and R=<value>"),
+    "S": (PhaseShifter, 1, "w", "S takes one path index and w=<value>"),
+    "D": (Detector, 1, None, "D takes one path index"),
+}
+
+
 def _parse_gate(tokens: list[str], width: int, lineno: int, col: int) -> Gate:
-    kind = tokens[0]
-    if kind == "BS":
-        if len(tokens) != 4:
-            raise ParseError("BS takes two path indices and R=<value>", lineno, col)
-        s = _parse_index(tokens[1], width, lineno, col)
-        t = _parse_index(tokens[2], width, lineno, col)
-        r = _parse_param(tokens[3], "R", lineno, col)
-        if s == t:
-            raise ParseError("beam splitter requires two distinct paths", lineno, col)
-        if not 0.0 <= r <= 1.0:
-            raise ParseError(f"reflectivity {r!r} outside [0, 1]", lineno, col)
-        return BeamSplitter(s, t, r)
-    if kind == "S":
-        if len(tokens) != 3:
-            raise ParseError("S takes one path index and w=<value>", lineno, col)
-        path = _parse_index(tokens[1], width, lineno, col)
-        omega = _parse_param(tokens[2], "w", lineno, col)
-        return PhaseShifter(path, omega)
-    if kind == "D":
-        if len(tokens) != 2:
-            raise ParseError("D takes one path index", lineno, col)
-        return Detector(_parse_index(tokens[1], width, lineno, col))
-    raise ParseError(f"unknown gate name {kind!r}", lineno, col)
+    if tokens[0] not in _GATE_SYNTAX:
+        raise ParseError(f"unknown gate name {tokens[0]!r}", lineno, col)
+    make, n_paths, key, usage = _GATE_SYNTAX[tokens[0]]
+    if len(tokens) != 1 + n_paths + (key is not None):
+        raise ParseError(usage, lineno, col)
+    args = [_parse_index(token, width, lineno, col) for token in tokens[1:1 + n_paths]]
+    if key is not None:
+        args.append(_parse_param(tokens[-1], key, lineno, col))
+    try:
+        return make(*args)
+    except CircuitError as exc:  # parameter checks of the gate constructors
+        raise ParseError(str(exc), lineno, col) from None
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -400,6 +402,18 @@ def circuit_to_json(circuit: Circuit) -> dict:
     return out
 
 
+def _gate_from_json(raw: dict) -> Gate:
+    kind = raw.get("gate")
+    args = raw.get("args", {})
+    if kind == "BS":
+        return BeamSplitter(int(args["s"]) - 1, int(args["t"]) - 1, float(args["R"]))
+    if kind == "S":
+        return PhaseShifter(int(args["path"]) - 1, float(args["omega"]))
+    if kind == "D":
+        return Detector(int(args["path"]) - 1)
+    raise CircuitError(f"unknown gate name {kind!r} in JSON circuit")
+
+
 def circuit_from_json(obj: dict) -> Circuit:
     """Build a circuit from the JSON mirror schema."""
     try:
@@ -407,21 +421,12 @@ def circuit_from_json(obj: dict) -> Circuit:
         raw_layers = obj.get("layers", [])
     except (KeyError, TypeError) as exc:
         raise CircuitError(f"malformed circuit JSON: {exc}") from None
-    layers = []
-    for raw_layer in raw_layers:
-        gates: list[Gate] = []
-        for raw in raw_layer:
-            kind = raw.get("gate")
-            args = raw.get("args", {})
-            if kind == "BS":
-                gates.append(BeamSplitter(int(args["s"]) - 1, int(args["t"]) - 1,
-                                          float(args["R"])))
-            elif kind == "S":
-                gates.append(PhaseShifter(int(args["path"]) - 1, float(args["omega"])))
-            elif kind == "D":
-                gates.append(Detector(int(args["path"]) - 1))
-            else:
-                raise CircuitError(f"unknown gate name {kind!r} in JSON circuit")
-        layers.append(Layer(gates))
+    try:
+        layers = [Layer(_gate_from_json(raw) for raw in raw_layer)
+                  for raw_layer in raw_layers]
+    except CircuitError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise CircuitError(f"malformed gate in JSON circuit: {exc!r}") from None
     return Circuit(width, layers, name=obj.get("name", ""),
                    description=obj.get("description", ""))

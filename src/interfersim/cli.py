@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as streams
-from .circuits import BeamSplitter, CircuitError, parse_circuit_file, serialize_circuit
+from .circuits import CircuitError, parse_circuit_file, serialize_circuit
 from .compiler import (
     NonUnitaryError,
     ray_deviation,
@@ -38,9 +38,10 @@ from .harness import (
     parse_postselect_tokens,
     run_experiment,
     run_traced,
+    traced_shots,
 )
-from .ontic import OnticState, levels_to_strengths, run_ontic_shot, trace_json_object
-from .prepare import prepare_ensemble, quantum_init
+from .ontic import trace_json_object
+from .prepare import quantum_init
 from .quantum import BranchCapError, ImpossibleOutcomeError, run_quantum_shot
 
 EXIT_PASS = 0
@@ -96,9 +97,6 @@ def _parse_prepare(text: str | None, config: dict) -> PreparationSpec:
 
 def _build_config(args, circuit) -> ExperimentConfig:
     config = _load_config(getattr(args, "config", None))
-    shots = _resolve_shots(args.shots, config)
-    if shots < 1:
-        raise ConfigError("shots must be at least 1")
     postselect = None
     tokens = getattr(args, "postselect", None) or config.get("postselect")
     if tokens:
@@ -106,7 +104,7 @@ def _build_config(args, circuit) -> ExperimentConfig:
     return ExperimentConfig(
         circuit=circuit,
         prepare=_parse_prepare(getattr(args, "prepare", None), config),
-        shots=shots,
+        shots=_resolve_shots(args.shots, config),
         seed=_resolve_seed(args.seed, config),
         mode=getattr(args, "mode", None) or config.get("mode", "compare"),
         postselect=postselect,
@@ -114,6 +112,13 @@ def _build_config(args, circuit) -> ExperimentConfig:
         branch_cap=int(getattr(args, "branch_cap", None)
                        or config.get("branch_cap", 10 ** 6)),
     )
+
+
+def _experiment(args, **changes) -> ExperimentConfig:
+    """Parse the circuit argument and build the command's config, with
+    ``changes`` (such as the mode) applied on top."""
+    circuit = parse_circuit_file(args.circuit)
+    return dataclasses.replace(_build_config(args, circuit), **changes)
 
 
 def _write_report(report: ExperimentReport, out_dir: str) -> Path:
@@ -152,18 +157,8 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
 
 def _write_trace_jsonl(config: ExperimentConfig, path: str) -> None:
     """Replay every shot with tracing and dump one JSON object per layer."""
-    circuit = config.circuit
-    init_q, init_u, init_levels = prepare_ensemble(
-        config.prepare.mode, config.prepare.path, circuit.width,
-        config.shots, config.seed, config.prepare.junk)
-    draws = circuit.count_gates(BeamSplitter)
     with open(path, "w", encoding="utf-8") as fh:
-        for shot in range(config.shots):
-            init = OnticState(int(init_q[shot]), init_u[shot],
-                              levels_to_strengths(init_levels[shot]))
-            gen = streams.shot_generator(config.seed, streams.ONTIC_SHOTS,
-                                         shot, draws)
-            _, trajectory = run_ontic_shot(circuit, init, gen, trace=True)
+        for shot, _, trajectory in traced_shots(config):
             for layer_idx, state in enumerate(trajectory[1:]):
                 fh.write(json.dumps(trace_json_object(shot, layer_idx, state),
                                     sort_keys=True) + "\n")
@@ -171,8 +166,7 @@ def _write_trace_jsonl(config: ExperimentConfig, path: str) -> None:
 
 def cmd_run(args) -> int:
     try:
-        circuit = parse_circuit_file(args.circuit)
-        config = _build_config(args, circuit)
+        config = _experiment(args, mode="ontic-only")
     except (OSError, CircuitError, ConfigError, ValueError) as exc:
         return _fail(str(exc))
     try:
@@ -181,7 +175,6 @@ def cmd_run(args) -> int:
                 return _fail("--trace applies to the ontic engine only")
             report = _quantum_sample_report(config)
         else:
-            config = dataclasses.replace(config, mode="ontic-only")
             report = run_experiment(config)
             if args.trace:
                 _write_trace_jsonl(config, args.trace)
@@ -195,9 +188,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        circuit = parse_circuit_file(args.circuit)
-        config = _build_config(args, circuit)
-        config = dataclasses.replace(config, mode="compare")
+        config = _experiment(args, mode="compare")
     except (OSError, CircuitError, ConfigError, ValueError) as exc:
         return _fail(str(exc))
     try:
@@ -242,9 +233,7 @@ def cmd_compile(args) -> int:
 
 def cmd_trace(args) -> int:
     try:
-        circuit = parse_circuit_file(args.circuit)
-        config = _build_config(args, circuit)
-        config = dataclasses.replace(config, mode="ontic-only", trace=True)
+        config = _experiment(args, mode="ontic-only", trace=True)
     except (OSError, CircuitError, ConfigError, ValueError) as exc:
         return _fail(str(exc))
     summary, shot_reports = run_traced(config)

@@ -46,7 +46,7 @@ def assert_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
         raise NonUnitaryError(f"expected a square matrix, got shape {u.shape}")
     gram = u.conj().T @ u
     dev = float(np.max(np.abs(gram - np.eye(u.shape[0]))))
-    if dev > tol:
+    if not dev <= tol:  # also rejects NaN entries
         raise NonUnitaryError(f"matrix deviates from unitarity by {dev:.3e}")
     return u
 

@@ -2,13 +2,16 @@
 
 Holds the whole ensemble as arrays (one row per shot) and applies each layer
 elementwise, which is what makes the 1e5-shot experiments in the comparison
-harness cheap. The update rules, the strength encoding and the uniform draw
-schedule are exactly those of :mod:`interfersim.ontic`; amplitudes are kept
-as separate real/imaginary arrays and pushed through the same separated
-real-arithmetic kernels, so a shot extracted from an ensemble and replayed
-through :func:`interfersim.ontic.run_ontic_shot` with its slice of the
-stream reproduces the same record and final state bit for bit (this
-equivalence is under test).
+harness cheap. The layer loop of :func:`run_ensemble` is the vector
+statement of the gate rules; the scalar statement is the helpers behind
+:func:`interfersim.ontic.step_layer`. Routing single shots through this loop
+as one-row arrays would leave one statement, but costs several times the
+scalar engine per layer, so both stay. They share the strength encoding,
+the uniform draw schedule and the separated real-arithmetic kernels, so a
+shot extracted from an ensemble and replayed through
+:func:`interfersim.ontic.run_ontic_shot` with its slice of the stream
+reproduces the same record and final state bit for bit; the property
+tests in ``tests/test_engine_properties.py`` check this on random circuits.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from scipy.special import gammaincc
 from scipy.stats import binom as binom_dist
@@ -32,7 +32,7 @@ from .labels import ClassLabel, verify_congruence
 from .ontic import levels_to_strengths, run_ontic_shot, OnticState, ShotDiagnostics
 from .prepare import prepare_ensemble, quantum_init
 from .quantum import exact_outcome_distribution
-from .records import parse_event_token
+from .records import OutcomeRecord, parse_event_token
 
 # Below this many (post-selection) shots no verdict is claimed.
 MIN_VERDICT_SHOTS = 100
@@ -116,7 +116,7 @@ def postselect_tokens(constraints: tuple[tuple[int, int | None], ...]) -> list[s
 
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Half the L1 distance between two distributions over outcome keys."""
-    keys = set(p) | set(q)
+    keys = sorted(set(p) | set(q))  # a fixed order keeps the sum reproducible
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
@@ -281,38 +281,51 @@ def _within_band(count: int, probability: float, kept: int) -> tuple[float, bool
     return sigma, min(1.0, 2.0 * tail) >= CI_ALPHA
 
 
-def run_traced(config: ExperimentConfig,
-               cross_check: EnsembleResult | None = None,
-               ) -> tuple[dict, list[dict]]:
-    """Replay every shot through the single-shot engine with its slice of
-    the stream and verify label congruence.
+def traced_shots(config: ExperimentConfig,
+                 diagnostics: ShotDiagnostics | None = None,
+                 ) -> Iterator[tuple[int, OutcomeRecord, list[OnticState]]]:
+    """Replay every shot of a config through the single-shot engine.
 
-    Returns a summary dict plus the per-shot congruence reports in their
-    JSON shape ``{shot, layers: [{deviation}], pass}``. When ``cross_check``
-    holds the vectorised run of the same config, each replayed record is
-    asserted equal to the ensemble's.
+    Yields ``(shot, record, trajectory)`` in shot order; each shot starts
+    from its row of the prepared ensemble and draws from its own slice of
+    the stream, so it reproduces the shot of the vectorised run.
     """
     circuit = config.circuit
     init_q, init_u, init_levels = prepare_ensemble(
         config.prepare.mode, config.prepare.path, circuit.width,
         config.shots, config.seed, config.prepare.junk)
     n_draws = circuit.count_gates(BeamSplitter)
-    label0 = ClassLabel.basis(config.prepare.path, circuit.width)
-    max_dev = 0.0
-    violations = 0
-    diagnostics = ShotDiagnostics()
-    shot_reports: list[dict] = []
     for shot in range(config.shots):
         init = OnticState(int(init_q[shot]), init_u[shot],
                           levels_to_strengths(init_levels[shot]))
         gen = streams.shot_generator(config.seed, streams.ONTIC_SHOTS, shot, n_draws)
         record, trajectory = run_ontic_shot(circuit, init, gen, trace=True,
                                             diagnostics=diagnostics)
+        yield shot, record, trajectory
+
+
+def run_traced(config: ExperimentConfig,
+               cross_check: EnsembleResult | None = None,
+               ) -> tuple[dict, list[dict]]:
+    """Replay every shot with tracing (:func:`traced_shots`) and verify
+    label congruence.
+
+    Returns a summary dict plus the per-shot congruence reports in their
+    JSON shape ``{shot, layers: [{deviation}], pass}``. When ``cross_check``
+    holds the vectorised run of the same config, each replayed record is
+    asserted equal to the ensemble's.
+    """
+    label0 = ClassLabel.basis(config.prepare.path, config.circuit.width)
+    max_dev = 0.0
+    violations = 0
+    diagnostics = ShotDiagnostics()
+    shot_reports: list[dict] = []
+    for shot, record, trajectory in traced_shots(config, diagnostics):
         if cross_check is not None and record != cross_check.record_for_shot(shot):
             raise AssertionError(
                 f"shot {shot}: single-shot replay disagrees with ensemble record"
             )
-        report = verify_congruence(trajectory, record, circuit, label0)
+        report = verify_congruence(trajectory, record, config.circuit, label0)
         max_dev = max(max_dev, report.max_deviation)
         if not report.passed:
             violations += 1

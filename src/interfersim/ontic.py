@@ -25,11 +25,16 @@ whether or not the particle is present. This fixed schedule makes a shot's
 stream consumption a function of the circuit alone, so vectorised ensemble
 runs and isolated single-shot replays are bit-identical.
 
-Amplitude updates are written in explicitly separated real arithmetic
-(:func:`rotate_amplitude`, :func:`mix_amplitudes`): every step is a single
-exactly-rounded IEEE multiply or add, never a fused complex kernel, so the
-scalar engine here and the vectorised engine in
-:mod:`interfersim.ensemble` produce bit-identical trajectories.
+The rules are stated twice, once per representation. Here each gate rule
+is one private helper (``_age``, ``_phase``, ``_detect``, ``_split``)
+shared by the public ``gate_*`` functions and by :func:`step_layer`;
+:func:`interfersim.ensemble.run_ensemble` is the vector statement, one row
+per shot. Amplitude updates in both are written in explicitly separated
+real arithmetic (:func:`rotate_amplitude`, :func:`mix_amplitudes`): every
+step is a single exactly-rounded IEEE multiply or add, never a fused
+complex kernel, so the two produce bit-identical trajectories. The
+property tests in ``tests/test_engine_properties.py`` hold them together on
+random circuits.
 """
 
 from __future__ import annotations
@@ -187,23 +192,74 @@ def _check_path(path: int, width: int) -> None:
         raise IndexError(f"path {path} out of range for width {width}")
 
 
+# The gate rules, each stated once. They update a working amplitude list
+# ``u`` and strength list ``tau`` in place and touch only their own paths,
+# so the gates of one layer can be applied one after another.
+
+def _age(tau: list, path: int) -> None:
+    tau[path] = tau[path].halved()
+
+
+def _phase(u: list, tau: list, path: int, omega: float) -> None:
+    re, im = rotate_amplitude(u[path].real, u[path].imag,
+                              math.cos(omega), math.sin(omega))
+    u[path] = complex(re, im)
+    _age(tau, path)
+
+
+def _detect(u: list, tau: list, q: int, path: int) -> bool:
+    clicked = q == path
+    if clicked:
+        u[path] = 1.0 + 0.0j
+        tau[path] = FULL_STRENGTH
+    else:
+        tau[path] = ZERO_STRENGTH
+    return clicked
+
+
+def _split(u: list, tau: list, q: int, s: int, t: int, reflectivity: float,
+           draw: float, diagnostics: ShotDiagnostics | None) -> int:
+    """Splitter rule; returns the new particle position."""
+    tau_st = max(tau[s], tau[t])
+    u_s = u[s] if tau[s] == tau_st else 0.0j
+    u_t = u[t] if tau[t] == tau_st else 0.0j
+    root_r = math.sqrt(reflectivity)
+    root_t = math.sqrt(1.0 - reflectivity)
+    s_re, s_im, t_re, t_im = mix_amplitudes(u_s.real, u_s.imag,
+                                            u_t.real, u_t.imag, root_r, root_t)
+    u[s] = complex(s_re, s_im)
+    u[t] = complex(t_re, t_im)
+    tau[s] = tau[t] = tau_st.halved()
+    if q not in (s, t):
+        return q
+    p_s = s_re * s_re + s_im * s_im
+    total = p_s + (t_re * t_re + t_im * t_im)
+    if total > 0.0:
+        prob_s = p_s / total
+    else:
+        prob_s = 0.5
+        if diagnostics is not None:
+            diagnostics.degenerate_relocations += 1
+    return s if draw < prob_s else t
+
+
+def _working(state: OnticState) -> tuple[list, list]:
+    return state.u.tolist(), list(state.tau)
+
+
 def gate_free(state: OnticState, path: int) -> OnticState:
     """Ageing: strength halves, amplitude and particle stay put."""
     _check_path(path, state.width)
     tau = list(state.tau)
-    tau[path] = tau[path].halved()
+    _age(tau, path)
     return OnticState(state.q, state.u, tau)
 
 
 def gate_phase(state: OnticState, path: int, omega: float) -> OnticState:
     """Rotate the path's amplitude by ``exp(i omega)``; strength ages."""
     _check_path(path, state.width)
-    u = state.u.copy()
-    re, im = rotate_amplitude(u[path].real, u[path].imag,
-                              math.cos(omega), math.sin(omega))
-    u[path] = complex(re, im)
-    tau = list(state.tau)
-    tau[path] = tau[path].halved()
+    u, tau = _working(state)
+    _phase(u, tau, path, omega)
     return OnticState(state.q, u, tau)
 
 
@@ -212,14 +268,8 @@ def gate_detector(state: OnticState, path: int) -> tuple[bool, OnticState]:
     in ``path``. A click resets that path's field to amplitude 1, strength
     1; a no-click leaves the amplitude and zeroes the strength."""
     _check_path(path, state.width)
-    clicked = state.q == path
-    u = state.u.copy()
-    tau = list(state.tau)
-    if clicked:
-        u[path] = 1.0
-        tau[path] = FULL_STRENGTH
-    else:
-        tau[path] = ZERO_STRENGTH
+    u, tau = _working(state)
+    clicked = _detect(u, tau, state.q, path)
     return clicked, OnticState(state.q, u, tau)
 
 
@@ -239,34 +289,9 @@ def gate_beamsplitter(state: OnticState, s: int, t: int, reflectivity: float,
         raise ValueError("beam splitter requires two distinct paths")
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity {reflectivity!r} outside [0, 1]")
-    draw = float(rng.random())
-
-    tau_s, tau_t = state.tau[s], state.tau[t]
-    tau_st = max(tau_s, tau_t)
-    u_s = state.u[s] if tau_s == tau_st else 0.0j
-    u_t = state.u[t] if tau_t == tau_st else 0.0j
-    root_r = math.sqrt(reflectivity)
-    root_t = math.sqrt(1.0 - reflectivity)
-    s_re, s_im, t_re, t_im = mix_amplitudes(u_s.real, u_s.imag,
-                                            u_t.real, u_t.imag, root_r, root_t)
-
-    u = state.u.copy()
-    u[s] = complex(s_re, s_im)
-    u[t] = complex(t_re, t_im)
-    tau = list(state.tau)
-    tau[s] = tau[t] = tau_st.halved()
-
-    q = state.q
-    if q in (s, t):
-        p_s = s_re * s_re + s_im * s_im
-        total = p_s + (t_re * t_re + t_im * t_im)
-        if total > 0.0:
-            prob_s = p_s / total
-        else:
-            prob_s = 0.5
-            if diagnostics is not None:
-                diagnostics.degenerate_relocations += 1
-        q = s if draw < prob_s else t
+    u, tau = _working(state)
+    q = _split(u, tau, state.q, s, t, reflectivity, float(rng.random()),
+               diagnostics)
     return OnticState(q, u, tau)
 
 
@@ -275,61 +300,27 @@ def step_layer(state: OnticState, layer: Layer, rng: np.random.Generator,
                ) -> tuple[tuple[tuple[int, bool], ...], OnticState]:
     """Apply one parallel gate configuration.
 
-    Every gate reads only pre-layer values of its own paths; paths under no
-    gate age freely. Uniform draws are consumed by beam splitters in their
-    order of appearance in the layer. Returns the per-detector results in
-    layer order and the new state; at most one detector can click because
-    the particle has a single position.
+    The layer's gates sit on disjoint paths, so applying them in turn gives
+    what each would give reading only pre-layer values; paths under no gate
+    age freely. Uniform draws are consumed by beam splitters in their order
+    of appearance in the layer. Returns the per-detector results in layer
+    order and the new state; at most one detector can click because the
+    particle has a single position.
     """
     partition = validate_layer(layer, state.width)
-    old_u = state.u
-    old_tau = state.tau
-    u = old_u.copy()
-    tau = list(old_tau)
+    u, tau = _working(state)
     q = state.q
     results: list[tuple[int, bool]] = []
-
     for path in partition.free:
-        tau[path] = tau[path].halved()
-
+        _age(tau, path)
     for gate in layer.gates:
         if isinstance(gate, PhaseShifter):
-            re, im = rotate_amplitude(old_u[gate.path].real, old_u[gate.path].imag,
-                                      math.cos(gate.omega), math.sin(gate.omega))
-            u[gate.path] = complex(re, im)
-            tau[gate.path] = old_tau[gate.path].halved()
+            _phase(u, tau, gate.path, gate.omega)
         elif isinstance(gate, Detector):
-            clicked = q == gate.path
-            if clicked:
-                u[gate.path] = 1.0
-                tau[gate.path] = FULL_STRENGTH
-            else:
-                tau[gate.path] = ZERO_STRENGTH
-            results.append((gate.path, clicked))
+            results.append((gate.path, _detect(u, tau, q, gate.path)))
         else:
-            s, t = gate.s, gate.t
-            draw = float(rng.random())
-            tau_st = max(old_tau[s], old_tau[t])
-            u_s = old_u[s] if old_tau[s] == tau_st else 0.0j
-            u_t = old_u[t] if old_tau[t] == tau_st else 0.0j
-            root_r = math.sqrt(gate.reflectivity)
-            root_t = math.sqrt(1.0 - gate.reflectivity)
-            s_re, s_im, t_re, t_im = mix_amplitudes(
-                u_s.real, u_s.imag, u_t.real, u_t.imag, root_r, root_t)
-            u[s] = complex(s_re, s_im)
-            u[t] = complex(t_re, t_im)
-            tau[s] = tau[t] = tau_st.halved()
-            if q in (s, t):
-                p_s = s_re * s_re + s_im * s_im
-                total = p_s + (t_re * t_re + t_im * t_im)
-                if total > 0.0:
-                    prob_s = p_s / total
-                else:
-                    prob_s = 0.5
-                    if diagnostics is not None:
-                        diagnostics.degenerate_relocations += 1
-                q = s if draw < prob_s else t
-
+            q = _split(u, tau, q, gate.s, gate.t, gate.reflectivity,
+                       float(rng.random()), diagnostics)
     assert sum(clicked for _, clicked in results) <= 1
     return tuple(results), OnticState(q, u, tau)
 

@@ -30,7 +30,6 @@ from .circuits import (
     Layer,
     PhaseShifter,
     parse_circuit,
-    serialize_circuit,
 )
 from .harness import ExperimentConfig, PreparationSpec
 
@@ -168,13 +167,3 @@ def compare_suite(shots: int, seed: int, junk: str = "zero",
         ))
     return configs
 
-
-def _regenerate(directory) -> None:
-    """Rewrite every scenario file from its factory (maintenance hook)."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, factory in _factories().items():
-        (directory / f"{name}.circ").write_text(serialize_circuit(factory()),
-                                                encoding="utf-8")

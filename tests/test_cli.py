@@ -59,6 +59,25 @@ def test_run_missing_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.circ")]) == 2
 
 
+MZ_TEXT = "paths 2\nlayer BS 1 2 R=0.5\nlayer S 1 w={w}\nlayer BS 1 2 R=0.5\nlayer D 1 | D 2\n"
+MALFORMED = {
+    "nan-phase.circ": MZ_TEXT.format(w="nan"),
+    "inf-phase.circ": MZ_TEXT.format(w="inf"),
+    "splitter-without-t.json": json.dumps(
+        {"paths": 2, "layers": [[{"gate": "BS", "args": {"s": 1, "R": 0.5}}]]}),
+    "non-object-gate.json": json.dumps({"paths": 2, "layers": [[["D", 1]]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_circuit_usage_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(MALFORMED[name])
+    code = main(["compare", str(path), "--shots", "200", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_zero_shots_usage_error(mz_file):
     with pytest.raises(SystemExit) as err:
         main(["run", mz_file, "--shots", "0"])
@@ -133,6 +152,11 @@ def test_compile_verify_random_unitary(tmp_path, capsys):
 def test_compile_ragged_matrix(tmp_path):
     (tmp_path / "bad.json").write_text("[[[1,0],[0,0]],[[0,0]]]")
     assert main(["compile", str(tmp_path / "bad.json")]) == 2
+
+
+def test_compile_nan_matrix(tmp_path):
+    (tmp_path / "nan.json").write_text("[[[NaN,0],[NaN,0]],[[NaN,0],[NaN,0]]]")
+    assert main(["compile", str(tmp_path / "nan.json")]) == 2
 
 
 def test_compile_non_unitary(tmp_path):

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import interfersim
 from interfersim.harness import (
     ConfigError,
     ExperimentConfig,
@@ -32,6 +37,31 @@ def test_total_variation_examples():
     assert total_variation({"a": 1.0, "b": 0.0}, {"a": 0.0, "b": 1.0}) == 1.0
     assert total_variation({"a": 0.3, "b": 0.7}, {"a": 0.25, "b": 0.75}) == \
         pytest.approx(0.05, abs=1e-15)
+
+
+_TVD_SCRIPT = """
+import numpy as np
+from interfersim.harness import total_variation
+gen = np.random.default_rng(0)
+p = {f"L{k}:C{k % 7}": float(x) for k, x in enumerate(gen.random(200))}
+q = {f"L{k}:C{k % 7}": float(x) for k, x in enumerate(gen.random(200))}
+print(repr(total_variation(p, q)))
+"""
+
+
+def test_total_variation_independent_of_hash_seed():
+    # string hashing (and with it set iteration order) changes with
+    # PYTHONHASHSEED; the persisted distance must not
+    src = str(Path(interfersim.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _TVD_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(done.stdout.strip())
+    assert len(outputs) == 1
 
 
 def test_chi_square_exact_proportions():
