@@ -22,7 +22,7 @@ from interfersim.labels import (
     predicted_label_update,
     verify_congruence,
 )
-from interfersim.ontic import run_ontic_shot
+from interfersim.ontic import ZERO_LEVEL, run_ontic_shot
 from interfersim.prepare import source_prepare
 from interfersim.quantum import ray_overlap
 from interfersim.scenarios import mach_zehnder
@@ -32,8 +32,8 @@ def fmt_amp(z):
     return f"{z.real:+.3f}{z.imag:+.3f}i"
 
 
-def fmt_tau(tau):
-    return "0" if tau.is_zero else f"2^-{tau.exponent}"
+def fmt_tau(level):
+    return "0" if level == ZERO_LEVEL else f"2^-{level}"
 
 
 def main():

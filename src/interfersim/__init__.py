@@ -58,9 +58,7 @@ from .labels import (
     verify_congruence,
 )
 from .ontic import (
-    FULL_STRENGTH,
-    ZERO_STRENGTH,
-    DyadicStrength,
+    ZERO_LEVEL,
     OnticState,
     ShotDiagnostics,
     gate_beamsplitter,

@@ -39,8 +39,8 @@ from .harness import (
     run_experiment,
     run_traced,
     traced_shots,
+    write_trace_lines,
 )
-from .ontic import trace_json_object
 from .prepare import quantum_init
 from .quantum import BranchCapError, ImpossibleOutcomeError, run_quantum_shot
 
@@ -159,9 +159,7 @@ def _write_trace_jsonl(config: ExperimentConfig, path: str) -> None:
     """Replay every shot with tracing and dump one JSON object per layer."""
     with open(path, "w", encoding="utf-8") as fh:
         for shot, _, trajectory in traced_shots(config):
-            for layer_idx, state in enumerate(trajectory[1:]):
-                fh.write(json.dumps(trace_json_object(shot, layer_idx, state),
-                                    sort_keys=True) + "\n")
+            write_trace_lines(fh, shot, trajectory)
 
 
 def cmd_run(args) -> int:
@@ -233,10 +231,10 @@ def cmd_compile(args) -> int:
 
 def cmd_trace(args) -> int:
     try:
-        config = _experiment(args, mode="ontic-only", trace=True)
+        config = _experiment(args, mode="ontic-only")
     except (OSError, CircuitError, ConfigError, ValueError) as exc:
         return _fail(str(exc))
-    summary, shot_reports = run_traced(config)
+    summary, shot_reports = run_traced(config, jsonl=args.jsonl)
     print(f"traced {config.shots} shots: max label deviation "
           f"{summary['max_deviation']:.3e}, {summary['violations']} violation(s)")
     if args.report:
@@ -244,8 +242,6 @@ def cmd_trace(args) -> int:
             json.dump({"summary": summary, "shots": shot_reports}, fh,
                       sort_keys=True, indent=2)
             fh.write("\n")
-    if args.jsonl:
-        _write_trace_jsonl(config, args.jsonl)
     return EXIT_PASS if summary["violations"] == 0 else EXIT_FAIL
 
 

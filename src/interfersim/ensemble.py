@@ -6,9 +6,12 @@ harness cheap. The layer loop of :func:`run_ensemble` is the vector
 statement of the gate rules; the scalar statement is the helpers behind
 :func:`interfersim.ontic.step_layer`. Routing single shots through this loop
 as one-row arrays would leave one statement, but costs several times the
-scalar engine per layer, so both stay. They share the strength encoding,
-the uniform draw schedule and the separated real-arithmetic kernels, so a
-shot extracted from an ensemble and replayed through
+scalar engine per layer, so both stay. They share the strength encoding
+(integer levels: ``k`` is strength ``2**-k``, ``ZERO_LEVEL`` is zero, the
+strongest field has the smallest level; Python ints in an
+:class:`interfersim.ontic.OnticState`, an int64 column per path here), the
+uniform draw schedule and the separated real-arithmetic kernels, so a shot
+extracted from an ensemble and replayed through
 :func:`interfersim.ontic.run_ontic_shot` with its slice of the stream
 reproduces the same record and final state bit for bit; the property
 tests in ``tests/test_engine_properties.py`` check this on random circuits.
@@ -94,8 +97,7 @@ def _age(levels: np.ndarray) -> np.ndarray:
 
 
 def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
-                 init_levels: np.ndarray, seed: int,
-                 checks: bool = True) -> EnsembleResult:
+                 init_levels: np.ndarray, seed: int) -> EnsembleResult:
     """Run every shot of an ensemble through the circuit.
 
     ``init_q``, ``init_u`` and ``init_levels`` are per-shot arrays of particle
@@ -103,8 +105,9 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
     the shot-sliced stream of purpose :data:`interfersim.rng.ONTIC_SHOTS`
     under ``seed``, one column per beam splitter in circuit order.
 
-    With ``checks`` on, the dyadic-closure and raw amplitude bounds are
-    asserted after every layer.
+    Every splitter asserts that it never expands its pair's intensity, and
+    every layer that amplitudes stay finite and levels stay in the dyadic
+    range.
     """
     shots = init_q.shape[0]
     width = circuit.width
@@ -162,14 +165,13 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
                 root_t = math.sqrt(1.0 - gate.reflectivity)
                 s_re, s_im, t_re, t_im = mix_amplitudes(
                     re_s, im_s, re_t, im_t, root_r, root_t)
-                if checks:
-                    into = re_s * re_s + im_s * im_s + re_t * re_t + im_t * im_t
-                    out = s_re * s_re + s_im * s_im + t_re * t_re + t_im * t_im
-                    if (out > into + 1e-9 * np.maximum(into, 1.0)).any():
-                        raise AssertionError(
-                            f"splitter expanded the pair intensity at layer "
-                            f"{layer_idx}"
-                        )
+                into = re_s * re_s + im_s * im_s + re_t * re_t + im_t * im_t
+                out = s_re * s_re + s_im * s_im + t_re * t_re + t_im * t_im
+                if (out > into + 1e-9 * np.maximum(into, 1.0)).any():
+                    raise AssertionError(
+                        f"splitter expanded the pair intensity at layer "
+                        f"{layer_idx}"
+                    )
                 u_re[:, s] = s_re
                 u_im[:, s] = s_im
                 u_re[:, t] = t_re
@@ -186,12 +188,11 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
                 draw = uniforms[:, draw_idx]
                 draw_idx += 1
                 q = np.where(on_splitter, np.where(draw < prob_s, s, t), q)
-        if checks:
-            if not np.isfinite(u_re).all() or not np.isfinite(u_im).all():
-                raise AssertionError(f"non-finite amplitude after layer {layer_idx}")
-            bad = (levels < 0) | ((levels > level_bound) & (levels != ZERO_LEVEL))
-            if bad.any():
-                raise AssertionError("strength level left the dyadic range")
+        if not np.isfinite(u_re).all() or not np.isfinite(u_im).all():
+            raise AssertionError(f"non-finite amplitude after layer {layer_idx}")
+        bad = (levels < 0) | ((levels > level_bound) & (levels != ZERO_LEVEL))
+        if bad.any():
+            raise AssertionError("strength level left the dyadic range")
 
     final_u = np.empty((shots, width), dtype=np.complex128)
     final_u.real = u_re

@@ -14,13 +14,14 @@ byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from scipy.special import gammaincc
 from scipy.stats import binom as binom_dist
@@ -29,7 +30,7 @@ from . import rng as streams
 from .circuits import BeamSplitter, Circuit
 from .ensemble import EnsembleResult, run_ensemble
 from .labels import ClassLabel, verify_congruence
-from .ontic import levels_to_strengths, run_ontic_shot, OnticState, ShotDiagnostics
+from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
 from .prepare import prepare_ensemble, quantum_init
 from .quantum import exact_outcome_distribution
 from .records import OutcomeRecord, parse_event_token
@@ -296,16 +297,25 @@ def traced_shots(config: ExperimentConfig,
         config.shots, config.seed, config.prepare.junk)
     n_draws = circuit.count_gates(BeamSplitter)
     for shot in range(config.shots):
-        init = OnticState(int(init_q[shot]), init_u[shot],
-                          levels_to_strengths(init_levels[shot]))
+        init = OnticState(int(init_q[shot]), init_u[shot], init_levels[shot])
         gen = streams.shot_generator(config.seed, streams.ONTIC_SHOTS, shot, n_draws)
         record, trajectory = run_ontic_shot(circuit, init, gen, trace=True,
                                             diagnostics=diagnostics)
         yield shot, record, trajectory
 
 
+def write_trace_lines(fh: IO[str], shot: int,
+                      trajectory: Sequence[OnticState]) -> None:
+    """Write one traced shot as JSONL: a line per layer holding the state
+    after it (:func:`interfersim.ontic.trace_json_object`)."""
+    for layer_idx, state in enumerate(trajectory[1:]):
+        fh.write(json.dumps(trace_json_object(shot, layer_idx, state),
+                            sort_keys=True) + "\n")
+
+
 def run_traced(config: ExperimentConfig,
                cross_check: EnsembleResult | None = None,
+               jsonl: str | None = None,
                ) -> tuple[dict, list[dict]]:
     """Replay every shot with tracing (:func:`traced_shots`) and verify
     label congruence.
@@ -313,23 +323,29 @@ def run_traced(config: ExperimentConfig,
     Returns a summary dict plus the per-shot congruence reports in their
     JSON shape ``{shot, layers: [{deviation}], pass}``. When ``cross_check``
     holds the vectorised run of the same config, each replayed record is
-    asserted equal to the ensemble's.
+    asserted equal to the ensemble's. With a ``jsonl`` path, each shot's
+    trace lines (:func:`write_trace_lines`) are written there as it is
+    checked.
     """
     label0 = ClassLabel.basis(config.prepare.path, config.circuit.width)
     max_dev = 0.0
     violations = 0
     diagnostics = ShotDiagnostics()
     shot_reports: list[dict] = []
-    for shot, record, trajectory in traced_shots(config, diagnostics):
-        if cross_check is not None and record != cross_check.record_for_shot(shot):
-            raise AssertionError(
-                f"shot {shot}: single-shot replay disagrees with ensemble record"
-            )
-        report = verify_congruence(trajectory, record, config.circuit, label0)
-        max_dev = max(max_dev, report.max_deviation)
-        if not report.passed:
-            violations += 1
-        shot_reports.append(report.to_json_dict(shot=shot))
+    with (open(jsonl, "w", encoding="utf-8") if jsonl
+          else contextlib.nullcontext()) as trace_fh:
+        for shot, record, trajectory in traced_shots(config, diagnostics):
+            if cross_check is not None and record != cross_check.record_for_shot(shot):
+                raise AssertionError(
+                    f"shot {shot}: single-shot replay disagrees with ensemble record"
+                )
+            report = verify_congruence(trajectory, record, config.circuit, label0)
+            max_dev = max(max_dev, report.max_deviation)
+            if not report.passed:
+                violations += 1
+            shot_reports.append(report.to_json_dict(shot=shot))
+            if trace_fh is not None:
+                write_trace_lines(trace_fh, shot, trajectory)
     summary = {
         "shots": config.shots,
         "max_deviation": max_dev,

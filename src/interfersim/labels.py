@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuits import Circuit, Layer, validate_layer
-from .ontic import DyadicStrength, OnticState, ZERO_STRENGTH
+from .ontic import ZERO_LEVEL, OnticState, _age
 from .quantum import (
     ImpossibleOutcomeError,
     detector_complement,
@@ -77,9 +77,14 @@ class ClassLabel:
         return cls(v)
 
 
-def dominant_strength(state: OnticState) -> DyadicStrength:
-    """Exact maximum of the strength vector; zero iff all strengths are zero."""
-    return max(state.tau)
+def dominant_strength(state: OnticState) -> int:
+    """Level of the strongest field, the smallest level; ``ZERO_LEVEL`` iff
+    all strengths are zero."""
+    return min(state.tau)
+
+
+def _project(state: OnticState, top: int) -> np.ndarray:
+    return np.where(np.array(state.tau) == top, state.u, 0.0j)
 
 
 def delta_projection(state: OnticState) -> np.ndarray:
@@ -88,22 +93,26 @@ def delta_projection(state: OnticState) -> np.ndarray:
     Requires a non-zero dominant strength.
     """
     top = dominant_strength(state)
-    if top.is_zero:
+    if top == ZERO_LEVEL:
         raise ValueError("all field strengths are zero; nothing to project")
-    keep = np.array([t == top for t in state.tau])
-    return np.where(keep, state.u, 0.0j)
+    return _project(state, top)
+
+
+def _label(state: OnticState, top: int) -> ClassLabel | None:
+    """:func:`extract_label` for a state whose dominant level is ``top``."""
+    if top == ZERO_LEVEL:
+        return None
+    projected = _project(state, top)
+    norm = float(np.linalg.norm(projected))
+    if norm <= PROJECTION_TOL:
+        return None
+    return ClassLabel(projected / norm)
 
 
 def extract_label(state: OnticState) -> ClassLabel | None:
     """Unit ray of the dominant-strength amplitudes, or None when the
     dominant strength is zero or the projected vector vanishes."""
-    if dominant_strength(state).is_zero:
-        return None
-    projected = delta_projection(state)
-    norm = float(np.linalg.norm(projected))
-    if norm <= PROJECTION_TOL:
-        return None
-    return ClassLabel(projected / norm)
+    return _label(state, dominant_strength(state))
 
 
 def in_class(state: OnticState, z: ClassLabel, i: int) -> bool:
@@ -111,18 +120,16 @@ def in_class(state: OnticState, z: ClassLabel, i: int) -> bool:
     the particle is at ``i``, path ``i`` carries the (non-zero) dominant
     strength, and the extracted label ray-equals ``z``.
 
-    The first two conditions are exact dyadic comparisons; only the ray
+    The first two conditions are exact level comparisons; only the ray
     comparison uses a tolerance.
     """
     if state.q != i:
         return False
     top = dominant_strength(state)
-    if top.is_zero or state.tau[i] != top:
+    if state.tau[i] != top:
         return False
-    label = extract_label(state)
-    if label is None:
-        return False
-    return label.ray_equals(z)
+    label = _label(state, top)  # None when the dominant strength is zero
+    return label is not None and label.ray_equals(z)
 
 
 def predicted_label_update(z: ClassLabel, layer: Layer,
@@ -197,10 +204,13 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
 
     def judge(layer_idx: int, state: OnticState, label: ClassLabel) -> None:
         nonlocal max_dev, passed
-        extracted = extract_label(state)
-        deviation = 1.0 if extracted is None else \
-            1.0 - ray_overlap(extracted.vector, label.vector)
-        member = in_class(state, label, state.q)
+        top = dominant_strength(state)
+        extracted = _label(state, top)
+        overlap = 0.0 if extracted is None else \
+            ray_overlap(extracted.vector, label.vector)
+        deviation = 1.0 - overlap
+        # in_class(state, label, state.q), from the one extraction above
+        member = state.tau[state.q] == top and overlap >= 1.0 - RAY_TOL
         ok = deviation <= tol and member
         if layer_idx >= 0:
             checks.append(LayerCheck(layer_idx, deviation, member))
@@ -224,7 +234,7 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
     return CongruenceReport(tuple(checks), max_dev, passed)
 
 
-def check_delta_commutation(layer: Layer, tau_before: Sequence[DyadicStrength],
+def check_delta_commutation(layer: Layer, tau_before: Sequence[int],
                             width: int, tol: float = 1e-12) -> bool:
     """Materialise both sides of the projection/update commutation identity
     for one layer and strength pattern and compare them entrywise.
@@ -242,29 +252,28 @@ def check_delta_commutation(layer: Layer, tau_before: Sequence[DyadicStrength],
     if len(tau_before) != width:
         raise ValueError("strength vector does not match width")
 
-    top = max(tau_before)
+    top = min(tau_before)
     delta_before = np.diag([1.0 if t == top else 0.0 for t in tau_before]
                            ).astype(np.complex128)
 
     # Strengths after the layer, by the engine's rules.
     after = list(tau_before)
     for path in partition.free:
-        after[path] = after[path].halved()
+        after[path] = _age(after[path])
     for path in partition.shifters:
-        after[path] = after[path].halved()
+        after[path] = _age(after[path])
     for path in partition.detectors:
-        after[path] = ZERO_STRENGTH
+        after[path] = ZERO_LEVEL
     for s, t in partition.splitter_pairs:
-        levelled = max(tau_before[s], tau_before[t]).halved()
-        after[s] = after[t] = levelled
-    top_after = max(after)
+        after[s] = after[t] = _age(min(tau_before[s], tau_before[t]))
+    top_after = min(after)
     delta_after = np.diag([1.0 if t == top_after else 0.0 for t in after]
                           ).astype(np.complex128)
 
     # Per-splitter suppression of the weaker incoming field.
     suppress = np.eye(width, dtype=np.complex128)
     for s, t in partition.splitter_pairs:
-        pair_top = max(tau_before[s], tau_before[t])
+        pair_top = min(tau_before[s], tau_before[t])
         suppress[s, s] = 1.0 if tau_before[s] == pair_top else 0.0
         suppress[t, t] = 1.0 if tau_before[t] == pair_top else 0.0
 

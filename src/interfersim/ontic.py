@@ -16,8 +16,11 @@ strength. Gates touch only the paths they sit on:
   outgoing field intensities.
 
 Strengths are restricted to exact powers of two (or zero): every strength
-the gates can produce is a halving, a reset to 1, or a reset to 0, so the
-equality comparisons that decide field suppression are exact integer
+the gates can produce is a halving, a reset to 1, or a reset to 0. Both
+engines therefore carry a strength as an integer *level*, the one encoding
+in the package: level ``k`` is strength ``2**-k`` and :data:`ZERO_LEVEL` is
+strength zero. The strongest field has the smallest level, halving adds 1,
+and the comparisons that decide field suppression are exact integer
 operations, never floating-point ones.
 
 A beam splitter consumes exactly one uniform draw every time it is applied,
@@ -40,8 +43,8 @@ random circuits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Iterable
 
 import numpy as np
@@ -62,55 +65,9 @@ from .records import OutcomeRecord
 # The engine therefore hard-asserts only finiteness plus, per splitter,
 # that the outgoing pair intensity never exceeds the surviving incoming one.
 
-# Integer code for strength zero in vectorised runs. Any level below it is
-# an exponent k meaning strength 2**-k; ageing adds 1 and can never reach it.
-ZERO_LEVEL = np.int64(2 ** 31)
-
-
-@total_ordering
-@dataclass(frozen=True)
-class DyadicStrength:
-    """Field strength, either zero or ``2**-exponent`` with integer exponent.
-
-    Comparisons, ``max`` and halving are exact: no floating point enters.
-    """
-
-    exponent: int | None = None  # None encodes strength zero
-
-    def __post_init__(self):
-        if self.exponent is not None:
-            if not isinstance(self.exponent, int) or self.exponent < 0:
-                raise ValueError(f"dyadic exponent must be a non-negative int, "
-                                 f"got {self.exponent!r}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent is None
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self.exponent is None else 2.0 ** -self.exponent
-
-    def halved(self) -> "DyadicStrength":
-        if self.exponent is None:
-            return self
-        return DyadicStrength(self.exponent + 1)
-
-    def __lt__(self, other: "DyadicStrength") -> bool:
-        if self.exponent is None:
-            return other.exponent is not None
-        if other.exponent is None:
-            return False
-        return self.exponent > other.exponent
-
-    def __repr__(self) -> str:
-        if self.exponent is None:
-            return "DyadicStrength(zero)"
-        return f"DyadicStrength(2**-{self.exponent})"
-
-
-ZERO_STRENGTH = DyadicStrength(None)
-FULL_STRENGTH = DyadicStrength(0)
+# Level of strength zero; a level k below it is strength 2**-k. Ageing adds
+# 1 below ZERO_LEVEL and never reaches it on reachable states.
+ZERO_LEVEL = 2 ** 31
 
 
 def rotate_amplitude(re, im, cos_w, sin_w):
@@ -132,42 +89,29 @@ def mix_amplitudes(re_s, im_s, re_t, im_t, root_r, root_t):
     return new_s_re, new_s_im, new_t_re, new_t_im
 
 
-def strength_to_level(tau: DyadicStrength) -> np.int64:
-    return ZERO_LEVEL if tau.is_zero else np.int64(tau.exponent)
-
-
-def level_to_strength(level: int) -> DyadicStrength:
-    return ZERO_STRENGTH if level >= ZERO_LEVEL else DyadicStrength(int(level))
-
-
-def strengths_to_levels(taus: Iterable[DyadicStrength]) -> np.ndarray:
-    return np.array([strength_to_level(t) for t in taus], dtype=np.int64)
-
-
-def levels_to_strengths(levels: Iterable[int]) -> tuple[DyadicStrength, ...]:
-    return tuple(level_to_strength(int(v)) for v in levels)
-
-
 @dataclass(frozen=True)
 class OnticState:
-    """One point of the model: particle position plus per-path fields."""
+    """One point of the model: particle position plus per-path fields, the
+    strengths as levels (see :data:`ZERO_LEVEL`)."""
 
     q: int
     u: np.ndarray
-    tau: tuple[DyadicStrength, ...]
+    tau: tuple[int, ...]
 
-    def __init__(self, q: int, u: Iterable[complex], tau: Iterable[DyadicStrength]):
+    def __init__(self, q: int, u: Iterable[complex], tau: Iterable[int]):
         u_arr = np.array(tuple(u), dtype=np.complex128)
-        tau_t = tuple(tau)
+        try:
+            tau_t = tuple(map(operator.index, tau))  # numpy rows become ints
+        except TypeError:
+            raise ValueError("strength levels must be ints") from None
         if u_arr.ndim != 1 or u_arr.size == 0:
             raise ValueError("field amplitudes must form a non-empty vector")
         if len(tau_t) != u_arr.size:
             raise ValueError("amplitude and strength vectors differ in length")
         if not 0 <= q < u_arr.size:
             raise IndexError(f"particle position {q} out of range")
-        for t in tau_t:
-            if not isinstance(t, DyadicStrength):
-                raise TypeError(f"strengths must be DyadicStrength, got {t!r}")
+        if min(tau_t) < 0 or max(tau_t) > ZERO_LEVEL:
+            raise ValueError(f"strength levels {tau_t} outside [0, ZERO_LEVEL]")
         if not np.isfinite(u_arr.view(np.float64)).all():
             raise ValueError("field amplitudes must be finite")
         u_arr.setflags(write=False)
@@ -192,44 +136,45 @@ def _check_path(path: int, width: int) -> None:
         raise IndexError(f"path {path} out of range for width {width}")
 
 
-# The gate rules, each stated once. They update a working amplitude list
-# ``u`` and strength list ``tau`` in place and touch only their own paths,
-# so the gates of one layer can be applied one after another.
+# The gate rules, each stated once. ``_age`` maps a level to its aged level;
+# the others update a working amplitude list ``u`` and level list ``tau`` in
+# place and touch only their own paths, so the gates of one layer can be
+# applied one after another.
 
-def _age(tau: list, path: int) -> None:
-    tau[path] = tau[path].halved()
+def _age(level: int) -> int:
+    return ZERO_LEVEL if level >= ZERO_LEVEL else level + 1
 
 
 def _phase(u: list, tau: list, path: int, omega: float) -> None:
     re, im = rotate_amplitude(u[path].real, u[path].imag,
                               math.cos(omega), math.sin(omega))
     u[path] = complex(re, im)
-    _age(tau, path)
+    tau[path] = _age(tau[path])
 
 
 def _detect(u: list, tau: list, q: int, path: int) -> bool:
     clicked = q == path
     if clicked:
         u[path] = 1.0 + 0.0j
-        tau[path] = FULL_STRENGTH
+        tau[path] = 0
     else:
-        tau[path] = ZERO_STRENGTH
+        tau[path] = ZERO_LEVEL
     return clicked
 
 
 def _split(u: list, tau: list, q: int, s: int, t: int, reflectivity: float,
            draw: float, diagnostics: ShotDiagnostics | None) -> int:
     """Splitter rule; returns the new particle position."""
-    tau_st = max(tau[s], tau[t])
-    u_s = u[s] if tau[s] == tau_st else 0.0j
-    u_t = u[t] if tau[t] == tau_st else 0.0j
+    lmin = min(tau[s], tau[t])  # lowest level = strongest field
+    u_s = u[s] if tau[s] == lmin else 0.0j
+    u_t = u[t] if tau[t] == lmin else 0.0j
     root_r = math.sqrt(reflectivity)
     root_t = math.sqrt(1.0 - reflectivity)
     s_re, s_im, t_re, t_im = mix_amplitudes(u_s.real, u_s.imag,
                                             u_t.real, u_t.imag, root_r, root_t)
     u[s] = complex(s_re, s_im)
     u[t] = complex(t_re, t_im)
-    tau[s] = tau[t] = tau_st.halved()
+    tau[s] = tau[t] = _age(lmin)
     if q not in (s, t):
         return q
     p_s = s_re * s_re + s_im * s_im
@@ -251,7 +196,7 @@ def gate_free(state: OnticState, path: int) -> OnticState:
     """Ageing: strength halves, amplitude and particle stay put."""
     _check_path(path, state.width)
     tau = list(state.tau)
-    _age(tau, path)
+    tau[path] = _age(tau[path])
     return OnticState(state.q, state.u, tau)
 
 
@@ -312,7 +257,7 @@ def step_layer(state: OnticState, layer: Layer, rng: np.random.Generator,
     q = state.q
     results: list[tuple[int, bool]] = []
     for path in partition.free:
-        _age(tau, path)
+        tau[path] = _age(tau[path])
     for gate in layer.gates:
         if isinstance(gate, PhaseShifter):
             _phase(u, tau, gate.path, gate.omega)
@@ -355,11 +300,11 @@ def run_ontic_shot(circuit: Circuit, init: OnticState, rng: np.random.Generator,
 
 def trace_json_object(shot: int, layer: int, state: OnticState) -> dict:
     """One trace line: ``{shot, layer, q, u: [[re, im], ...], tau: [...]}``
-    with strength exponents (``null`` for zero) and zero-based indices."""
+    with strength levels (``null`` for zero) and zero-based indices."""
     return {
         "shot": shot,
         "layer": layer,
         "q": state.q,
         "u": [[float(c.real), float(c.imag)] for c in state.u],
-        "tau": [None if t.is_zero else t.exponent for t in state.tau],
+        "tau": [None if t == ZERO_LEVEL else t for t in state.tau],
     }

@@ -23,14 +23,7 @@ import numpy as np
 
 from . import rng as streams
 from .circuits import Detector, Layer
-from .ontic import (
-    FULL_STRENGTH,
-    ZERO_LEVEL,
-    ZERO_STRENGTH,
-    DyadicStrength,
-    OnticState,
-    step_layer,
-)
+from .ontic import ZERO_LEVEL, OnticState, step_layer
 from .quantum import QuantumState
 
 JunkSampler = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
@@ -81,8 +74,8 @@ def source_prepare(path: int, width: int, gen: np.random.Generator,
         raise IndexError(f"path {path} out of range for width {width}")
     u = resolve_junk(junk)(gen, (width,))
     u[path] = 1.0
-    tau = [ZERO_STRENGTH] * width
-    tau[path] = FULL_STRENGTH
+    tau = [ZERO_LEVEL] * width
+    tau[path] = 0
     return OnticState(path, u, tau)
 
 
@@ -128,7 +121,7 @@ def default_raw_sampler(width: int,
         tau = []
         for _ in range(width):
             k = int(gen.integers(5))
-            tau.append(ZERO_STRENGTH if k == 4 else DyadicStrength(k))
+            tau.append(ZERO_LEVEL if k == 4 else k)
         return OnticState(q, u, tau)
 
     return draw

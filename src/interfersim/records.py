@@ -60,16 +60,6 @@ class OutcomeRecord:
         return True
 
 
-def parse_record_key(key: str) -> OutcomeRecord:
-    """Inverse of :attr:`OutcomeRecord.key`."""
-    if key in ("", "-"):
-        return OutcomeRecord()
-    events = []
-    for part in key.split(";"):
-        events.append(parse_event_token(part))
-    return OutcomeRecord(tuple(events))
-
-
 def parse_event_token(token: str) -> tuple[int, int | None]:
     """Parse one ``L<layer>:C<path>`` / ``L<layer>:N`` token (one-based)."""
     try:

@@ -33,9 +33,8 @@ from interfersim.harness import (
 )
 from interfersim.labels import check_delta_commutation
 from interfersim.ontic import (
-    DyadicStrength,
+    ZERO_LEVEL,
     OnticState,
-    ZERO_STRENGTH,
     gate_beamsplitter,
     gate_detector,
     gate_free,
@@ -143,20 +142,20 @@ def test_criterion_4_commutation_identity():
     while done < 10_000:
         width = int(gen.integers(2, 7))
         layer, taus = _random_commutation_config(width, gen)
-        top = max(taus)
+        top = min(taus)  # lowest level = strongest field
         detectors = {g.path for g in layer.gates if isinstance(g, Detector)}
         free_max = any(taus[j] == top for j in range(width)
                        if j not in detectors)
-        if top.is_zero or not free_max:
+        if top == ZERO_LEVEL or not free_max:
             continue
         for gate in layer.gates:
             if isinstance(gate, BeamSplitter):
-                pair = sorted((taus[gate.s], taus[gate.t]))
-                if pair[1] < top:
+                stronger, weaker = sorted((taus[gate.s], taus[gate.t]))
+                if stronger > top:
                     cases["both-weaker"] += 1
-                elif pair[0] == top:
+                elif weaker == top:
                     cases["tie-at-max"] += 1
-                elif pair[1] == top:
+                elif stronger == top:
                     cases["one-at-max"] += 1
         assert check_delta_commutation(layer, taus, width)
         done += 1
@@ -179,7 +178,7 @@ def _random_commutation_config(width, gen):
             gates.append(Detector(p))
         elif roll < 0.85:
             gates.append(PhaseShifter(p, float(gen.uniform(-math.pi, math.pi))))
-    taus = tuple(ZERO_STRENGTH if k == 3 else DyadicStrength(int(k))
+    taus = tuple(ZERO_LEVEL if k == 3 else int(k)
                  for k in gen.integers(0, 4, size=width))
     return Layer(gates), taus
 
@@ -264,7 +263,7 @@ def test_criterion_7_exactness_invariants():
     for _ in range(2000):
         width = int(gen.integers(2, 7))
         u = gen.random(width) * np.exp(2j * math.pi * gen.random(width))
-        tau = tuple(ZERO_STRENGTH if k == 5 else DyadicStrength(int(k))
+        tau = tuple(ZERO_LEVEL if k == 5 else int(k)
                     for k in gen.integers(0, 6, size=width))
         state = OnticState(int(gen.integers(width)), u, tau)
         j, k = (int(x) for x in gen.choice(width, size=2, replace=False))
@@ -275,7 +274,7 @@ def test_criterion_7_exactness_invariants():
             (gate_beamsplitter(state, j, k, float(gen.random()), gen), {j, k}),
         ):
             for p in range(width):
-                assert out.tau[p].is_zero or out.tau[p].exponent >= 0
+                assert out.tau[p] == ZERO_LEVEL or 0 <= out.tau[p] < ZERO_LEVEL
                 if p not in touched:
                     assert out.u[p] == state.u[p]
                     assert out.tau[p] == state.tau[p]
@@ -286,7 +285,7 @@ def test_criterion_7_exactness_invariants():
         circuit = scenario(name)
         q, amp, levels = prepare_ensemble("source", 0, circuit.width, 20_000,
                                           71, "disk")
-        result = run_ensemble(circuit, q, amp, levels, 71, checks=True)
+        result = run_ensemble(circuit, q, amp, levels, 71)
         degenerate += result.degenerate_relocations
     assert degenerate == 0
     report_pass(7, "dyadic closure and locality exact over 8000 gate "

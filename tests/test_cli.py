@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from interfersim import harness
 from interfersim.cli import main
 from interfersim.compiler import haar_unitary
 from interfersim.scenarios import export_scenario
@@ -177,6 +178,30 @@ def test_trace_command(mz_file, tmp_path, capsys):
     assert payload["summary"]["shots"] == 50
     assert len(payload["shots"]) == 50
     assert set(payload["shots"][0]) == {"shot", "layers", "pass"}
+
+
+def test_trace_jsonl_replays_each_shot_once(mz_file, tmp_path, monkeypatch):
+    replay = harness.run_ontic_shot
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_ontic_shot", counted)
+    jsonl = tmp_path / "trace.jsonl"
+    code = main(["trace", mz_file, "--shots", "10", "--seed", "2",
+                 "--jsonl", str(jsonl), "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 10
+    lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert [(line["shot"], line["layer"]) for line in lines] == \
+        [(shot, layer) for shot in range(10) for layer in range(4)]
+    # ``run --trace`` writes the same lines for the same shots
+    run_jsonl = tmp_path / "run.jsonl"
+    assert main(["run", mz_file, "--shots", "10", "--seed", "2",
+                 "--trace", str(run_jsonl), "--out", str(tmp_path)]) == 0
+    assert run_jsonl.read_bytes() == jsonl.read_bytes()
 
 
 def test_help_exits_zero():

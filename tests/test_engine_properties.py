@@ -10,7 +10,7 @@ from interfersim.circuits import BeamSplitter, Detector, Layer, PhaseShifter, ga
 from interfersim.ensemble import run_ensemble
 from interfersim.harness import ExperimentConfig, PreparationSpec, traced_shots
 from interfersim.ontic import (
-    DyadicStrength,
+    ZERO_LEVEL,
     OnticState,
     ShotDiagnostics,
     gate_beamsplitter,
@@ -18,7 +18,6 @@ from interfersim.ontic import (
     gate_free,
     gate_phase,
     step_layer,
-    strengths_to_levels,
 )
 from interfersim.prepare import prepare_ensemble
 from interfersim.scenarios import random_circuit
@@ -50,7 +49,7 @@ def test_scalar_replay_matches_ensemble_rows(width, depth, circuit_seed, seed,
         assert record == result.record_for_shot(shot)
         assert final.q == result.final_q[shot]
         assert same_bits(final.u, result.final_u[shot])
-        assert same_bits(strengths_to_levels(final.tau), result.final_levels[shot])
+        assert final.tau == tuple(result.final_levels[shot])
     assert diagnostics.degenerate_relocations == result.degenerate_relocations
 
 
@@ -59,7 +58,7 @@ def states_and_layers(draw):
     width = draw(st.integers(1, 6))
     parts = st.floats(-2.0, 2.0)
     u = [complex(draw(parts), draw(parts)) for _ in range(width)]
-    tau = [DyadicStrength(draw(st.one_of(st.none(), st.integers(0, 8))))
+    tau = [draw(st.one_of(st.just(ZERO_LEVEL), st.integers(0, 8)))
            for _ in range(width)]
     state = OnticState(draw(st.integers(0, width - 1)), u, tau)
     paths = draw(st.permutations(range(width)))

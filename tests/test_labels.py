@@ -24,22 +24,12 @@ from interfersim.labels import (
     predicted_label_update,
     verify_congruence,
 )
-from interfersim.ontic import (
-    FULL_STRENGTH,
-    ZERO_STRENGTH,
-    DyadicStrength,
-    OnticState,
-    run_ontic_shot,
-)
+from interfersim.ontic import ZERO_LEVEL, OnticState, run_ontic_shot
 from interfersim.prepare import source_prepare
 from interfersim.quantum import ImpossibleOutcomeError
 from interfersim.scenarios import mach_zehnder
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def halves(k):
-    return DyadicStrength(k)
 
 
 def make_state(q, u, tau):
@@ -49,41 +39,42 @@ def make_state(q, u, tau):
 def post_click_state(j, width):
     u = np.zeros(width, dtype=complex)
     u[j] = 1.0
-    tau = [ZERO_STRENGTH] * width
-    tau[j] = FULL_STRENGTH
+    tau = [ZERO_LEVEL] * width
+    tau[j] = 0
     return OnticState(j, u, tau)
 
 
 # -- dominant strength and projection ---------------------------------------
 
 def test_dominant_strength_examples():
-    assert dominant_strength(make_state(0, [0, 0, 0],
-                                        (halves(1), halves(3), ZERO_STRENGTH))) \
-        == halves(1)
+    # the strongest field is the smallest level
+    assert dominant_strength(make_state(0, [0, 0, 0], (1, 3, ZERO_LEVEL))) == 1
+    assert dominant_strength(make_state(0, [0, 0, 0], (ZERO_LEVEL, 3, 1))) == 1
     assert dominant_strength(make_state(0, [0, 0],
-                                        (ZERO_STRENGTH, ZERO_STRENGTH))).is_zero
-    assert dominant_strength(make_state(0, [0, 0], (halves(2), halves(2)))) \
-        == halves(2)
+                                        (ZERO_LEVEL, ZERO_LEVEL))) == ZERO_LEVEL
+    assert dominant_strength(make_state(0, [0, 0], (2, 2))) == 2
 
 
 def test_delta_projection_keeps_strongest():
-    state = make_state(0, [0.5, 0.8j], (halves(1), halves(2)))
+    state = make_state(0, [0.5, 0.8j], (1, 2))
     assert np.array_equal(delta_projection(state), [0.5, 0])
+    state = make_state(0, [0.5, 0.8j], (2, 1))
+    assert np.array_equal(delta_projection(state), [0, 0.8j])
 
 
 def test_delta_projection_tie_keeps_both():
-    state = make_state(0, [0.5, 0.8j], (halves(1), halves(1)))
+    state = make_state(0, [0.5, 0.8j], (1, 1))
     assert np.array_equal(delta_projection(state), [0.5, 0.8j])
 
 
 def test_delta_projection_can_be_zero_vector():
-    state = make_state(1, [0, 1], (halves(1), halves(3)))
+    state = make_state(1, [0, 1], (1, 3))
     assert np.array_equal(delta_projection(state), [0, 0])
     assert extract_label(state) is None
 
 
 def test_delta_projection_rejects_all_zero():
-    state = make_state(0, [1, 0], (ZERO_STRENGTH, ZERO_STRENGTH))
+    state = make_state(0, [1, 0], (ZERO_LEVEL, ZERO_LEVEL))
     with pytest.raises(ValueError, match="zero"):
         delta_projection(state)
     assert extract_label(state) is None
@@ -98,7 +89,7 @@ def test_extract_label_post_click():
 
 def test_extract_label_scale_invariant():
     state = make_state(0, [1j * INV_SQRT2 * 0.5, INV_SQRT2 * 0.5],
-                       (halves(1), halves(1)))
+                       (1, 1))
     label = extract_label(state)
     assert label.ray_equals(ClassLabel([1j * INV_SQRT2, INV_SQRT2]))
 
@@ -111,11 +102,11 @@ def test_in_class_post_click():
 
 def test_in_class_requires_dominant_strength_at_anchor():
     # particle parked on a weaker-strength path fails the membership test
-    state = make_state(0, [0.5, 1], (halves(2), halves(1)))
+    state = make_state(0, [0.5, 1], (2, 1))
     z = extract_label(state)
     assert z is not None
     assert not in_class(state, z, 0)
-    state2 = make_state(1, [0.5, 1], (halves(2), halves(1)))
+    state2 = make_state(1, [0.5, 1], (2, 1))
     assert in_class(state2, z, 1)
 
 
@@ -124,7 +115,7 @@ def test_class_disjointness():
     for _ in range(200):
         width = int(gen.integers(2, 6))
         u = gen.random(width) * np.exp(2j * math.pi * gen.random(width))
-        tau = tuple(ZERO_STRENGTH if k == 3 else DyadicStrength(int(k))
+        tau = tuple(ZERO_LEVEL if k == 3 else int(k)
                     for k in gen.integers(0, 4, size=width))
         state = OnticState(int(gen.integers(width)), u, tau)
         z = extract_label(state)
@@ -215,6 +206,35 @@ def test_congruence_detects_corruption():
                           strict=True)
 
 
+def test_congruence_membership_is_in_class():
+    # verify_congruence judges membership from one extraction per state;
+    # it must agree with in_class on members and on corrupted non-members
+    circuit = mach_zehnder(math.pi / 3)
+    members = set()
+    for seed in range(30):
+        record, trajectory = traced_shot(circuit, seed)
+        if seed % 3 == 1:
+            # the label still matches; the anchor loses the dominant strength
+            state = trajectory[-1]
+            trajectory[-1] = OnticState(1 - state.q, state.u, state.tau)
+        elif seed % 3 == 2:
+            # the anchor keeps the dominant strength; the label turns
+            state = trajectory[2]
+            u = state.u * np.array([np.exp(0.25j), 1.0])
+            trajectory[2] = OnticState(state.q, u, state.tau)
+        report = verify_congruence(trajectory, record, circuit,
+                                   ClassLabel.basis(0, 2))
+        label = ClassLabel.basis(0, 2)
+        for check, layer in zip(report.checks, circuit.layers):
+            idx = check.layer
+            click = record.result_for_layer(idx) if record.has_layer(idx) else None
+            label = predicted_label_update(label, layer, click)
+            state = trajectory[idx + 1]
+            assert check.member == in_class(state, label, state.q)
+            members.add(check.member)
+    assert members == {True, False}
+
+
 def test_congruence_report_json_shape():
     circuit = mach_zehnder(0.5)
     record, trajectory = traced_shot(circuit, 8)
@@ -229,32 +249,30 @@ def test_congruence_report_json_shape():
 
 def test_commutation_splitter_tie():
     layer = Layer([BeamSplitter(0, 1, 0.5)])
-    assert check_delta_commutation(layer, (FULL_STRENGTH, FULL_STRENGTH), 2)
+    assert check_delta_commutation(layer, (0, 0), 2)
 
 
 def test_commutation_splitter_one_weaker():
     layer = Layer([BeamSplitter(0, 1, 0.5)])
-    assert check_delta_commutation(layer, (halves(1), FULL_STRENGTH), 2)
+    assert check_delta_commutation(layer, (1, 0), 2)
 
 
 def test_commutation_splitter_both_weaker():
     layer = Layer([BeamSplitter(0, 1, 0.3), PhaseShifter(2, 0.9)])
-    assert check_delta_commutation(layer, (halves(2), halves(3), FULL_STRENGTH), 3)
+    assert check_delta_commutation(layer, (2, 3, 0), 3)
 
 
 def test_commutation_diagonal_blocks():
     # detector path holds the maximum together with an unmeasured path
     layer = Layer([Detector(0), PhaseShifter(1, 1.1)])
-    assert check_delta_commutation(layer, (FULL_STRENGTH, FULL_STRENGTH,
-                                           halves(2)), 3)
+    assert check_delta_commutation(layer, (0, 0, 2), 3)
 
 
 def test_commutation_fails_outside_domain():
     # when only a detector path attains the maximum strength the two sides
     # genuinely differ: the left keeps the new maximum, the right keeps nothing
     layer = Layer([Detector(0), PhaseShifter(1, 1.1)])
-    assert not check_delta_commutation(layer, (FULL_STRENGTH, halves(1),
-                                               halves(2)), 3)
+    assert not check_delta_commutation(layer, (0, 1, 2), 3)
 
 
 def test_commutation_randomized():
@@ -281,7 +299,7 @@ def _random_config(width, gen):
             gates.append(Detector(p))
         elif roll < 0.8:
             gates.append(PhaseShifter(p, float(gen.uniform(-math.pi, math.pi))))
-    taus = tuple(ZERO_STRENGTH if k == 4 else DyadicStrength(int(k))
+    taus = tuple(ZERO_LEVEL if k == 4 else int(k)
                  for k in gen.integers(0, 5, size=width))
     return Layer(gates), taus
 
@@ -289,8 +307,8 @@ def _random_config(width, gen):
 def _in_identity_domain(layer, taus, width):
     # the identity needs the pre-layer maximum to be non-zero and attained
     # on at least one path without a detector
-    top = max(taus)
-    if top.is_zero:
+    top = min(taus)  # lowest level = strongest field
+    if top == ZERO_LEVEL:
         return False
     detectors = {g.path for g in layer.gates if isinstance(g, Detector)}
     return any(taus[j] == top for j in range(width) if j not in detectors)

@@ -1,4 +1,4 @@
-"""Stochastic engine: dyadic strengths, gate rules, shots and the
+"""Stochastic engine: strength levels, gate rules, shots and the
 vectorised/single-shot equivalence."""
 
 import math
@@ -16,20 +16,15 @@ from interfersim.circuits import (
 )
 from interfersim.ensemble import run_ensemble
 from interfersim.ontic import (
-    FULL_STRENGTH,
     ZERO_LEVEL,
-    ZERO_STRENGTH,
-    DyadicStrength,
     OnticState,
     ShotDiagnostics,
     gate_beamsplitter,
     gate_detector,
     gate_free,
     gate_phase,
-    levels_to_strengths,
     run_ontic_shot,
     step_layer,
-    strengths_to_levels,
     trace_json_object,
 )
 from interfersim.prepare import prepare_ensemble, source_prepare
@@ -38,108 +33,92 @@ from interfersim.scenarios import available_scenarios, mach_zehnder, scenario
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def halves(k):
-    return DyadicStrength(k)
-
-
 def make_state(q, u, tau):
     return OnticState(q, np.array(u, dtype=complex), tau)
 
 
-# -- dyadic strengths -------------------------------------------------------
-
-def test_strength_ordering_and_max():
-    assert ZERO_STRENGTH < halves(5) < halves(1) < FULL_STRENGTH
-    assert max(halves(1), halves(3)) == halves(1)
-    assert max(ZERO_STRENGTH, ZERO_STRENGTH) == ZERO_STRENGTH
-    assert max(halves(2), halves(2)) == halves(2)
-
-
-def test_strength_halving_exact():
-    assert FULL_STRENGTH.halved() == halves(1)
-    assert halves(7).halved() == halves(8)
-    assert ZERO_STRENGTH.halved() is ZERO_STRENGTH
-    assert halves(3).value == 0.125
-    assert ZERO_STRENGTH.value == 0.0
-
+# -- strength levels ---------------------------------------------------------
 
 def test_strength_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        DyadicStrength(-1)
+    for tau in [(-1, 0), (0, ZERO_LEVEL + 1), (0, 1.0), (0, None)]:
+        with pytest.raises(ValueError):
+            make_state(0, [1, 0], tau)
 
 
 def test_level_codes_round_trip():
-    taus = (ZERO_STRENGTH, FULL_STRENGTH, halves(9))
-    assert levels_to_strengths(strengths_to_levels(taus)) == taus
-    assert strengths_to_levels(taus)[0] == ZERO_LEVEL
+    # an ensemble row enters a state as Python ints and comes back unchanged
+    row = np.array([ZERO_LEVEL, 0, 9], dtype=np.int64)
+    state = make_state(1, [0, 1, 0], row)
+    assert all(type(level) is int for level in state.tau)
+    assert np.array_equal(np.array(state.tau, dtype=np.int64), row)
 
 
 # -- single gates -----------------------------------------------------------
 
 def test_free_ages_strength_only():
-    state = make_state(1, [0.3 + 0.4j, 0.1], (halves(1), halves(2)))
+    state = make_state(1, [0.3 + 0.4j, 0.1], (1, 2))
     out = gate_free(state, 0)
     assert out.u[0] == 0.3 + 0.4j
-    assert out.tau == (halves(2), halves(2))
+    assert out.tau == (2, 2)
     assert out.q == 1
 
 
 def test_free_zero_strength_absorbing():
-    state = make_state(0, [1, 0], (ZERO_STRENGTH, FULL_STRENGTH))
-    assert gate_free(state, 0).tau[0] is ZERO_STRENGTH
+    state = make_state(0, [1, 0], (ZERO_LEVEL, 0))
+    assert gate_free(state, 0).tau[0] == ZERO_LEVEL
 
 
 def test_free_never_moves_particle():
-    state = make_state(0, [1, 0], (FULL_STRENGTH, FULL_STRENGTH))
+    state = make_state(0, [1, 0], (0, 0))
     assert gate_free(state, 0).q == 0
     assert gate_free(state, 1).q == 0
 
 
 def test_phase_rotates_and_ages():
-    state = make_state(0, [1, 0], (FULL_STRENGTH, ZERO_STRENGTH))
+    state = make_state(0, [1, 0], (0, ZERO_LEVEL))
     out = gate_phase(state, 0, math.pi / 2)
     assert out.u[0] == pytest.approx(1j, abs=1e-15)
-    assert out.tau[0] == halves(1)
+    assert out.tau[0] == 1
 
 
 def test_phase_zero_still_ages():
-    state = make_state(0, [0.5, 0], (halves(2), ZERO_STRENGTH))
+    state = make_state(0, [0.5, 0], (2, ZERO_LEVEL))
     out = gate_phase(state, 0, 0.0)
     assert out.u[0] == 0.5
-    assert out.tau[0] == halves(3)
+    assert out.tau[0] == 3
 
 
 def test_phase_on_zero_amplitude():
-    state = make_state(1, [0, 1], (FULL_STRENGTH, FULL_STRENGTH))
+    state = make_state(1, [0, 1], (0, 0))
     assert gate_phase(state, 0, 1.0).u[0] == 0
 
 
 def test_detector_no_click():
-    state = make_state(1, [0.2j, 1], (halves(1), FULL_STRENGTH))
+    state = make_state(1, [0.2j, 1], (1, 0))
     clicked, out = gate_detector(state, 0)
     assert not clicked
     assert out.u[0] == 0.2j
-    assert out.tau[0] is ZERO_STRENGTH
+    assert out.tau[0] == ZERO_LEVEL
     assert out.q == 1
 
 
 def test_detector_click_resets_field():
-    state = make_state(0, [0.2j, 0.5], (halves(3), halves(1)))
+    state = make_state(0, [0.2j, 0.5], (3, 1))
     clicked, out = gate_detector(state, 0)
     assert clicked
     assert out.u[0] == 1.0
-    assert out.tau[0] == FULL_STRENGTH
+    assert out.tau[0] == 0
     assert out.q == 0
     # untouched path keeps its field
-    assert out.u[1] == 0.5 and out.tau[1] == halves(1)
+    assert out.u[1] == 0.5 and out.tau[1] == 1
 
 
 def test_splitter_suppresses_weaker_field():
-    state = make_state(2, [1, 0.7, 0], (halves(1), halves(2), FULL_STRENGTH))
+    state = make_state(2, [1, 0.7, 0], (1, 2, 0))
     out = gate_beamsplitter(state, 0, 1, 0.5, np.random.default_rng(0))
     assert out.u[0] == 1j * math.sqrt(0.5)  # the 0.7 never contributes
     assert out.u[1] == math.sqrt(0.5)
-    assert out.tau[0] == out.tau[1] == halves(2)
+    assert out.tau[0] == out.tau[1] == 2
     assert out.q == 2
 
 
@@ -148,7 +127,7 @@ def test_splitter_relocation_balanced():
     hits = 0
     shots = 4000
     for _ in range(shots):
-        state = make_state(0, [1, 0], (FULL_STRENGTH, FULL_STRENGTH))
+        state = make_state(0, [1, 0], (0, 0))
         out = gate_beamsplitter(state, 0, 1, 0.5, gen)
         assert out.u[0] == 1j * math.sqrt(0.5)
         assert out.u[1] == math.sqrt(0.5)
@@ -160,7 +139,7 @@ def test_splitter_relocation_balanced():
 def test_splitter_full_reflection_keeps_particle():
     gen = np.random.default_rng(3)
     for _ in range(50):
-        state = make_state(0, [1, 0], (FULL_STRENGTH, FULL_STRENGTH))
+        state = make_state(0, [1, 0], (0, 0))
         out = gate_beamsplitter(state, 0, 1, 1.0, gen)
         assert out.u[0] == 1j and out.u[1] == 0
         assert out.q == 0
@@ -169,14 +148,14 @@ def test_splitter_full_reflection_keeps_particle():
 def test_splitter_degenerate_relocation_counted():
     diag = ShotDiagnostics()
     gen = np.random.default_rng(0)
-    state = make_state(0, [0, 0, 1], (FULL_STRENGTH, FULL_STRENGTH, halves(1)))
+    state = make_state(0, [0, 0, 1], (0, 0, 1))
     out = gate_beamsplitter(state, 0, 1, 0.5, gen, diagnostics=diag)
     assert diag.degenerate_relocations == 1
     assert out.q in (0, 1)
 
 
 def test_splitter_ties_keep_both_fields():
-    state = make_state(2, [0.5, 0.5j, 0], (halves(1), halves(1), FULL_STRENGTH))
+    state = make_state(2, [0.5, 0.5j, 0], (1, 1, 0))
     out = gate_beamsplitter(state, 0, 1, 0.5, np.random.default_rng(0))
     # both inputs survive the tie
     expected_0 = 1j * math.sqrt(0.5) * 0.5 + math.sqrt(0.5) * 0.5j
@@ -188,7 +167,7 @@ def test_gate_locality_bitwise():
     for _ in range(100):
         width = int(gen.integers(3, 7))
         u = gen.random(width) * np.exp(2j * math.pi * gen.random(width))
-        tau = tuple(ZERO_STRENGTH if k == 4 else DyadicStrength(int(k))
+        tau = tuple(ZERO_LEVEL if k == 4 else int(k)
                     for k in gen.integers(0, 5, size=width))
         q = int(gen.integers(width))
         state = OnticState(q, u, tau)
@@ -212,23 +191,23 @@ def test_gate_locality_bitwise():
 # -- layers and shots -------------------------------------------------------
 
 def test_step_layer_detector_pair():
-    state = make_state(0, [1, 1], (FULL_STRENGTH, FULL_STRENGTH))
+    state = make_state(0, [1, 1], (0, 0))
     results, out = step_layer(state, Layer([Detector(0), Detector(1)]),
                               np.random.default_rng(0))
     assert results == ((0, True), (1, False))
-    assert out.tau == (FULL_STRENGTH, ZERO_STRENGTH)
+    assert out.tau == (0, ZERO_LEVEL)
 
 
 def test_step_empty_layer_ages_everything():
-    state = make_state(0, [0.5, 0.5], (FULL_STRENGTH, FULL_STRENGTH))
+    state = make_state(0, [0.5, 0.5], (0, 0))
     results, out = step_layer(state, Layer([]), np.random.default_rng(0))
     assert results == ()
-    assert out.tau == (halves(1), halves(1))
+    assert out.tau == (1, 1)
     assert np.array_equal(out.u, state.u)
 
 
 def test_step_layer_disjoint_supports():
-    state = make_state(0, [1, 0, 0.5], (FULL_STRENGTH, FULL_STRENGTH, FULL_STRENGTH))
+    state = make_state(0, [1, 0, 0.5], (0, 0, 0))
     layer = Layer([BeamSplitter(0, 1, 0.5), PhaseShifter(2, math.pi)])
     _, out = step_layer(state, layer, np.random.default_rng(0))
     assert out.u[2] == pytest.approx(-0.5, abs=1e-15)
@@ -236,7 +215,7 @@ def test_step_layer_disjoint_supports():
 
 
 def test_run_shot_zero_layers():
-    state = make_state(0, [1], (FULL_STRENGTH,))
+    state = make_state(0, [1], (0,))
     record, trajectory = run_ontic_shot(Circuit(1), state,
                                         np.random.default_rng(0), trace=True)
     assert record.events == ()
@@ -276,8 +255,8 @@ def test_dyadic_closure_along_random_shots():
         init = source_prepare(0, circuit.width, gen, junk="disk")
         _, traj = run_ontic_shot(circuit, init, gen, trace=True)
         for state in traj:
-            for tau in state.tau:
-                assert tau.is_zero or 0 <= tau.exponent <= circuit.depth + 1
+            for level in state.tau:
+                assert level == ZERO_LEVEL or 0 <= level <= circuit.depth + 1
 
 
 def test_amplitude_bound_on_reachable_states():
@@ -292,8 +271,8 @@ def test_amplitude_bound_on_reachable_states():
             _, traj = run_ontic_shot(circuit, init, gen, trace=True)
             for state in traj:
                 assert np.isfinite(state.u).all()
-                top = max(state.tau)
-                if top.is_zero:
+                top = min(state.tau)  # lowest level = strongest field
+                if top == ZERO_LEVEL:
                     continue
                 for j in range(state.width):
                     if state.tau[j] == top:
@@ -302,11 +281,11 @@ def test_amplitude_bound_on_reachable_states():
 
 def test_amplitude_finiteness_enforced():
     with pytest.raises(ValueError, match="finite"):
-        make_state(0, [float("nan"), 0], (FULL_STRENGTH, FULL_STRENGTH))
+        make_state(0, [float("nan"), 0], (0, 0))
 
 
 def test_trace_json_object_shape():
-    state = make_state(1, [0.5j, 1], (halves(2), ZERO_STRENGTH))
+    state = make_state(1, [0.5j, 1], (2, ZERO_LEVEL))
     obj = trace_json_object(3, 1, state)
     assert obj == {"shot": 3, "layer": 1, "q": 1,
                    "u": [[0.0, 0.5], [1.0, 0.0]], "tau": [2, None]}
@@ -324,15 +303,14 @@ def test_ensemble_matches_single_shots_bitwise(name):
     result = run_ensemble(circuit, q, u, levels, seed)
     draws = circuit.count_gates(BeamSplitter)
     for shot in range(shots):
-        init = OnticState(int(q[shot]), u[shot], levels_to_strengths(levels[shot]))
+        init = OnticState(int(q[shot]), u[shot], levels[shot])
         gen = rng.shot_generator(seed, rng.ONTIC_SHOTS, shot, draws)
         record, traj = run_ontic_shot(circuit, init, gen)
         final = traj[-1]
         assert record == result.record_for_shot(shot)
         assert np.array_equal(final.u, result.final_u[shot])
         assert final.q == result.final_q[shot]
-        assert strengths_to_levels(final.tau).tolist() == \
-            result.final_levels[shot].tolist()
+        assert final.tau == tuple(result.final_levels[shot])
 
 
 def test_ensemble_counts_sum_to_shots():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from interfersim.labels import ClassLabel, in_class
-from interfersim.ontic import FULL_STRENGTH, ZERO_LEVEL, OnticState
+from interfersim.ontic import ZERO_LEVEL, OnticState
 from interfersim.prepare import (
     PreparationError,
     default_raw_sampler,
@@ -29,8 +29,8 @@ def test_source_prepare_zero_junk():
     state = source_prepare(0, 3, np.random.default_rng(0), junk="zero")
     assert state.q == 0
     assert np.array_equal(state.u, [1, 0, 0])
-    assert state.tau[0] == FULL_STRENGTH
-    assert state.tau[1].is_zero and state.tau[2].is_zero
+    assert state.tau[0] == 0
+    assert state.tau[1] == state.tau[2] == ZERO_LEVEL
 
 
 def test_source_prepare_disk_junk_stays_in_class():
@@ -79,11 +79,11 @@ def test_sieve_preserves_raw_junk_amplitudes():
 
     def raw(g):
         return OnticState(0, np.array([0.25j, 0.5 + 0.25j]),
-                          (FULL_STRENGTH, FULL_STRENGTH))
+                          (0, 0))
 
     state = sieve_prepare(raw, 0, gen)
     assert state.u[1] == 0.5 + 0.25j  # untouched by its no-click detector
-    assert state.tau[1].is_zero
+    assert state.tau[1] == ZERO_LEVEL
 
 
 def test_sieve_gives_up_on_unreachable_target():
