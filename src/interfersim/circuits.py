@@ -79,10 +79,6 @@ class BeamSplitter:
         if not 0.0 <= self.reflectivity <= 1.0:
             raise CircuitError(f"reflectivity {self.reflectivity!r} outside [0, 1]")
 
-    @property
-    def transmissivity(self) -> float:
-        return 1.0 - self.reflectivity
-
 
 @dataclass(frozen=True)
 class Detector:

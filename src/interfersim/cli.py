@@ -5,15 +5,14 @@ full matched experiment and exits with its verdict, ``compile`` turns a
 unitary (JSON matrix of ``[re, im]`` pairs) into a circuit file, ``trace``
 replays traced shots and verifies label congruence.
 
-Exit codes: 0 success/pass, 1 verdict or congruence failure, 2 usage or
-input error, 3 resource cap exceeded. Option values beat config-file values
-beat the ``QM_SEED`` environment variable beat defaults.
+Exit codes: 0 success/pass, 1 verdict or congruence failure, 2 usage,
+input or output-file error, 3 resource cap exceeded. Option values beat
+config-file values beat the ``QM_SEED`` environment variable beat defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as streams
-from .circuits import CircuitError, parse_circuit_file, serialize_circuit
+from .circuits import parse_circuit_file, serialize_circuit
 from .compiler import (
     NonUnitaryError,
     ray_deviation,
@@ -38,8 +37,6 @@ from .harness import (
     parse_postselect_tokens,
     run_experiment,
     run_traced,
-    traced_shots,
-    write_trace_lines,
 )
 from .prepare import quantum_init
 from .quantum import BranchCapError, ImpossibleOutcomeError, run_quantum_shot
@@ -76,10 +73,10 @@ def _resolve_seed(flag: int | None, config: dict) -> int:
     return 0
 
 
-def _resolve_shots(flag: int | None, config: dict) -> int:
+def _resolve_int(flag: int | None, config: dict, key: str, default: int) -> int:
     if flag is not None:
         return flag
-    return int(config.get("shots", 10000))
+    return int(config.get(key, default))
 
 
 def _parse_prepare(text: str | None, config: dict) -> PreparationSpec:
@@ -95,30 +92,25 @@ def _parse_prepare(text: str | None, config: dict) -> PreparationSpec:
                            junk=cfg.get("junk", "zero"))
 
 
-def _build_config(args, circuit) -> ExperimentConfig:
-    config = _load_config(getattr(args, "config", None))
+def _experiment(args, mode: str) -> ExperimentConfig:
+    """Parse the circuit argument and build the command's config in
+    ``mode`` from its flags and config file."""
+    circuit = parse_circuit_file(args.circuit)
+    config = _load_config(args.config)
     postselect = None
-    tokens = getattr(args, "postselect", None) or config.get("postselect")
+    tokens = args.postselect or config.get("postselect")
     if tokens:
         postselect = parse_postselect_tokens(tokens)
     return ExperimentConfig(
         circuit=circuit,
-        prepare=_parse_prepare(getattr(args, "prepare", None), config),
-        shots=_resolve_shots(args.shots, config),
+        prepare=_parse_prepare(args.prepare, config),
+        shots=_resolve_int(args.shots, config, "shots", 10000),
         seed=_resolve_seed(args.seed, config),
-        mode=getattr(args, "mode", None) or config.get("mode", "compare"),
+        mode=mode,
         postselect=postselect,
         trace=bool(config.get("trace", False)),
-        branch_cap=int(getattr(args, "branch_cap", None)
-                       or config.get("branch_cap", 10 ** 6)),
+        branch_cap=_resolve_int(args.branch_cap, config, "branch_cap", 10 ** 6),
     )
-
-
-def _experiment(args, **changes) -> ExperimentConfig:
-    """Parse the circuit argument and build the command's config, with
-    ``changes`` (such as the mode) applied on top."""
-    circuit = parse_circuit_file(args.circuit)
-    return dataclasses.replace(_build_config(args, circuit), **changes)
 
 
 def _write_report(report: ExperimentReport, out_dir: str) -> Path:
@@ -155,17 +147,10 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _write_trace_jsonl(config: ExperimentConfig, path: str) -> None:
-    """Replay every shot with tracing and dump one JSON object per layer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for shot, _, trajectory in traced_shots(config):
-            write_trace_lines(fh, shot, trajectory)
-
-
 def cmd_run(args) -> int:
     try:
         config = _experiment(args, mode="ontic-only")
-    except (OSError, CircuitError, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # CircuitError, ConfigError, bad numbers
         return _fail(str(exc))
     try:
         if args.engine == "quantum":
@@ -173,9 +158,7 @@ def cmd_run(args) -> int:
                 return _fail("--trace applies to the ontic engine only")
             report = _quantum_sample_report(config)
         else:
-            report = run_experiment(config)
-            if args.trace:
-                _write_trace_jsonl(config, args.trace)
+            report = run_experiment(config, jsonl=args.trace)
     except BranchCapError as exc:
         return _fail(f"{exc}; try --engine ontic", EXIT_RESOURCE)
     except ImpossibleOutcomeError as exc:
@@ -187,7 +170,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     try:
         config = _experiment(args, mode="compare")
-    except (OSError, CircuitError, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # CircuitError, ConfigError, bad numbers
         return _fail(str(exc))
     try:
         report = run_experiment(config)
@@ -232,7 +215,7 @@ def cmd_compile(args) -> int:
 def cmd_trace(args) -> int:
     try:
         config = _experiment(args, mode="ontic-only")
-    except (OSError, CircuitError, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # CircuitError, ConfigError, bad numbers
         return _fail(str(exc))
     summary, shot_reports = run_traced(config, jsonl=args.jsonl)
     print(f"traced {config.shots} shots: max label deviation "
@@ -260,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode_flag=False):
+    def common(p):
         p.add_argument("circuit", help="circuit file (.circ or .json mirror)")
         p.add_argument("--shots", type=_positive_int, default=None)
         p.add_argument("--seed", type=int, default=None,
@@ -271,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep only shots matching these outcome tokens")
         p.add_argument("--config", default=None, help="JSON experiment config")
         p.add_argument("--out", default=".", help="report directory")
-        p.add_argument("--branch-cap", dest="branch_cap", type=int, default=None)
+        p.add_argument("--branch-cap", dest="branch_cap", type=_positive_int,
+                       default=None)
 
     p_run = sub.add_parser("run", help="execute shots on one engine")
     common(p_run)
@@ -300,9 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except OSError as exc:  # unreadable input or unwritable output
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

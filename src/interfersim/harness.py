@@ -86,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ConfigError("shots must be at least 1")
+        if self.branch_cap < 1:
+            raise ConfigError("branch_cap must be at least 1")
         if self.mode not in ("compare", "ontic-only", "quantum-exact"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 0 <= self.prepare.path < self.circuit.width:
@@ -355,14 +357,17 @@ def run_traced(config: ExperimentConfig,
     return summary, shot_reports
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig,
+                   jsonl: str | None = None) -> ExperimentReport:
     """Execute one experiment according to its mode.
 
     ``compare`` runs the stochastic ensemble and the exact quantum
     enumeration and fills the whole comparison table; ``ontic-only`` skips
     the enumeration (no verdict); ``quantum-exact`` skips the ensemble.
-    With ``trace`` set, every shot is additionally replayed with tracing
-    and checked for label congruence.
+    With ``trace`` set or a ``jsonl`` path given, every shot of the ensemble
+    is additionally replayed once with tracing (:func:`run_traced`), which
+    writes the trace lines to ``jsonl``; the label congruence summary goes
+    into the report only when ``trace`` is set.
     """
     start = time.perf_counter()
     circuit = config.circuit
@@ -379,8 +384,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             config.shots, config.seed, config.prepare.junk)
         result = run_ensemble(circuit, init_q, init_u, init_levels, config.seed)
         degenerate = result.degenerate_relocations
-        if config.trace:
-            congruence, _ = run_traced(config, cross_check=result)
+        if config.trace or jsonl:
+            summary, _ = run_traced(config, cross_check=result, jsonl=jsonl)
+            congruence = summary if config.trace else None
         if config.postselect:
             result = result.select(result.match_mask(config.postselect))
         counts = result.counts()

@@ -64,13 +64,6 @@ class ClassLabel:
         return ray_overlap(self.vector, other.vector) >= 1.0 - tol
 
     @classmethod
-    def from_vector(cls, v: np.ndarray) -> "ClassLabel":
-        norm = float(np.linalg.norm(v))
-        if norm <= PROJECTION_TOL:
-            raise ValueError("cannot label a zero vector")
-        return cls(np.asarray(v, dtype=np.complex128) / norm)
-
-    @classmethod
     def basis(cls, path: int, width: int) -> "ClassLabel":
         v = np.zeros(width, dtype=np.complex128)
         v[path] = 1.0

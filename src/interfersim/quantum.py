@@ -5,6 +5,19 @@ global phase. Phase shifters and beam splitters act unitarily on their own
 components; a detector layer is a single projective measurement event with
 click probability ``|psi_j|**2`` per detector and a joint no-click branch
 that projects out every detector path at once.
+
+The layer rule is written once, in ``_measure_layer``: it applies a layer's
+gates and returns the detector paths, their click probabilities and the
+no-click probability. ``run_quantum_shot`` picks one outcome per detector
+layer from a single uniform draw; ``exact_outcome_distribution`` keeps
+every outcome. The enumeration walks the layers with a frontier of live
+branches (no recursion, so circuit depth is not limited by Python's stack)
+and grows each branch in place into its clicks in ascending path order and
+then its no-click, so the result lists outcomes in depth-first order. Every
+live branch ends in at least one leaf, so the branch cap trips for exactly
+the circuits with more leaves than the cap, as soon as the frontier passes
+it. Memory is bounded by the cap: at most about ``branch_cap`` live
+branches, each a state vector and its event tuple.
 """
 
 from __future__ import annotations
@@ -176,28 +189,23 @@ def detector_complement(paths: Iterable[int], width: int) -> np.ndarray:
     return np.diag(d)
 
 
-def _apply_layer_unitaries(state: QuantumState, layer: Layer) -> QuantumState:
+def _measure_layer(state: QuantumState, layer: Layer
+                   ) -> tuple[QuantumState, tuple[int, ...], list[float], float]:
+    """One layer step: apply the layer's phase shifters and beam splitters,
+    then give the measurement event of its detectors.
+
+    Returns the state before collapse, the sorted detector paths, their
+    click probabilities, and the joint no-click probability
+    ``max(0, 1 - sum(probs))``. A layer without detectors has no event.
+    """
     for gate in layer.gates:
         if isinstance(gate, PhaseShifter):
             state = apply_phase(state, gate.path, gate.omega)
         elif isinstance(gate, BeamSplitter):
             state = apply_beamsplitter(state, gate.s, gate.t, gate.reflectivity)
-    return state
-
-
-def _sample_layer_outcome(state: QuantumState, detectors: tuple[int, ...],
-                          u: float) -> int | None:
-    """Pick a click path or None from one uniform draw via the cumulative
-    distribution over (clicks..., no-click)."""
+    detectors = tuple(sorted(layer.detector_paths()))
     probs = [detector_click_probability(state, j) for j in detectors]
-    no_click = max(0.0, 1.0 - sum(probs))
-    total = sum(probs) + no_click
-    acc = 0.0
-    for j, p in zip(detectors, probs):
-        acc += p / total
-        if u < acc:
-            return j
-    return None
+    return state, detectors, probs, max(0.0, 1.0 - sum(probs))
 
 
 def run_quantum_shot(circuit: Circuit, init: QuantumState,
@@ -214,11 +222,19 @@ def run_quantum_shot(circuit: Circuit, init: QuantumState,
     state = init
     events: list[tuple[int, int | None]] = []
     for layer_idx, layer in enumerate(circuit.layers):
-        state = _apply_layer_unitaries(state, layer)
-        detectors = tuple(sorted(layer.detector_paths()))
+        state, detectors, probs, no_click = _measure_layer(state, layer)
         if not detectors:
             continue
-        clicked = _sample_layer_outcome(state, detectors, float(rng.random()))
+        # One uniform draw through the cumulative (clicks..., no-click).
+        u = float(rng.random())
+        total = sum(probs) + no_click
+        acc = 0.0
+        clicked = None
+        for j, p in zip(detectors, probs):
+            acc += p / total
+            if u < acc:
+                clicked = j
+                break
         if clicked is None:
             state = project_no_click(state, detectors)
         else:
@@ -257,44 +273,34 @@ def exact_outcome_distribution(circuit: Circuit, init: QuantumState,
                                branch_cap: int = 10 ** 6) -> OutcomeDistribution:
     """Enumerate the full outcome tree with exact branch probabilities.
 
-    Branches with probability at most ``IMPOSSIBLE_TOL`` are pruned, so a
-    recorded outcome absent from the result is an impossible event. Raises
-    :class:`BranchCapError` when the number of leaves would exceed
-    ``branch_cap``.
+    Live branches are ``(state, probability, events)``, grown layer by
+    layer as the module docstring describes. Branches with probability at
+    most ``IMPOSSIBLE_TOL`` are pruned, so a recorded outcome absent from
+    the result is an impossible event. Raises :class:`BranchCapError` as
+    soon as more than ``branch_cap`` branches are live.
     """
     if init.width != circuit.width:
         raise ValueError("initial state width does not match circuit")
-    leaves: dict[OutcomeRecord, float] = {}
-    count = 0
-
-    def walk(state: QuantumState, layer_idx: int, prob: float,
-             events: tuple[tuple[int, int | None], ...]) -> None:
-        nonlocal count
-        for idx in range(layer_idx, circuit.depth):
-            layer = circuit.layers[idx]
-            state = _apply_layer_unitaries(state, layer)
-            detectors = tuple(sorted(layer.detector_paths()))
+    # a click collapses onto a basis state; branches share one per path
+    basis = [QuantumState.basis(j, circuit.width) for j in range(circuit.width)]
+    branches = [(init, 1.0, ())]
+    for layer_idx, layer in enumerate(circuit.layers):
+        grown = []
+        for state, prob, events in branches:
+            state, detectors, probs, no_click = _measure_layer(state, layer)
             if not detectors:
+                grown.append((state, prob, events))
                 continue
-            probs = [detector_click_probability(state, j) for j in detectors]
-            no_click = max(0.0, 1.0 - sum(probs))
             for j, p in zip(detectors, probs):
                 if p > IMPOSSIBLE_TOL:
-                    walk(QuantumState.basis(j, circuit.width), idx + 1,
-                         prob * p, events + ((idx, j),))
+                    grown.append((basis[j], prob * p, events + ((layer_idx, j),)))
             if no_click > IMPOSSIBLE_TOL:
-                state = project_no_click(state, detectors)
-                prob = prob * no_click
-                events = events + ((idx, None),)
-            else:
-                return
-        record = OutcomeRecord(events)
-        leaves[record] = leaves.get(record, 0.0) + prob
-        count += 1
-        if count > branch_cap:
-            raise BranchCapError(
-                f"outcome enumeration exceeded {branch_cap} branches"
-            )
-
-    walk(init, 0, 1.0, ())
-    return OutcomeDistribution(leaves)
+                grown.append((project_no_click(state, detectors), prob * no_click,
+                              events + ((layer_idx, None),)))
+            if len(grown) > branch_cap:
+                raise BranchCapError(
+                    f"outcome enumeration exceeded {branch_cap} branches"
+                )
+        branches = grown
+    return OutcomeDistribution({OutcomeRecord(events): prob
+                                for _, prob, events in branches})

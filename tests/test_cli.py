@@ -85,6 +85,49 @@ def test_run_zero_shots_usage_error(mz_file):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--out", "{blocked}"],
+    ["run", "--out", "{blocked}"],
+    ["run", "--trace", "{missing}/trace.jsonl"],
+    ["trace", "--jsonl", "{missing}/trace.jsonl"],
+    ["trace", "--report", "{missing}/congruence.json"],
+], ids=["compare-out", "run-out", "run-trace", "trace-jsonl", "trace-report"])
+def test_unwritable_output_usage_error(mz_file, tmp_path, capsys, argv):
+    blocked = tmp_path / "file"
+    blocked.write_text("")  # a file where a directory is needed
+    argv = [arg.format(blocked=blocked / "out", missing=tmp_path / "missing")
+            for arg in argv]
+    code = main(argv[:1] + [mz_file, "--shots", "200", "--out", str(tmp_path)]
+                + argv[1:])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_branch_cap_flag_must_be_positive(mz_file, cap):
+    with pytest.raises(SystemExit) as err:
+        main(["compare", mz_file, "--branch-cap", cap])
+    assert err.value.code == 2
+
+
+def test_branch_cap_config_must_be_positive(mz_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"branch_cap": 0}))
+    code = main(["compare", mz_file, "--shots", "200", "--config", str(cfg),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "branch_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["quantum-exact", "bogus"])
+def test_config_mode_is_not_read(mz_file, tmp_path, mode):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": mode}))
+    assert main(["run", mz_file, "--shots", "200", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["mode"] == "ontic-only"
+
+
 def test_compare_passes(mz_file, tmp_path, capsys):
     code = main(["compare", mz_file, "--shots", "20000", "--seed", "11",
                  "--out", str(tmp_path)])
@@ -202,6 +245,18 @@ def test_trace_jsonl_replays_each_shot_once(mz_file, tmp_path, monkeypatch):
     assert main(["run", mz_file, "--shots", "10", "--seed", "2",
                  "--trace", str(run_jsonl), "--out", str(tmp_path)]) == 0
     assert run_jsonl.read_bytes() == jsonl.read_bytes()
+    # ... and replays each shot once too when its config asks for the
+    # congruence summary
+    calls.clear()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trace": True}))
+    cfg_jsonl = tmp_path / "cfg.jsonl"
+    assert main(["run", mz_file, "--shots", "10", "--seed", "2", "--config",
+                 str(cfg), "--trace", str(cfg_jsonl), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 10
+    assert cfg_jsonl.read_bytes() == jsonl.read_bytes()
+    congruence = json.loads((tmp_path / "report.json").read_text())["congruence"]
+    assert congruence["shots"] == 10 and congruence["violations"] == 0
 
 
 def test_help_exits_zero():

@@ -175,6 +175,9 @@ def test_report_files(tmp_path):
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(circuit=mach_zehnder(0.1), shots=0, seed=0)
+    for cap in (0, -3):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(circuit=mach_zehnder(0.1), branch_cap=cap)
     with pytest.raises(ConfigError):
         ExperimentConfig(circuit=mach_zehnder(0.1), shots=10, seed=0,
                          mode="banana")

@@ -12,7 +12,9 @@ from interfersim.circuits import (
     Detector,
     Layer,
     PhaseShifter,
+    serialize_circuit,
 )
+from interfersim.cli import main
 from interfersim.quantum import (
     BranchCapError,
     ImpossibleOutcomeError,
@@ -24,7 +26,7 @@ from interfersim.quantum import (
     exact_outcome_distribution,
     run_quantum_shot,
 )
-from interfersim.scenarios import mach_zehnder, random_circuit
+from interfersim.scenarios import mach_zehnder, random_circuit, zeno_chain
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -172,6 +174,56 @@ def test_exact_distribution_sequential_detector_layers():
 def test_exact_distribution_branch_cap():
     with pytest.raises(BranchCapError):
         exact_outcome_distribution(mach_zehnder(0.4), state(1, 0), branch_cap=1)
+
+
+def test_deep_circuit_enumerates_without_recursion(tmp_path):
+    # far deeper than Python's recursion limit; every layer surely clicks
+    deep = Circuit(2, [Layer([Detector(0)])] * 1200)
+    dist = exact_outcome_distribution(deep, QuantumState.basis(0, 2))
+    assert list(dist.probabilities.values()) == [1.0]
+    path = tmp_path / "deep.circ"
+    path.write_text(serialize_circuit(deep))
+    assert main(["compare", str(path), "--shots", "200",
+                 "--out", str(tmp_path)]) == 0
+
+
+def test_branch_cap_trips_on_the_frontier(tmp_path, capsys):
+    zeno = zeno_chain(1500)
+    with pytest.raises(BranchCapError):
+        exact_outcome_distribution(zeno, QuantumState.basis(0, 2), branch_cap=100)
+    path = tmp_path / "zeno.circ"
+    path.write_text(serialize_circuit(zeno))
+    assert main(["compare", str(path), "--shots", "200", "--branch-cap", "100",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_branch_cap_counts_leaves():
+    # the cap trips for exactly the circuits with more leaves than the cap
+    circuit = random_circuit(4, 8, np.random.default_rng(8), p_detector=0.3)
+    leaves = len(exact_outcome_distribution(circuit, QuantumState.basis(0, 4))
+                 .probabilities)
+    assert leaves > 10
+    exact_outcome_distribution(circuit, QuantumState.basis(0, 4), branch_cap=leaves)
+    with pytest.raises(BranchCapError):
+        exact_outcome_distribution(circuit, QuantumState.basis(0, 4),
+                                   branch_cap=leaves - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_order_clicks_then_no_click_layer_by_layer(seed):
+    width = 3 + seed % 3
+    circuit = random_circuit(width, 10, np.random.default_rng(200 + seed),
+                             p_detector=0.3)
+    records = list(exact_outcome_distribution(
+        circuit, QuantumState.basis(0, width)).probabilities)
+    assert len(records) >= 13
+
+    def rank(record):  # a click at path j sorts as j, no-click after all
+        return [(layer, width if j is None else j) for layer, j in record.events]
+
+    assert records == sorted(records, key=rank)
 
 
 @pytest.mark.parametrize("seed", range(6))
