@@ -62,11 +62,19 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _config_int(config: dict, key: str, default: int) -> int:
+    """A config-file number: a JSON integer, not a fraction or a boolean."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config {key!r} must be an integer, not {value!r}")
+    return value
+
+
 def _resolve_seed(flag: int | None, config: dict) -> int:
     if flag is not None:
         return flag
     if "seed" in config:
-        return int(config["seed"])
+        return _config_int(config, "seed", 0)
     env = os.environ.get("QM_SEED")
     if env is not None:
         return int(env)
@@ -76,19 +84,21 @@ def _resolve_seed(flag: int | None, config: dict) -> int:
 def _resolve_int(flag: int | None, config: dict, key: str, default: int) -> int:
     if flag is not None:
         return flag
-    return int(config.get(key, default))
+    return _config_int(config, key, default)
 
 
 def _parse_prepare(text: str | None, config: dict) -> PreparationSpec:
     cfg = dict(config.get("prepare", {}))
+    path = _config_int(cfg, "path", 1)
     if text:
         for item in text.split(","):
             key, _, value = item.partition("=")
             if not value:
                 raise ConfigError(f"bad --prepare item {item!r}; expected key=value")
             cfg[key.strip()] = value.strip()
-    path = int(cfg.get("path", 1)) - 1
-    return PreparationSpec(mode=cfg.get("mode", "source"), path=path,
+            if key.strip() == "path":
+                path = int(value)
+    return PreparationSpec(mode=cfg.get("mode", "source"), path=path - 1,
                            junk=cfg.get("junk", "zero"))
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
 from scipy.special import gammaincc
 from scipy.stats import binom as binom_dist
 
@@ -268,20 +268,25 @@ class ExperimentReport:
         return json_path, csv_path
 
 
-def _within_band(count: int, probability: float, kept: int) -> tuple[float, bool]:
-    """Per-outcome acceptance band: the exact two-sided binomial tail of the
-    observed count must not fall under the CI_SIGMA significance. Returns
-    the normal-approximation sigma (for the report table) and the flag."""
-    clamped = min(max(probability, 0.0), 1.0)  # enumeration rounding can leave 1+eps
-    sigma = math.sqrt(clamped * (1.0 - clamped) / kept)
-    expected = clamped * kept
-    if sigma == 0.0:
-        return 0.0, abs(count / kept - probability) <= 1e-9
-    if count >= expected:
-        tail = float(binom_dist.sf(count - 1, kept, clamped))
-    else:
-        tail = float(binom_dist.cdf(count, kept, clamped))
-    return sigma, min(1.0, 2.0 * tail) >= CI_ALPHA
+def _within_bands(counts: Mapping[str, int], probs: Mapping[str, float],
+                  kept: int) -> dict[str, tuple[float, bool]]:
+    """Per-outcome acceptance bands for the outcomes of positive
+    probability: the exact two-sided binomial tail of each observed count
+    must not fall under the CI_SIGMA significance. Maps each outcome to its
+    normal-approximation sigma (for the report table) and flag; each tail
+    is one scipy call for all outcomes."""
+    keys = [key for key, p in probs.items() if p > 0.0]
+    n = np.array([counts.get(key, 0) for key in keys], dtype=np.int64)
+    p = np.array([probs[key] for key in keys], dtype=np.float64)
+    clamped = np.clip(p, 0.0, 1.0)  # enumeration rounding can leave 1+eps
+    sigma = np.sqrt(clamped * (1.0 - clamped) / kept)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(n >= clamped * kept,
+                        binom_dist.sf(n - 1, kept, clamped),
+                        binom_dist.cdf(n, kept, clamped))
+    exact = np.abs(n / kept - p) <= 1e-9
+    ok = np.where(sigma == 0.0, exact, np.minimum(1.0, 2.0 * tail) >= CI_ALPHA)
+    return dict(zip(keys, zip(sigma.tolist(), ok.tolist())))
 
 
 def traced_shots(config: ExperimentConfig,
@@ -411,13 +416,14 @@ def run_experiment(config: ExperimentConfig,
         tvd = total_variation(frequencies, probs)
         chi = chi_square_goodness(counts, probs)
         hard_fail = chi.impossible_count
+        bands = _within_bands(counts, probs, kept_shots) if kept_shots else {}
         for key in sorted(set(counts) | set(probs)):
             n = counts.get(key, 0)
             f = n / kept_shots if kept_shots else 0.0
             p = probs.get(key, 0.0)
             impossible = p <= 0.0 and n > 0
-            if p > 0.0 and kept_shots:
-                sigma, ok = _within_band(n, p, kept_shots)
+            if key in bands:
+                sigma, ok = bands[key]
             else:
                 sigma, ok = 0.0, not impossible
             outcomes.append(OutcomeStat(key, n, f, p, sigma, ok, impossible))

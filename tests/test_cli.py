@@ -119,6 +119,21 @@ def test_branch_cap_config_must_be_positive(mz_file, tmp_path, capsys):
     assert "branch_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"shots": 2.7}, {"seed": 1.9}, {"shots": True}, {"seed": False},
+    {"branch_cap": 2.5}, {"shots": "10"}, {"prepare": {"path": 1.9}},
+    {"prepare": {"path": True}},
+], ids=["shots-fraction", "seed-fraction", "shots-bool", "seed-bool",
+        "branch_cap-fraction", "shots-string", "path-fraction", "path-bool"])
+def test_config_numbers_must_be_integers(mz_file, tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["run", mz_file, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["quantum-exact", "bogus"])
 def test_config_mode_is_not_read(mz_file, tmp_path, mode):
     cfg = tmp_path / "cfg.json"

@@ -6,12 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interfersim import rng
 from interfersim.circuits import BeamSplitter, Detector, Layer, PhaseShifter, gate_paths
 from interfersim.ensemble import run_ensemble
 from interfersim.harness import ExperimentConfig, PreparationSpec, traced_shots
 from interfersim.ontic import (
     ZERO_LEVEL,
     OnticState,
+    run_ontic_shot,
     ShotDiagnostics,
     gate_beamsplitter,
     gate_detector,
@@ -46,6 +48,46 @@ def test_scalar_replay_matches_ensemble_rows(width, depth, circuit_seed, seed,
     for shot, record, trajectory in traced_shots(config, diagnostics):
         final = trajectory[-1]
         assert len(trajectory) == depth + 1
+        assert record == result.record_for_shot(shot)
+        assert final.q == result.final_q[shot]
+        assert same_bits(final.u, result.final_u[shot])
+        assert final.tau == tuple(result.final_levels[shot])
+    assert diagnostics.degenerate_relocations == result.degenerate_relocations
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(2, 6), depth=st.integers(1, 12),
+       circuit_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_scalar_replay_matches_ensemble_rows_from_any_state(width, depth,
+                                                            circuit_seed, seed, data):
+    """Drawn positions, amplitudes and levels (``ZERO_LEVEL`` or 0..8), so
+    every shot starts at its own strengths rather than a preparation's."""
+    circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed))
+
+    def per_shot(elements, label):
+        return data.draw(st.lists(elements, min_size=SHOTS, max_size=SHOTS),
+                         label=label)
+
+    def row(elements):
+        return st.lists(elements, min_size=width, max_size=width)
+
+    q = np.array(per_shot(st.integers(0, width - 1), "q"), dtype=np.int64)
+    levels = np.array(per_shot(row(st.one_of(st.just(ZERO_LEVEL),
+                                             st.integers(0, 8))), "levels"),
+                      dtype=np.int64)
+    parts = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    u = np.array(per_shot(row(st.builds(complex, parts, parts)), "u"),
+                 dtype=np.complex128)
+    result = run_ensemble(circuit, q, u, levels, seed)
+    draws = circuit.count_gates(BeamSplitter)
+    diagnostics = ShotDiagnostics()
+    for shot in range(SHOTS):
+        init = OnticState(int(q[shot]), u[shot], levels[shot])
+        gen = rng.shot_generator(seed, rng.ONTIC_SHOTS, shot, draws)
+        record, trajectory = run_ontic_shot(circuit, init, gen,
+                                            diagnostics=diagnostics)
+        final = trajectory[-1]
         assert record == result.record_for_shot(shot)
         assert final.q == result.final_q[shot]
         assert same_bits(final.u, result.final_u[shot])

@@ -7,16 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import binom
 
 import interfersim
 from interfersim.harness import (
+    CI_ALPHA,
     ConfigError,
     ExperimentConfig,
     PreparationSpec,
     chi_square_goodness,
     parse_postselect_tokens,
     run_experiment,
+    _within_bands,
     total_variation,
 )
 from interfersim.scenarios import elitzur_vaidman, mach_zehnder, scenario
@@ -86,6 +90,39 @@ def test_chi_square_pools_small_cells():
     expected = {"a": 0.99, "b": 0.005, "c": 0.005}
     res = chi_square_goodness({"a": 990, "b": 6, "c": 4}, expected)
     assert res.dof == 1  # b and c pooled into one remainder cell
+
+
+def scalar_band(count, probability, kept):
+    """The per-outcome band rule, one scipy call per tail and outcome."""
+    clamped = min(max(probability, 0.0), 1.0)
+    sigma = math.sqrt(clamped * (1.0 - clamped) / kept)
+    if sigma == 0.0:
+        return 0.0, abs(count / kept - probability) <= 1e-9
+    if count >= clamped * kept:
+        tail = float(binom.sf(count - 1, kept, clamped))
+    else:
+        tail = float(binom.cdf(count, kept, clamped))
+    return sigma, min(1.0, 2.0 * tail) >= CI_ALPHA
+
+
+def test_within_bands_match_scalar_rule():
+    gen = np.random.default_rng(8)
+    kept = 1000
+    probs = list(10.0 ** gen.uniform(-9, 0, 3000))
+    counts = [int(gen.binomial(kept, p)) for p in probs]
+    # Far outside the band both ways, the edges, and degenerate probabilities.
+    probs += [0.5, 0.5, 1e-3, 0.3, 1.0, 1.0, 1.0 + 2e-16, 1e-300]
+    counts += [400, 600, 9, 0, kept, kept - 1, kept, 0]
+    keys = [f"o{i}" for i in range(len(probs))]
+    observed = {key: n for key, n in zip(keys, counts) if n}  # unobserved: 0
+    bands = _within_bands(observed, dict(zip(keys, probs)), kept)
+    assert list(bands.values()) == [scalar_band(n, p, kept)
+                                    for n, p in zip(counts, probs)]
+    assert all(type(sigma) is float and type(ok) is bool
+               for sigma, ok in bands.values())
+    flags = [ok for _, ok in bands.values()]
+    assert flags[-8:] == [False, False, True, False, True, False, True, True]
+    assert 0 < flags.count(False)
 
 
 # -- full experiments ---------------------------------------------------------

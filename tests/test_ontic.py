@@ -28,7 +28,13 @@ from interfersim.ontic import (
     trace_json_object,
 )
 from interfersim.prepare import prepare_ensemble, source_prepare
-from interfersim.scenarios import available_scenarios, mach_zehnder, scenario
+from interfersim.records import OutcomeRecord
+from interfersim.scenarios import (
+    available_scenarios,
+    mach_zehnder,
+    random_circuit,
+    scenario,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -320,6 +326,53 @@ def test_ensemble_counts_sum_to_shots():
     counts = result.counts()
     assert sum(counts.values()) == 5000
     assert set(counts) <= {"L4:C1", "L4:C2"}
+
+
+def reference_counts(result):
+    """The row-sort tally: ``np.unique`` over whole record rows."""
+    if result.records.shape[1] == 0:
+        return {"-": result.shots}
+    rows, counts = np.unique(result.records, axis=0, return_counts=True)
+    out = {}
+    for row, n in zip(rows, counts):
+        events = tuple((layer, None if value == -1 else int(value))
+                       for layer, value in zip(result.detector_layers, row))
+        out[OutcomeRecord(events).key] = int(n)
+    return out
+
+
+def _tally_case(name):
+    if name == "no-detectors":
+        circuit = Circuit(2, [Layer([BeamSplitter(0, 1, 0.5)])], name=name)
+    elif name == "wide":
+        circuit = random_circuit(8, 36, np.random.default_rng(11), p_detector=0.4)
+    else:
+        circuit = scenario("zeno-8")
+    q, u, levels = prepare_ensemble("source", 0, circuit.width, 20000, 6, "disk")
+    result = run_ensemble(circuit, q, u, levels, 6)
+    if name == "postselected":
+        result = result.select(result.match_mask(((1, None), (3, None))))
+    return circuit, result
+
+
+@pytest.mark.parametrize("name", ["no-detectors", "zeno-8", "postselected", "wide"])
+def test_ensemble_counts_match_row_sort_tally(name):
+    circuit, result = _tally_case(name)
+    if name == "wide":  # mixed-radix codes of these rows overflow int64
+        assert len(result.detector_layers) >= 25
+        assert (circuit.width + 1) ** len(result.detector_layers) > 2 ** 63
+        assert len(np.unique(result.records, axis=0)) > 1000
+    assert list(result.counts().items()) == list(reference_counts(result).items())
+    assert sum(result.counts().values()) == result.shots
+
+
+@pytest.mark.parametrize("bad", [-1, ZERO_LEVEL + 1])
+def test_ensemble_rejects_levels_outside_range(bad):
+    circuit = scenario("mz-2")
+    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero")
+    levels[4, 1] = bad
+    with pytest.raises(ValueError, match="strength levels"):
+        run_ensemble(circuit, q, u, levels, 3)
 
 
 def test_ensemble_postselect_mask():
