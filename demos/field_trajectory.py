@@ -3,8 +3,8 @@
 Traces one stochastic shot through an interferometer and prints, after every
 layer, the particle position, the per-path field amplitudes and strengths,
 and the unit ray extracted from the strongest fields. That extracted ray is
-compared against the label predicted by the quantum-style update rules given
-the same detector outcomes: the deviation stays at machine precision. This
+compared against the quantum engine's state conditioned on the same
+detector outcomes: the deviation stays at machine precision. This
 per-run agreement is the mechanism behind the two engines' statistical
 indistinguishability.
 
@@ -17,14 +17,13 @@ import math
 import numpy as np
 
 from interfersim.labels import (
-    ClassLabel,
     extract_label,
     predicted_label_update,
     verify_congruence,
 )
 from interfersim.ontic import ZERO_LEVEL, run_ontic_shot
 from interfersim.prepare import source_prepare
-from interfersim.quantum import ray_overlap
+from interfersim.quantum import QuantumState, ray_overlap
 from interfersim.scenarios import mach_zehnder
 
 
@@ -49,7 +48,7 @@ def main():
 
     print(f"interferometer with internal phase {args.omega:.4f}; "
           f"outcome record {record.key}\n")
-    label = ClassLabel.basis(0, 2)
+    label = QuantumState.basis(0, 2)
     print(f"{'layer':<6} {'q':>2}  {'u (per path)':<24} {'tau':<12} "
           f"{'label deviation':>16}")
     state = trajectory[0]
@@ -61,14 +60,14 @@ def main():
         label = predicted_label_update(label, layer, click)
         state = trajectory[idx + 1]
         extracted = extract_label(state)
-        deviation = 1.0 - ray_overlap(extracted.vector, label.vector)
+        deviation = 1.0 - ray_overlap(extracted.amplitudes, label.amplitudes)
         print(f"{idx:<6} {state.q:>2}  "
               f"{' '.join(fmt_amp(z) for z in state.u):<24} "
               f"{' '.join(fmt_tau(t) for t in state.tau):<12} "
               f"{deviation:>16.2e}")
 
     report = verify_congruence(trajectory, record, circuit,
-                               ClassLabel.basis(0, 2))
+                               QuantumState.basis(0, 2))
     print(f"\ncongruence over the whole run: max deviation "
           f"{report.max_deviation:.2e}, pass={report.passed}")
 

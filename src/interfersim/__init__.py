@@ -46,7 +46,6 @@ from .harness import (
     total_variation,
 )
 from .labels import (
-    ClassLabel,
     CongruenceError,
     CongruenceReport,
     check_delta_commutation,

@@ -90,6 +90,13 @@ class Detector:
 Gate = Union[PhaseShifter, BeamSplitter, Detector]
 
 
+def check_path(path: int, width: int) -> None:
+    """Raise :class:`IndexError` unless ``path`` is a zero-based index below
+    ``width``."""
+    if not 0 <= path < width:
+        raise IndexError(f"path {path} out of range for width {width}")
+
+
 def gate_paths(gate: Gate) -> tuple[int, ...]:
     """Paths a gate acts on."""
     if isinstance(gate, BeamSplitter):

@@ -62,12 +62,19 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _config_value(config: dict, key: str, default, kind: str, valid):
+    """``config[key]`` (or ``default``), which ``valid`` must accept; a
+    ``ConfigError`` names the expected JSON ``kind`` otherwise."""
+    value = config.get(key, default)
+    if not valid(value):
+        raise ConfigError(f"config {key!r} must be {kind}, not {value!r}")
+    return value
+
+
 def _config_int(config: dict, key: str, default: int) -> int:
     """A config-file number: a JSON integer, not a fraction or a boolean."""
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config {key!r} must be an integer, not {value!r}")
-    return value
+    return _config_value(config, key, default, "an integer", lambda v:
+                         isinstance(v, int) and not isinstance(v, bool))
 
 
 def _resolve_seed(flag: int | None, config: dict) -> int:
@@ -88,7 +95,8 @@ def _resolve_int(flag: int | None, config: dict, key: str, default: int) -> int:
 
 
 def _parse_prepare(text: str | None, config: dict) -> PreparationSpec:
-    cfg = dict(config.get("prepare", {}))
+    cfg = dict(_config_value(config, "prepare", {}, "an object",
+                             lambda v: isinstance(v, dict)))
     path = _config_int(cfg, "path", 1)
     if text:
         for item in text.split(","):
@@ -108,7 +116,10 @@ def _experiment(args, mode: str) -> ExperimentConfig:
     circuit = parse_circuit_file(args.circuit)
     config = _load_config(args.config)
     postselect = None
-    tokens = args.postselect or config.get("postselect")
+    tokens = args.postselect or _config_value(
+        config, "postselect", None, "a list of strings",
+        lambda v: v is None or (isinstance(v, list)
+                                and all(isinstance(t, str) for t in v)))
     if tokens:
         postselect = parse_postselect_tokens(tokens)
     return ExperimentConfig(
@@ -118,7 +129,8 @@ def _experiment(args, mode: str) -> ExperimentConfig:
         seed=_resolve_seed(args.seed, config),
         mode=mode,
         postselect=postselect,
-        trace=bool(config.get("trace", False)),
+        trace=_config_value(config, "trace", False, "true or false",
+                            lambda v: isinstance(v, bool)),
         branch_cap=_resolve_int(args.branch_cap, config, "branch_cap", 10 ** 6),
     )
 

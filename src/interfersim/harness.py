@@ -29,10 +29,10 @@ from scipy.stats import binom as binom_dist
 from . import rng as streams
 from .circuits import BeamSplitter, Circuit
 from .ensemble import EnsembleResult, run_ensemble
-from .labels import ClassLabel, verify_congruence
+from .labels import verify_congruence
 from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
-from .prepare import prepare_ensemble, quantum_init
-from .quantum import exact_outcome_distribution
+from .prepare import JUNK_SAMPLERS, prepare_ensemble, quantum_init
+from .quantum import QuantumState, exact_outcome_distribution
 from .records import OutcomeRecord, parse_event_token
 
 # Below this many (post-selection) shots no verdict is claimed.
@@ -65,6 +65,9 @@ class PreparationSpec:
     def __post_init__(self):
         if self.mode not in ("source", "sieve"):
             raise ConfigError(f"unknown preparation mode {self.mode!r}")
+        if not isinstance(self.junk, str) or self.junk not in JUNK_SAMPLERS:
+            raise ConfigError(f"unknown junk sampler {self.junk!r}; "
+                              f"expected one of {sorted(JUNK_SAMPLERS)}")
 
     def to_json_dict(self) -> dict:
         return {"mode": self.mode, "path": self.path + 1, "junk": self.junk}
@@ -334,7 +337,7 @@ def run_traced(config: ExperimentConfig,
     trace lines (:func:`write_trace_lines`) are written there as it is
     checked.
     """
-    label0 = ClassLabel.basis(config.prepare.path, config.circuit.width)
+    label0 = QuantumState.basis(config.prepare.path, config.circuit.width)
     max_dev = 0.0
     violations = 0
     diagnostics = ShotDiagnostics()

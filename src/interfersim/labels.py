@@ -1,27 +1,30 @@
 """Hidden-label analysis for the stochastic engine.
 
 The amplitudes carried at the highest field strength encode a unit ray, the
-state's *label*. Labels evolve under gates exactly as the quantum engine's
-state vector does: unitarily through phase shifters and beam splitters,
-projectively through detector outcomes. This module extracts labels from
-engine states, tests membership in the family of labelled state classes,
-evolves labels through layers, and verifies that traced trajectories stay
-congruent with the predicted label at every step. It also materialises both
-sides of the projection/update commutation identity that underlies the
-congruence, for randomized checking.
+state's *label*. A label is a :class:`~interfersim.quantum.QuantumState`, and
+the predicted label *is* the quantum engine's state conditioned on the same
+outcome record: :func:`predicted_label_update` is the quantum engine's own
+layer step (``_measure_layer`` and ``collapse``). This module extracts
+labels from engine states, tests membership in the family of labelled state
+classes, and verifies that traced trajectories stay congruent with the
+quantum state at every step. It also materialises both sides of the
+projection/update commutation identity that underlies the congruence, for
+randomized checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .circuits import Circuit, Layer, validate_layer
 from .ontic import ZERO_LEVEL, OnticState, _age
 from .quantum import (
-    ImpossibleOutcomeError,
+    QuantumState,
+    _measure_layer,
+    collapse,
     detector_complement,
     ray_overlap,
     unitary_part,
@@ -39,35 +42,6 @@ class CongruenceError(RuntimeError):
         self.layer = layer
         self.deviation = deviation
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class ClassLabel:
-    """Normalized complex vector compared as a ray."""
-
-    vector: np.ndarray
-
-    def __init__(self, vector: Iterable[complex]):
-        v = np.array(tuple(vector), dtype=np.complex128)
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"label norm {norm} too far from 1")
-        v = v / norm
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-
-    @property
-    def width(self) -> int:
-        return self.vector.size
-
-    def ray_equals(self, other: "ClassLabel", tol: float = RAY_TOL) -> bool:
-        return ray_overlap(self.vector, other.vector) >= 1.0 - tol
-
-    @classmethod
-    def basis(cls, path: int, width: int) -> "ClassLabel":
-        v = np.zeros(width, dtype=np.complex128)
-        v[path] = 1.0
-        return cls(v)
 
 
 def dominant_strength(state: OnticState) -> int:
@@ -91,7 +65,7 @@ def delta_projection(state: OnticState) -> np.ndarray:
     return _project(state, top)
 
 
-def _label(state: OnticState, top: int) -> ClassLabel | None:
+def _label(state: OnticState, top: int) -> QuantumState | None:
     """:func:`extract_label` for a state whose dominant level is ``top``."""
     if top == ZERO_LEVEL:
         return None
@@ -99,16 +73,16 @@ def _label(state: OnticState, top: int) -> ClassLabel | None:
     norm = float(np.linalg.norm(projected))
     if norm <= PROJECTION_TOL:
         return None
-    return ClassLabel(projected / norm)
+    return QuantumState(projected / norm)
 
 
-def extract_label(state: OnticState) -> ClassLabel | None:
+def extract_label(state: OnticState) -> QuantumState | None:
     """Unit ray of the dominant-strength amplitudes, or None when the
     dominant strength is zero or the projected vector vanishes."""
     return _label(state, dominant_strength(state))
 
 
-def in_class(state: OnticState, z: ClassLabel, i: int) -> bool:
+def in_class(state: OnticState, z: QuantumState, i: int) -> bool:
     """Membership test for the labelled class anchored at path ``i``:
     the particle is at ``i``, path ``i`` carries the (non-zero) dominant
     strength, and the extracted label ray-equals ``z``.
@@ -125,28 +99,20 @@ def in_class(state: OnticState, z: ClassLabel, i: int) -> bool:
     return label is not None and label.ray_equals(z)
 
 
-def predicted_label_update(z: ClassLabel, layer: Layer,
-                           click: int | None) -> ClassLabel:
-    """Label after one layer, given the layer's measurement outcome.
+def predicted_label_update(z: QuantumState, layer: Layer,
+                           click: int | None) -> QuantumState:
+    """Label after one layer, given the layer's measurement outcome: the
+    quantum engine's layer step from ``z``.
 
-    A click at path ``j`` resets the label to the basis ray at ``j``. On a
-    joint no-click (or with no detectors at all) the label evolves through
-    the layer's unitary gates, the detector paths are projected out, and the
-    result is renormalized; all the matrix factors act on disjoint paths, so
-    their order is immaterial.
+    The layer's phase shifters and beam splitters act on ``z`` as in
+    :func:`interfersim.quantum.run_quantum_shot`; then a click at path ``j``
+    resets the label to the basis ray at ``j``, and a joint no-click projects
+    out the detector paths (an impossible no-click raises
+    :class:`~interfersim.quantum.ImpossibleOutcomeError`).
     """
-    partition = validate_layer(layer, z.width)
-    if click is not None:
-        if click not in partition.detectors:
-            raise ValueError(f"path {click} has no detector in this layer")
-        return ClassLabel.basis(click, z.width)
-    w = unitary_part(layer, z.width) @ z.vector
-    for path in partition.detectors:
-        w[path] = 0.0
-    norm = float(np.linalg.norm(w))
-    if norm <= PROJECTION_TOL:
-        raise ImpossibleOutcomeError("joint no-click has probability 0 for this label")
-    return ClassLabel(w / norm)
+    validate_layer(layer, z.width)
+    state, detectors, _, _ = _measure_layer(z, layer)
+    return collapse(state, detectors, click)
 
 
 @dataclass(frozen=True)
@@ -175,15 +141,15 @@ class CongruenceReport:
 
 
 def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
-                      circuit: Circuit, init_label: ClassLabel,
+                      circuit: Circuit, init_label: QuantumState,
                       tol: float = RAY_TOL, strict: bool = False,
                       ) -> CongruenceReport:
-    """Check a traced shot against the label update rules, layer by layer.
+    """Check a traced shot against the quantum engine, layer by layer.
 
     ``trajectory`` must hold the initial state followed by the state after
     every layer (``run_ontic_shot`` with ``trace=True``). At each boundary
-    the extracted label must ray-equal the label evolved under the same
-    outcomes, and the state must belong to the labelled class anchored at
+    the extracted label must ray-equal the quantum state evolved from
+    ``init_label`` under the same outcomes, and the state must belong to the labelled class anchored at
     its particle position. Deviations are ``1 - |overlap|``.
 
     With ``strict`` the first violation raises :class:`CongruenceError`;
@@ -195,12 +161,12 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
     max_dev = 0.0
     passed = True
 
-    def judge(layer_idx: int, state: OnticState, label: ClassLabel) -> None:
+    def judge(layer_idx: int, state: OnticState, label: QuantumState) -> None:
         nonlocal max_dev, passed
         top = dominant_strength(state)
         extracted = _label(state, top)
         overlap = 0.0 if extracted is None else \
-            ray_overlap(extracted.vector, label.vector)
+            ray_overlap(extracted.amplitudes, label.amplitudes)
         deviation = 1.0 - overlap
         # in_class(state, label, state.q), from the one extraction above
         member = state.tau[state.q] == top and overlap >= 1.0 - RAY_TOL

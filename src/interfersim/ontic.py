@@ -54,6 +54,7 @@ from .circuits import (
     Detector,
     Layer,
     PhaseShifter,
+    check_path,
     validate_layer,
 )
 from .records import OutcomeRecord
@@ -131,11 +132,6 @@ class ShotDiagnostics:
     degenerate_relocations: int = 0
 
 
-def _check_path(path: int, width: int) -> None:
-    if not 0 <= path < width:
-        raise IndexError(f"path {path} out of range for width {width}")
-
-
 # The gate rules, each stated once. ``_age`` maps a level to its aged level;
 # the others update a working amplitude list ``u`` and level list ``tau`` in
 # place and touch only their own paths, so the gates of one layer can be
@@ -194,7 +190,7 @@ def _working(state: OnticState) -> tuple[list, list]:
 
 def gate_free(state: OnticState, path: int) -> OnticState:
     """Ageing: strength halves, amplitude and particle stay put."""
-    _check_path(path, state.width)
+    check_path(path, state.width)
     tau = list(state.tau)
     tau[path] = _age(tau[path])
     return OnticState(state.q, state.u, tau)
@@ -202,7 +198,7 @@ def gate_free(state: OnticState, path: int) -> OnticState:
 
 def gate_phase(state: OnticState, path: int, omega: float) -> OnticState:
     """Rotate the path's amplitude by ``exp(i omega)``; strength ages."""
-    _check_path(path, state.width)
+    check_path(path, state.width)
     u, tau = _working(state)
     _phase(u, tau, path, omega)
     return OnticState(state.q, u, tau)
@@ -212,7 +208,7 @@ def gate_detector(state: OnticState, path: int) -> tuple[bool, OnticState]:
     """Deterministic presence check: clicks exactly when the particle is
     in ``path``. A click resets that path's field to amplitude 1, strength
     1; a no-click leaves the amplitude and zeroes the strength."""
-    _check_path(path, state.width)
+    check_path(path, state.width)
     u, tau = _working(state)
     clicked = _detect(u, tau, state.q, path)
     return clicked, OnticState(state.q, u, tau)
@@ -228,8 +224,8 @@ def gate_beamsplitter(state: OnticState, s: int, t: int, reflectivity: float,
     zero it relocates 50/50 and bumps the diagnostics counter; any such
     event on a run started from a valid preparation indicates a bug.
     """
-    _check_path(s, state.width)
-    _check_path(t, state.width)
+    check_path(s, state.width)
+    check_path(t, state.width)
     if s == t:
         raise ValueError("beam splitter requires two distinct paths")
     if not 0.0 <= reflectivity <= 1.0:

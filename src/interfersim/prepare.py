@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as streams
-from .circuits import Detector, Layer
+from .circuits import Detector, Layer, check_path
 from .ontic import ZERO_LEVEL, OnticState, step_layer
 from .quantum import QuantumState
 
@@ -70,8 +70,7 @@ def source_prepare(path: int, width: int, gen: np.random.Generator,
     """Blocked-path source: particle injected into ``path`` with a full-
     strength unit field there; all other paths get zero strength and a junk
     amplitude."""
-    if not 0 <= path < width:
-        raise IndexError(f"path {path} out of range for width {width}")
+    check_path(path, width)
     u = resolve_junk(junk)(gen, (width,))
     u[path] = 1.0
     tau = [ZERO_LEVEL] * width
@@ -144,8 +143,7 @@ def prepare_ensemble(mode: str, path: int, width: int, shots: int, seed: int,
     implements the literal rejection procedure for single states; here both
     modes build the accepted ensemble directly.
     """
-    if not 0 <= path < width:
-        raise IndexError(f"path {path} out of range for width {width}")
+    check_path(path, width)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if mode not in ("source", "sieve"):

@@ -8,9 +8,11 @@ that projects out every detector path at once.
 
 The layer rule is written once, in ``_measure_layer``: it applies a layer's
 gates and returns the detector paths, their click probabilities and the
-no-click probability. ``run_quantum_shot`` picks one outcome per detector
-layer from a single uniform draw; ``exact_outcome_distribution`` keeps
-every outcome. The enumeration walks the layers with a frontier of live
+no-click probability; ``collapse`` then conditions the state on one
+outcome. ``run_quantum_shot`` picks one outcome per detector layer from a
+single uniform draw; ``exact_outcome_distribution`` keeps every outcome;
+``interfersim.labels`` follows a given record to predict the stochastic
+engine's labels. The enumeration walks the layers with a frontier of live
 branches (no recursion, so circuit depth is not limited by Python's stack)
 and grows each branch in place into its clicks in ascending path order and
 then its no-click, so the result lists outcomes in depth-first order. Every
@@ -28,7 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .circuits import BeamSplitter, Circuit, Layer, PhaseShifter
+from .circuits import BeamSplitter, Circuit, Layer, PhaseShifter, check_path
 from .records import OutcomeRecord
 
 # Norm drift below RENORM_TOL is ignored, between the two it is silently
@@ -80,8 +82,7 @@ class QuantumState:
 
     @classmethod
     def basis(cls, path: int, width: int) -> "QuantumState":
-        if not 0 <= path < width:
-            raise IndexError(f"path {path} out of range for width {width}")
+        check_path(path, width)
         psi = np.zeros(width, dtype=np.complex128)
         psi[path] = 1.0
         return cls(psi)
@@ -105,14 +106,9 @@ def beamsplitter_matrix(reflectivity: float) -> np.ndarray:
     return np.array([[1j * r, t], [t, 1j * r]], dtype=np.complex128)
 
 
-def _check_path(path: int, width: int) -> None:
-    if not 0 <= path < width:
-        raise IndexError(f"path {path} out of range for width {width}")
-
-
 def apply_phase(state: QuantumState, path: int, omega: float) -> QuantumState:
     """Multiply component ``path`` by ``exp(i omega)``."""
-    _check_path(path, state.width)
+    check_path(path, state.width)
     psi = state.amplitudes.copy()
     psi[path] *= np.exp(1j * omega)
     return QuantumState(psi)
@@ -121,8 +117,8 @@ def apply_phase(state: QuantumState, path: int, omega: float) -> QuantumState:
 def apply_beamsplitter(state: QuantumState, s: int, t: int,
                        reflectivity: float) -> QuantumState:
     """Apply the coupler block to components ``(s, t)``."""
-    _check_path(s, state.width)
-    _check_path(t, state.width)
+    check_path(s, state.width)
+    check_path(t, state.width)
     if s == t:
         raise ValueError("beam splitter requires two distinct paths")
     b = beamsplitter_matrix(reflectivity)
@@ -136,33 +132,43 @@ def apply_beamsplitter(state: QuantumState, s: int, t: int,
 
 def detector_click_probability(state: QuantumState, path: int) -> float:
     """Born probability ``|psi_path|**2``."""
-    _check_path(path, state.width)
+    check_path(path, state.width)
     return float(abs(state.amplitudes[path]) ** 2)
 
 
 def apply_detection(state: QuantumState, path: int, clicked: bool) -> QuantumState:
     """Collapse after a detector outcome: click projects onto the path,
     no-click projects it out and renormalizes."""
-    _check_path(path, state.width)
-    if clicked:
-        if detector_click_probability(state, path) <= IMPOSSIBLE_TOL:
-            raise ImpossibleOutcomeError(
-                f"click at path {path} has probability 0"
-            )
-        return QuantumState.basis(path, state.width)
-    return project_no_click(state, (path,))
+    if clicked and detector_click_probability(state, path) <= IMPOSSIBLE_TOL:
+        raise ImpossibleOutcomeError(f"click at path {path} has probability 0")
+    return collapse(state, (path,), path if clicked else None)
 
 
 def project_no_click(state: QuantumState, paths: Iterable[int]) -> QuantumState:
     """Joint no-click collapse: zero every listed component, renormalize once."""
     psi = state.amplitudes.copy()
     for path in paths:
-        _check_path(path, state.width)
+        check_path(path, state.width)
         psi[path] = 0.0
     norm_sq = float(np.vdot(psi, psi).real)
     if norm_sq <= IMPOSSIBLE_TOL:
         raise ImpossibleOutcomeError("joint no-click has probability 0")
     return QuantumState(psi / math.sqrt(norm_sq))
+
+
+def collapse(state: QuantumState, detectors: tuple[int, ...],
+             click: int | None) -> QuantumState:
+    """The state after a layer's measurement event: a click at path
+    ``click`` resets it to that basis state, a joint no-click projects out
+    every detector path (:func:`project_no_click`), and a layer without
+    detectors leaves it unchanged."""
+    if click is not None:
+        if click not in detectors:
+            raise ValueError(f"path {click} has no detector in this layer")
+        return QuantumState.basis(click, state.width)
+    if not detectors:
+        return state
+    return project_no_click(state, detectors)
 
 
 def unitary_part(layer: Layer, width: int) -> np.ndarray:
@@ -235,10 +241,7 @@ def run_quantum_shot(circuit: Circuit, init: QuantumState,
             if u < acc:
                 clicked = j
                 break
-        if clicked is None:
-            state = project_no_click(state, detectors)
-        else:
-            state = QuantumState.basis(clicked, circuit.width)
+        state = collapse(state, detectors, clicked)
         events.append((layer_idx, clicked))
     return OutcomeRecord(tuple(events)), state
 

@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from interfersim import ontic, prepare, quantum
 
 from interfersim.circuits import (
     BeamSplitter,
@@ -204,3 +207,39 @@ def test_partition_property(circuit):
             assert not (union & block)
             union |= block
         assert union == set(range(circuit.width))
+
+
+WIDTH = 3
+PATH_ENTRIES = {
+    "gate_free": lambda p: ontic.gate_free(_ontic_state(), p),
+    "gate_phase": lambda p: ontic.gate_phase(_ontic_state(), p, 0.5),
+    "gate_detector": lambda p: ontic.gate_detector(_ontic_state(), p),
+    "gate_beamsplitter": lambda p: ontic.gate_beamsplitter(
+        _ontic_state(), p, 1, 0.5, np.random.default_rng(0)),
+    "apply_phase": lambda p: quantum.apply_phase(_quantum_state(), p, 0.5),
+    "apply_beamsplitter": lambda p: quantum.apply_beamsplitter(
+        _quantum_state(), p, 1, 0.5),
+    "apply_detection": lambda p: quantum.apply_detection(_quantum_state(), p, False),
+    "detector_click_probability": lambda p: quantum.detector_click_probability(
+        _quantum_state(), p),
+    "QuantumState.basis": lambda p: quantum.QuantumState.basis(p, WIDTH),
+    "source_prepare": lambda p: prepare.source_prepare(
+        p, WIDTH, np.random.default_rng(0)),
+    "prepare_ensemble": lambda p: prepare.prepare_ensemble(
+        "source", p, WIDTH, 4, 0),
+}
+
+
+def _ontic_state():
+    return ontic.OnticState(1, [0.0, 1.0, 0.0], (ontic.ZERO_LEVEL, 0, ontic.ZERO_LEVEL))
+
+
+def _quantum_state():
+    return quantum.QuantumState.basis(1, WIDTH)
+
+
+@pytest.mark.parametrize("path", [-1, WIDTH])
+@pytest.mark.parametrize("entry", sorted(PATH_ENTRIES))
+def test_path_entries_reject_out_of_range(entry, path):
+    with pytest.raises(IndexError, match=f"path {path} out of range for width {WIDTH}"):
+        PATH_ENTRIES[entry](path)

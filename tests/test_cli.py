@@ -134,6 +134,32 @@ def test_config_numbers_must_be_integers(mz_file, tmp_path, capsys, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--prepare", "junk=foo"], None),
+    (["run", "--engine", "quantum", "--prepare", "junk=foo"], None),
+    (["compare", "--prepare", "junk=foo"], None),
+    (["trace", "--prepare", "junk=foo"], None),
+    (["run"], {"prepare": {"junk": 5}}),
+    (["run"], {"prepare": 5}),
+    (["run"], {"postselect": 7}),
+    (["run"], {"postselect": [2]}),
+    (["run"], {"trace": "false"}),
+], ids=["run-junk-flag", "quantum-junk-flag", "compare-junk-flag",
+        "trace-junk-flag", "junk-number", "prepare-number", "postselect-number",
+        "postselect-number-list", "trace-string"])
+def test_malformed_config_values_usage_error(mz_file, tmp_path, capsys,
+                                             argv, config):
+    out = tmp_path / "out"
+    argv = argv[:1] + [mz_file, "--shots", "10", "--out", str(out)] + argv[1:]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["quantum-exact", "bogus"])
 def test_config_mode_is_not_read(mz_file, tmp_path, mode):
     cfg = tmp_path / "cfg.json"

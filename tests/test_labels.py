@@ -14,7 +14,6 @@ from interfersim.circuits import (
     PhaseShifter,
 )
 from interfersim.labels import (
-    ClassLabel,
     CongruenceError,
     check_delta_commutation,
     delta_projection,
@@ -26,8 +25,12 @@ from interfersim.labels import (
 )
 from interfersim.ontic import ZERO_LEVEL, OnticState, run_ontic_shot
 from interfersim.prepare import source_prepare
-from interfersim.quantum import ImpossibleOutcomeError
-from interfersim.scenarios import mach_zehnder
+from interfersim.quantum import (
+    ImpossibleOutcomeError,
+    QuantumState,
+    run_quantum_shot,
+)
+from interfersim.scenarios import mach_zehnder, random_circuit
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -84,20 +87,20 @@ def test_delta_projection_rejects_all_zero():
 
 def test_extract_label_post_click():
     label = extract_label(post_click_state(1, 3))
-    assert label.ray_equals(ClassLabel.basis(1, 3))
+    assert label.ray_equals(QuantumState.basis(1, 3))
 
 
 def test_extract_label_scale_invariant():
     state = make_state(0, [1j * INV_SQRT2 * 0.5, INV_SQRT2 * 0.5],
                        (1, 1))
     label = extract_label(state)
-    assert label.ray_equals(ClassLabel([1j * INV_SQRT2, INV_SQRT2]))
+    assert label.ray_equals(QuantumState([1j * INV_SQRT2, INV_SQRT2]))
 
 
 def test_in_class_post_click():
     state = post_click_state(2, 4)
-    assert in_class(state, ClassLabel.basis(2, 4), 2)
-    assert not in_class(state, ClassLabel.basis(2, 4), 1)
+    assert in_class(state, QuantumState.basis(2, 4), 2)
+    assert not in_class(state, QuantumState.basis(2, 4), 1)
 
 
 def test_in_class_requires_dominant_strength_at_anchor():
@@ -124,7 +127,7 @@ def test_class_disjointness():
         anchors = [i for i in range(width) if in_class(state, z, i)]
         assert len(anchors) <= 1
         if anchors:
-            other = ClassLabel(np.roll(z.vector, 1)) if width > 1 else z
+            other = QuantumState(np.roll(z.amplitudes, 1)) if width > 1 else z
             if not other.ray_equals(z):
                 assert not in_class(state, other, anchors[0])
 
@@ -133,31 +136,51 @@ def test_class_disjointness():
 
 def test_update_through_splitter():
     layer = Layer([BeamSplitter(0, 1, 0.5)])
-    out = predicted_label_update(ClassLabel.basis(0, 2), layer, None)
-    assert out.ray_equals(ClassLabel([1j * INV_SQRT2, INV_SQRT2]))
+    out = predicted_label_update(QuantumState.basis(0, 2), layer, None)
+    assert out.ray_equals(QuantumState([1j * INV_SQRT2, INV_SQRT2]))
 
 
 def test_update_click_resets_to_basis():
     layer = Layer([Detector(1)])
-    z = ClassLabel([0.6, 0.8j])
-    assert predicted_label_update(z, layer, 1).ray_equals(ClassLabel.basis(1, 2))
+    z = QuantumState([0.6, 0.8j])
+    assert predicted_label_update(z, layer, 1).ray_equals(QuantumState.basis(1, 2))
 
 
 def test_update_click_requires_detector():
     with pytest.raises(ValueError, match="no detector"):
-        predicted_label_update(ClassLabel.basis(0, 2), Layer([Detector(1)]), 0)
+        predicted_label_update(QuantumState.basis(0, 2), Layer([Detector(1)]), 0)
 
 
 def test_update_noclick_matches_quantum_collapse():
     third = 1.0 / math.sqrt(3.0)
     layer = Layer([Detector(0)])
-    out = predicted_label_update(ClassLabel([third, third, third]), layer, None)
-    assert out.ray_equals(ClassLabel([0, INV_SQRT2, INV_SQRT2]))
+    out = predicted_label_update(QuantumState([third, third, third]), layer, None)
+    assert out.ray_equals(QuantumState([0, INV_SQRT2, INV_SQRT2]))
 
 
 def test_update_noclick_impossible():
     with pytest.raises(ImpossibleOutcomeError):
-        predicted_label_update(ClassLabel.basis(0, 2), Layer([Detector(0)]), None)
+        predicted_label_update(QuantumState.basis(0, 2), Layer([Detector(0)]), None)
+
+
+def test_label_chain_is_sampler_state():
+    # the predicted label is the quantum engine's state: chained along the
+    # record the sampler drew, it ends on the sampler's state bit for bit
+    gen = np.random.default_rng(2024)
+    for _ in range(30):
+        width = int(gen.integers(2, 9))
+        full = random_circuit(width, int(gen.integers(2, 16)), gen,
+                              p_detector=0.25)
+        circuit = Circuit(width, full.layers[:-1])  # keep the final state live
+        init = QuantumState.basis(int(gen.integers(width)), width)
+        for _ in range(20):
+            record, final = run_quantum_shot(circuit, init, gen)
+            label = init
+            for idx, layer in enumerate(circuit.layers):
+                click = record.result_for_layer(idx) if record.has_layer(idx) \
+                    else None
+                label = predicted_label_update(label, layer, click)
+            assert np.array_equal(label.amplitudes, final.amplitudes)
 
 
 # -- congruence ---------------------------------------------------------------
@@ -175,7 +198,7 @@ def test_congruence_on_mach_zehnder(omega):
     for seed in range(40):
         record, trajectory = traced_shot(circuit, seed)
         report = verify_congruence(trajectory, record, circuit,
-                                   ClassLabel.basis(0, 2))
+                                   QuantumState.basis(0, 2))
         assert report.passed
         assert report.max_deviation < 1e-12
 
@@ -185,7 +208,7 @@ def test_congruence_zero_layer_circuit_vacuous():
     state = post_click_state(0, 2)
     from interfersim.records import OutcomeRecord
     report = verify_congruence([state], OutcomeRecord(), circuit,
-                               ClassLabel.basis(0, 2))
+                               QuantumState.basis(0, 2))
     assert report.passed
     assert report.checks == ()
 
@@ -198,11 +221,11 @@ def test_congruence_detects_corruption():
     u[0] *= np.exp(0.25j)  # corrupt a dominant-strength amplitude
     trajectory[2] = OnticState(broken.q, u, broken.tau)
     report = verify_congruence(trajectory, record, circuit,
-                               ClassLabel.basis(0, 2))
+                               QuantumState.basis(0, 2))
     assert not report.passed
     assert any(c.layer == 1 and c.deviation > 1e-9 for c in report.checks)
     with pytest.raises(CongruenceError):
-        verify_congruence(trajectory, record, circuit, ClassLabel.basis(0, 2),
+        verify_congruence(trajectory, record, circuit, QuantumState.basis(0, 2),
                           strict=True)
 
 
@@ -223,8 +246,8 @@ def test_congruence_membership_is_in_class():
             u = state.u * np.array([np.exp(0.25j), 1.0])
             trajectory[2] = OnticState(state.q, u, state.tau)
         report = verify_congruence(trajectory, record, circuit,
-                                   ClassLabel.basis(0, 2))
-        label = ClassLabel.basis(0, 2)
+                                   QuantumState.basis(0, 2))
+        label = QuantumState.basis(0, 2)
         for check, layer in zip(report.checks, circuit.layers):
             idx = check.layer
             click = record.result_for_layer(idx) if record.has_layer(idx) else None
@@ -239,7 +262,7 @@ def test_congruence_report_json_shape():
     circuit = mach_zehnder(0.5)
     record, trajectory = traced_shot(circuit, 8)
     report = verify_congruence(trajectory, record, circuit,
-                               ClassLabel.basis(0, 2))
+                               QuantumState.basis(0, 2))
     obj = report.to_json_dict(shot=5)
     assert obj["shot"] == 5 and obj["pass"] is True
     assert len(obj["layers"]) == circuit.depth

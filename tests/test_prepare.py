@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from interfersim.labels import ClassLabel, in_class
+from interfersim.labels import in_class
 from interfersim.ontic import ZERO_LEVEL, OnticState
 from interfersim.prepare import (
     PreparationError,
@@ -16,6 +16,7 @@ from interfersim.prepare import (
     sieve_prepare,
     source_prepare,
 )
+from interfersim.quantum import QuantumState
 
 
 def test_quantum_init_basis_states():
@@ -37,7 +38,7 @@ def test_source_prepare_disk_junk_stays_in_class():
     gen = np.random.default_rng(1)
     for _ in range(50):
         state = source_prepare(1, 4, gen, junk="disk")
-        assert in_class(state, ClassLabel.basis(1, 4), 1)
+        assert in_class(state, QuantumState.basis(1, 4), 1)
         assert float(np.abs(state.u).max()) <= 1.0
 
 
@@ -58,7 +59,7 @@ def test_sieve_certain_acceptance():
         return source_prepare(0, 2, g, junk="disk")
 
     state = sieve_prepare(raw, 0, gen)
-    assert in_class(state, ClassLabel.basis(0, 2), 0)
+    assert in_class(state, QuantumState.basis(0, 2), 0)
     assert state.u[0] == 1.0
 
 
@@ -69,7 +70,7 @@ def test_sieve_uniform_acceptance_rate():
     trials = 400
     for _ in range(trials):
         state = sieve_prepare(raw, 1, gen)
-        assert in_class(state, ClassLabel.basis(1, 4), 1)
+        assert in_class(state, QuantumState.basis(1, 4), 1)
         kept += 1
     assert kept == trials  # each call rejects internally until success
 
