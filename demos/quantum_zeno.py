@@ -14,14 +14,15 @@ from interfersim.circuits import Circuit
 from interfersim.harness import ExperimentConfig, PreparationSpec, run_experiment
 from interfersim.prepare import quantum_init
 from interfersim.quantum import exact_outcome_distribution
+from interfersim.records import OutcomeRecord
 from interfersim.scenarios import zeno_chain
 
 
 def survival_key(circuit: Circuit) -> str:
     # every watch stays silent, then the terminal detector finds path 1
-    parts = [f"L{i + 1}:N" for i in circuit.detector_layers()[:-1]]
-    parts.append(f"L{circuit.depth}:C1")
-    return ";".join(parts)
+    *watches, last = circuit.detector_layers()
+    return OutcomeRecord(tuple((layer, None) for layer in watches)
+                         + ((last, 0),)).key
 
 
 def unwatched_transfer(stages: int) -> float:
@@ -30,7 +31,7 @@ def unwatched_transfer(stages: int) -> float:
                        if not layer.has_detectors])
     dist = exact_outcome_distribution(
         Circuit(2, bare.layers + (circuit.layers[-1],)), quantum_init(0, 2))
-    return dist.by_key().get(f"L{bare.depth + 1}:C2", 0.0)
+    return dist.by_key().get(OutcomeRecord(((bare.depth, 1),)).key, 0.0)
 
 
 def main():

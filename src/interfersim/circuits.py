@@ -405,23 +405,39 @@ def circuit_to_json(circuit: Circuit) -> dict:
     return out
 
 
+_JSON_KINDS = {"integer": int, "number": (int, float), "string": str}
+
+
+def _json(value, kind: str, what: str):
+    """``value`` when it is a JSON ``kind`` (integer, number or string; a
+    boolean is none of them), else a CircuitError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise CircuitError(f"{what} must be a JSON {kind}, not {value!r}")
+    return value
+
+
 def _gate_from_json(raw: dict) -> Gate:
     kind = raw.get("gate")
     args = raw.get("args", {})
     if kind == "BS":
-        return BeamSplitter(int(args["s"]) - 1, int(args["t"]) - 1, float(args["R"]))
+        return BeamSplitter(_json(args["s"], "integer", "path") - 1,
+                            _json(args["t"], "integer", "path") - 1,
+                            float(_json(args["R"], "number", "R")))
     if kind == "S":
-        return PhaseShifter(int(args["path"]) - 1, float(args["omega"]))
+        return PhaseShifter(_json(args["path"], "integer", "path") - 1,
+                            float(_json(args["omega"], "number", "omega")))
     if kind == "D":
-        return Detector(int(args["path"]) - 1)
+        return Detector(_json(args["path"], "integer", "path") - 1)
     raise CircuitError(f"unknown gate name {kind!r} in JSON circuit")
 
 
 def circuit_from_json(obj: dict) -> Circuit:
     """Build a circuit from the JSON mirror schema."""
     try:
-        width = int(obj["paths"])
+        width = _json(obj["paths"], "integer", "paths")
         raw_layers = obj.get("layers", [])
+        name = _json(obj.get("name", ""), "string", "name")
+        description = _json(obj.get("description", ""), "string", "description")
     except (KeyError, TypeError) as exc:
         raise CircuitError(f"malformed circuit JSON: {exc}") from None
     try:
@@ -431,5 +447,4 @@ def circuit_from_json(obj: dict) -> Circuit:
         raise
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise CircuitError(f"malformed gate in JSON circuit: {exc!r}") from None
-    return Circuit(width, layers, name=obj.get("name", ""),
-                   description=obj.get("description", ""))
+    return Circuit(width, layers, name=name, description=description)

@@ -32,11 +32,11 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
-    OutcomeStat,
     PreparationSpec,
     parse_postselect_tokens,
     run_experiment,
     run_traced,
+    sampled_report,
 )
 from .prepare import quantum_init
 from .quantum import BranchCapError, ImpossibleOutcomeError, run_quantum_shot
@@ -146,27 +146,10 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
     circuit = config.circuit
     init = quantum_init(config.prepare.path, circuit.width)
     draws = len(circuit.detector_layers())
-    counts: dict[str, int] = {}
-    kept = 0
-    for shot in range(config.shots):
-        gen = streams.shot_generator(config.seed, streams.QUANTUM_SHOTS, shot, draws)
-        record, _ = run_quantum_shot(circuit, init, gen)
-        if config.postselect and not record.matches(config.postselect):
-            continue
-        kept += 1
-        counts[record.key] = counts.get(record.key, 0) + 1
-    outcomes = tuple(
-        OutcomeStat(key, n, n / kept if kept else 0.0, None, None, None, False)
-        for key, n in sorted(counts.items())
-    )
-    return ExperimentReport(
-        seed=config.seed, shots=config.shots, mode="quantum-sample",
-        circuit_name=circuit.name, prepare=config.prepare,
-        postselect=config.postselect, preselection_shots=config.shots,
-        kept_shots=kept, outcomes=outcomes, total_variation=None,
-        chi_square=None, hard_fail_events=0, degenerate_relocations=0,
-        congruence=None, verdict="no-verdict",
-    )
+    records = (run_quantum_shot(circuit, init, streams.shot_generator(
+        config.seed, streams.QUANTUM_SHOTS, shot, draws))[0]
+        for shot in range(config.shots))
+    return sampled_report(config, records)
 
 
 def cmd_run(args) -> int:

@@ -218,6 +218,13 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
                 > level_bound - clock):
             raise AssertionError("strength level left the dyadic range")
 
+    # The last splitter's shot-length temporaries go before the result is
+    # built. Freed per splitter instead, they cost a re-fault of their pages
+    # at the next splitter of every later run in the process.
+    if n_splitters:
+        del (lmin, keep_s, keep_t, re_s, im_s, re_t, im_t, s_re, s_im, t_re,
+             t_im, into, p_s, t_re2, t_im2, out, on_splitter, total, stuck,
+             prob_s)
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
     final_u = np.empty((shots, width), dtype=np.complex128)
     final_u.real = u_re.T

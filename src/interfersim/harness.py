@@ -6,10 +6,13 @@ aggregates per-outcome statistics (frequencies, total variation distance,
 Pearson chi-square with a regularized-incomplete-gamma tail, per-outcome
 binomial bands) and renders a pass/fail verdict.
 
-Reports persist as JSON plus a CSV summary table. The persisted JSON is
-canonical: fixed key order and no volatile fields (wall-clock runtime is
-kept on the in-memory report only), so a fixed seed reproduces the files
-byte for byte.
+Every report, whichever engines ran (``compare``, ``ontic-only``,
+``quantum-exact`` here, ``quantum-sample`` from sampled quantum records), is
+built by :func:`outcome_report`, the one outcome-table rule. Reports
+persist as JSON plus a CSV summary table whose rows hold the same
+:data:`OUTCOME_COLUMNS`. The persisted JSON is canonical: fixed key order
+and no volatile fields (wall-clock runtime is kept on the in-memory report
+only), so a fixed seed reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import contextlib
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaincc
@@ -33,7 +37,7 @@ from .labels import verify_congruence
 from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
 from .prepare import JUNK_SAMPLERS, prepare_ensemble, quantum_init
 from .quantum import QuantumState, exact_outcome_distribution
-from .records import OutcomeRecord, parse_event_token
+from .records import OutcomeRecord, event_token, parse_event_token
 
 # Below this many (post-selection) shots no verdict is claimed.
 MIN_VERDICT_SHOTS = 100
@@ -112,14 +116,6 @@ def parse_postselect_tokens(tokens: Iterable[str]
     return tuple(parse_event_token(token) for token in tokens)
 
 
-def postselect_tokens(constraints: tuple[tuple[int, int | None], ...]) -> list[str]:
-    out = []
-    for layer, clicked in constraints:
-        out.append(f"L{layer + 1}:N" if clicked is None
-                   else f"L{layer + 1}:C{clicked + 1}")
-    return out
-
-
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Half the L1 distance between two distributions over outcome keys."""
     keys = sorted(set(p) | set(q))  # a fixed order keeps the sum reproducible
@@ -174,9 +170,14 @@ def chi_square_goodness(counts: Mapping[str, int],
     return ChiSquareResult(float(statistic), p_value, dof, int(impossible))
 
 
-@dataclass(frozen=True)
-class OutcomeStat:
-    """One row of the per-outcome comparison table."""
+# The outcome-table columns in ``summary.csv`` order, also the keys of a
+# report.json row. Column i holds field i of an :class:`OutcomeStat`.
+OUTCOME_COLUMNS = ("outcome", "count", "frequency", "probability", "sigma",
+                   "within_ci", "impossible")
+
+
+class OutcomeStat(NamedTuple):
+    """One row of the per-outcome comparison table (:data:`OUTCOME_COLUMNS`)."""
 
     key: str
     count: int | None
@@ -185,17 +186,6 @@ class OutcomeStat:
     sigma: float | None
     within_ci: bool | None
     impossible: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.key,
-            "count": self.count,
-            "frequency": self.frequency,
-            "probability": self.probability,
-            "sigma": self.sigma,
-            "within_ci": self.within_ci,
-            "impossible": self.impossible,
-        }
 
 
 @dataclass
@@ -225,30 +215,25 @@ class ExperimentReport:
         return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "seed": self.seed,
             "shots": self.shots,
             "mode": self.mode,
             "circuit": self.circuit_name,
             "prepare": self.prepare.to_json_dict(),
-            "postselect": (postselect_tokens(self.postselect)
+            "postselect": ([event_token(*c) for c in self.postselect]
                            if self.postselect else None),
             "preselection_shots": self.preselection_shots,
             "kept_shots": self.kept_shots,
-            "outcomes": [o.to_json_dict() for o in self.outcomes],
+            "outcomes": [dict(zip(OUTCOME_COLUMNS, o)) for o in self.outcomes],
             "total_variation": self.total_variation,
-            "chi_square": None if self.chi_square is None else {
-                "statistic": self.chi_square.statistic,
-                "p_value": self.chi_square.p_value,
-                "dof": self.chi_square.dof,
-                "impossible_count": self.chi_square.impossible_count,
-            },
+            "chi_square": (asdict(self.chi_square)
+                           if self.chi_square is not None else None),
             "hard_fail_events": self.hard_fail_events,
             "degenerate_relocations": self.degenerate_relocations,
             "congruence": self.congruence,
             "verdict": self.verdict,
         }
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -262,12 +247,8 @@ class ExperimentReport:
         json_path.write_text(self.to_json(), encoding="utf-8")
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["outcome", "count", "frequency", "probability",
-                             "sigma", "within_ci", "impossible"])
-            for stat in self.outcomes:
-                writer.writerow([stat.key, stat.count, stat.frequency,
-                                 stat.probability, stat.sigma, stat.within_ci,
-                                 stat.impossible])
+            writer.writerow(OUTCOME_COLUMNS)
+            writer.writerows(self.outcomes)
         return json_path, csv_path
 
 
@@ -365,6 +346,73 @@ def run_traced(config: ExperimentConfig,
     return summary, shot_reports
 
 
+def outcome_report(config: ExperimentConfig, mode: str,
+                   counts: Mapping[str, int] | None, kept: int,
+                   probs: Mapping[str, float] | None, degenerate: int = 0,
+                   congruence: dict | None = None) -> ExperimentReport:
+    """Build a run's report from its engine results: ``counts`` over the
+    ``kept`` (post-selected) shots of a sampling engine, and the exact
+    outcome probabilities ``probs``; ``None`` for an engine that did not run.
+
+    There is one row per outcome of either. Counts fill ``count`` and
+    ``frequency``, probabilities fill ``probability``; only with both are
+    the bands, ``impossible``, the distance, the chi-square and a verdict
+    computed. No verdict is claimed on fewer than ``MIN_VERDICT_SHOTS``
+    kept shots unless an impossible outcome was observed.
+    """
+    both = counts is not None and probs is not None
+    freqs = {key: n / kept for key, n in (counts or {}).items()}
+    tvd = chi = None
+    hard_fail = 0
+    if both:
+        tvd = total_variation(freqs, probs)
+        chi = chi_square_goodness(counts, probs)
+        hard_fail = chi.impossible_count
+        bands = _within_bands(counts, probs, kept) if kept else {}
+    outcomes = []
+    for key in sorted(set(counts or ()) | set(probs or ())):
+        n = f = p = sigma = ok = None
+        impossible = False
+        if counts is not None:
+            n, f = counts.get(key, 0), freqs.get(key, 0.0)
+        if probs is not None:
+            p = probs.get(key, 0.0)
+        if both:
+            impossible = p <= 0.0 and n > 0
+            sigma, ok = bands.get(key, (0.0, not impossible))
+        outcomes.append(OutcomeStat(key, n, f, p, sigma, ok, impossible))
+    verdict = "no-verdict"
+    if both and (hard_fail or kept >= MIN_VERDICT_SHOTS):
+        passed = (hard_fail == 0 and chi.p_value >= CHI_SQUARE_MIN_P
+                  and all(o.within_ci for o in outcomes))
+        verdict = "pass" if passed else "fail"
+    return ExperimentReport(
+        seed=config.seed,
+        shots=config.shots,
+        mode=mode,
+        circuit_name=config.circuit.name,
+        prepare=config.prepare,
+        postselect=config.postselect,
+        preselection_shots=config.shots if counts is not None else 0,
+        kept_shots=kept,
+        outcomes=tuple(outcomes),
+        total_variation=tvd,
+        chi_square=chi,
+        hard_fail_events=hard_fail,
+        degenerate_relocations=degenerate,
+        congruence=congruence,
+        verdict=verdict,
+    )
+
+
+def sampled_report(config: ExperimentConfig,
+                   records: Iterable[OutcomeRecord]) -> ExperimentReport:
+    """The ``quantum-sample`` report of sampled quantum-engine records."""
+    counts = Counter(record.key for record in records
+                     if not config.postselect or record.matches(config.postselect))
+    return outcome_report(config, "quantum-sample", counts, counts.total(), None)
+
+
 def run_experiment(config: ExperimentConfig,
                    jsonl: str | None = None) -> ExperimentReport:
     """Execute one experiment according to its mode.
@@ -379,14 +427,9 @@ def run_experiment(config: ExperimentConfig,
     """
     start = time.perf_counter()
     circuit = config.circuit
-    want_ontic = config.mode in ("compare", "ontic-only")
-    want_exact = config.mode in ("compare", "quantum-exact")
-
-    counts: dict[str, int] = {}
-    kept_shots = 0
-    degenerate = 0
-    congruence = None
-    if want_ontic:
+    counts = probs = congruence = None
+    kept = degenerate = 0
+    if config.mode != "quantum-exact":
         init_q, init_u, init_levels = prepare_ensemble(
             config.prepare.mode, config.prepare.path, circuit.width,
             config.shots, config.seed, config.prepare.junk)
@@ -397,11 +440,9 @@ def run_experiment(config: ExperimentConfig,
             congruence = summary if config.trace else None
         if config.postselect:
             result = result.select(result.match_mask(config.postselect))
-        counts = result.counts()
-        kept_shots = result.shots
+        counts, kept = result.counts(), result.shots
 
-    probs: dict[str, float] = {}
-    if want_exact:
+    if config.mode != "ontic-only":
         dist = exact_outcome_distribution(
             circuit, quantum_init(config.prepare.path, circuit.width),
             branch_cap=config.branch_cap)
@@ -409,62 +450,7 @@ def run_experiment(config: ExperimentConfig,
             dist = dist.condition(config.postselect)
         probs = dist.by_key()
 
-    outcomes: list[OutcomeStat] = []
-    tvd = None
-    chi = None
-    hard_fail = 0
-    if config.mode == "compare":
-        frequencies = {k: n / kept_shots for k, n in counts.items()} \
-            if kept_shots else {}
-        tvd = total_variation(frequencies, probs)
-        chi = chi_square_goodness(counts, probs)
-        hard_fail = chi.impossible_count
-        bands = _within_bands(counts, probs, kept_shots) if kept_shots else {}
-        for key in sorted(set(counts) | set(probs)):
-            n = counts.get(key, 0)
-            f = n / kept_shots if kept_shots else 0.0
-            p = probs.get(key, 0.0)
-            impossible = p <= 0.0 and n > 0
-            if key in bands:
-                sigma, ok = bands[key]
-            else:
-                sigma, ok = 0.0, not impossible
-            outcomes.append(OutcomeStat(key, n, f, p, sigma, ok, impossible))
-    elif config.mode == "ontic-only":
-        for key in sorted(counts):
-            n = counts[key]
-            outcomes.append(OutcomeStat(key, n, n / kept_shots, None, None,
-                                        None, False))
-    else:
-        for key in sorted(probs):
-            outcomes.append(OutcomeStat(key, None, None, probs[key], None,
-                                        None, False))
-
-    if config.mode != "compare":
-        verdict = "no-verdict"
-    elif kept_shots < MIN_VERDICT_SHOTS:
-        verdict = "fail" if hard_fail else "no-verdict"
-    else:
-        ok = (hard_fail == 0
-              and chi is not None and chi.p_value >= CHI_SQUARE_MIN_P
-              and all(o.within_ci for o in outcomes if o.within_ci is not None))
-        verdict = "pass" if ok else "fail"
-
-    return ExperimentReport(
-        seed=config.seed,
-        shots=config.shots,
-        mode=config.mode,
-        circuit_name=config.circuit.name,
-        prepare=config.prepare,
-        postselect=config.postselect,
-        preselection_shots=config.shots if want_ontic else 0,
-        kept_shots=kept_shots,
-        outcomes=tuple(outcomes),
-        total_variation=tvd,
-        chi_square=chi,
-        hard_fail_events=hard_fail,
-        degenerate_relocations=degenerate,
-        congruence=congruence,
-        verdict=verdict,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    report = outcome_report(config, config.mode, counts, kept, probs,
+                            degenerate, congruence)
+    report.runtime_seconds = time.perf_counter() - start
+    return report

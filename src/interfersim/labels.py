@@ -157,6 +157,8 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
     """
     if len(trajectory) != circuit.depth + 1:
         raise ValueError("trajectory must contain the state after every layer")
+    if init_label.width != circuit.width:
+        raise ValueError("initial label does not match the circuit width")
     checks: list[LayerCheck] = []
     max_dev = 0.0
     passed = True
@@ -188,7 +190,9 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
     for layer_idx, layer in enumerate(circuit.layers):
         click = record.result_for_layer(layer_idx) if record.has_layer(layer_idx) \
             else None
-        label = predicted_label_update(label, layer, click)
+        # predicted_label_update without re-validating the circuit's layers
+        state, detectors, _, _ = _measure_layer(label, layer)
+        label = collapse(state, detectors, click)
         judge(layer_idx, trajectory[layer_idx + 1], label)
     return CongruenceReport(tuple(checks), max_dev, passed)
 

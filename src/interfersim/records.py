@@ -11,6 +11,7 @@ empty record is ``"-"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 
 
 @dataclass(frozen=True)
@@ -28,15 +29,7 @@ class OutcomeRecord:
 
     @property
     def key(self) -> str:
-        if not self.events:
-            return "-"
-        parts = []
-        for layer, clicked in self.events:
-            if clicked is None:
-                parts.append(f"L{layer + 1}:N")
-            else:
-                parts.append(f"L{layer + 1}:C{clicked + 1}")
-        return ";".join(parts)
+        return ";".join(starmap(event_token, self.events)) or "-"
 
     def result_for_layer(self, layer: int) -> int | None:
         """Clicked path at ``layer`` (None for no click). Raises KeyError if
@@ -58,6 +51,12 @@ class OutcomeRecord:
             if self.result_for_layer(layer) != wanted:
                 return False
         return True
+
+
+def event_token(layer: int, clicked: int | None) -> str:
+    """One event's ``L<layer>:C<path>`` / ``L<layer>:N`` token (one-based);
+    the inverse of :func:`parse_event_token`."""
+    return f"L{layer + 1}:N" if clicked is None else f"L{layer + 1}:C{clicked + 1}"
 
 
 def parse_event_token(token: str) -> tuple[int, int | None]:

@@ -148,6 +148,48 @@ def test_json_mirror_rejects_unknown_gate():
         circuit_from_json({"paths": 2, "layers": [[{"gate": "Q", "args": {}}]]})
 
 
+def _mz_json(**changes):
+    obj = circuit_to_json(parse_circuit(MZ_TEXT))
+    obj.update(changes)
+    return obj
+
+
+def _mz_json_gate(layer, **args):
+    obj = _mz_json()
+    obj["layers"][layer][0]["args"].update(args)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    _mz_json(paths=2.7),
+    _mz_json(paths=2.0),
+    _mz_json(paths=True),
+    _mz_json(paths="2"),
+    _mz_json_gate(0, s=1.9),
+    _mz_json_gate(0, t=True),
+    _mz_json_gate(0, R="0.5"),
+    _mz_json_gate(1, path="1"),
+    _mz_json_gate(1, omega=True),
+    _mz_json_gate(3, path=2.0),
+    _mz_json(name=7),
+    _mz_json(description=["a"]),
+], ids=["paths-fraction", "paths-float", "paths-bool", "paths-string",
+        "splitter-path-fraction", "splitter-path-bool", "reflectivity-string",
+        "phase-path-string", "phase-bool", "detector-path-float",
+        "name-number", "description-list"])
+def test_json_mirror_requires_json_types(obj):
+    with pytest.raises(CircuitError, match="must be a JSON"):
+        circuit_from_json(obj)
+
+
+def test_json_mirror_accepts_integer_numbers():
+    obj = _mz_json_gate(1, omega=0)
+    obj["layers"][0][0]["args"]["R"] = 1
+    circuit = circuit_from_json(obj)
+    assert circuit.layers[0].gates[0].reflectivity == 1.0
+    assert circuit.layers[1].gates[0].omega == 0.0
+
+
 def test_circuit_rejects_out_of_range_gate():
     with pytest.raises(CircuitError, match="out of range"):
         Circuit(2, [Layer([Detector(2)])])

@@ -46,6 +46,31 @@ def test_run_quantum_engine(mz_file, tmp_path):
     assert sum(o["count"] for o in report["outcomes"]) == 500
 
 
+def test_run_quantum_engine_postselected(tmp_path):
+    circuit = tmp_path / "ev.circ"
+    export_scenario("elitzur-vaidman", circuit)
+    out = tmp_path / "outq"
+    code = main(["run", str(circuit), "--shots", "2000", "--seed", "3",
+                 "--engine", "quantum", "--postselect", "L2:N",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["mode"] == "quantum-sample"
+    assert report["postselect"] == ["L2:N"]
+    assert report["preselection_shots"] == 2000
+    kept = report["kept_shots"]
+    assert 800 < kept < 1200  # the bomb absorbs half the shots
+    rows = report["outcomes"]
+    assert {o["outcome"] for o in rows} == {"L2:N;L4:C1", "L2:N;L4:C2"}
+    assert sum(o["count"] for o in rows) == kept
+    for o in rows:
+        assert o["frequency"] == o["count"] / kept
+        assert o["probability"] is None and o["sigma"] is None
+        assert o["within_ci"] is None and o["impossible"] is False
+    assert report["total_variation"] is None and report["chi_square"] is None
+    assert report["verdict"] == "no-verdict"
+
+
 def test_run_trace_jsonl(mz_file, tmp_path):
     trace = tmp_path / "trace.jsonl"
     code = main(["run", mz_file, "--shots", "5", "--seed", "1",
@@ -67,6 +92,15 @@ MALFORMED = {
     "splitter-without-t.json": json.dumps(
         {"paths": 2, "layers": [[{"gate": "BS", "args": {"s": 1, "R": 0.5}}]]}),
     "non-object-gate.json": json.dumps({"paths": 2, "layers": [[["D", 1]]]}),
+    "fractional-paths.json": json.dumps(
+        {"paths": 2.7, "layers": [[{"gate": "D", "args": {"path": 1}}]]}),
+    "boolean-paths.json": json.dumps({"paths": True, "layers": []}),
+    "fractional-path.json": json.dumps(
+        {"paths": 2, "layers": [[{"gate": "D", "args": {"path": 1.9}}]]}),
+    "string-reflectivity.json": json.dumps(
+        {"paths": 2, "layers": [[{"gate": "BS", "args": {"s": 1, "t": 2,
+                                                         "R": "0.5"}}]]}),
+    "number-name.json": json.dumps({"paths": 2, "name": 7, "layers": []}),
 }
 
 

@@ -1,5 +1,6 @@
 """Comparison harness: statistics, verdicts, reports, reproducibility."""
 
+import csv
 import json
 import math
 import os
@@ -12,8 +13,10 @@ import pytest
 from scipy.stats import binom
 
 import interfersim
+from interfersim.cli import _quantum_sample_report
 from interfersim.harness import (
     CI_ALPHA,
+    OUTCOME_COLUMNS,
     ConfigError,
     ExperimentConfig,
     PreparationSpec,
@@ -199,14 +202,24 @@ def test_trace_mode_congruence_summary():
 
 
 def test_report_files(tmp_path):
-    report = run_experiment(mz_config(shots=5000))
-    json_path, csv_path = report.save(tmp_path)
-    obj = json.loads(json_path.read_text())
-    assert obj["verdict"] == report.verdict
-    assert obj["seed"] == 42
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].startswith("outcome,")
-    assert len(lines) == 1 + len(report.outcomes)
+    reports = [run_experiment(mz_config(shots=5000, mode=mode))
+               for mode in ("compare", "ontic-only", "quantum-exact")]
+    reports.append(_quantum_sample_report(mz_config(shots=5000)))
+    for report in reports:
+        json_path, csv_path = report.save(tmp_path / report.mode)
+        obj = json.loads(json_path.read_text())
+        assert obj["mode"] == report.mode
+        assert obj["verdict"] == report.verdict
+        assert obj["seed"] == 42
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(OUTCOME_COLUMNS)
+        assert len(rows) == 1 + len(report.outcomes) == 1 + len(obj["outcomes"])
+        # each report.json row is its summary.csv row, column for column
+        for row, json_row in zip(rows[1:], obj["outcomes"]):
+            assert sorted(json_row) == sorted(OUTCOME_COLUMNS)
+            assert row == ["" if json_row[c] is None else str(json_row[c])
+                           for c in OUTCOME_COLUMNS]
 
 
 def test_config_validation():

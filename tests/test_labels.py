@@ -213,6 +213,13 @@ def test_congruence_zero_layer_circuit_vacuous():
     assert report.checks == ()
 
 
+def test_congruence_rejects_label_of_other_width():
+    circuit = mach_zehnder(math.pi / 3)
+    record, trajectory = traced_shot(circuit, 3)
+    with pytest.raises(ValueError, match="width"):
+        verify_congruence(trajectory, record, circuit, QuantumState.basis(0, 3))
+
+
 def test_congruence_detects_corruption():
     circuit = mach_zehnder(math.pi / 3)
     record, trajectory = traced_shot(circuit, 3)
