@@ -1,9 +1,7 @@
 """Vectorised execution of many independent stochastic-engine runs.
 
-Holds the whole ensemble as arrays and applies each layer elementwise,
-which is what makes the 1e5-shot experiments in the comparison harness
-cheap. The layer loop of :func:`run_ensemble` is the vector statement of
-the gate rules; the scalar statement is the helpers behind
+The layer loop of :func:`run_ensemble` is the vector statement of the gate
+rules; the scalar statement is the helpers behind
 :func:`interfersim.ontic.step_layer`. Routing single shots through this loop
 as one-row arrays would leave one statement, but costs several times the
 scalar engine per layer, so both stay. They share the strength encoding
@@ -16,24 +14,42 @@ with its slice of the stream reproduces the same record and final state bit
 for bit; the property tests in ``tests/test_engine_properties.py`` check
 this on random circuits, from prepared and from arbitrary initial states.
 
-Inside the loop the working arrays are path-major, ``(width, shots)``, so a
-gate reads and writes contiguous rows, and a level is stored relative to
-the layer clock, as ``level - layers_done``: every field ages by one level
-per layer unless a gate resets it, so ageing costs nothing. A splitter sets
-both paths to the smaller relative level (which ages with the clock as the
-absolute rule does), a click sets ``-(layer + 1)`` (absolute level 0 once
-its layer is done), and ``ZERO_LEVEL`` stays a sentinel that no clock
-moves. :class:`EnsembleResult` holds shot-major arrays and absolute levels.
+The model keeps a field per shot, but the loop computes each distinct field
+once. Shots that start with the same level row and the same bits on their
+live paths (those below ``ZERO_LEVEL``) form a *group*; a prepared ensemble
+is one group. Every gate does the same arithmetic on a group's live paths
+and sets the same levels, wherever its particles are, until a detector
+layer splits the group by outcome: the live field and the level row are
+functions of the record prefix, the paper's point that the label depends
+only on what the agent has seen. So they are held once per group, in
+``(width, groups)`` arrays, with a group id per shot. Only the particle
+position ``q`` and the amplitudes on dead paths (the *junk*) are per shot.
+A splitter suppresses a dead path whose partner lives, so junk enters the
+arithmetic only where both paths of a pair are dead, and a particle reads
+junk only there, that is, only if it started on a dead path (a particle on
+a live path never moves onto a dead one). Junk rows are rotated and mixed
+for the shots whose group has the path (or pair) dead, and a no-click turns
+the group's live value on its path into junk.
 
-:meth:`EnsembleResult.counts` tallies records as one mixed-radix integer per
-shot (a digit per detector layer), whose numeric order is the lexicographic
-order of the record rows.
+Inside the loop a level is stored relative to the layer clock, as ``level -
+layers_done``: every field ages by one level per layer unless a gate resets
+it, so ageing costs nothing. A splitter sets both paths to the smaller
+relative level (which ages with the clock as the absolute rule does), a
+click sets ``-(layer + 1)`` (absolute level 0 once its layer is done), and
+``ZERO_LEVEL`` stays a sentinel that no clock moves.
+
+:class:`EnsembleResult` keeps the particle positions, the group of every
+shot and a record row per group. It builds the per-shot ``records``,
+``final_u`` and ``final_levels`` from the group rows (and the junk) on first
+access; :meth:`EnsembleResult.counts`, :meth:`~EnsembleResult.match_mask`
+and :meth:`~EnsembleResult.select` work on the group rows and never do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +59,20 @@ from .ontic import ZERO_LEVEL, mix_amplitudes, rotate_amplitude
 from .records import OutcomeRecord
 
 NO_CLICK = np.int16(-1)
-_CODE_MAX = int(np.iinfo(np.int64).max)
+
+
+@dataclass(frozen=True)
+class _Fields:
+    """What a run ends with: a column per group for the records and the
+    live paths, and a junk column per shot for the dead paths."""
+
+    group: np.ndarray    # (shots,) group of each shot
+    records: np.ndarray  # (detector_layers, groups) int16, -1 = no click
+    levels: np.ndarray   # (width, groups) absolute int64 levels
+    u_re: np.ndarray     # (width, groups), zero on dead paths
+    u_im: np.ndarray
+    junk_re: np.ndarray  # (width, shots), meaningful on dead paths
+    junk_im: np.ndarray
 
 
 @dataclass
@@ -51,68 +80,149 @@ class EnsembleResult:
     """Outcome records and final fields of a vectorised run."""
 
     detector_layers: tuple[int, ...]
-    records: np.ndarray     # (shots, len(detector_layers)) int16, -1 = no click
     final_q: np.ndarray     # (shots,)
-    final_u: np.ndarray     # (shots, width) complex
-    final_levels: np.ndarray  # (shots, width) int64 strength levels
     degenerate_relocations: int
+    _fields: _Fields = field(repr=False)
 
     @property
     def shots(self) -> int:
-        return self.records.shape[0]
+        return self.final_q.shape[0]
+
+    @property
+    def groups(self) -> int:
+        """Number of field groups among the shots; for a prepared ensemble,
+        one per distinct outcome record."""
+        return int(np.count_nonzero(np.bincount(self._fields.group)))
+
+    @cached_property
+    def records(self) -> np.ndarray:
+        """(shots, len(detector_layers)) int16, -1 = no click."""
+        return self._fields.records[:, self._fields.group].T
+
+    @cached_property
+    def final_u(self) -> np.ndarray:
+        """(shots, width) complex amplitudes."""
+        f = self._fields
+        live = f.levels[:, f.group] != ZERO_LEVEL
+        final_u = np.empty((self.shots, f.levels.shape[0]), dtype=np.complex128)
+        final_u.real = np.where(live, f.u_re[:, f.group], f.junk_re).T
+        final_u.imag = np.where(live, f.u_im[:, f.group], f.junk_im).T
+        return final_u
+
+    @cached_property
+    def final_levels(self) -> np.ndarray:
+        """(shots, width) int64 strength levels."""
+        return self._fields.levels[:, self._fields.group].T
+
+    def _record(self, row: np.ndarray) -> OutcomeRecord:
+        return OutcomeRecord(tuple(
+            (layer, None if value == NO_CLICK else value)
+            for layer, value in zip(self.detector_layers, row.tolist())))
 
     def record_for_shot(self, shot: int) -> OutcomeRecord:
-        events = []
-        for layer, value in zip(self.detector_layers, self.records[shot]):
-            events.append((layer, None if value == NO_CLICK else int(value)))
-        return OutcomeRecord(tuple(events))
+        return self._record(self._fields.records[:, self._fields.group[shot]])
 
     def counts(self) -> dict[str, int]:
         """Empirical outcome counts keyed by canonical record string, in
         lexicographic record order (no click before path 0, 1, ...)."""
-        if self.records.shape[1] == 0:
+        f = self._fields
+        if f.records.shape[0] == 0:
             return {"-": self.shots}
-        # One mixed-radix code per row, a digit per detector layer; numeric
-        # code order is row order. Re-ranking the codes (order-preserving)
-        # before a digit would overflow int64 keeps wide records exact.
-        radix = self.final_u.shape[1] + 1
-        codes = np.zeros(self.shots, dtype=np.int64)
-        top = 0  # largest code the digits so far can spell
-        for column in self.records.T:
-            if top * radix + radix - 1 > _CODE_MAX:
-                ranks, codes = np.unique(codes, return_inverse=True)
-                top = len(ranks) - 1
-            codes *= radix
-            codes += column
-            codes += 1  # digit: NO_CLICK -> 0, path p -> p + 1
-            top = top * radix + radix - 1
-        _, first, n = np.unique(codes, return_index=True, return_counts=True)
-        return {self.record_for_shot(shot).key: int(k)
-                for shot, k in zip(first, n)}
+        members = np.bincount(f.group, minlength=f.records.shape[1])
+        present = members > 0
+        # Groups from different initial fields can share a record row.
+        rows, row = np.unique(f.records.T[present], axis=0, return_inverse=True)
+        n = np.bincount(row.ravel(), weights=members[present],
+                        minlength=len(rows))
+        return {self._record(r).key: int(k) for r, k in zip(rows, n)}
 
     def select(self, mask: np.ndarray) -> "EnsembleResult":
         """Restrict to the shots where ``mask`` is true."""
+        f = self._fields
         return EnsembleResult(
             self.detector_layers,
-            self.records[mask],
             self.final_q[mask],
-            self.final_u[mask],
-            self.final_levels[mask],
             self.degenerate_relocations,
+            replace(f, group=f.group[mask], junk_re=f.junk_re[:, mask],
+                    junk_im=f.junk_im[:, mask]),
         )
 
     def match_mask(self, constraints: tuple[tuple[int, int | None], ...]
                    ) -> np.ndarray:
         """Boolean mask of shots whose record satisfies every
         ``(layer, result)`` constraint."""
-        mask = np.ones(self.shots, dtype=bool)
+        records = self._fields.records
+        mask = np.ones(records.shape[1], dtype=bool)
         column = {layer: i for i, layer in enumerate(self.detector_layers)}
         for layer, wanted in constraints:
             if layer not in column:
                 raise ValueError(f"layer {layer} has no detectors to condition on")
             want = NO_CLICK if wanted is None else np.int16(wanted)
-            mask &= self.records[:, column[layer]] == want
-        return mask
+            mask &= records[column[layer]] == want
+        return mask[self._fields.group]
+
+
+def _path_major(a: np.ndarray, dtype) -> np.ndarray:
+    """C-ordered transpose of a ``(shots, k)`` array, copied a block of
+    shots at a time (one strided copy of a narrow array is several times
+    slower)."""
+    out = np.empty(a.shape[::-1], dtype=dtype)
+    for start in range(0, a.shape[0], 2048):
+        out[:, start:start + 2048] = a[start:start + 2048].T
+    return out
+
+
+def _initial_groups(u_re: np.ndarray, u_im: np.ndarray, levels: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Group of every shot and the first shot of each group, from
+    path-major arrays: shots share a group when their level rows and the
+    bits of their live amplitudes agree."""
+    shots = levels.shape[1]
+    dead = levels == ZERO_LEVEL
+    bits = (u_re.view(np.int64), u_im.view(np.int64))
+    # A prepared ensemble is one group; tell it without a sort.
+    if shots and (levels == levels[:, :1]).all():
+        live = ~dead[:, 0]
+        if all((b[live] == b[live, :1]).all() for b in bits):
+            return np.zeros(shots, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    key = np.concatenate([levels] + [np.where(dead, 0, b) for b in bits])
+    # One opaque value per shot: byte-wise equality is all grouping needs,
+    # and sorts several times faster than np.unique(axis=0).
+    rows = np.ascontiguousarray(key.T).view(np.dtype((np.void, key.shape[0] * 8)))
+    _, first, group = np.unique(rows.ravel(), return_index=True,
+                                return_inverse=True)
+    return group, first
+
+
+def _members(flagged: np.ndarray, group: np.ndarray) -> slice | np.ndarray:
+    """Index of the shots whose group is flagged; all of them as a slice."""
+    return slice(None) if flagged.all() else np.flatnonzero(flagged[group])
+
+
+def _split_pair(re_s, im_s, re_t, im_t, root_r: float, root_t: float,
+                layer_idx: int):
+    """Mix a splitter's surviving amplitudes (arrays over groups or shots)
+    and assert that the pair intensity does not grow. Returns the mixed
+    amplitudes, the outgoing intensity on ``s`` and the total."""
+    s_re, s_im, t_re, t_im = mix_amplitudes(re_s, im_s, re_t, im_t,
+                                            root_r, root_t)
+    into = re_s * re_s + im_s * im_s + re_t * re_t + im_t * im_t
+    p_s = s_re * s_re + s_im * s_im
+    t_re2, t_im2 = t_re * t_re, t_im * t_im
+    if (p_s + t_re2 + t_im2 > into + 1e-9 * np.maximum(into, 1.0)).any():
+        raise AssertionError(
+            f"splitter expanded the pair intensity at layer {layer_idx}")
+    return (s_re, s_im, t_re, t_im), p_s, p_s + (t_re2 + t_im2)
+
+
+def _chance_s(p_s: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Relocation chance to ``s``; 50/50 where both outputs vanish."""
+    return np.divide(p_s, total, out=np.full(total.shape, 0.5),
+                     where=total > 0.0)
+
+
+def _finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
@@ -120,14 +230,23 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
     """Run every shot of an ensemble through the circuit.
 
     ``init_q``, ``init_u`` and ``init_levels`` are per-shot arrays of particle
-    positions, field amplitudes and strength levels (each in ``[0,
+    positions, field amplitudes (finite) and strength levels (each in ``[0,
     ZERO_LEVEL]``). Uniform draws come from the shot-sliced stream of purpose
     :data:`interfersim.rng.ONTIC_SHOTS` under ``seed``, one column per beam
     splitter in circuit order.
 
-    Every splitter asserts that it never expands its pair's intensity, and
-    every layer that amplitudes stay finite and levels stay in the dyadic
-    range.
+    Each distinct field is computed once, for a group of shots (module
+    docstring). A splitter mixes the group columns, computes one relocation
+    chance per group and moves the particles with one gather; a detector
+    layer splits every group into its no-click and click-at-``j`` children.
+    This is exact: a live path's arithmetic reads only its group's live
+    values, which depend on the record prefix alone, and junk is mixed, and
+    read by a particle, per shot, with the same element operations.
+
+    Every splitter asserts that it never expands its pair's intensity, on
+    the group columns and on the junk it mixes, and every layer that the
+    group amplitudes and the junk it wrote stay finite and the group levels
+    stay in the dyadic range.
     """
     shots = init_q.shape[0]
     width = circuit.width
@@ -136,20 +255,32 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
     if init_levels.size and (init_levels.min() < 0
                              or init_levels.max() > ZERO_LEVEL):
         raise ValueError(f"strength levels must lie in [0, {ZERO_LEVEL}]")
+    if not np.isfinite(init_u).all():
+        raise ValueError("field amplitudes must be finite")
+    if shots and (init_q.min() < 0 or init_q.max() >= width):
+        raise ValueError(f"particle positions must lie in [0, {width})")
 
-    # Path-major working arrays: row j holds path j of every shot.
     q = init_q.astype(np.int64)
-    u_re = np.array(init_u.real.T, dtype=np.float64, order="C")
-    u_im = np.array(init_u.imag.T, dtype=np.float64, order="C")
-    # Levels relative to the layer clock (see the module docstring).
-    levels = np.array(init_levels.T, dtype=np.int64, order="C")
+    # Path-major per-shot amplitudes; on dead paths they are the junk.
+    junk_re = _path_major(init_u.real, np.float64)
+    junk_im = _path_major(init_u.imag, np.float64)
+    shot_levels = _path_major(init_levels, np.int64)
+    group, first = _initial_groups(junk_re, junk_im, shot_levels)
+    # Group rows, levels relative to the layer clock (module docstring).
+    levels = shot_levels[:, first]
+    dead = levels == ZERO_LEVEL
+    u_re = np.where(dead, 0.0, junk_re[:, first])
+    u_im = np.where(dead, 0.0, junk_im[:, first])
+    strays = bool((shot_levels[q, np.arange(shots)] == ZERO_LEVEL).any())
+    del shot_levels, dead
 
     n_splitters = circuit.count_gates(BeamSplitter)
     uniforms = rng.ensemble_uniforms(seed, rng.ONTIC_SHOTS, shots, n_splitters)
     draw_idx = 0
 
     detector_layers = circuit.detector_layers()
-    records = np.full((len(detector_layers), shots), NO_CLICK, dtype=np.int16)
+    records = np.full((len(detector_layers), len(first)), NO_CLICK,
+                      dtype=np.int16)
     record_row = {layer: i for i, layer in enumerate(detector_layers)}
     degenerate = 0
     nonzero_init = init_levels[init_levels < ZERO_LEVEL]
@@ -158,76 +289,98 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
     for layer_idx, layer in enumerate(circuit.layers):
         validate_layer(layer, width)
         clock = layer_idx + 1  # layers done once this one is applied
+        junk_finite = True
+        detectors = []
         for gate in layer.gates:
             if isinstance(gate, PhaseShifter):
                 j = gate.path
-                u_re[j], u_im[j] = rotate_amplitude(u_re[j], u_im[j],
-                                                    math.cos(gate.omega),
-                                                    math.sin(gate.omega))
+                cos_w, sin_w = math.cos(gate.omega), math.sin(gate.omega)
+                u_re[j], u_im[j] = rotate_amplitude(u_re[j], u_im[j], cos_w, sin_w)
+                dead_j = levels[j] == ZERO_LEVEL
+                if dead_j.any():
+                    sel = _members(dead_j, group)
+                    re, im = rotate_amplitude(junk_re[j, sel], junk_im[j, sel],
+                                              cos_w, sin_w)
+                    junk_re[j, sel], junk_im[j, sel] = re, im
+                    junk_finite &= _finite(re, im)
             elif isinstance(gate, Detector):
-                j = gate.path
-                clicked = q == j
-                np.copyto(u_re[j], 1.0, where=clicked)
-                np.copyto(u_im[j], 0.0, where=clicked)
-                levels[j] = np.where(clicked, -clock, ZERO_LEVEL)
-                np.copyto(records[record_row[layer_idx]], j, where=clicked)
+                detectors.append(gate.path)
             else:
                 s, t = gate.s, gate.t
+                root_r = math.sqrt(gate.reflectivity)
+                root_t = math.sqrt(1.0 - gate.reflectivity)
                 ls, lt = levels[s], levels[t]
                 lmin = np.minimum(ls, lt)  # lowest level = strongest field
                 keep_s = ls == lmin
                 keep_t = lt == lmin
-                re_s = np.where(keep_s, u_re[s], 0.0)
-                im_s = np.where(keep_s, u_im[s], 0.0)
-                re_t = np.where(keep_t, u_re[t], 0.0)
-                im_t = np.where(keep_t, u_im[t], 0.0)
-                root_r = math.sqrt(gate.reflectivity)
-                root_t = math.sqrt(1.0 - gate.reflectivity)
-                s_re, s_im, t_re, t_im = mix_amplitudes(
-                    re_s, im_s, re_t, im_t, root_r, root_t)
-                into = re_s * re_s + im_s * im_s + re_t * re_t + im_t * im_t
-                # The output squares serve the check and the relocation.
-                p_s = s_re * s_re + s_im * s_im
-                t_re2, t_im2 = t_re * t_re, t_im * t_im
-                out = p_s + t_re2 + t_im2
-                if (out > into + 1e-9 * np.maximum(into, 1.0)).any():
-                    raise AssertionError(
-                        f"splitter expanded the pair intensity at layer "
-                        f"{layer_idx}"
-                    )
-                u_re[s], u_im[s], u_re[t], u_im[t] = s_re, s_im, t_re, t_im
+                mixed, p_s, total = _split_pair(
+                    np.where(keep_s, u_re[s], 0.0), np.where(keep_s, u_im[s], 0.0),
+                    np.where(keep_t, u_re[t], 0.0), np.where(keep_t, u_im[t], 0.0),
+                    root_r, root_t, layer_idx)
+                u_re[s], u_im[s], u_re[t], u_im[t] = mixed
                 levels[s] = levels[t] = lmin
-                on_splitter = (q == s) | (q == t)
-                total = p_s + (t_re2 + t_im2)
-                stuck = on_splitter & (total == 0.0)
-                if stuck.any():
-                    degenerate += int(stuck.sum())
-                prob_s = np.divide(p_s, total, out=np.full(shots, 0.5),
-                                   where=total > 0.0)
                 draw = uniforms[:, draw_idx]
                 draw_idx += 1
-                # Shots on the pair move to s if the draw falls under
-                # prob_s, else to t; in integer arithmetic, as np.where
-                # on these random masks costs several times more.
-                q += on_splitter * (t + (s - t) * (draw < prob_s) - q)
-        if not np.isfinite(u_re).all() or not np.isfinite(u_im).all():
+                move = draw < _chance_s(p_s, total)[group]
+                junk = lmin == ZERO_LEVEL  # both dead: the shots mix junk
+                stuck = (total == 0.0) & ~junk
+                if junk.any():
+                    sel = _members(junk, group)
+                    mixed, p_s, total = _split_pair(
+                        junk_re[s, sel], junk_im[s, sel],
+                        junk_re[t, sel], junk_im[t, sel], root_r, root_t, layer_idx)
+                    junk_re[s, sel], junk_im[s, sel], junk_re[t, sel], junk_im[t, sel] = mixed
+                    junk_finite &= _finite(*mixed)
+                    if strays:
+                        on_pair = (q[sel] == s) | (q[sel] == t)
+                        degenerate += int(np.count_nonzero(on_pair & (total == 0.0)))
+                        move[sel] = draw[sel] < _chance_s(p_s, total)
+                if stuck.any():
+                    degenerate += int(np.count_nonzero(stuck[group]
+                                                       & ((q == s) | (q == t))))
+                # A particle on the pair moves to s if its draw falls under
+                # the chance, else to t; any other stays. Entry 2p + move of
+                # ``to`` is where a particle at p goes.
+                to = np.arange(width).repeat(2)
+                to[[2 * s, 2 * t]] = t
+                to[[2 * s + 1, 2 * t + 1]] = s
+                q = to[2 * q + move]
+        if detectors:
+            # A no-click leaves the path's amplitude as junk.
+            for j in detectors:
+                live_j = levels[j] != ZERO_LEVEL
+                if live_j.any():
+                    sel = _members(live_j, group)
+                    junk_re[j, sel] = u_re[j][group[sel]]
+                    junk_im[j, sel] = u_im[j][group[sel]]
+            # Children: group * n + c, where c is 0 for no click and k for a
+            # click at the layer's k-th detector.
+            n = len(detectors) + 1
+            click_code = np.zeros(width, dtype=np.intp)
+            click_code[detectors] = np.arange(1, n)
+            child = group * n + click_code[q]
+            present = np.bincount(child)
+            parent, click = np.divmod(np.flatnonzero(present), n)
+            group = (np.cumsum(present > 0) - 1)[child]
+            levels, u_re, u_im, records = (
+                levels[:, parent], u_re[:, parent], u_im[:, parent],
+                records[:, parent])
+            for k, j in enumerate(detectors, 1):
+                hit = click == k
+                levels[j] = np.where(hit, -clock, ZERO_LEVEL)
+                u_re[j] = np.where(hit, 1.0, 0.0)
+                u_im[j] = 0.0
+            records[record_row[layer_idx]] = np.array([NO_CLICK] + detectors,
+                                                      dtype=np.int16)[click]
+        if not (junk_finite and _finite(u_re, u_im)):
             raise AssertionError(f"non-finite amplitude after layer {layer_idx}")
         # Absolute levels in [0, level_bound] or ZERO_LEVEL, as reductions.
-        if (levels.min() < -clock
+        if (levels.min(initial=-clock) < -clock
                 or levels.max(where=levels != ZERO_LEVEL, initial=-clock)
                 > level_bound - clock):
             raise AssertionError("strength level left the dyadic range")
 
-    # The last splitter's shot-length temporaries go before the result is
-    # built. Freed per splitter instead, they cost a re-fault of their pages
-    # at the next splitter of every later run in the process.
-    if n_splitters:
-        del (lmin, keep_s, keep_t, re_s, im_s, re_t, im_t, s_re, s_im, t_re,
-             t_im, into, p_s, t_re2, t_im2, out, on_splitter, total, stuck,
-             prob_s)
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
-    final_u = np.empty((shots, width), dtype=np.complex128)
-    final_u.real = u_re.T
-    final_u.imag = u_im.T
-    return EnsembleResult(detector_layers, records.T, q, final_u, levels.T,
-                          degenerate)
+    return EnsembleResult(
+        detector_layers, q, degenerate,
+        _Fields(group, records, levels, u_re, u_im, junk_re, junk_im))

@@ -273,19 +273,29 @@ def _within_bands(counts: Mapping[str, int], probs: Mapping[str, float],
     return dict(zip(keys, zip(sigma.tolist(), ok.tolist())))
 
 
+Prepared = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _prepare(config: ExperimentConfig) -> Prepared:
+    """The config's initial ensemble, per-shot ``(q, u, levels)``."""
+    return prepare_ensemble(config.prepare.mode, config.prepare.path,
+                            config.circuit.width, config.shots, config.seed,
+                            config.prepare.junk)
+
+
 def traced_shots(config: ExperimentConfig,
                  diagnostics: ShotDiagnostics | None = None,
+                 prepared: Prepared | None = None,
                  ) -> Iterator[tuple[int, OutcomeRecord, list[OnticState]]]:
     """Replay every shot of a config through the single-shot engine.
 
     Yields ``(shot, record, trajectory)`` in shot order; each shot starts
-    from its row of the prepared ensemble and draws from its own slice of
-    the stream, so it reproduces the shot of the vectorised run.
+    from its row of the prepared ensemble (``prepared``, else prepared
+    here) and draws from its own slice of the stream, so it reproduces the
+    shot of the vectorised run.
     """
     circuit = config.circuit
-    init_q, init_u, init_levels = prepare_ensemble(
-        config.prepare.mode, config.prepare.path, circuit.width,
-        config.shots, config.seed, config.prepare.junk)
+    init_q, init_u, init_levels = prepared or _prepare(config)
     n_draws = circuit.count_gates(BeamSplitter)
     for shot in range(config.shots):
         init = OnticState(int(init_q[shot]), init_u[shot], init_levels[shot])
@@ -307,9 +317,11 @@ def write_trace_lines(fh: IO[str], shot: int,
 def run_traced(config: ExperimentConfig,
                cross_check: EnsembleResult | None = None,
                jsonl: str | None = None,
+               prepared: Prepared | None = None,
                ) -> tuple[dict, list[dict]]:
-    """Replay every shot with tracing (:func:`traced_shots`) and verify
-    label congruence.
+    """Replay every shot with tracing (:func:`traced_shots`, from
+    ``prepared`` when the caller already holds the initial ensemble) and
+    verify label congruence.
 
     Returns a summary dict plus the per-shot congruence reports in their
     JSON shape ``{shot, layers: [{deviation}], pass}``. When ``cross_check``
@@ -325,7 +337,8 @@ def run_traced(config: ExperimentConfig,
     shot_reports: list[dict] = []
     with (open(jsonl, "w", encoding="utf-8") if jsonl
           else contextlib.nullcontext()) as trace_fh:
-        for shot, record, trajectory in traced_shots(config, diagnostics):
+        for shot, record, trajectory in traced_shots(config, diagnostics,
+                                                     prepared):
             if cross_check is not None and record != cross_check.record_for_shot(shot):
                 raise AssertionError(
                     f"shot {shot}: single-shot replay disagrees with ensemble record"
@@ -430,13 +443,12 @@ def run_experiment(config: ExperimentConfig,
     counts = probs = congruence = None
     kept = degenerate = 0
     if config.mode != "quantum-exact":
-        init_q, init_u, init_levels = prepare_ensemble(
-            config.prepare.mode, config.prepare.path, circuit.width,
-            config.shots, config.seed, config.prepare.junk)
-        result = run_ensemble(circuit, init_q, init_u, init_levels, config.seed)
+        prepared = _prepare(config)
+        result = run_ensemble(circuit, *prepared, config.seed)
         degenerate = result.degenerate_relocations
         if config.trace or jsonl:
-            summary, _ = run_traced(config, cross_check=result, jsonl=jsonl)
+            summary, _ = run_traced(config, cross_check=result, jsonl=jsonl,
+                                    prepared=prepared)
             congruence = summary if config.trace else None
         if config.postselect:
             result = result.select(result.match_mask(config.postselect))

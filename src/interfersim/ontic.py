@@ -31,8 +31,8 @@ runs and isolated single-shot replays are bit-identical.
 The rules are stated twice, once per representation. Here each gate rule
 is one private helper (``_age``, ``_phase``, ``_detect``, ``_split``)
 shared by the public ``gate_*`` functions and by :func:`step_layer`;
-:func:`interfersim.ensemble.run_ensemble` is the vector statement, one row
-per shot. Amplitude updates in both are written in explicitly separated
+:func:`interfersim.ensemble.run_ensemble` is the vector statement, one column
+per group of shots that share a field. Amplitude updates in both are written in explicitly separated
 real arithmetic (:func:`rotate_amplitude`, :func:`mix_amplitudes`): every
 step is a single exactly-rounded IEEE multiply or add, never a fused
 complex kernel, so the two produce bit-identical trajectories. The

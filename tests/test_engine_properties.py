@@ -95,6 +95,49 @@ def test_scalar_replay_matches_ensemble_rows_from_any_state(width, depth,
     assert diagnostics.degenerate_relocations == result.degenerate_relocations
 
 
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(2, 6), depth=st.integers(1, 12),
+       circuit_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_scalar_replay_matches_ensemble_rows_sharing_fields(width, depth,
+                                                            circuit_seed, seed, data):
+    """A few tiled rows, so shots share levels and live amplitudes (a field
+    group of several members), while each shot draws its own junk on the
+    dead paths and its own position, on a live or a dead path."""
+    circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed))
+    parts = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    amplitude = st.builds(complex, parts, parts)
+
+    def rows(elements, n, label):
+        return data.draw(st.lists(st.lists(elements, min_size=width, max_size=width),
+                                  min_size=n, max_size=n), label=label)
+
+    n_rows = data.draw(st.integers(1, 3), label="rows")
+    tile = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=SHOTS,
+                                       max_size=SHOTS), label="tile"))
+    levels = np.array(rows(st.one_of(st.just(ZERO_LEVEL), st.integers(0, 8)),
+                           n_rows, "levels"), dtype=np.int64)[tile]
+    live_u = np.array(rows(amplitude, n_rows, "live u"), dtype=np.complex128)[tile]
+    junk = np.array(rows(amplitude, SHOTS, "junk"), dtype=np.complex128)
+    u = np.where(levels == ZERO_LEVEL, junk, live_u)
+    q = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=SHOTS,
+                                    max_size=SHOTS), label="q"), dtype=np.int64)
+    result = run_ensemble(circuit, q, u, levels, seed)
+    draws = circuit.count_gates(BeamSplitter)
+    diagnostics = ShotDiagnostics()
+    for shot in range(SHOTS):
+        init = OnticState(int(q[shot]), u[shot], levels[shot])
+        gen = rng.shot_generator(seed, rng.ONTIC_SHOTS, shot, draws)
+        record, trajectory = run_ontic_shot(circuit, init, gen,
+                                            diagnostics=diagnostics)
+        final = trajectory[-1]
+        assert record == result.record_for_shot(shot)
+        assert final.q == result.final_q[shot]
+        assert same_bits(final.u, result.final_u[shot])
+        assert final.tau == tuple(result.final_levels[shot])
+    assert diagnostics.degenerate_relocations == result.degenerate_relocations
+
+
 @st.composite
 def states_and_layers(draw):
     width = draw(st.integers(1, 6))

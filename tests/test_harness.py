@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import binom
 
 import interfersim
+from interfersim import harness
 from interfersim.cli import _quantum_sample_report
 from interfersim.harness import (
     CI_ALPHA,
@@ -254,3 +255,20 @@ def test_junk_invariance_on_one_scenario():
         sigma = math.sqrt(p * (1 - p) / 30000)
         assert abs(f0.get(key, 0.0) - f1.get(key, 0.0)) <= \
             5.0 * math.sqrt(2.0) * max(sigma, 1e-9)
+
+
+def test_traced_experiment_prepares_once(monkeypatch):
+    # the traced pass replays the ensemble the run prepared
+    prepare = harness.prepare_ensemble
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "prepare_ensemble", counted)
+    report = run_experiment(ExperimentConfig(
+        circuit=scenario("mz-3"), prepare=PreparationSpec(path=0, junk="disk"),
+        shots=50, seed=5, mode="ontic-only", trace=True))
+    assert len(calls) == 1
+    assert report.congruence["violations"] == 0

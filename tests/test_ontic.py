@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from interfersim import rng
+from interfersim import ensemble, rng
 from interfersim.circuits import (
     BeamSplitter,
     Circuit,
@@ -14,6 +14,7 @@ from interfersim.circuits import (
     Layer,
     PhaseShifter,
 )
+from interfersim.compiler import haar_unitary, reck_decompose
 from interfersim.ensemble import run_ensemble
 from interfersim.ontic import (
     ZERO_LEVEL,
@@ -23,6 +24,7 @@ from interfersim.ontic import (
     gate_detector,
     gate_free,
     gate_phase,
+    mix_amplitudes,
     run_ontic_shot,
     step_layer,
     trace_json_object,
@@ -392,3 +394,85 @@ def test_ensemble_no_degenerate_relocations_from_valid_preparations():
         q, u, levels = prepare_ensemble("source", 0, circuit.width, 2000, 5, "disk")
         result = run_ensemble(circuit, q, u, levels, 5)
         assert result.degenerate_relocations == 0
+
+
+@pytest.mark.parametrize("path", [0, 1])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_ensemble_rejects_non_finite_amplitudes(bad, path):
+    # as OnticState does, on a live path (0) and on a dead one (1) alike
+    circuit = scenario("mz-2")
+    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero")
+    u[4, path] = bad
+    with pytest.raises(ValueError, match="finite"):
+        run_ensemble(circuit, q, u, levels, 3)
+
+
+@pytest.mark.parametrize("path", [0, 1])
+def test_ensemble_flags_amplitude_overflow(path):
+    # A finite amplitude whose rotation overflows: on the live path 0 it sits
+    # in the group arrays, on the dead path 1 in that shot's junk row.
+    circuit = Circuit(2, [Layer([PhaseShifter(path, math.pi / 4)])])
+    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero")
+    u[:, path] = complex(1.7e308, 1.7e308)
+    with (np.errstate(over="ignore"),
+          pytest.raises(AssertionError, match="non-finite amplitude after layer 0")):
+        run_ensemble(circuit, q, u, levels, 3)
+
+
+def test_ensemble_asserts_splitter_expansion(monkeypatch):
+    def expanding(*args):
+        return tuple(2.0 * part for part in mix_amplitudes(*args))
+
+    monkeypatch.setattr(ensemble, "mix_amplitudes", expanding)
+    circuit = scenario("mz-2")
+    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero")
+    with pytest.raises(AssertionError, match="expanded the pair intensity"):
+        run_ensemble(circuit, q, u, levels, 3)
+
+
+def test_ensemble_groups_are_record_prefixes():
+    # a prepared ensemble is one field group; each detector layer splits it
+    # by outcome, so a mesh with terminal detectors ends with a group per
+    # outcome record
+    n = 6
+    mesh = reck_decompose(haar_unitary(n, np.random.default_rng(8)))
+    circuit = Circuit(n, list(mesh.layers) + [Layer([Detector(j) for j in range(n)])])
+    q, u, levels = prepare_ensemble("source", 2, n, 20000, 8, "disk")
+    result = run_ensemble(circuit, q, u, levels, 8)
+    assert result.groups == len(result.counts()) == n
+
+
+@pytest.mark.parametrize("name, constraints, expected", [
+    ("elitzur-vaidman", ((1, None),), {"L2:N;L4:C1": 1236, "L2:N;L4:C2": 1280}),
+    ("zeno-8", tuple((layer, None) for layer in range(1, 15, 2)),
+     {"L2:N;L4:N;L6:N;L8:N;L10:N;L12:N;L14:N;L16:N;L17:C1": 3667,
+      "L2:N;L4:N;L6:N;L8:N;L10:N;L12:N;L14:N;L16:C2;L17:C2": 153}),
+])
+def test_ensemble_postselected_counts(name, constraints, expected):
+    # counts recorded before the ensemble computed its fields per group
+    circuit = scenario(name)
+    q, u, levels = prepare_ensemble("source", 0, circuit.width, 5000, 4, "disk")
+    result = run_ensemble(circuit, q, u, levels, 4)
+    kept = result.select(result.match_mask(constraints))
+    assert kept.counts() == expected
+    assert kept.shots == sum(expected.values())
+    assert kept.groups == len(expected) < result.groups
+
+
+def test_ensemble_counts_merge_groups_sharing_a_record():
+    # arbitrary initial fields give about a group per shot, so many groups
+    # end with the same record row; the tally must merge them, also after
+    # a select
+    circuit = random_circuit(5, 20, np.random.default_rng(12), p_detector=0.3)
+    g = np.random.default_rng(13)
+    shots = 3000
+    q = g.integers(0, 5, shots)
+    levels = np.where(g.random((shots, 5)) < 0.3, ZERO_LEVEL,
+                      g.integers(0, 9, (shots, 5)))
+    u = g.uniform(-1, 1, (shots, 5)) + 1j * g.uniform(-1, 1, (shots, 5))
+    result = run_ensemble(circuit, q, u, levels, 13)
+    assert result.groups > 10 * len(result.counts())
+    assert list(result.counts().items()) == list(reference_counts(result).items())
+    kept = result.select(result.records[:, 0] == -1)
+    assert list(kept.counts().items()) == list(reference_counts(kept).items())
+    assert kept.shots == sum(kept.counts().values())
