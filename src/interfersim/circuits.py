@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class CircuitError(ValueError):
@@ -97,11 +97,33 @@ def check_path(path: int, width: int) -> None:
         raise IndexError(f"path {path} out of range for width {width}")
 
 
+class GateFormat(NamedTuple):
+    """How one gate type is written in both external formats: its name, the
+    attributes holding its paths (also their JSON keys) and its real
+    parameter, in constructor order, the parameter's ``.circ`` and JSON
+    keys, and the ``.circ`` usage text."""
+
+    name: str
+    paths: tuple[str, ...]
+    param: str | None = None
+    circ_key: str | None = None
+    json_key: str | None = None
+    usage: str = ""
+
+
+GATE_FORMATS: dict[type, GateFormat] = {
+    BeamSplitter: GateFormat("BS", ("s", "t"), "reflectivity", "R", "R",
+                             "BS takes two path indices and R=<value>"),
+    PhaseShifter: GateFormat("S", ("path",), "omega", "w", "omega",
+                             "S takes one path index and w=<value>"),
+    Detector: GateFormat("D", ("path",), usage="D takes one path index"),
+}
+_GATE_TYPES = {fmt.name: gate_type for gate_type, fmt in GATE_FORMATS.items()}
+
+
 def gate_paths(gate: Gate) -> tuple[int, ...]:
     """Paths a gate acts on."""
-    if isinstance(gate, BeamSplitter):
-        return (gate.s, gate.t)
-    return (gate.path,)
+    return tuple([getattr(gate, attr) for attr in GATE_FORMATS[type(gate)].paths])
 
 
 @dataclass(frozen=True)
@@ -212,19 +234,11 @@ def structurally_equal(a: Circuit, b: Circuit, tol: float = 1e-12) -> bool:
         if len(la.gates) != len(lb.gates):
             return False
         for ga, gb in zip(la.gates, lb.gates):
-            if type(ga) is not type(gb):
+            if type(ga) is not type(gb) or gate_paths(ga) != gate_paths(gb):
                 return False
-            if isinstance(ga, PhaseShifter):
-                if ga.path != gb.path or abs(ga.omega - gb.omega) > tol:
-                    return False
-            elif isinstance(ga, BeamSplitter):
-                if (ga.s, ga.t) != (gb.s, gb.t):
-                    return False
-                if abs(ga.reflectivity - gb.reflectivity) > tol:
-                    return False
-            else:
-                if ga.path != gb.path:
-                    return False
+            param = GATE_FORMATS[type(ga)].param
+            if param and abs(getattr(ga, param) - getattr(gb, param)) > tol:
+                return False
     return True
 
 
@@ -232,10 +246,12 @@ def structurally_equal(a: Circuit, b: Circuit, tol: float = 1e-12) -> bool:
 # Text format
 # --------------------------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    # repr round-trips doubles exactly and never prints fewer significant
-    # digits than the value needs.
-    return repr(float(x))
+def _gate_text(gate: Gate) -> str:
+    fmt = GATE_FORMATS[type(gate)]
+    words = [fmt.name, *(str(p + 1) for p in gate_paths(gate))]
+    if fmt.param:  # repr round-trips doubles exactly, in the fewest digits
+        words.append(f"{fmt.circ_key}={float(getattr(gate, fmt.param))!r}")
+    return " ".join(words)
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -250,16 +266,7 @@ def serialize_circuit(circuit: Circuit) -> str:
     if circuit.description:
         lines.append(f"info {circuit.description}")
     for layer in circuit.layers:
-        parts = []
-        for gate in layer.gates:
-            if isinstance(gate, BeamSplitter):
-                parts.append(
-                    f"BS {gate.s + 1} {gate.t + 1} R={_format_float(gate.reflectivity)}"
-                )
-            elif isinstance(gate, PhaseShifter):
-                parts.append(f"S {gate.path + 1} w={_format_float(gate.omega)}")
-            else:
-                parts.append(f"D {gate.path + 1}")
+        parts = [_gate_text(gate) for gate in layer.gates]
         lines.append(("layer " + " | ".join(parts)) if parts else "layer")
     return "\n".join(lines) + "\n"
 
@@ -286,23 +293,17 @@ def _parse_param(token: str, key: str, lineno: int, col: int) -> float:
         raise ParseError(f"bad number in {token!r}", lineno, col) from None
 
 
-# gate name -> (constructor, number of path indices, parameter key, usage)
-_GATE_SYNTAX = {
-    "BS": (BeamSplitter, 2, "R", "BS takes two path indices and R=<value>"),
-    "S": (PhaseShifter, 1, "w", "S takes one path index and w=<value>"),
-    "D": (Detector, 1, None, "D takes one path index"),
-}
-
-
 def _parse_gate(tokens: list[str], width: int, lineno: int, col: int) -> Gate:
-    if tokens[0] not in _GATE_SYNTAX:
+    make = _GATE_TYPES.get(tokens[0])
+    if make is None:
         raise ParseError(f"unknown gate name {tokens[0]!r}", lineno, col)
-    make, n_paths, key, usage = _GATE_SYNTAX[tokens[0]]
-    if len(tokens) != 1 + n_paths + (key is not None):
-        raise ParseError(usage, lineno, col)
+    fmt = GATE_FORMATS[make]
+    n_paths = len(fmt.paths)
+    if len(tokens) != 1 + n_paths + (fmt.param is not None):
+        raise ParseError(fmt.usage, lineno, col)
     args = [_parse_index(token, width, lineno, col) for token in tokens[1:1 + n_paths]]
-    if key is not None:
-        args.append(_parse_param(tokens[-1], key, lineno, col))
+    if fmt.param:
+        args.append(_parse_param(tokens[-1], fmt.circ_key, lineno, col))
     try:
         return make(*args)
     except CircuitError as exc:  # parameter checks of the gate constructors
@@ -318,8 +319,7 @@ def parse_circuit(text: str) -> Circuit:
     :class:`ParseError` with line/column diagnostics on any failure.
     """
     width: int | None = None
-    name = ""
-    description = ""
+    header = {"name": "", "info": ""}
     layers: list[Layer] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -340,15 +340,12 @@ def parse_circuit(text: str) -> Circuit:
             if width < 1:
                 raise ParseError("path count must be positive", lineno, col)
             continue
-        if keyword == "name":
-            name = line.split(None, 1)[1].strip() if len(tokens) > 1 else ""
-            continue
-        if keyword == "info":
-            description = line.split(None, 1)[1].strip() if len(tokens) > 1 else ""
+        body = line.split(None, 1)[1] if len(tokens) > 1 else ""
+        if keyword in header:
+            header[keyword] = body.strip()
             continue
         if keyword != "layer":
             raise ParseError(f"expected 'layer', got {keyword!r}", lineno, col)
-        body = line.split(None, 1)[1] if len(tokens) > 1 else ""
         gates: list[Gate] = []
         offset = line.find(body) if body else col
         for segment in body.split("|") if body.strip() else []:
@@ -366,7 +363,7 @@ def parse_circuit(text: str) -> Circuit:
         layers.append(layer)
     if width is None:
         raise ParseError("missing 'paths N' header", 1)
-    return Circuit(width, layers, name=name, description=description)
+    return Circuit(width, layers, name=header["name"], description=header["info"])
 
 
 def parse_circuit_file(path) -> Circuit:
@@ -388,14 +385,11 @@ def circuit_to_json(circuit: Circuit) -> dict:
     for layer in circuit.layers:
         entry = []
         for gate in layer.gates:
-            if isinstance(gate, BeamSplitter):
-                entry.append({"gate": "BS", "args": {"s": gate.s + 1, "t": gate.t + 1,
-                                                     "R": gate.reflectivity}})
-            elif isinstance(gate, PhaseShifter):
-                entry.append({"gate": "S", "args": {"path": gate.path + 1,
-                                                    "omega": gate.omega}})
-            else:
-                entry.append({"gate": "D", "args": {"path": gate.path + 1}})
+            fmt = GATE_FORMATS[type(gate)]
+            args = {attr: getattr(gate, attr) + 1 for attr in fmt.paths}
+            if fmt.param:
+                args[fmt.json_key] = getattr(gate, fmt.param)
+            entry.append({"gate": fmt.name, "args": args})
         layers.append(entry)
     out = {"paths": circuit.width, "layers": layers}
     if circuit.name:
@@ -418,17 +412,15 @@ def _json(value, kind: str, what: str):
 
 def _gate_from_json(raw: dict) -> Gate:
     kind = raw.get("gate")
+    make = _GATE_TYPES.get(kind) if isinstance(kind, str) else None
+    if make is None:
+        raise CircuitError(f"unknown gate name {kind!r} in JSON circuit")
+    fmt = GATE_FORMATS[make]
     args = raw.get("args", {})
-    if kind == "BS":
-        return BeamSplitter(_json(args["s"], "integer", "path") - 1,
-                            _json(args["t"], "integer", "path") - 1,
-                            float(_json(args["R"], "number", "R")))
-    if kind == "S":
-        return PhaseShifter(_json(args["path"], "integer", "path") - 1,
-                            float(_json(args["omega"], "number", "omega")))
-    if kind == "D":
-        return Detector(_json(args["path"], "integer", "path") - 1)
-    raise CircuitError(f"unknown gate name {kind!r} in JSON circuit")
+    values = [_json(args[attr], "integer", "path") - 1 for attr in fmt.paths]
+    if fmt.param:
+        values.append(float(_json(args[fmt.json_key], "number", fmt.json_key)))
+    return make(*values)
 
 
 def circuit_from_json(obj: dict) -> Circuit:

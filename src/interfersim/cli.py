@@ -62,83 +62,86 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _config_value(config: dict, key: str, default, kind: str, valid):
-    """``config[key]`` (or ``default``), which ``valid`` must accept; a
-    ``ConfigError`` names the expected JSON ``kind`` otherwise."""
-    value = config.get(key, default)
-    if not valid(value):
-        raise ConfigError(f"config {key!r} must be {kind}, not {value!r}")
-    return value
+# JSON kind named in a config error -> its check
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of strings": lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(t, str) for t in v)),
+    "true or false": lambda v: isinstance(v, bool),
+}
+# setting -> (default, JSON kind of a config value or None when the
+# experiment config checks it, environment variable read in its place)
+SETTINGS = {
+    "postselect": (None, "a list of strings", None),
+    "prepare": ({}, "an object", None),
+    "shots": (10000, "an integer", None),
+    "seed": (0, "an integer", "QM_SEED"),
+    "trace": (False, "true or false", None),
+    "branch_cap": (10 ** 6, "an integer", None),
+}
+# the closed set of ``prepare`` keys; the path is one-based
+PREPARE = {"path": (1, "an integer", None), "mode": ("source", None, None),
+           "junk": ("zero", None, None)}
 
 
-def _config_int(config: dict, key: str, default: int) -> int:
-    """A config-file number: a JSON integer, not a fraction or a boolean."""
-    return _config_value(config, key, default, "an integer", lambda v:
-                         isinstance(v, int) and not isinstance(v, bool))
-
-
-def _resolve_seed(flag: int | None, config: dict) -> int:
+def _setting(key: str, flag, config: dict, table: dict = SETTINGS):
+    """Setting ``key`` of ``table``: the flag unless None, else the config
+    value, which must be of the setting's JSON kind, else its environment
+    variable, else its default."""
+    default, kind, env = table[key]
     if flag is not None:
         return flag
-    if "seed" in config:
-        return _config_int(config, "seed", 0)
-    env = os.environ.get("QM_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    if key in config:
+        if kind and not _KINDS[kind](config[key]):
+            raise ConfigError(f"config {key!r} must be {kind}, not {config[key]!r}")
+        return config[key]
+    if env and env in os.environ:
+        try:
+            return int(os.environ[env])
+        except ValueError:
+            raise ConfigError(f"{env} must be an integer, "
+                              f"not {os.environ[env]!r}") from None
+    return default
 
 
-def _resolve_int(flag: int | None, config: dict, key: str, default: int) -> int:
-    if flag is not None:
-        return flag
-    return _config_int(config, key, default)
+def _prepare_key(key: str) -> str:
+    if key not in PREPARE:
+        raise ConfigError(f"unknown prepare key {key!r}; expected one of {list(PREPARE)}")
+    return key
 
 
-def _parse_prepare(text: str | None, config: dict) -> PreparationSpec:
-    cfg = dict(_config_value(config, "prepare", {}, "an object",
-                             lambda v: isinstance(v, dict)))
-    path = _config_int(cfg, "path", 1)
-    if text:
-        for item in text.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ConfigError(f"bad --prepare item {item!r}; expected key=value")
-            cfg[key.strip()] = value.strip()
-            if key.strip() == "path":
-                path = int(value)
-    return PreparationSpec(mode=cfg.get("mode", "source"), path=path - 1,
-                           junk=cfg.get("junk", "zero"))
+def _prepare(text: str | None, config: dict) -> PreparationSpec:
+    """The config object's ``prepare`` keys, each overridden by a ``key=value``
+    item of the ``--prepare`` text."""
+    for key in config:
+        _prepare_key(key)
+    values = {key: _setting(key, None, config, PREPARE) for key in PREPARE}
+    for item in text.split(",") if text else ():
+        key, _, value = item.partition("=")
+        if not value:
+            raise ConfigError(f"bad --prepare item {item!r}; expected key=value")
+        key = _prepare_key(key.strip())
+        values[key] = int(value) if key == "path" else value.strip()
+    return PreparationSpec(values["mode"], values["path"] - 1, values["junk"])
 
 
-def _experiment(args, mode: str) -> ExperimentConfig:
-    """Parse the circuit argument and build the command's config in
-    ``mode`` from its flags and config file."""
+def _experiment(args) -> ExperimentConfig:
+    """The command's config in ``args.mode``: the circuit argument plus each
+    of :data:`SETTINGS`, resolved in the table's order."""
     circuit = parse_circuit_file(args.circuit)
     config = _load_config(args.config)
-    postselect = None
-    tokens = args.postselect or _config_value(
-        config, "postselect", None, "a list of strings",
-        lambda v: v is None or (isinstance(v, list)
-                                and all(isinstance(t, str) for t in v)))
-    if tokens:
-        postselect = parse_postselect_tokens(tokens)
+    tokens = _setting("postselect", args.postselect or None, config)
     return ExperimentConfig(
         circuit=circuit,
-        prepare=_parse_prepare(args.prepare, config),
-        shots=_resolve_int(args.shots, config, "shots", 10000),
-        seed=_resolve_seed(args.seed, config),
-        mode=mode,
-        postselect=postselect,
-        trace=_config_value(config, "trace", False, "true or false",
-                            lambda v: isinstance(v, bool)),
-        branch_cap=_resolve_int(args.branch_cap, config, "branch_cap", 10 ** 6),
+        postselect=parse_postselect_tokens(tokens) if tokens else None,
+        prepare=_prepare(args.prepare, _setting("prepare", None, config)),
+        shots=_setting("shots", args.shots, config),
+        seed=_setting("seed", args.seed, config),
+        mode=args.mode,
+        trace=_setting("trace", None, config),
+        branch_cap=_setting("branch_cap", args.branch_cap, config),
     )
-
-
-def _write_report(report: ExperimentReport, out_dir: str) -> Path:
-    json_path, _ = report.save(out_dir)
-    print(json_path)
-    return json_path
 
 
 def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
@@ -152,11 +155,7 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
     return sampled_report(config, records)
 
 
-def cmd_run(args) -> int:
-    try:
-        config = _experiment(args, mode="ontic-only")
-    except ValueError as exc:  # CircuitError, ConfigError, bad numbers
-        return _fail(str(exc))
+def cmd_run(args, config: ExperimentConfig) -> int:
     try:
         if args.engine == "quantum":
             if args.trace:
@@ -168,15 +167,11 @@ def cmd_run(args) -> int:
         return _fail(f"{exc}; try --engine ontic", EXIT_RESOURCE)
     except ImpossibleOutcomeError as exc:
         return _fail(str(exc))
-    _write_report(report, args.out)
+    print(report.save(args.out)[0])
     return EXIT_PASS
 
 
-def cmd_compare(args) -> int:
-    try:
-        config = _experiment(args, mode="compare")
-    except ValueError as exc:  # CircuitError, ConfigError, bad numbers
-        return _fail(str(exc))
+def cmd_compare(args, config: ExperimentConfig) -> int:
     try:
         report = run_experiment(config)
     except BranchCapError as exc:
@@ -184,7 +179,7 @@ def cmd_compare(args) -> int:
                      EXIT_RESOURCE)
     except ImpossibleOutcomeError as exc:
         return _fail(str(exc))
-    _write_report(report, args.out)
+    print(report.save(args.out)[0])
     print(f"verdict: {report.verdict}  "
           f"tvd={report.total_variation:.6f}  "
           f"chi2 p={report.chi_square.p_value:.6g}")
@@ -217,11 +212,9 @@ def cmd_compile(args) -> int:
     return EXIT_PASS
 
 
-def cmd_trace(args) -> int:
-    try:
-        config = _experiment(args, mode="ontic-only")
-    except ValueError as exc:  # CircuitError, ConfigError, bad numbers
-        return _fail(str(exc))
+def cmd_trace(args, config: ExperimentConfig) -> int:
+    if args.postselect is not None:
+        return _fail("--postselect applies to the run and compare commands only")
     summary, shot_reports = run_traced(config, jsonl=args.jsonl)
     print(f"traced {config.shots} shots: max label deviation "
           f"{summary['max_deviation']:.3e}, {summary['violations']} violation(s)")
@@ -267,11 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", choices=("ontic", "quantum"), default="ontic")
     p_run.add_argument("--trace", default=None, metavar="OUT.jsonl",
                        help="write per-layer ontic trace lines")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, mode="ontic-only")
 
     p_cmp = sub.add_parser("compare", help="run both engines and verdict")
     common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, mode="compare")
 
     p_compile = sub.add_parser("compile", help="compile a unitary to a circuit")
     p_compile.add_argument("unitary", help="JSON N*N matrix of [re, im] pairs")
@@ -284,14 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_trace)
     p_trace.add_argument("--report", default=None, help="write congruence JSON")
     p_trace.add_argument("--jsonl", default=None, help="write trace JSONL")
-    p_trace.set_defaults(func=cmd_trace)
+    p_trace.set_defaults(func=cmd_trace, mode="ontic-only")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "compile":
+            return args.func(args)
+        try:
+            config = _experiment(args)
+        except ValueError as exc:  # CircuitError, ConfigError, bad numbers
+            return _fail(str(exc))
+        return args.func(args, config)
     except OSError as exc:  # unreadable input or unwritable output
         return _fail(str(exc))
 

@@ -103,11 +103,14 @@ class ExperimentConfig:
             )
         if self.postselect:
             detector_layers = set(self.circuit.detector_layers())
-            for layer, _ in self.postselect:
+            for layer, clicked in self.postselect:
                 if layer not in detector_layers:
                     raise ConfigError(
                         f"cannot post-select on layer {layer + 1}: no detectors"
                     )
+                if clicked not in (None, *self.circuit.layers[layer].detector_paths()):
+                    raise ConfigError(f"cannot post-select a click on path "
+                                      f"{clicked + 1} at layer {layer + 1}: no detector")
 
 
 def parse_postselect_tokens(tokens: Iterable[str]

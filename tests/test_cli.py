@@ -178,9 +178,12 @@ def test_config_numbers_must_be_integers(mz_file, tmp_path, capsys, config):
     (["run"], {"postselect": 7}),
     (["run"], {"postselect": [2]}),
     (["run"], {"trace": "false"}),
+    (["run", "--prepare", "pth=2"], None),
+    (["run"], {"prepare": {"paht": 2}}),
 ], ids=["run-junk-flag", "quantum-junk-flag", "compare-junk-flag",
         "trace-junk-flag", "junk-number", "prepare-number", "postselect-number",
-        "postselect-number-list", "trace-string"])
+        "postselect-number-list", "trace-string", "prepare-flag-unknown-key",
+        "prepare-config-unknown-key"])
 def test_malformed_config_values_usage_error(mz_file, tmp_path, capsys,
                                              argv, config):
     out = tmp_path / "out"
@@ -192,6 +195,54 @@ def test_malformed_config_values_usage_error(mz_file, tmp_path, capsys,
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--prepare", "pth=2"], None),
+    (["--prepare", "path=1,paht=2"], None),
+    ([], {"prepare": {"paht": 2}}),
+], ids=["flag", "flag-after-known-key", "config"])
+def test_unknown_prepare_key_is_named(mz_file, tmp_path, capsys, argv, config):
+    out = tmp_path / "out"
+    argv = ["run", mz_file, "--shots", "10", "--out", str(out)] + argv
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown prepare key ")
+    assert ("'pth'" if "pth=2" in argv else "'paht'") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["L2:C0", "L2:C9", "L2:C-1", "L2:C1"])
+@pytest.mark.parametrize("command", [["run"], ["run", "--engine", "quantum"],
+                                     ["compare"]],
+                         ids=["run", "run-quantum", "compare"])
+def test_postselect_click_needs_a_detector(tmp_path, capsys, command, token):
+    """Layer 2 of the bomb tester has one detector, on path 2: a click
+    anywhere else (path 0 would read as the ensemble's no-click code) is a
+    usage error on every engine, not an empty or wrong selection."""
+    circuit = tmp_path / "ev.circ"
+    export_scenario("elitzur-vaidman", circuit)
+    out = tmp_path / "out"
+    code = main(command[:1] + [str(circuit), "--shots", "1000", "--seed", "3",
+                               "--postselect", token, "--out", str(out)]
+                + command[1:])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot post-select a click on path ")
+    assert not out.exists()
+
+
+def test_trace_refuses_postselect(mz_file, tmp_path, capsys):
+    report = tmp_path / "congruence.json"
+    code = main(["trace", mz_file, "--shots", "10", "--postselect", "L4:C1",
+                 "--report", str(report), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --postselect ")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("mode", ["quantum-exact", "bogus"])
@@ -233,6 +284,19 @@ def test_seed_env_fallback(mz_file, tmp_path, monkeypatch):
     out = tmp_path / "env"
     main(["run", mz_file, "--shots", "100", "--out", str(out)])
     assert json.loads((out / "report.json").read_text())["seed"] == 33
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_seed_env_must_be_an_integer(mz_file, tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("QM_SEED", value)
+    out = tmp_path / "env"
+    assert main(["run", mz_file, "--shots", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: QM_SEED must be an integer")
+    assert not out.exists()
+    # a seed flag is used without reading the variable
+    assert main(["run", mz_file, "--shots", "100", "--seed", "4",
+                 "--out", str(out)]) == 0
 
 
 def test_config_file_and_flag_precedence(mz_file, tmp_path):

@@ -1,11 +1,12 @@
 """Scenario library files and factories."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from interfersim.circuits import Detector
+from interfersim.circuits import Detector, serialize_circuit
 from interfersim.quantum import exact_outcome_distribution
 from interfersim.prepare import quantum_init
 from interfersim.scenarios import (
@@ -28,6 +29,15 @@ def test_library_lists_all_families():
 @pytest.mark.parametrize("name", available_scenarios())
 def test_files_match_factories(name):
     assert scenario(name) == build_scenario(name)
+
+
+@pytest.mark.parametrize("name", available_scenarios())
+def test_files_are_serializer_bytes(name):
+    """Each shipped file is the serializer's output for its factory, byte for
+    byte: benchmark digests key on input bytes, and compiled circuits reach
+    ``compare`` through the same serializer."""
+    text = resources.files("interfersim").joinpath(f"data/{name}.circ").read_text()
+    assert text == serialize_circuit(build_scenario(name))
 
 
 @pytest.mark.parametrize("k", range(9))
