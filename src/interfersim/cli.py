@@ -87,22 +87,25 @@ PREPARE = {"path": (1, "an integer", None), "mode": ("source", None, None),
 
 def _setting(key: str, flag, config: dict, table: dict = SETTINGS):
     """Setting ``key`` of ``table``: the flag unless None, else the config
-    value, which must be of the setting's JSON kind, else its environment
-    variable, else its default."""
+    value, else its environment variable, else its default. A config value
+    must be of the setting's JSON kind even when the flag overrides it."""
     default, kind, env = table[key]
+    if key in config and kind and not _KINDS[kind](config[key]):
+        raise ConfigError(f"config {key!r} must be {kind}, not {config[key]!r}")
     if flag is not None:
         return flag
     if key in config:
-        if kind and not _KINDS[kind](config[key]):
-            raise ConfigError(f"config {key!r} must be {kind}, not {config[key]!r}")
         return config[key]
     if env and env in os.environ:
-        try:
-            return int(os.environ[env])
-        except ValueError:
-            raise ConfigError(f"{env} must be an integer, "
-                              f"not {os.environ[env]!r}") from None
+        return _integer(os.environ[env], env)
     return default
+
+
+def _integer(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, not {text!r}") from None
 
 
 def _prepare_key(key: str) -> str:
@@ -122,7 +125,8 @@ def _prepare(text: str | None, config: dict) -> PreparationSpec:
         if not value:
             raise ConfigError(f"bad --prepare item {item!r}; expected key=value")
         key = _prepare_key(key.strip())
-        values[key] = int(value) if key == "path" else value.strip()
+        values[key] = _integer(value, "--prepare path") if key == "path" \
+            else value.strip()
     return PreparationSpec(values["mode"], values["path"] - 1, values["junk"])
 
 
@@ -156,29 +160,18 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
 
 
 def cmd_run(args, config: ExperimentConfig) -> int:
-    try:
-        if args.engine == "quantum":
-            if args.trace:
-                return _fail("--trace applies to the ontic engine only")
-            report = _quantum_sample_report(config)
-        else:
-            report = run_experiment(config, jsonl=args.trace)
-    except BranchCapError as exc:
-        return _fail(f"{exc}; try --engine ontic", EXIT_RESOURCE)
-    except ImpossibleOutcomeError as exc:
-        return _fail(str(exc))
+    if args.engine == "quantum":
+        if args.trace:
+            return _fail("--trace applies to the ontic engine only")
+        report = _quantum_sample_report(config)
+    else:
+        report = run_experiment(config, jsonl=args.trace)
     print(report.save(args.out)[0])
     return EXIT_PASS
 
 
 def cmd_compare(args, config: ExperimentConfig) -> int:
-    try:
-        report = run_experiment(config)
-    except BranchCapError as exc:
-        return _fail(f"{exc}; rerun with the 'run' command (ontic engine only)",
-                     EXIT_RESOURCE)
-    except ImpossibleOutcomeError as exc:
-        return _fail(str(exc))
+    report = run_experiment(config)
     print(report.save(args.out)[0])
     print(f"verdict: {report.verdict}  "
           f"tvd={report.total_variation:.6f}  "
@@ -213,8 +206,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_trace(args, config: ExperimentConfig) -> int:
-    if args.postselect is not None:
-        return _fail("--postselect applies to the run and compare commands only")
+    if args.postselect is not None or config.postselect:
+        where = "--postselect" if args.postselect is not None \
+            else "config 'postselect'"
+        return _fail(f"{where} applies to the run and compare commands only")
     summary, shot_reports = run_traced(config, jsonl=args.jsonl)
     print(f"traced {config.shots} shots: max label deviation "
           f"{summary['max_deviation']:.3e}, {summary['violations']} violation(s)")
@@ -291,8 +286,12 @@ def main(argv=None) -> int:
         except ValueError as exc:  # CircuitError, ConfigError, bad numbers
             return _fail(str(exc))
         return args.func(args, config)
-    except OSError as exc:  # unreadable input or unwritable output
+    # unreadable input, unwritable output, a post-selection that cannot happen
+    except (OSError, ImpossibleOutcomeError) as exc:
         return _fail(str(exc))
+    except BranchCapError as exc:
+        return _fail(f"{exc}; rerun with the 'run' command (ontic engine only)",
+                     EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

@@ -15,21 +15,22 @@ for bit; the property tests in ``tests/test_engine_properties.py`` check
 this on random circuits, from prepared and from arbitrary initial states.
 
 The model keeps a field per shot, but the loop computes each distinct field
-once. Shots that start with the same level row and the same bits on their
-live paths (those below ``ZERO_LEVEL``) form a *group*; a prepared ensemble
-is one group. Every gate does the same arithmetic on a group's live paths
-and sets the same levels, wherever its particles are, until a detector
-layer splits the group by outcome: the live field and the level row are
-functions of the record prefix, the paper's point that the label depends
-only on what the agent has seen. So they are held once per group, in
-``(width, groups)`` arrays, with a group id per shot. Only the particle
-position ``q`` and the amplitudes on dead paths (the *junk*) are per shot.
-A splitter suppresses a dead path whose partner lives, so junk enters the
-arithmetic only where both paths of a pair are dead, and a particle reads
-junk only there, that is, only if it started on a dead path (a particle on
-a live path never moves onto a dead one). Junk rows are rotated and mixed
-for the shots whose group has the path (or pair) dead, and a no-click turns
-the group's live value on its path into junk.
+once. Shots that share a field form a *group*: a prepared ensemble, whose
+shots all start with the same level row and the same bits on their live
+paths (those below ``ZERO_LEVEL``), is one group, and any other input
+starts with one group per shot. Every gate does the same arithmetic on a
+group's live paths and sets the same levels, wherever its particles are,
+until a detector layer splits the group by outcome: the live field and the
+level row are functions of the record prefix, the paper's point that the
+label depends only on what the agent has seen. So they are held once per
+group, in ``(width, groups)`` arrays, with a group id per shot. Only the
+particle position ``q`` and the amplitudes on dead paths (the *junk*) are
+per shot. A splitter suppresses a dead path whose partner lives, so junk
+enters the arithmetic only where both paths of a pair are dead, and a
+particle reads junk only there, that is, only if it started on a dead path
+(a particle on a live path never moves onto a dead one). Junk rows are
+rotated and mixed for the shots whose group has the path (or pair) dead,
+and a no-click turns the group's live value on its path into junk.
 
 Inside the loop a level is stored relative to the layer clock, as ``level -
 layers_done``: every field ages by one level per layer unless a gate resets
@@ -175,23 +176,16 @@ def _path_major(a: np.ndarray, dtype) -> np.ndarray:
 def _initial_groups(u_re: np.ndarray, u_im: np.ndarray, levels: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Group of every shot and the first shot of each group, from
-    path-major arrays: shots share a group when their level rows and the
-    bits of their live amplitudes agree."""
+    path-major arrays: one group when every shot has the same level row and
+    the same bits on its live paths (a prepared ensemble), else one group
+    per shot."""
     shots = levels.shape[1]
-    dead = levels == ZERO_LEVEL
-    bits = (u_re.view(np.int64), u_im.view(np.int64))
-    # A prepared ensemble is one group; tell it without a sort.
     if shots and (levels == levels[:, :1]).all():
-        live = ~dead[:, 0]
-        if all((b[live] == b[live, :1]).all() for b in bits):
+        live = levels[:, 0] != ZERO_LEVEL
+        bits = (b.view(np.int64)[live] for b in (u_re, u_im))
+        if all((b == b[:, :1]).all() for b in bits):
             return np.zeros(shots, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    key = np.concatenate([levels] + [np.where(dead, 0, b) for b in bits])
-    # One opaque value per shot: byte-wise equality is all grouping needs,
-    # and sorts several times faster than np.unique(axis=0).
-    rows = np.ascontiguousarray(key.T).view(np.dtype((np.void, key.shape[0] * 8)))
-    _, first, group = np.unique(rows.ravel(), return_index=True,
-                                return_inverse=True)
-    return group, first
+    return np.arange(shots), np.arange(shots)
 
 
 def _members(flagged: np.ndarray, group: np.ndarray) -> slice | np.ndarray:

@@ -25,7 +25,6 @@ from .quantum import (
     QuantumState,
     _measure_layer,
     collapse,
-    detector_complement,
     ray_overlap,
     unitary_part,
 )
@@ -65,38 +64,39 @@ def delta_projection(state: OnticState) -> np.ndarray:
     return _project(state, top)
 
 
-def _label(state: OnticState, top: int) -> QuantumState | None:
-    """:func:`extract_label` for a state whose dominant level is ``top``."""
+def _unit_projection(state: OnticState, top: int) -> np.ndarray | None:
+    """The dominant-strength amplitudes as a unit vector, for a state whose
+    dominant level is ``top``; None where :func:`extract_label` gives None."""
     if top == ZERO_LEVEL:
         return None
     projected = _project(state, top)
     norm = float(np.linalg.norm(projected))
-    if norm <= PROJECTION_TOL:
-        return None
-    return QuantumState(projected / norm)
+    return None if norm <= PROJECTION_TOL else projected / norm
 
 
 def extract_label(state: OnticState) -> QuantumState | None:
     """Unit ray of the dominant-strength amplitudes, or None when the
     dominant strength is zero or the projected vector vanishes."""
-    return _label(state, dominant_strength(state))
+    unit = _unit_projection(state, dominant_strength(state))
+    return None if unit is None else QuantumState(unit)
+
+
+def _judge(state: OnticState, z: QuantumState) -> tuple[float, bool]:
+    """The state's label deviation ``1 - |overlap|`` from ``z`` (1 without
+    a label), and whether the state is in the class labelled ``z`` anchored
+    at its particle: the particle's path carries the dominant strength and
+    the label ray-equals ``z``. Only the ray comparison uses a tolerance."""
+    top = dominant_strength(state)
+    unit = _unit_projection(state, top)
+    overlap = 0.0 if unit is None else ray_overlap(unit, z.amplitudes)
+    return 1.0 - overlap, state.tau[state.q] == top and overlap >= 1.0 - RAY_TOL
 
 
 def in_class(state: OnticState, z: QuantumState, i: int) -> bool:
     """Membership test for the labelled class anchored at path ``i``:
     the particle is at ``i``, path ``i`` carries the (non-zero) dominant
-    strength, and the extracted label ray-equals ``z``.
-
-    The first two conditions are exact level comparisons; only the ray
-    comparison uses a tolerance.
-    """
-    if state.q != i:
-        return False
-    top = dominant_strength(state)
-    if state.tau[i] != top:
-        return False
-    label = _label(state, top)  # None when the dominant strength is zero
-    return label is not None and label.ray_equals(z)
+    strength, and the extracted label ray-equals ``z``."""
+    return state.q == i and _judge(state, z)[1]
 
 
 def predicted_label_update(z: QuantumState, layer: Layer,
@@ -165,13 +165,7 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
 
     def judge(layer_idx: int, state: OnticState, label: QuantumState) -> None:
         nonlocal max_dev, passed
-        top = dominant_strength(state)
-        extracted = _label(state, top)
-        overlap = 0.0 if extracted is None else \
-            ray_overlap(extracted.amplitudes, label.amplitudes)
-        deviation = 1.0 - overlap
-        # in_class(state, label, state.q), from the one extraction above
-        member = state.tau[state.q] == top and overlap >= 1.0 - RAY_TOL
+        deviation, member = _judge(state, label)
         ok = deviation <= tol and member
         if layer_idx >= 0:
             checks.append(LayerCheck(layer_idx, deviation, member))
@@ -187,9 +181,9 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
 
     label = init_label
     judge(-1, trajectory[0], label)
+    clicks = dict(record.events)
     for layer_idx, layer in enumerate(circuit.layers):
-        click = record.result_for_layer(layer_idx) if record.has_layer(layer_idx) \
-            else None
+        click = clicks.get(layer_idx)
         # predicted_label_update without re-validating the circuit's layers
         state, detectors, _, _ = _measure_layer(label, layer)
         label = collapse(state, detectors, click)
@@ -242,5 +236,6 @@ def check_delta_commutation(layer: Layer, tau_before: Sequence[int],
 
     unitaries = unitary_part(layer, width)
     left = delta_after @ unitaries @ suppress
-    right = detector_complement(partition.detectors, width) @ unitaries @ delta_before
+    right = unitaries @ delta_before
+    right[list(partition.detectors)] = 0.0  # no-click: detector paths zeroed
     return bool(np.max(np.abs(left - right)) <= tol)

@@ -6,31 +6,33 @@ components; a detector layer is a single projective measurement event with
 click probability ``|psi_j|**2`` per detector and a joint no-click branch
 that projects out every detector path at once.
 
-The layer rule is written once, in ``_measure_layer``: it applies a layer's
-gates and returns the detector paths, their click probabilities and the
-no-click probability; ``collapse`` then conditions the state on one
-outcome. ``run_quantum_shot`` picks one outcome per detector layer from a
-single uniform draw; ``exact_outcome_distribution`` keeps every outcome;
-``interfersim.labels`` follows a given record to predict the stochastic
-engine's labels. The enumeration walks the layers with a frontier of live
-branches (no recursion, so circuit depth is not limited by Python's stack)
-and grows each branch in place into its clicks in ascending path order and
-then its no-click, so the result lists outcomes in depth-first order. Every
-live branch ends in at least one leaf, so the branch cap trips for exactly
-the circuits with more leaves than the cap, as soon as the frontier passes
-it. Memory is bounded by the cap: at most about ``branch_cap`` live
-branches, each a state vector and its event tuple.
+Each gate rule is written once, in ``_apply_gates``, which acts on the rows
+of an array: the entries of a state vector, or the rows of the identity for
+``unitary_part``. The layer rule is written once, in ``_measure_layer``: it
+applies a layer's gates and returns the detector paths, their click
+probabilities and the no-click probability; ``collapse`` then conditions
+the state on one outcome. ``run_quantum_shot`` picks one outcome per
+detector layer from a single uniform draw; ``exact_outcome_distribution``
+keeps every outcome; ``interfersim.labels`` follows a given record to
+predict the stochastic engine's labels. The enumeration walks the layers
+with a frontier of live branches (no recursion, so circuit depth is not
+limited by Python's stack) and grows each branch in place into its clicks
+in ascending path order and then its no-click, so the result lists outcomes
+in depth-first order. Every live branch ends in at least one leaf, so the
+branch cap trips for exactly the circuits with more leaves than the cap, as
+soon as the frontier passes it. Memory is bounded by the cap: at most about
+``branch_cap`` live branches, each a state vector and its event tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .circuits import BeamSplitter, Circuit, Layer, PhaseShifter, check_path
+from .circuits import BeamSplitter, Circuit, Gate, Layer, PhaseShifter, check_path
 from .records import OutcomeRecord
 
 # Norm drift below RENORM_TOL is ignored, between the two it is silently
@@ -67,7 +69,7 @@ class QuantumState:
         if psi.ndim != 1 or psi.size == 0:
             raise ValueError("state must be a non-empty vector")
         norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > FAIL_TOL:
+        if not abs(norm - 1.0) <= FAIL_TOL:  # also rejects NaN
             raise ValueError(f"state norm {norm} too far from 1")
         if abs(norm - 1.0) > RENORM_TOL:
             psi = psi / norm
@@ -106,12 +108,29 @@ def beamsplitter_matrix(reflectivity: float) -> np.ndarray:
     return np.array([[1j * r, t], [t, 1j * r]], dtype=np.complex128)
 
 
+def _apply_gates(rows: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
+    """Apply the phase shifters and beam splitters among ``gates`` in place
+    to the rows of ``rows`` (entries of a state vector, or rows of a matrix
+    it left-multiplies); detectors act as identity. Returns ``rows``."""
+    for gate in gates:
+        if isinstance(gate, PhaseShifter):
+            rows[gate.path] *= np.exp(1j * gate.omega)
+        elif isinstance(gate, BeamSplitter):
+            b = beamsplitter_matrix(gate.reflectivity)
+            s, t = gate.s, gate.t
+            rows[s], rows[t] = (b[0, 0] * rows[s] + b[0, 1] * rows[t],
+                                b[1, 0] * rows[s] + b[1, 1] * rows[t])
+    return rows
+
+
+def _evolve(state: QuantumState, gates: Sequence[Gate]) -> QuantumState:
+    return QuantumState(_apply_gates(state.amplitudes.copy(), gates))
+
+
 def apply_phase(state: QuantumState, path: int, omega: float) -> QuantumState:
     """Multiply component ``path`` by ``exp(i omega)``."""
     check_path(path, state.width)
-    psi = state.amplitudes.copy()
-    psi[path] *= np.exp(1j * omega)
-    return QuantumState(psi)
+    return _evolve(state, (PhaseShifter(path, omega),))
 
 
 def apply_beamsplitter(state: QuantumState, s: int, t: int,
@@ -119,15 +138,7 @@ def apply_beamsplitter(state: QuantumState, s: int, t: int,
     """Apply the coupler block to components ``(s, t)``."""
     check_path(s, state.width)
     check_path(t, state.width)
-    if s == t:
-        raise ValueError("beam splitter requires two distinct paths")
-    b = beamsplitter_matrix(reflectivity)
-    psi = state.amplitudes.copy()
-    psi_s = b[0, 0] * psi[s] + b[0, 1] * psi[t]
-    psi_t = b[1, 0] * psi[s] + b[1, 1] * psi[t]
-    psi[s] = psi_s
-    psi[t] = psi_t
-    return QuantumState(psi)
+    return _evolve(state, (BeamSplitter(s, t, reflectivity),))
 
 
 def detector_click_probability(state: QuantumState, path: int) -> float:
@@ -174,25 +185,7 @@ def collapse(state: QuantumState, detectors: tuple[int, ...],
 def unitary_part(layer: Layer, width: int) -> np.ndarray:
     """Matrix of the layer's phase shifters and beam splitters (detectors and
     free paths contribute identity)."""
-    u = np.eye(width, dtype=np.complex128)
-    for gate in layer.gates:
-        if isinstance(gate, PhaseShifter):
-            u[gate.path, gate.path] = np.exp(1j * gate.omega)
-        elif isinstance(gate, BeamSplitter):
-            block = beamsplitter_matrix(gate.reflectivity)
-            u[gate.s, gate.s] = block[0, 0]
-            u[gate.s, gate.t] = block[0, 1]
-            u[gate.t, gate.s] = block[1, 0]
-            u[gate.t, gate.t] = block[1, 1]
-    return u
-
-
-def detector_complement(paths: Iterable[int], width: int) -> np.ndarray:
-    """Diagonal projector that zeroes every listed path."""
-    d = np.ones(width, dtype=np.complex128)
-    for path in paths:
-        d[path] = 0.0
-    return np.diag(d)
+    return _apply_gates(np.eye(width, dtype=np.complex128), layer.gates)
 
 
 def _measure_layer(state: QuantumState, layer: Layer
@@ -204,12 +197,9 @@ def _measure_layer(state: QuantumState, layer: Layer
     click probabilities, and the joint no-click probability
     ``max(0, 1 - sum(probs))``. A layer without detectors has no event.
     """
-    for gate in layer.gates:
-        if isinstance(gate, PhaseShifter):
-            state = apply_phase(state, gate.path, gate.omega)
-        elif isinstance(gate, BeamSplitter):
-            state = apply_beamsplitter(state, gate.s, gate.t, gate.reflectivity)
     detectors = tuple(sorted(layer.detector_paths()))
+    if len(detectors) < len(layer.gates):  # a phase shifter or splitter
+        state = _evolve(state, layer.gates)
     probs = [detector_click_probability(state, j) for j in detectors]
     return state, detectors, probs, max(0.0, 1.0 - sum(probs))
 

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from interfersim import harness
+from interfersim import cli, harness
 from interfersim.cli import main
 from interfersim.compiler import haar_unitary
+from interfersim.quantum import BranchCapError, ImpossibleOutcomeError
 from interfersim.scenarios import export_scenario
 
 
@@ -180,10 +181,15 @@ def test_config_numbers_must_be_integers(mz_file, tmp_path, capsys, config):
     (["run"], {"trace": "false"}),
     (["run", "--prepare", "pth=2"], None),
     (["run"], {"prepare": {"paht": 2}}),
+    # a config value is checked even where a flag overrides it
+    (["run", "--seed", "3"], {"seed": None}),
+    (["run"], {"shots": 2.5}),
+    (["run", "--branch-cap", "10"], {"branch_cap": "10"}),
 ], ids=["run-junk-flag", "quantum-junk-flag", "compare-junk-flag",
         "trace-junk-flag", "junk-number", "prepare-number", "postselect-number",
         "postselect-number-list", "trace-string", "prepare-flag-unknown-key",
-        "prepare-config-unknown-key"])
+        "prepare-config-unknown-key", "seed-under-flag", "shots-under-flag",
+        "branch_cap-under-flag"])
 def test_malformed_config_values_usage_error(mz_file, tmp_path, capsys,
                                              argv, config):
     out = tmp_path / "out"
@@ -245,6 +251,27 @@ def test_trace_refuses_postselect(mz_file, tmp_path, capsys):
     assert not report.exists()
 
 
+def test_trace_refuses_config_postselect(tmp_path, capsys):
+    circuit = tmp_path / "ev.circ"
+    export_scenario("elitzur-vaidman", circuit)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"postselect": ["L2:N"]}))
+    report = tmp_path / "congruence.json"
+    code = main(["trace", str(circuit), "--shots", "5", "--config", str(cfg),
+                 "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config 'postselect' ")
+    assert not report.exists()
+
+
+def test_prepare_path_must_be_an_integer(mz_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", mz_file, "--prepare", "path=x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --prepare path must be an integer, not 'x'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["quantum-exact", "bogus"])
 def test_config_mode_is_not_read(mz_file, tmp_path, mode):
     cfg = tmp_path / "cfg.json"
@@ -265,6 +292,21 @@ def test_compare_branch_cap_exceeded(mz_file, tmp_path):
     code = main(["compare", mz_file, "--shots", "100", "--seed", "1",
                  "--branch-cap", "1", "--out", str(tmp_path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("error, code", [
+    (BranchCapError("outcome enumeration exceeded 1 branches"), 3),
+    (ImpossibleOutcomeError("conditioning event has probability 0"), 2),
+], ids=["branch-cap", "impossible"])
+def test_trace_maps_engine_errors_to_exit_codes(mz_file, tmp_path, capsys,
+                                                monkeypatch, error, code):
+    """``main`` maps the engines' errors for every command, trace included."""
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_traced", fail)
+    assert main(["trace", mz_file, "--shots", "5", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
 def test_compare_reports_bit_identical(mz_file, tmp_path):

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interfersim import rng
-from interfersim.circuits import BeamSplitter, Detector, Layer, PhaseShifter, gate_paths
+from interfersim.circuits import (
+    BeamSplitter,
+    Circuit,
+    Detector,
+    Layer,
+    PhaseShifter,
+    gate_paths,
+)
 from interfersim.ensemble import run_ensemble
 from interfersim.harness import ExperimentConfig, PreparationSpec, traced_shots
 from interfersim.ontic import (
@@ -29,6 +36,27 @@ SHOTS = 16
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_replay_matches_ensemble(circuit, q, u, levels, seed):
+    """Every shot of the ensemble run from ``(q, u, levels)`` replays through
+    the scalar engine, on its slice of the stream, to the same record and
+    final state bit for bit; returns the ensemble result."""
+    result = run_ensemble(circuit, q, u, levels, seed)
+    draws = circuit.count_gates(BeamSplitter)
+    diagnostics = ShotDiagnostics()
+    for shot in range(len(q)):
+        init = OnticState(int(q[shot]), u[shot], levels[shot])
+        gen = rng.shot_generator(seed, rng.ONTIC_SHOTS, shot, draws)
+        record, trajectory = run_ontic_shot(circuit, init, gen,
+                                            diagnostics=diagnostics)
+        final = trajectory[-1]
+        assert record == result.record_for_shot(shot)
+        assert final.q == result.final_q[shot]
+        assert same_bits(final.u, result.final_u[shot])
+        assert final.tau == tuple(result.final_levels[shot])
+    assert diagnostics.degenerate_relocations == result.degenerate_relocations
+    return result
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,20 +107,7 @@ def test_scalar_replay_matches_ensemble_rows_from_any_state(width, depth,
     parts = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
     u = np.array(per_shot(row(st.builds(complex, parts, parts)), "u"),
                  dtype=np.complex128)
-    result = run_ensemble(circuit, q, u, levels, seed)
-    draws = circuit.count_gates(BeamSplitter)
-    diagnostics = ShotDiagnostics()
-    for shot in range(SHOTS):
-        init = OnticState(int(q[shot]), u[shot], levels[shot])
-        gen = rng.shot_generator(seed, rng.ONTIC_SHOTS, shot, draws)
-        record, trajectory = run_ontic_shot(circuit, init, gen,
-                                            diagnostics=diagnostics)
-        final = trajectory[-1]
-        assert record == result.record_for_shot(shot)
-        assert final.q == result.final_q[shot]
-        assert same_bits(final.u, result.final_u[shot])
-        assert final.tau == tuple(result.final_levels[shot])
-    assert diagnostics.degenerate_relocations == result.degenerate_relocations
+    assert_replay_matches_ensemble(circuit, q, u, levels, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,20 +137,26 @@ def test_scalar_replay_matches_ensemble_rows_sharing_fields(width, depth,
     u = np.where(levels == ZERO_LEVEL, junk, live_u)
     q = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=SHOTS,
                                     max_size=SHOTS), label="q"), dtype=np.int64)
-    result = run_ensemble(circuit, q, u, levels, seed)
-    draws = circuit.count_gates(BeamSplitter)
-    diagnostics = ShotDiagnostics()
-    for shot in range(SHOTS):
-        init = OnticState(int(q[shot]), u[shot], levels[shot])
-        gen = rng.shot_generator(seed, rng.ONTIC_SHOTS, shot, draws)
-        record, trajectory = run_ontic_shot(circuit, init, gen,
-                                            diagnostics=diagnostics)
-        final = trajectory[-1]
-        assert record == result.record_for_shot(shot)
-        assert final.q == result.final_q[shot]
-        assert same_bits(final.u, result.final_u[shot])
-        assert final.tau == tuple(result.final_levels[shot])
-    assert diagnostics.degenerate_relocations == result.degenerate_relocations
+    assert_replay_matches_ensemble(circuit, q, u, levels, seed)
+
+
+def test_scalar_replay_matches_one_shared_field_with_strays():
+    """One tiled level row and live field, so the ensemble is one group of
+    many shots, each with its own junk on the dead paths and particles on
+    live and dead paths: a splitter between the two dead paths mixes every
+    shot's junk and moves the strays on it."""
+    circuit = Circuit(5, [Layer([BeamSplitter(3, 4, 0.3), PhaseShifter(2, 0.4)]),
+                          Layer([BeamSplitter(1, 3, 0.5), PhaseShifter(4, 1.1)])]
+                      + list(random_circuit(5, 10, np.random.default_rng(5)).layers))
+    g = np.random.default_rng(6)
+    shots = 64
+    levels = np.tile([0, 2, 0, ZERO_LEVEL, ZERO_LEVEL], (shots, 1))
+    u = np.tile([0.6, 0.0, 0.8j, 0.0, 0.0], (shots, 1))
+    u[:, 3:] = g.uniform(-1, 1, (shots, 2)) + 1j * g.uniform(-1, 1, (shots, 2))
+    q = g.integers(0, 5, shots)
+    assert {0, 2, 3, 4} <= set(q.tolist())
+    result = assert_replay_matches_ensemble(circuit, q, u, levels, 6)
+    assert result.groups == len(result.counts())  # one group at the start
 
 
 @st.composite

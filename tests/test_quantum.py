@@ -19,12 +19,14 @@ from interfersim.quantum import (
     BranchCapError,
     ImpossibleOutcomeError,
     QuantumState,
+    _measure_layer,
     apply_beamsplitter,
     apply_detection,
     apply_phase,
     detector_click_probability,
     exact_outcome_distribution,
     run_quantum_shot,
+    unitary_part,
 )
 from interfersim.scenarios import mach_zehnder, random_circuit, zeno_chain
 
@@ -70,6 +72,51 @@ def test_beamsplitter_leaves_other_paths():
 def test_beamsplitter_full_reflection():
     out = apply_beamsplitter(state(1, 0), 0, 1, 1.0)
     assert np.allclose(out.amplitudes, [1j, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("s, t, refl, message", [
+    (1, 1, 0.5, "^beam splitter requires two distinct paths$"),
+    (0, 1, 1.5, r"^reflectivity 1\.5 outside \[0, 1\]$"),
+], ids=["same-path", "reflectivity"])
+def test_beamsplitter_rejects_bad_gate(s, t, refl, message):
+    with pytest.raises(ValueError, match=message):
+        apply_beamsplitter(state(1, 0), s, t, refl)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_amplitudes_and_phases_are_rejected(bad):
+    with pytest.raises(ValueError, match="norm"):
+        QuantumState([bad, 0])
+    with pytest.raises(ValueError):
+        apply_phase(state(1, 0), 0, bad)
+
+
+def test_layer_step_builds_one_state(monkeypatch):
+    built = []
+    init = QuantumState.__init__
+
+    def counting_init(self, amplitudes):
+        built.append(self)
+        init(self, amplitudes)
+
+    layer = Layer([PhaseShifter(0, 0.3), BeamSplitter(1, 2, 0.5),
+                   BeamSplitter(3, 4, 0.2)])
+    z = QuantumState.basis(1, 5)
+    monkeypatch.setattr(QuantumState, "__init__", counting_init)
+    _measure_layer(z, layer)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unitary_part_matches_layer_step(seed):
+    gen = np.random.default_rng(300 + seed)
+    width = int(gen.integers(2, 8))
+    for layer in random_circuit(width, 10, gen).layers:
+        amps = gen.standard_normal(width) + 1j * gen.standard_normal(width)
+        z = QuantumState(amps / np.linalg.norm(amps))
+        stepped = _measure_layer(z, layer)[0].amplitudes
+        assert np.max(np.abs(unitary_part(layer, width) @ z.amplitudes
+                             - stepped)) <= 1e-12
 
 
 def test_click_probability():
