@@ -32,6 +32,16 @@ particle reads junk only there, that is, only if it started on a dead path
 rotated and mixed for the shots whose group has the path (or pair) dead,
 and a no-click turns the group's live value on its path into junk.
 
+A prepared ensemble (:class:`interfersim.prepare.PreparedEnsemble`) has no
+particle on a dead path, so nothing in its run reads the junk: its
+records, positions and levels are functions of the circuit, the target
+path and the seed alone. It runs as one group field with no junk at all.
+Its junk is evolved only when :attr:`EnsembleResult.final_u` is read, by
+running the materialised per-shot arrays through the same loop, which
+keeps the junk's bits and its checks. Per-shot arrays (a traced run's
+materialised preparation, or arbitrary states) carry their junk from the
+start.
+
 Inside the loop a level is stored relative to the layer clock, as ``level -
 layers_done``: every field ages by one level per layer unless a gate resets
 it, so ageing costs nothing. A splitter sets both paths to the smaller
@@ -51,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -65,15 +76,16 @@ NO_CLICK = np.int16(-1)
 @dataclass(frozen=True)
 class _Fields:
     """What a run ends with: a column per group for the records and the
-    live paths, and a junk column per shot for the dead paths."""
+    live paths, and a junk column per shot for the dead paths, the latter
+    behind a call so that a prepared run can evolve it on demand."""
 
     group: np.ndarray    # (shots,) group of each shot
     records: np.ndarray  # (detector_layers, groups) int16, -1 = no click
     levels: np.ndarray   # (width, groups) absolute int64 levels
     u_re: np.ndarray     # (width, groups), zero on dead paths
     u_im: np.ndarray
-    junk_re: np.ndarray  # (width, shots), meaningful on dead paths
-    junk_im: np.ndarray
+    # () -> (junk_re, junk_im), each (width, shots), meaningful on dead paths
+    junk: Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -102,12 +114,14 @@ class EnsembleResult:
 
     @cached_property
     def final_u(self) -> np.ndarray:
-        """(shots, width) complex amplitudes."""
+        """(shots, width) complex amplitudes; for a prepared run the first
+        read draws and evolves the junk (module docstring)."""
         f = self._fields
+        junk_re, junk_im = f.junk()
         live = f.levels[:, f.group] != ZERO_LEVEL
         final_u = np.empty((self.shots, f.levels.shape[0]), dtype=np.complex128)
-        final_u.real = np.where(live, f.u_re[:, f.group], f.junk_re).T
-        final_u.imag = np.where(live, f.u_im[:, f.group], f.junk_im).T
+        final_u.real = np.where(live, f.u_re[:, f.group], junk_re).T
+        final_u.imag = np.where(live, f.u_im[:, f.group], junk_im).T
         return final_u
 
     @cached_property
@@ -144,8 +158,8 @@ class EnsembleResult:
             self.detector_layers,
             self.final_q[mask],
             self.degenerate_relocations,
-            replace(f, group=f.group[mask], junk_re=f.junk_re[:, mask],
-                    junk_im=f.junk_im[:, mask]),
+            replace(f, group=f.group[mask],
+                    junk=lambda: tuple(a[:, mask] for a in f.junk())),
         )
 
     def match_mask(self, constraints: tuple[tuple[int, int | None], ...]
@@ -219,13 +233,15 @@ def _finite(*arrays: np.ndarray) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
 
-def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
-                 init_levels: np.ndarray, seed: int) -> EnsembleResult:
+def run_ensemble(circuit: Circuit, *init_and_seed) -> EnsembleResult:
     """Run every shot of an ensemble through the circuit.
 
-    ``init_q``, ``init_u`` and ``init_levels`` are per-shot arrays of particle
-    positions, field amplitudes (finite) and strength levels (each in ``[0,
-    ZERO_LEVEL]``). Uniform draws come from the shot-sliced stream of purpose
+    Called as ``run_ensemble(circuit, prepared, seed)`` on a
+    :class:`~interfersim.prepare.PreparedEnsemble`, which runs as one group
+    with no junk (module docstring), or as ``run_ensemble(circuit, q, u,
+    levels, seed)`` on per-shot arrays of particle positions, field
+    amplitudes (finite) and strength levels (each in ``[0, ZERO_LEVEL]``).
+    Uniform draws come from the shot-sliced stream of purpose
     :data:`interfersim.rng.ONTIC_SHOTS` under ``seed``, one column per beam
     splitter in circuit order.
 
@@ -242,43 +258,62 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
     group amplitudes and the junk it wrote stay finite and the group levels
     stay in the dyadic range.
     """
-    shots = init_q.shape[0]
+    *init, seed = init_and_seed
     width = circuit.width
-    if init_u.shape != (shots, width) or init_levels.shape != (shots, width):
-        raise ValueError("ensemble arrays disagree on shots or width")
-    if init_levels.size and (init_levels.min() < 0
-                             or init_levels.max() > ZERO_LEVEL):
-        raise ValueError(f"strength levels must lie in [0, {ZERO_LEVEL}]")
-    if not np.isfinite(init_u).all():
-        raise ValueError("field amplitudes must be finite")
-    if shots and (init_q.min() < 0 or init_q.max() >= width):
-        raise ValueError(f"particle positions must lie in [0, {width})")
+    if len(init) == 1:
+        (prepared,) = init
+        if prepared.width != width:
+            raise ValueError("prepared ensemble width differs from the circuit's")
+        shots = prepared.shots
+        q = np.full(shots, prepared.path, dtype=np.int64)
+        group = np.zeros(shots, dtype=np.intp)
+        # The one group field, dead off the target path.
+        levels = np.full((width, 1), ZERO_LEVEL, dtype=np.int64)
+        levels[prepared.path] = 0
+        u_re, u_im = np.zeros((width, 1)), np.zeros((width, 1))
+        u_re[prepared.path] = 1.0
+        junk_re = junk_im = None
+        strays = False
+        level_bound = circuit.depth
+    else:
+        init_q, init_u, init_levels = init
+        shots = init_q.shape[0]
+        if init_u.shape != (shots, width) or init_levels.shape != (shots, width):
+            raise ValueError("ensemble arrays disagree on shots or width")
+        if init_levels.size and (init_levels.min() < 0
+                                 or init_levels.max() > ZERO_LEVEL):
+            raise ValueError(f"strength levels must lie in [0, {ZERO_LEVEL}]")
+        if not np.isfinite(init_u).all():
+            raise ValueError("field amplitudes must be finite")
+        if shots and (init_q.min() < 0 or init_q.max() >= width):
+            raise ValueError(f"particle positions must lie in [0, {width})")
 
-    q = init_q.astype(np.int64)
-    # Path-major per-shot amplitudes; on dead paths they are the junk.
-    junk_re = _path_major(init_u.real, np.float64)
-    junk_im = _path_major(init_u.imag, np.float64)
-    shot_levels = _path_major(init_levels, np.int64)
-    group, first = _initial_groups(junk_re, junk_im, shot_levels)
-    # Group rows, levels relative to the layer clock (module docstring).
-    levels = shot_levels[:, first]
-    dead = levels == ZERO_LEVEL
-    u_re = np.where(dead, 0.0, junk_re[:, first])
-    u_im = np.where(dead, 0.0, junk_im[:, first])
-    strays = bool((shot_levels[q, np.arange(shots)] == ZERO_LEVEL).any())
-    del shot_levels, dead
+        q = init_q.astype(np.int64)
+        # Path-major per-shot amplitudes; on dead paths they are the junk.
+        junk_re = _path_major(init_u.real, np.float64)
+        junk_im = _path_major(init_u.imag, np.float64)
+        shot_levels = _path_major(init_levels, np.int64)
+        group, first = _initial_groups(junk_re, junk_im, shot_levels)
+        # Group rows, levels relative to the layer clock (module docstring).
+        levels = shot_levels[:, first]
+        dead = levels == ZERO_LEVEL
+        u_re = np.where(dead, 0.0, junk_re[:, first])
+        u_im = np.where(dead, 0.0, junk_im[:, first])
+        strays = bool((shot_levels[q, np.arange(shots)] == ZERO_LEVEL).any())
+        del shot_levels, dead
+        nonzero_init = init_levels[init_levels < ZERO_LEVEL]
+        level_bound = ((int(nonzero_init.max()) if nonzero_init.size else 0)
+                       + circuit.depth)
 
     n_splitters = circuit.count_gates(BeamSplitter)
     uniforms = rng.ensemble_uniforms(seed, rng.ONTIC_SHOTS, shots, n_splitters)
     draw_idx = 0
 
     detector_layers = circuit.detector_layers()
-    records = np.full((len(detector_layers), len(first)), NO_CLICK,
+    records = np.full((len(detector_layers), levels.shape[1]), NO_CLICK,
                       dtype=np.int16)
     record_row = {layer: i for i, layer in enumerate(detector_layers)}
     degenerate = 0
-    nonzero_init = init_levels[init_levels < ZERO_LEVEL]
-    level_bound = (int(nonzero_init.max()) if nonzero_init.size else 0) + circuit.depth
 
     for layer_idx, layer in enumerate(circuit.layers):
         validate_layer(layer, width)
@@ -291,7 +326,7 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
                 cos_w, sin_w = math.cos(gate.omega), math.sin(gate.omega)
                 u_re[j], u_im[j] = rotate_amplitude(u_re[j], u_im[j], cos_w, sin_w)
                 dead_j = levels[j] == ZERO_LEVEL
-                if dead_j.any():
+                if junk_re is not None and dead_j.any():
                     sel = _members(dead_j, group)
                     re, im = rotate_amplitude(junk_re[j, sel], junk_im[j, sel],
                                               cos_w, sin_w)
@@ -318,7 +353,7 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
                 move = draw < _chance_s(p_s, total)[group]
                 junk = lmin == ZERO_LEVEL  # both dead: the shots mix junk
                 stuck = (total == 0.0) & ~junk
-                if junk.any():
+                if junk_re is not None and junk.any():
                     sel = _members(junk, group)
                     mixed, p_s, total = _split_pair(
                         junk_re[s, sel], junk_im[s, sel],
@@ -341,7 +376,7 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
                 q = to[2 * q + move]
         if detectors:
             # A no-click leaves the path's amplitude as junk.
-            for j in detectors:
+            for j in detectors if junk_re is not None else ():
                 live_j = levels[j] != ZERO_LEVEL
                 if live_j.any():
                     sel = _members(live_j, group)
@@ -375,6 +410,9 @@ def run_ensemble(circuit: Circuit, init_q: np.ndarray, init_u: np.ndarray,
             raise AssertionError("strength level left the dyadic range")
 
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
-    return EnsembleResult(
-        detector_layers, q, degenerate,
-        _Fields(group, records, levels, u_re, u_im, junk_re, junk_im))
+    # A prepared run's junk is evolved, and checked, on demand by the run of
+    # its materialised arrays, with the same element operations.
+    junk = ((lambda: run_ensemble(circuit, *prepared, seed)._fields.junk())
+            if junk_re is None else lambda: (junk_re, junk_im))
+    return EnsembleResult(detector_layers, q, degenerate,
+                          _Fields(group, records, levels, u_re, u_im, junk))

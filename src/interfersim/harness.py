@@ -35,7 +35,7 @@ from .circuits import BeamSplitter, Circuit
 from .ensemble import EnsembleResult, run_ensemble
 from .labels import verify_congruence
 from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
-from .prepare import JUNK_SAMPLERS, prepare_ensemble, quantum_init
+from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
 from .quantum import QuantumState, exact_outcome_distribution
 from .records import OutcomeRecord, event_token, parse_event_token
 
@@ -276,11 +276,12 @@ def _within_bands(counts: Mapping[str, int], probs: Mapping[str, float],
     return dict(zip(keys, zip(sigma.tolist(), ok.tolist())))
 
 
+# Per-shot ``(q, u, levels)`` arrays of a materialised preparation.
 Prepared = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _prepare(config: ExperimentConfig) -> Prepared:
-    """The config's initial ensemble, per-shot ``(q, u, levels)``."""
+def _prepare(config: ExperimentConfig) -> PreparedEnsemble:
+    """The config's initial ensemble: one field and a junk recipe."""
     return prepare_ensemble(config.prepare.mode, config.prepare.path,
                             config.circuit.width, config.shots, config.seed,
                             config.prepare.junk)
@@ -293,9 +294,9 @@ def traced_shots(config: ExperimentConfig,
     """Replay every shot of a config through the single-shot engine.
 
     Yields ``(shot, record, trajectory)`` in shot order; each shot starts
-    from its row of the prepared ensemble (``prepared``, else prepared
-    here) and draws from its own slice of the stream, so it reproduces the
-    shot of the vectorised run.
+    from its row of the prepared ensemble (``prepared``, else prepared and
+    materialised here) and draws from its own slice of the stream, so it
+    reproduces the shot of the vectorised run.
     """
     circuit = config.circuit
     init_q, init_u, init_levels = prepared or _prepare(config)
@@ -439,7 +440,9 @@ def run_experiment(config: ExperimentConfig,
     With ``trace`` set or a ``jsonl`` path given, every shot of the ensemble
     is additionally replayed once with tracing (:func:`run_traced`), which
     writes the trace lines to ``jsonl``; the label congruence summary goes
-    into the report only when ``trace`` is set.
+    into the report only when ``trace`` is set. The trace lines print the
+    junk, so a traced run materialises the preparation once and runs the
+    ensemble on those arrays; any other run draws no junk.
     """
     start = time.perf_counter()
     circuit = config.circuit
@@ -447,12 +450,15 @@ def run_experiment(config: ExperimentConfig,
     kept = degenerate = 0
     if config.mode != "quantum-exact":
         prepared = _prepare(config)
-        result = run_ensemble(circuit, *prepared, config.seed)
-        degenerate = result.degenerate_relocations
         if config.trace or jsonl:
+            arrays = prepared.arrays()
+            result = run_ensemble(circuit, *arrays, config.seed)
             summary, _ = run_traced(config, cross_check=result, jsonl=jsonl,
-                                    prepared=prepared)
+                                    prepared=arrays)
             congruence = summary if config.trace else None
+        else:
+            result = run_ensemble(circuit, prepared, config.seed)
+        degenerate = result.degenerate_relocations
         if config.postselect:
             result = result.select(result.match_mask(config.postselect))
         counts, kept = result.counts(), result.shots

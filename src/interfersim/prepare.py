@@ -10,14 +10,17 @@ Two routes to a single-particle start in a chosen path:
 
 Either way the prepared state has the particle at the target path with
 amplitude 1 and strength 1 there, zero strength elsewhere, and unknown
-leftover amplitudes elsewhere. The experiment statistics must not depend on
-those leftovers, which the harness checks by swapping junk samplers.
+leftover amplitudes elsewhere. No particle of such an ensemble ever reads
+those leftovers, so :func:`prepare_ensemble` keeps them as a recipe that is
+drawn only where something reads them; tests check that swapping junk
+samplers changes no record.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,10 +133,45 @@ def default_raw_sampler(width: int,
 # Vectorised preparation for the harness
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class PreparedEnsemble:
+    """An ensemble prepared for a vectorised run, stored as what it is.
+
+    Every shot starts with the particle at ``path`` and the same field:
+    amplitude 1 at level 0 there, and zero strength on every other path.
+    The amplitudes left on those dead paths (the junk) are unobservable, so
+    only their recipe is kept: ``sampler`` draws them, ``(shots, width)`` at
+    once, from the :data:`interfersim.rng.PREPARE_FIELDS` stream of
+    ``seed``. :func:`interfersim.ensemble.run_ensemble` runs the one field
+    and draws no junk; :meth:`arrays` materialises the per-shot arrays for
+    whatever reads the junk (a traced replay, the final amplitudes).
+    Iterating gives the same arrays, so ``q, u, levels = prepared`` works.
+    """
+
+    path: int
+    width: int
+    shots: int
+    seed: int
+    sampler: JunkSampler
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-shot ``(q, u, levels)``: positions, amplitudes (the junk on
+        the dead paths, freshly drawn) and strength levels."""
+        gen = streams.generator(self.seed, streams.PREPARE_FIELDS)
+        u = self.sampler(gen, (self.shots, self.width))
+        u[:, self.path] = 1.0
+        q = np.full(self.shots, self.path, dtype=np.int64)
+        levels = np.full((self.shots, self.width), ZERO_LEVEL, dtype=np.int64)
+        levels[:, self.path] = 0
+        return q, u, levels
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.arrays())
+
+
 def prepare_ensemble(mode: str, path: int, width: int, shots: int, seed: int,
-                     junk: str | JunkSampler = "zero",
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-shot ``(q, u, levels)`` arrays for an ensemble run.
+                     junk: str | JunkSampler = "zero") -> PreparedEnsemble:
+    """The initial ensemble of ``shots`` runs, as a :class:`PreparedEnsemble`.
 
     Both modes produce the same distribution by construction: the sieve's
     detector array leaves the non-target amplitudes untouched and zeroes
@@ -141,18 +179,12 @@ def prepare_ensemble(mode: str, path: int, width: int, shots: int, seed: int,
     distribution independently of the particle position, so conditioning on
     the target click is equivalent to direct injection. ``sieve_prepare``
     implements the literal rejection procedure for single states; here both
-    modes build the accepted ensemble directly.
+    modes build the accepted ensemble directly. The arguments are checked
+    here; no junk is drawn.
     """
     check_path(path, width)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if mode not in ("source", "sieve"):
         raise ValueError(f"unknown preparation mode {mode!r}")
-    sampler = resolve_junk(junk)
-    gen = streams.generator(seed, streams.PREPARE_FIELDS)
-    u = sampler(gen, (shots, width))
-    u[:, path] = 1.0
-    q = np.full(shots, path, dtype=np.int64)
-    levels = np.full((shots, width), ZERO_LEVEL, dtype=np.int64)
-    levels[:, path] = 0
-    return q, u, levels
+    return PreparedEnsemble(path, width, shots, seed, resolve_junk(junk))

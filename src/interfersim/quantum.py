@@ -188,16 +188,23 @@ def unitary_part(layer: Layer, width: int) -> np.ndarray:
     return _apply_gates(np.eye(width, dtype=np.complex128), layer.gates)
 
 
-def _measure_layer(state: QuantumState, layer: Layer
+def _detectors(layer: Layer) -> tuple[int, ...]:
+    return tuple(sorted(layer.detector_paths()))
+
+
+def _measure_layer(state: QuantumState, layer: Layer,
+                   detectors: tuple[int, ...] | None = None,
                    ) -> tuple[QuantumState, tuple[int, ...], list[float], float]:
     """One layer step: apply the layer's phase shifters and beam splitters,
     then give the measurement event of its detectors.
 
-    Returns the state before collapse, the sorted detector paths, their
-    click probabilities, and the joint no-click probability
+    Returns the state before collapse, the sorted detector paths
+    (``detectors`` when the caller already holds them), their click
+    probabilities, and the joint no-click probability
     ``max(0, 1 - sum(probs))``. A layer without detectors has no event.
     """
-    detectors = tuple(sorted(layer.detector_paths()))
+    if detectors is None:
+        detectors = _detectors(layer)
     if len(detectors) < len(layer.gates):  # a phase shifter or splitter
         state = _evolve(state, layer.gates)
     probs = [detector_click_probability(state, j) for j in detectors]
@@ -279,8 +286,9 @@ def exact_outcome_distribution(circuit: Circuit, init: QuantumState,
     branches = [(init, 1.0, ())]
     for layer_idx, layer in enumerate(circuit.layers):
         grown = []
+        detectors = _detectors(layer)
         for state, prob, events in branches:
-            state, detectors, probs, no_click = _measure_layer(state, layer)
+            state, _, probs, no_click = _measure_layer(state, layer, detectors)
             if not detectors:
                 grown.append((state, prob, events))
                 continue
