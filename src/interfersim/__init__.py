@@ -78,6 +78,7 @@ from .quantum import (
     ImpossibleOutcomeError,
     OutcomeDistribution,
     QuantumState,
+    RecordTree,
     apply_beamsplitter,
     apply_detection,
     apply_phase,

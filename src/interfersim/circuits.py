@@ -202,8 +202,9 @@ class Circuit:
         if width < 1:
             raise CircuitError(f"circuit width must be positive, got {width}")
         layers = tuple(layers)
-        for layer in layers:
-            validate_layer(layer, width)
+        # kept outside the fields, so equality, hash and repr ignore it
+        object.__setattr__(self, "_partitions",
+                           tuple(validate_layer(layer, width) for layer in layers))
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "name", name)
@@ -214,7 +215,9 @@ class Circuit:
         return len(self.layers)
 
     def partitions(self) -> tuple[Partition, ...]:
-        return tuple(validate_layer(layer, self.width) for layer in self.layers)
+        """Each layer's path partition, computed once when the circuit was
+        validated."""
+        return self._partitions
 
     def detector_layers(self) -> tuple[int, ...]:
         """Indices of layers that contain at least one detector."""

@@ -39,7 +39,12 @@ from .harness import (
     sampled_report,
 )
 from .prepare import quantum_init
-from .quantum import BranchCapError, ImpossibleOutcomeError, run_quantum_shot
+from .quantum import (
+    BranchCapError,
+    ImpossibleOutcomeError,
+    RecordTree,
+    run_quantum_shot,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -153,8 +158,9 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
     circuit = config.circuit
     init = quantum_init(config.prepare.path, circuit.width)
     draws = len(circuit.detector_layers())
+    tree = RecordTree(circuit, init)
     records = (run_quantum_shot(circuit, init, streams.shot_generator(
-        config.seed, streams.QUANTUM_SHOTS, shot, draws))[0]
+        config.seed, streams.QUANTUM_SHOTS, shot, draws), tree=tree)[0]
         for shot in range(config.shots))
     return sampled_report(config, records)
 

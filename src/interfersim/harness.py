@@ -36,7 +36,7 @@ from .ensemble import EnsembleResult, run_ensemble
 from .labels import verify_congruence
 from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
 from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
-from .quantum import QuantumState, exact_outcome_distribution
+from .quantum import QuantumState, RecordTree, exact_outcome_distribution
 from .records import OutcomeRecord, event_token, parse_event_token
 
 # Below this many (post-selection) shots no verdict is claimed.
@@ -335,6 +335,7 @@ def run_traced(config: ExperimentConfig,
     checked.
     """
     label0 = QuantumState.basis(config.prepare.path, config.circuit.width)
+    tree = RecordTree(config.circuit, label0)  # the labels of every shot
     max_dev = 0.0
     violations = 0
     diagnostics = ShotDiagnostics()
@@ -347,7 +348,8 @@ def run_traced(config: ExperimentConfig,
                 raise AssertionError(
                     f"shot {shot}: single-shot replay disagrees with ensemble record"
                 )
-            report = verify_congruence(trajectory, record, config.circuit, label0)
+            report = verify_congruence(trajectory, record, config.circuit,
+                                       label0, tree=tree)
             max_dev = max(max_dev, report.max_deviation)
             if not report.passed:
                 violations += 1

@@ -4,7 +4,11 @@ The amplitudes carried at the highest field strength encode a unit ray, the
 state's *label*. A label is a :class:`~interfersim.quantum.QuantumState`, and
 the predicted label *is* the quantum engine's state conditioned on the same
 outcome record: :func:`predicted_label_update` is the quantum engine's own
-layer step (``_measure_layer`` and ``collapse``). This module extracts
+layer step (``_measure_layer`` and ``collapse``), and
+:func:`verify_congruence` reads each predicted label from the walk of the
+record through a :class:`~interfersim.quantum.RecordTree`, the same walk the
+sampler takes, so a traced run computes each layer step once per record
+prefix rather than once per shot. This module extracts
 labels from engine states, tests membership in the family of labelled state
 classes, and verifies that traced trajectories stay congruent with the
 quantum state at every step. It also materialises both sides of the
@@ -23,6 +27,7 @@ from .circuits import Circuit, Layer, validate_layer
 from .ontic import ZERO_LEVEL, OnticState, _age
 from .quantum import (
     QuantumState,
+    RecordTree,
     _measure_layer,
     collapse,
     ray_overlap,
@@ -143,14 +148,18 @@ class CongruenceReport:
 def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
                       circuit: Circuit, init_label: QuantumState,
                       tol: float = RAY_TOL, strict: bool = False,
+                      tree: RecordTree | None = None,
                       ) -> CongruenceReport:
     """Check a traced shot against the quantum engine, layer by layer.
 
     ``trajectory`` must hold the initial state followed by the state after
     every layer (``run_ontic_shot`` with ``trace=True``). At each boundary
     the extracted label must ray-equal the quantum state evolved from
-    ``init_label`` under the same outcomes, and the state must belong to the labelled class anchored at
-    its particle position. Deviations are ``1 - |overlap|``.
+    ``init_label`` under the same outcomes, and the state must belong to the
+    labelled class anchored at its particle position. Deviations are
+    ``1 - |overlap|``. The predicted labels are the nodes of ``record`` in
+    ``tree`` (a :class:`~interfersim.quantum.RecordTree` of ``circuit`` and
+    ``init_label`` shared across shots), or in a tree of this shot's own.
 
     With ``strict`` the first violation raises :class:`CongruenceError`;
     otherwise the report carries every layer's deviation.
@@ -159,6 +168,8 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
         raise ValueError("trajectory must contain the state after every layer")
     if init_label.width != circuit.width:
         raise ValueError("initial label does not match the circuit width")
+    if tree is None:
+        tree = RecordTree(circuit, init_label)
     checks: list[LayerCheck] = []
     max_dev = 0.0
     passed = True
@@ -179,15 +190,12 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
                     f"member={member}, state={state!r}",
                 )
 
-    label = init_label
-    judge(-1, trajectory[0], label)
+    node = tree.root_for(circuit, init_label)
+    judge(-1, trajectory[0], node.state)
     clicks = dict(record.events)
-    for layer_idx, layer in enumerate(circuit.layers):
-        click = clicks.get(layer_idx)
-        # predicted_label_update without re-validating the circuit's layers
-        state, detectors, _, _ = _measure_layer(label, layer)
-        label = collapse(state, detectors, click)
-        judge(layer_idx, trajectory[layer_idx + 1], label)
+    for layer_idx in range(circuit.depth):
+        node = tree.child(node, layer_idx, clicks.get(layer_idx))
+        judge(layer_idx, trajectory[layer_idx + 1], node.state)
     return CongruenceReport(tuple(checks), max_dev, passed)
 
 

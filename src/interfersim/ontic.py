@@ -30,7 +30,9 @@ runs and isolated single-shot replays are bit-identical.
 
 The rules are stated twice, once per representation. Here each gate rule
 is one private helper (``_age``, ``_phase``, ``_detect``, ``_split``)
-shared by the public ``gate_*`` functions and by :func:`step_layer`;
+shared by the public ``gate_*`` functions and by ``_step``, the body of
+:func:`step_layer` that :func:`run_ontic_shot` calls on the circuit's
+stored partitions;
 :func:`interfersim.ensemble.run_ensemble` is the vector statement, one column
 per group of shots that share a field. Amplitude updates in both are written in explicitly separated
 real arithmetic (:func:`rotate_amplitude`, :func:`mix_amplitudes`): every
@@ -249,10 +251,17 @@ def step_layer(state: OnticState, layer: Layer, rng: np.random.Generator,
     particle has a single position.
     """
     partition = validate_layer(layer, state.width)
+    return _step(state, layer, partition.free, rng, diagnostics)
+
+
+def _step(state: OnticState, layer: Layer, free: Iterable[int],
+          rng: np.random.Generator, diagnostics: ShotDiagnostics | None,
+          ) -> tuple[tuple[tuple[int, bool], ...], OnticState]:
+    """:func:`step_layer` on a validated layer whose free paths are ``free``."""
     u, tau = _working(state)
     q = state.q
     results: list[tuple[int, bool]] = []
-    for path in partition.free:
+    for path in free:
         tau[path] = _age(tau[path])
     for gate in layer.gates:
         if isinstance(gate, PhaseShifter):
@@ -275,15 +284,17 @@ def run_ontic_shot(circuit: Circuit, init: OnticState, rng: np.random.Generator,
     Returns the outcome record and a trajectory: with ``trace`` the state
     after every layer (the initial state first), otherwise just the final
     state. Draw consumption matches the vectorised ensemble runner
-    shot-for-shot.
+    shot-for-shot. The circuit's layers were validated when it was built,
+    so each is stepped with its stored partition.
     """
     if init.width != circuit.width:
         raise ValueError("initial state width does not match circuit")
     state = init
     trajectory = [state]
     events: list[tuple[int, int | None]] = []
-    for layer_idx, layer in enumerate(circuit.layers):
-        results, state = step_layer(state, layer, rng, diagnostics)
+    for layer_idx, (layer, partition) in enumerate(zip(circuit.layers,
+                                                       circuit.partitions())):
+        results, state = _step(state, layer, partition.free, rng, diagnostics)
         if results:
             clicked = [path for path, hit in results if hit]
             events.append((layer_idx, clicked[0] if clicked else None))

@@ -11,10 +11,18 @@ of an array: the entries of a state vector, or the rows of the identity for
 ``unitary_part``. The layer rule is written once, in ``_measure_layer``: it
 applies a layer's gates and returns the detector paths, their click
 probabilities and the no-click probability; ``collapse`` then conditions
-the state on one outcome. ``run_quantum_shot`` picks one outcome per
-detector layer from a single uniform draw; ``exact_outcome_distribution``
-keeps every outcome; ``interfersim.labels`` follows a given record to
-predict the stochastic engine's labels. The enumeration walks the layers
+the state on one outcome.
+
+The state after a layer is a function of the outcome record so far, so
+``RecordTree`` computes it once per record prefix: each node runs
+``_measure_layer`` once and each edge ``collapse`` once, however many shots
+pass through. ``run_quantum_shot`` walks such a tree, picking one outcome
+per detector layer from a single uniform draw against the node's cached
+thresholds; ``interfersim.labels`` walks a given record through one to
+predict the stochastic engine's labels. Sharing a tree across the shots of
+a run changes no bit: every node holds exactly the state that a shot
+stepping alone would compute. ``exact_outcome_distribution`` keeps every
+outcome. The enumeration walks the layers
 with a frontier of live branches (no recursion, so circuit depth is not
 limited by Python's stack) and grows each branch in place into its clicks
 in ascending path order and then its no-click, so the result lists outcomes
@@ -211,36 +219,114 @@ def _measure_layer(state: QuantumState, layer: Layer,
     return state, detectors, probs, max(0.0, 1.0 - sum(probs))
 
 
+class _Node:
+    """A record prefix: the state before layer ``k``, its measurement event
+    at layer ``k`` and its no-click child, each filled in on first use."""
+
+    __slots__ = ("state", "event", "no_click")
+
+    def __init__(self, state: QuantumState):
+        self.state = state
+        self.event = None
+        self.no_click = None
+
+
+class RecordTree:
+    """The quantum state as a function of the outcome record prefix, built
+    lazily and shared by every shot of one circuit and initial state.
+
+    A node holds the state before layer ``k``. :meth:`event` runs
+    :func:`_measure_layer` once per node and keeps the detectors and the
+    cumulative click thresholds; :meth:`child` runs :func:`collapse` once
+    per edge. A click resets the state to a basis vector, so the click child
+    at ``(k, j)`` is one node for the whole tree; a no-click child belongs to
+    its parent. The tree therefore holds at most ``1 + depth * (1 +
+    detectors)`` nodes, whatever the number of shots walked through it.
+    """
+
+    def __init__(self, circuit: Circuit, init: QuantumState):
+        if init.width != circuit.width:
+            raise ValueError("initial state width does not match circuit")
+        self.circuit = circuit
+        self.root = _Node(init)
+        self.nodes = 1
+        self._detector_paths = [_detectors(layer) for layer in circuit.layers]
+        self._clicks: dict[tuple[int, int], _Node] = {}
+
+    def event(self, node: _Node, k: int
+              ) -> tuple[QuantumState, tuple[int, ...], tuple[tuple[int, float], ...]]:
+        """Layer ``k`` from ``node``: the state before collapse, the sorted
+        detector paths and ``(path, threshold)`` pairs, the cumulative click
+        probabilities over ``(clicks..., no-click)`` in detector order."""
+        if node.event is None:
+            state, detectors, probs, no_click = _measure_layer(
+                node.state, self.circuit.layers[k], self._detector_paths[k])
+            total = sum(probs) + no_click
+            acc = 0.0
+            thresholds = []
+            for j, p in zip(detectors, probs):
+                acc += p / total
+                thresholds.append((j, acc))
+            node.event = state, detectors, tuple(thresholds)
+        return node.event
+
+    def child(self, node: _Node, k: int, click: int | None) -> _Node:
+        """The node after layer ``k`` from ``node`` with outcome ``click``
+        (``None`` for a joint no-click or a layer without detectors)."""
+        if click is None:
+            if node.no_click is None:
+                state, detectors, _ = self.event(node, k)
+                node.no_click = self._new(collapse(state, detectors, None))
+            return node.no_click
+        key = (k, click)
+        found = self._clicks.get(key)
+        if found is None:  # a click forgets the state: one node per (k, j)
+            found = self._clicks[key] = self._new(
+                collapse(node.state, self._detector_paths[k], click))
+        return found
+
+    def _new(self, state: QuantumState) -> _Node:
+        self.nodes += 1
+        return _Node(state)
+
+    def root_for(self, circuit: Circuit, init: QuantumState) -> _Node:
+        """The root, after checking that the tree was built from these
+        ``circuit`` and ``init`` objects."""
+        if self.circuit is not circuit or self.root.state is not init:
+            raise ValueError("record tree was built for another circuit "
+                             "or initial state")
+        return self.root
+
+
 def run_quantum_shot(circuit: Circuit, init: QuantumState,
-                     rng: np.random.Generator) -> tuple[OutcomeRecord, QuantumState]:
+                     rng: np.random.Generator, tree: RecordTree | None = None,
+                     ) -> tuple[OutcomeRecord, QuantumState]:
     """Execute one sampled run.
 
     Per layer: apply the unitary gates, then treat the layer's detectors as a
     single measurement event (at most one click, else joint no-click) and
     collapse accordingly. Consumes exactly one uniform draw per detector
-    layer, so a shot's stream use is a function of the circuit alone.
+    layer, so a shot's stream use is a function of the circuit alone. The
+    shot walks ``tree`` (a :class:`RecordTree` of ``circuit`` and ``init``
+    shared across shots), or a tree of its own.
     """
-    if init.width != circuit.width:
-        raise ValueError("initial state width does not match circuit")
-    state = init
+    if tree is None:
+        tree = RecordTree(circuit, init)
+    node = tree.root_for(circuit, init)
     events: list[tuple[int, int | None]] = []
-    for layer_idx, layer in enumerate(circuit.layers):
-        state, detectors, probs, no_click = _measure_layer(state, layer)
-        if not detectors:
-            continue
-        # One uniform draw through the cumulative (clicks..., no-click).
-        u = float(rng.random())
-        total = sum(probs) + no_click
-        acc = 0.0
+    for layer_idx in range(circuit.depth):
+        _, detectors, thresholds = tree.event(node, layer_idx)
         clicked = None
-        for j, p in zip(detectors, probs):
-            acc += p / total
-            if u < acc:
-                clicked = j
-                break
-        state = collapse(state, detectors, clicked)
-        events.append((layer_idx, clicked))
-    return OutcomeRecord(tuple(events)), state
+        if detectors:
+            # One uniform draw through the cumulative (clicks..., no-click).
+            u = float(rng.random())
+            for j, threshold in thresholds:
+                if u < threshold:
+                    clicked = j
+                    break
+            events.append((layer_idx, clicked))
+        node = tree.child(node, layer_idx, clicked)
+    return OutcomeRecord(tuple(events)), node.state
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,16 @@ def test_json_round_trip_property(circuit):
     assert circuit_from_json(circuit_to_json(circuit)) == circuit
 
 
+def test_partitions_are_kept_outside_the_fields():
+    circuit = parse_circuit(MZ_TEXT)
+    assert circuit.partitions() is circuit.partitions()
+    assert circuit.partitions() == tuple(validate_layer(layer, 2)
+                                         for layer in circuit.layers)
+    twin = parse_circuit(MZ_TEXT)
+    assert circuit == twin and hash(circuit) == hash(twin)
+    assert "partition" not in repr(circuit).lower()
+
+
 @settings(max_examples=100, deadline=None)
 @given(circuits())
 def test_partition_property(circuit):

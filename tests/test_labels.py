@@ -28,9 +28,16 @@ from interfersim.prepare import source_prepare
 from interfersim.quantum import (
     ImpossibleOutcomeError,
     QuantumState,
+    RecordTree,
     run_quantum_shot,
 )
-from interfersim.scenarios import mach_zehnder, random_circuit
+from interfersim.records import OutcomeRecord
+from interfersim.scenarios import (
+    available_scenarios,
+    build_scenario,
+    mach_zehnder,
+    random_circuit,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -206,7 +213,6 @@ def test_congruence_on_mach_zehnder(omega):
 def test_congruence_zero_layer_circuit_vacuous():
     circuit = Circuit(2)
     state = post_click_state(0, 2)
-    from interfersim.records import OutcomeRecord
     report = verify_congruence([state], OutcomeRecord(), circuit,
                                QuantumState.basis(0, 2))
     assert report.passed
@@ -342,3 +348,57 @@ def _in_identity_domain(layer, taus, width):
         return False
     detectors = {g.path for g in layer.gates if isinstance(g, Detector)}
     return any(taus[j] == top for j in range(width) if j not in detectors)
+
+
+# -- congruence through a shared record-prefix tree ---------------------------
+
+def _tree_cases():
+    cases = [build_scenario(name) for name in available_scenarios()]
+    gen = np.random.default_rng(326)
+    for width in range(2, 9):
+        cases.append(random_circuit(width, int(gen.integers(2, 20)), gen))
+    return cases
+
+
+def _report_bits(report):
+    return [(c.layer, c.deviation.hex(), c.member) for c in report.checks], \
+        report.max_deviation.hex(), report.passed
+
+
+@pytest.mark.parametrize("circuit", _tree_cases(), ids=lambda c: c.name or
+                         f"random{c.width}x{c.depth}")
+def test_congruence_through_shared_tree_is_bit_identical(circuit):
+    label0 = QuantumState.basis(0, circuit.width)
+    tree = RecordTree(circuit, label0)
+    for seed in range(25):
+        record, trajectory = traced_shot(circuit, seed)
+        shared = verify_congruence(trajectory, record, circuit, label0, tree=tree)
+        alone = verify_congruence(trajectory, record, circuit, label0)
+        assert shared == alone
+        assert _report_bits(shared) == _report_bits(alone)
+
+
+def test_congruence_through_shared_tree_keeps_errors():
+    circuit = mach_zehnder(math.pi / 3)
+    label0 = QuantumState.basis(0, 2)
+    tree = RecordTree(circuit, label0)
+    record, trajectory = traced_shot(circuit, 3)
+    verify_congruence(trajectory, record, circuit, label0, tree=tree)
+    broken = trajectory[2]
+    trajectory[2] = OnticState(broken.q, broken.u * np.array([np.exp(0.25j), 1.0]),
+                               broken.tau)
+    layers = []
+    for shared in (tree, None):
+        with pytest.raises(CongruenceError) as err:
+            verify_congruence(trajectory, record, circuit, label0, strict=True,
+                              tree=shared)
+        layers.append(err.value.layer)
+    assert layers == [1, 1]
+    # a record claiming a no-click at a certain detector is impossible
+    certain = Circuit(2, [Layer([Detector(0)])])
+    tree = RecordTree(certain, label0)
+    for _ in range(2):
+        with pytest.raises(ImpossibleOutcomeError):
+            verify_congruence([post_click_state(0, 2)] * 2,
+                              OutcomeRecord(((0, None),)), certain, label0,
+                              tree=tree)

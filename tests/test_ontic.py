@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from interfersim import ensemble, rng
+from interfersim import ensemble, ontic, rng
 from interfersim.circuits import (
     BeamSplitter,
     Circuit,
@@ -220,6 +220,25 @@ def test_step_layer_disjoint_supports():
     _, out = step_layer(state, layer, np.random.default_rng(0))
     assert out.u[2] == pytest.approx(-0.5, abs=1e-15)
     assert out.u[0] == 1j * math.sqrt(0.5)
+
+
+def test_run_shot_uses_the_circuits_partitions(monkeypatch):
+    # the circuit validated its layers once; a shot replays them unchecked
+    circuit = random_circuit(5, 12, np.random.default_rng(12))
+    state = source_prepare(0, 5, np.random.default_rng(0), junk="disk")
+    expected = run_ontic_shot(circuit, state, np.random.default_rng(1), trace=True)
+
+    def refuse(layer, width):
+        raise AssertionError("layer validated again")
+
+    monkeypatch.setattr(ontic, "validate_layer", refuse)
+    record, trajectory = run_ontic_shot(circuit, state, np.random.default_rng(1),
+                                        trace=True)
+    assert record == expected[0]
+    assert [s.u.tobytes() for s in trajectory] == \
+        [s.u.tobytes() for s in expected[1]]
+    with pytest.raises(AssertionError, match="validated again"):
+        step_layer(state, circuit.layers[0], np.random.default_rng(1))
 
 
 def test_run_shot_zero_layers():

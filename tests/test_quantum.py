@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interfersim import rng
 from interfersim.circuits import (
@@ -15,12 +17,15 @@ from interfersim.circuits import (
     serialize_circuit,
 )
 from interfersim.cli import main
+from interfersim.records import OutcomeRecord
 from interfersim.quantum import (
     BranchCapError,
     ImpossibleOutcomeError,
     QuantumState,
+    RecordTree,
     _measure_layer,
     apply_beamsplitter,
+    collapse,
     apply_detection,
     apply_phase,
     detector_click_probability,
@@ -28,7 +33,13 @@ from interfersim.quantum import (
     run_quantum_shot,
     unitary_part,
 )
-from interfersim.scenarios import mach_zehnder, random_circuit, zeno_chain
+from interfersim.scenarios import (
+    available_scenarios,
+    build_scenario,
+    mach_zehnder,
+    random_circuit,
+    zeno_chain,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -319,3 +330,130 @@ def test_ray_equality_ignores_global_phase():
     psi = state(INV_SQRT2, 1j * INV_SQRT2)
     rotated = QuantumState(psi.amplitudes * np.exp(0.7j))
     assert psi.ray_equals(rotated)
+
+
+# -- record-prefix tree -------------------------------------------------------
+
+def _tree_circuits():
+    circuits = [build_scenario(name) for name in available_scenarios()]
+    gen = np.random.default_rng(515)
+    for width in range(2, 9):
+        for _ in range(3):
+            circuits.append(random_circuit(width, int(gen.integers(2, 30)), gen,
+                                           p_detector=0.25))
+    return circuits
+
+
+def _stepwise_shot(circuit, init, gen):
+    # the sampler stated shot by shot, without a tree: one layer step, one
+    # uniform through the cumulative (clicks..., no-click) and one collapse
+    # per layer; also returns every layer's thresholds
+    state, events, thresholds = init, [], []
+    for layer_idx, layer in enumerate(circuit.layers):
+        state, detectors, probs, no_click = _measure_layer(state, layer)
+        if not detectors:
+            continue
+        total = sum(probs) + no_click
+        acc, cumulative, clicked = 0.0, [], None
+        for j, p in zip(detectors, probs):
+            acc += p / total
+            cumulative.append((j, acc))
+        thresholds.append(tuple(cumulative))
+        u = float(gen.random())
+        clicked = next((j for j, a in cumulative if u < a), None)
+        state = collapse(state, detectors, clicked)
+        events.append((layer_idx, clicked))
+    return OutcomeRecord(tuple(events)), state, thresholds
+
+
+def _shared_and_fresh(circuit, init, shots, seed):
+    # the same per-shot streams through one shared tree and a tree per shot
+    tree = RecordTree(circuit, init)
+    draws = len(circuit.detector_layers())
+    shared, fresh = [], []
+    for shot in range(shots):
+        shared.append(run_quantum_shot(circuit, init, rng.shot_generator(
+            seed, rng.QUANTUM_SHOTS, shot, draws), tree=tree))
+        fresh.append(run_quantum_shot(circuit, init, rng.shot_generator(
+            seed, rng.QUANTUM_SHOTS, shot, draws)))
+    return shared, fresh
+
+
+@pytest.mark.parametrize("circuit", _tree_circuits(), ids=lambda c: c.name or
+                         f"random{c.width}x{c.depth}")
+def test_shared_tree_sampler_is_bit_identical(circuit):
+    init = QuantumState.basis(0, circuit.width)
+    shared, fresh = _shared_and_fresh(circuit, init, 150, circuit.depth)
+    draws = len(circuit.detector_layers())
+    tree = RecordTree(circuit, init)
+    for shot, ((rec_a, final_a), (rec_b, final_b)) in enumerate(zip(shared, fresh)):
+        assert rec_a == rec_b
+        assert final_a.amplitudes.tobytes() == final_b.amplitudes.tobytes()
+        record, final, thresholds = _stepwise_shot(circuit, init, rng.shot_generator(
+            circuit.depth, rng.QUANTUM_SHOTS, shot, draws))
+        assert record == rec_a
+        assert final.amplitudes.tobytes() == final_a.amplitudes.tobytes()
+        node, walked = tree.root, []
+        for layer_idx in range(circuit.depth):
+            _, detectors, cumulative = tree.event(node, layer_idx)
+            if detectors:
+                walked.append(cumulative)
+            node = tree.child(node, layer_idx, record.result_for_layer(layer_idx)
+                              if record.has_layer(layer_idx) else None)
+        assert [[a.hex() for _, a in c] for c in walked] == \
+            [[a.hex() for _, a in c] for c in thresholds]
+
+
+def test_record_tree_node_bound_and_saturation():
+    circuit = random_circuit(8, 36, np.random.default_rng(36))
+    detectors = circuit.count_gates(Detector)
+    init = QuantumState.basis(0, 8)
+    tree = RecordTree(circuit, init)
+    gen = np.random.default_rng(1)
+    for _ in range(10_000):
+        run_quantum_shot(circuit, init, gen, tree=tree)
+    saturated = tree.nodes
+    assert saturated <= circuit.depth * (1 + detectors)
+    for _ in range(10_000):
+        run_quantum_shot(circuit, init, gen, tree=tree)
+    assert tree.nodes == saturated
+
+
+def test_record_tree_belongs_to_its_circuit_and_state():
+    circuit = mach_zehnder(0.4)
+    tree = RecordTree(circuit, state(1, 0))
+    gen = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="another circuit"):
+        run_quantum_shot(circuit, state(0, 1), gen, tree=tree)
+    with pytest.raises(ValueError, match="another circuit"):
+        run_quantum_shot(mach_zehnder(0.5), tree.root.state, gen, tree=tree)
+    record, _ = run_quantum_shot(circuit, tree.root.state, gen, tree=tree)
+    assert record.has_layer(circuit.depth - 1)
+    with pytest.raises(ValueError, match="width"):
+        RecordTree(circuit, state(1, 0, 0))
+
+
+def test_record_tree_keeps_impossible_no_click():
+    # a no-click on a certain detector raises on every walk, never cached
+    circuit = Circuit(2, [Layer([Detector(0)])])
+    tree = RecordTree(circuit, state(1, 0))
+    for _ in range(2):
+        with pytest.raises(ImpossibleOutcomeError):
+            tree.child(tree.root, 0, None)
+    with pytest.raises(ValueError, match="no detector"):
+        tree.child(tree.root, 0, 1)
+    assert tree.nodes == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(2, 6), depth=st.integers(1, 20),
+       circuit_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 16))
+def test_shared_tree_sampler_property(width, depth, circuit_seed, seed):
+    circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed))
+    init = QuantumState.basis(int(circuit_seed % width), width)
+    shared, fresh = _shared_and_fresh(circuit, init, 20, seed)
+    probs = exact_outcome_distribution(circuit, init).probabilities
+    for (rec_a, final_a), (rec_b, final_b) in zip(shared, fresh):
+        assert rec_a == rec_b
+        assert final_a.amplitudes.tobytes() == final_b.amplitudes.tobytes()
+        assert probs.get(rec_a, 0.0) > 0.0
