@@ -6,13 +6,15 @@ unitary (JSON matrix of ``[re, im]`` pairs) into a circuit file, ``trace``
 replays traced shots and verifies label congruence.
 
 Exit codes: 0 success/pass, 1 verdict or congruence failure, 2 usage,
-input or output-file error, 3 resource cap exceeded. Option values beat
-config-file values beat the ``QM_SEED`` environment variable beat defaults.
+input or output-file error, 3 resource cap exceeded or memory exhausted.
+Option values beat config-file values beat the ``QM_SEED`` environment
+variable beat defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -159,9 +161,9 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
     init = quantum_init(config.prepare.path, circuit.width)
     draws = len(circuit.detector_layers())
     tree = RecordTree(circuit, init)
-    records = (run_quantum_shot(circuit, init, streams.shot_generator(
-        config.seed, streams.QUANTUM_SHOTS, shot, draws), tree=tree)[0]
-        for shot in range(config.shots))
+    records = (run_quantum_shot(circuit, init, gen, tree=tree)[0]
+               for gen in streams.shot_streams(
+                   config.seed, streams.QUANTUM_SHOTS, config.shots, draws))
     return sampled_report(config, records)
 
 
@@ -282,8 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call of a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "compile":
             return args.func(args)
@@ -298,6 +306,8 @@ def main(argv=None) -> int:
     except BranchCapError as exc:
         return _fail(f"{exc}; rerun with the 'run' command (ontic engine only)",
                      EXIT_RESOURCE)
+    except MemoryError:
+        return _fail("out of memory; request fewer shots", EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

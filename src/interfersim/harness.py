@@ -295,15 +295,16 @@ def traced_shots(config: ExperimentConfig,
 
     Yields ``(shot, record, trajectory)`` in shot order; each shot starts
     from its row of the prepared ensemble (``prepared``, else prepared and
-    materialised here) and draws from its own slice of the stream, so it
-    reproduces the shot of the vectorised run.
+    materialised here) and draws its own slice of the stream
+    (:func:`interfersim.rng.shot_streams`), so it reproduces the shot of
+    the vectorised run.
     """
     circuit = config.circuit
     init_q, init_u, init_levels = prepared or _prepare(config)
     n_draws = circuit.count_gates(BeamSplitter)
-    for shot in range(config.shots):
+    for shot, gen in enumerate(streams.shot_streams(
+            config.seed, streams.ONTIC_SHOTS, config.shots, n_draws)):
         init = OnticState(int(init_q[shot]), init_u[shot], init_levels[shot])
-        gen = streams.shot_generator(config.seed, streams.ONTIC_SHOTS, shot, n_draws)
         record, trajectory = run_ontic_shot(circuit, init, gen, trace=True,
                                             diagnostics=diagnostics)
         yield shot, record, trajectory

@@ -8,7 +8,10 @@ layer step (``_measure_layer`` and ``collapse``), and
 :func:`verify_congruence` reads each predicted label from the walk of the
 record through a :class:`~interfersim.quantum.RecordTree`, the same walk the
 sampler takes, so a traced run computes each layer step once per record
-prefix rather than once per shot. This module extracts
+prefix rather than once per shot. The shots through one prefix carry the
+same dominant-strength amplitudes, so each node also keeps the overlap of
+every projection judged there, and a shot whose projection matches one
+already judged, bit for bit, reuses its overlap. This module extracts
 labels from engine states, tests membership in the family of labelled state
 classes, and verifies that traced trajectories stay congruent with the
 quantum state at every step. It also materialises both sides of the
@@ -29,6 +32,8 @@ from .quantum import (
     QuantumState,
     RecordTree,
     _measure_layer,
+    _Node,
+    _norm,
     collapse,
     ray_overlap,
     unitary_part,
@@ -69,31 +74,47 @@ def delta_projection(state: OnticState) -> np.ndarray:
     return _project(state, top)
 
 
-def _unit_projection(state: OnticState, top: int) -> np.ndarray | None:
-    """The dominant-strength amplitudes as a unit vector, for a state whose
-    dominant level is ``top``; None where :func:`extract_label` gives None."""
-    if top == ZERO_LEVEL:
-        return None
-    projected = _project(state, top)
-    norm = float(np.linalg.norm(projected))
+def _unit(projected: np.ndarray) -> np.ndarray | None:
+    norm = _norm(projected)
     return None if norm <= PROJECTION_TOL else projected / norm
 
 
 def extract_label(state: OnticState) -> QuantumState | None:
     """Unit ray of the dominant-strength amplitudes, or None when the
     dominant strength is zero or the projected vector vanishes."""
-    unit = _unit_projection(state, dominant_strength(state))
+    top = dominant_strength(state)
+    unit = None if top == ZERO_LEVEL else _unit(_project(state, top))
     return None if unit is None else QuantumState(unit)
 
 
-def _judge(state: OnticState, z: QuantumState) -> tuple[float, bool]:
+def _overlap(projected: np.ndarray, z: QuantumState) -> float:
+    unit = _unit(projected)
+    return 0.0 if unit is None else ray_overlap(unit, z.amplitudes)
+
+
+def _judge(state: OnticState, z: QuantumState,
+           overlaps: dict | None = None) -> tuple[float, bool]:
     """The state's label deviation ``1 - |overlap|`` from ``z`` (1 without
     a label), and whether the state is in the class labelled ``z`` anchored
     at its particle: the particle's path carries the dominant strength and
-    the label ray-equals ``z``. Only the ray comparison uses a tolerance."""
+    the label ray-equals ``z``. Only the ray comparison uses a tolerance.
+
+    The overlap depends on the dominant-strength paths and their amplitudes
+    alone. With ``overlaps`` (a record-tree node's, for the node holding
+    ``z``), it is computed once per distinct such projection, bit for bit,
+    and kept there.
+    """
     top = dominant_strength(state)
-    unit = _unit_projection(state, top)
-    overlap = 0.0 if unit is None else ray_overlap(unit, z.amplitudes)
+    if top == ZERO_LEVEL:
+        overlap = 0.0
+    elif overlaps is None:
+        overlap = _overlap(_project(state, top), z)
+    else:
+        paths = [j for j, level in enumerate(state.tau) if level == top]
+        key = (tuple(paths), state.u.take(paths).tobytes())
+        overlap = overlaps.get(key)
+        if overlap is None:
+            overlap = overlaps[key] = _overlap(_project(state, top), z)
     return 1.0 - overlap, state.tau[state.q] == top and overlap >= 1.0 - RAY_TOL
 
 
@@ -174,9 +195,9 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
     max_dev = 0.0
     passed = True
 
-    def judge(layer_idx: int, state: OnticState, label: QuantumState) -> None:
+    def judge(layer_idx: int, state: OnticState, node: _Node) -> None:
         nonlocal max_dev, passed
-        deviation, member = _judge(state, label)
+        deviation, member = _judge(state, node.state, node.overlaps)
         ok = deviation <= tol and member
         if layer_idx >= 0:
             checks.append(LayerCheck(layer_idx, deviation, member))
@@ -191,11 +212,11 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
                 )
 
     node = tree.root_for(circuit, init_label)
-    judge(-1, trajectory[0], node.state)
+    judge(-1, trajectory[0], node)
     clicks = dict(record.events)
     for layer_idx in range(circuit.depth):
         node = tree.child(node, layer_idx, clicks.get(layer_idx))
-        judge(layer_idx, trajectory[layer_idx + 1], node.state)
+        judge(layer_idx, trajectory[layer_idx + 1], node)
     return CongruenceReport(tuple(checks), max_dev, passed)
 
 

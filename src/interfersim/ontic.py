@@ -115,16 +115,30 @@ class OnticState:
             raise IndexError(f"particle position {q} out of range")
         if min(tau_t) < 0 or max(tau_t) > ZERO_LEVEL:
             raise ValueError(f"strength levels {tau_t} outside [0, ZERO_LEVEL]")
-        if not np.isfinite(u_arr.view(np.float64)).all():
-            raise ValueError("field amplitudes must be finite")
-        u_arr.setflags(write=False)
-        object.__setattr__(self, "q", int(q))
-        object.__setattr__(self, "u", u_arr)
-        object.__setattr__(self, "tau", tau_t)
+        _fill(self, int(q), u_arr, tau_t)
 
     @property
     def width(self) -> int:
         return self.u.size
+
+
+def _fill(state: OnticState, q: int, u: np.ndarray, tau: tuple[int, ...]
+          ) -> None:
+    if not np.isfinite(u.view(np.float64)).all():
+        raise ValueError("field amplitudes must be finite")
+    u.setflags(write=False)
+    object.__setattr__(state, "q", q)
+    object.__setattr__(state, "u", u)
+    object.__setattr__(state, "tau", tau)
+
+
+def _made(q: int, u: list, tau: list) -> OnticState:
+    """The state a gate rule made from a valid one. The rules keep the
+    particle in range and one level in ``[0, ZERO_LEVEL]`` per amplitude,
+    so of the constructor's checks only finiteness is left."""
+    state = object.__new__(OnticState)
+    _fill(state, int(q), np.array(u, dtype=np.complex128), tuple(tau))
+    return state
 
 
 @dataclass
@@ -272,7 +286,7 @@ def _step(state: OnticState, layer: Layer, free: Iterable[int],
             q = _split(u, tau, q, gate.s, gate.t, gate.reflectivity,
                        float(rng.random()), diagnostics)
     assert sum(clicked for _, clicked in results) <= 1
-    return tuple(results), OnticState(q, u, tau)
+    return tuple(results), _made(q, u, tau)
 
 
 def run_ontic_shot(circuit: Circuit, init: OnticState, rng: np.random.Generator,

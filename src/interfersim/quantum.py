@@ -60,6 +60,14 @@ class BranchCapError(RuntimeError):
     """Exact outcome enumeration exceeded its branch budget."""
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D complex vector, bit for bit: the same
+    two dot products and square root, without the general function's
+    dispatch."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _readonly(array: np.ndarray) -> np.ndarray:
     array = np.array(array, dtype=np.complex128)
     array.setflags(write=False)
@@ -76,7 +84,7 @@ class QuantumState:
         psi = np.array(tuple(amplitudes), dtype=np.complex128)
         if psi.ndim != 1 or psi.size == 0:
             raise ValueError("state must be a non-empty vector")
-        norm = float(np.linalg.norm(psi))
+        norm = _norm(psi)
         if not abs(norm - 1.0) <= FAIL_TOL:  # also rejects NaN
             raise ValueError(f"state norm {norm} too far from 1")
         if abs(norm - 1.0) > RENORM_TOL:
@@ -100,8 +108,8 @@ class QuantumState:
 
 def ray_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """``|<a|b>| / (|a||b|)``; 1 means the vectors span the same ray."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = _norm(a)
+    nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(abs(np.vdot(a, b)) / (na * nb))
@@ -221,14 +229,17 @@ def _measure_layer(state: QuantumState, layer: Layer,
 
 class _Node:
     """A record prefix: the state before layer ``k``, its measurement event
-    at layer ``k`` and its no-click child, each filled in on first use."""
+    at layer ``k`` and its no-click child, each filled in on first use, and
+    the ray overlaps that ``interfersim.labels`` judged against the state,
+    by projection."""
 
-    __slots__ = ("state", "event", "no_click")
+    __slots__ = ("state", "event", "no_click", "overlaps")
 
     def __init__(self, state: QuantumState):
         self.state = state
         self.event = None
         self.no_click = None
+        self.overlaps: dict[tuple, float] = {}
 
 
 class RecordTree:

@@ -6,10 +6,14 @@ Everything random derives from one 64-bit experiment seed. Each consumer
 the counter space, padded to the generator's four-word block size. The
 whole ensemble can then be drawn in a single vectorised call while any
 individual shot remains reproducible in isolation by advancing the counter
-to the start of its slice.
+to the start of its slice. Read sequentially, the stream is the
+concatenation of the padded slices, so :func:`shot_streams` serves every
+shot of a per-shot run from one generator.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +24,7 @@ PREPARE_FIELDS = 0x03
 PREPARE_SIEVE = 0x04
 
 _BLOCK = 4  # Philox emits four 64-bit words per counter increment
+_STREAM_SHOTS = 4096  # shots per read of :func:`shot_streams`
 
 
 def _bit_generator(seed: int, purpose: int) -> np.random.Philox:
@@ -74,3 +79,40 @@ def shot_uniforms(seed: int, purpose: int, shot: int,
     if draws_per_shot <= 0:
         return np.zeros(0)
     return shot_generator(seed, purpose, shot, draws_per_shot).random(draws_per_shot)
+
+
+class ShotStream:
+    """One shot's uniforms, handed out in order by :meth:`random` as a
+    generator would; reading past them raises :class:`IndexError`."""
+
+    __slots__ = ("_row", "_next")
+
+    def __init__(self, row: list[float]):
+        self._row = row
+        self._next = 0
+
+    def random(self) -> float:
+        try:
+            value = self._row[self._next]
+        except IndexError:
+            raise IndexError(f"shot stream of {len(self._row)} draws "
+                             f"exhausted") from None
+        self._next += 1
+        return value
+
+
+def shot_streams(seed: int, purpose: int, shots: int,
+                 draws_per_shot: int) -> Iterator[ShotStream]:
+    """One :class:`ShotStream` per shot, in shot order: stream ``i`` holds
+    the uniforms of :func:`shot_uniforms` for shot ``i``, bit for bit.
+
+    The rows are one sequential read of the purpose stream, from a single
+    :func:`shot_generator`, in blocks of ``_STREAM_SHOTS`` shots so memory
+    stays bounded whatever the shot count.
+    """
+    width = padded_width(draws_per_shot)
+    gen = shot_generator(seed, purpose, 0, draws_per_shot)
+    for start in range(0, shots, _STREAM_SHOTS):
+        n = min(_STREAM_SHOTS, shots - start)
+        block = gen.random(n * width).reshape(n, width)[:, :draws_per_shot]
+        yield from map(ShotStream, block.tolist())

@@ -444,3 +444,35 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as err:
         main(["--help"])
     assert err.value.code == 0
+
+
+def test_consecutive_calls_share_no_state(tmp_path):
+    """``main`` builds its parser once per process; options given in one
+    call are gone in the next."""
+    circuit = tmp_path / "ev.circ"
+    export_scenario("elitzur-vaidman", circuit)
+
+    def report(*options):
+        out = tmp_path / "out"
+        assert main(["run", str(circuit), "--shots", "300", "--seed", "3",
+                     "--engine", "quantum", "--out", str(out), *options]) == 0
+        return (out / "report.json").read_bytes()
+
+    plain = report()
+    assert report("--postselect", "L2:N") != plain
+    assert report() == plain
+    assert report("--prepare", "path=2") != plain
+    assert report() == plain
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "trace"])
+def test_oversized_shots_exit_resource(mz_file, tmp_path, capsys, command):
+    # 10**15 shots need more memory than the address space holds, so the
+    # first per-shot array fails to allocate under any overcommit setting.
+    # ``run --engine quantum`` steps shot by shot and never asks for it.
+    code = main([command, mz_file, "--shots", str(10 ** 15),
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1

@@ -14,6 +14,7 @@ from interfersim.circuits import (
     PhaseShifter,
 )
 from interfersim.labels import (
+    PROJECTION_TOL,
     CongruenceError,
     check_delta_commutation,
     delta_projection,
@@ -29,6 +30,7 @@ from interfersim.quantum import (
     ImpossibleOutcomeError,
     QuantumState,
     RecordTree,
+    ray_overlap,
     run_quantum_shot,
 )
 from interfersim.records import OutcomeRecord
@@ -402,3 +404,42 @@ def test_congruence_through_shared_tree_keeps_errors():
             verify_congruence([post_click_state(0, 2)] * 2,
                               OutcomeRecord(((0, None),)), certain, label0,
                               tree=tree)
+
+
+# -- deviations keep the bits of a plain reference ----------------------------
+
+def _reference_deviation(state, label):
+    """``1 - |overlap|`` as written with ``np.linalg.norm`` throughout."""
+    top = min(state.tau)
+    if top == ZERO_LEVEL:
+        return 1.0
+    projected = np.where(np.array(state.tau) == top, state.u, 0.0j)
+    norm = float(np.linalg.norm(projected))
+    if norm <= PROJECTION_TOL:
+        return 1.0
+    unit = projected / norm
+    na = float(np.linalg.norm(unit))
+    nb = float(np.linalg.norm(label.amplitudes))
+    overlap = float(abs(np.vdot(unit, label.amplitudes)) / (na * nb))
+    assert ray_overlap(unit, label.amplitudes).hex() == overlap.hex()
+    return 1.0 - overlap
+
+
+@pytest.mark.parametrize("circuit", _tree_cases(), ids=lambda c: c.name or
+                         f"random{c.width}x{c.depth}")
+def test_congruence_deviations_match_reference_bits(circuit):
+    label0 = QuantumState.basis(0, circuit.width)
+    tree = RecordTree(circuit, label0)
+    skew = np.exp(0.25j * np.arange(circuit.width))  # off-label fields too
+    for seed in range(12):
+        record, trajectory = traced_shot(circuit, seed)
+        if seed % 3 == 2:
+            trajectory = [OnticState(s.q, s.u * skew, s.tau) for s in trajectory]
+        report = verify_congruence(trajectory, record, circuit, label0, tree=tree)
+        label, clicks = label0, dict(record.events)
+        expected = []
+        for layer_idx, layer in enumerate(circuit.layers):
+            label = predicted_label_update(label, layer, clicks.get(layer_idx))
+            expected.append(_reference_deviation(trajectory[layer_idx + 1],
+                                                 label).hex())
+        assert [c.deviation.hex() for c in report.checks] == expected

@@ -11,7 +11,12 @@ import pytest
 from interfersim import ensemble, prepare
 from interfersim.circuits import BeamSplitter, Circuit, Layer, PhaseShifter
 from interfersim.ensemble import run_ensemble
-from interfersim.harness import ExperimentConfig, PreparationSpec, run_experiment
+from interfersim.harness import (
+    ExperimentConfig,
+    PreparationSpec,
+    run_experiment,
+    run_traced,
+)
 from interfersim.ontic import mix_amplitudes
 from interfersim.prepare import prepare_ensemble
 from interfersim.scenarios import available_scenarios, random_circuit, scenario
@@ -112,6 +117,17 @@ def test_deferred_junk_overflow_raises_in_traced_run(monkeypatch):
           pytest.raises(AssertionError, match="non-finite amplitude after layer 0")):
         run_experiment(config)
     assert run_experiment(replace(config, trace=False)).kept_shots == 10
+
+
+def test_junk_overflow_raises_in_single_shot_replay(monkeypatch):
+    # the replay's engine-made states still check finiteness: the huge junk
+    # is finite on entry and overflows when the dead path rotates
+    monkeypatch.setitem(prepare.JUNK_SAMPLERS, "huge", huge)
+    config = ExperimentConfig(circuit=DEAD_ROTATION, shots=3, seed=3,
+                              prepare=PreparationSpec(path=0, junk="huge"))
+    with (np.errstate(over="ignore"),
+          pytest.raises(ValueError, match="amplitudes must be finite")):
+        run_traced(config)
 
 
 def test_deferred_junk_splitter_expansion_raises_on_final_u(monkeypatch):

@@ -51,3 +51,35 @@ def test_deterministic_under_fixed_seed():
 def test_zero_draws():
     assert rng.ensemble_uniforms(1, rng.ONTIC_SHOTS, 9, 0).shape == (9, 0)
     assert rng.shot_uniforms(1, rng.ONTIC_SHOTS, 3, 0).size == 0
+
+
+def _read(stream, draws):
+    return np.array([stream.random() for _ in range(draws)])
+
+
+@pytest.mark.parametrize("draws", [0, 1, 3, 4, 5, 15])
+@pytest.mark.parametrize("shots", [1, 7, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_shot_streams_rows_are_shot_uniforms(draws, shots):
+    assert rng._STREAM_SHOTS == 4096  # the shot counts straddle its blocks
+    streams = list(rng.shot_streams(31, rng.ONTIC_SHOTS, shots, draws))
+    assert len(streams) == shots
+    rows = np.array([_read(s, draws) for s in streams]).reshape(shots, draws)
+    # every row, bit for bit, against the whole-ensemble draw ...
+    assert rows.tobytes() == rng.ensemble_uniforms(
+        31, rng.ONTIC_SHOTS, shots, draws).tobytes()
+    # ... and against each shot drawn alone, at both ends of every block
+    edges = {0, 1, shots - 1} | {b + d for b in range(4096, shots, 4096)
+                                 for d in (-1, 0, 1)}
+    for shot in sorted(edges & set(range(shots))):
+        assert rows[shot].tobytes() == rng.shot_uniforms(
+            31, rng.ONTIC_SHOTS, shot, draws).tobytes()
+    for stream in (streams[0], streams[-1]):
+        with pytest.raises(IndexError, match="exhausted"):
+            stream.random()
+
+
+def test_shot_streams_match_per_shot_generators():
+    for shot, stream in enumerate(rng.shot_streams(9, rng.QUANTUM_SHOTS, 20, 6)):
+        gen = rng.shot_generator(9, rng.QUANTUM_SHOTS, shot, 6)
+        assert [stream.random() for _ in range(6)] == \
+            [gen.random() for _ in range(6)]
