@@ -412,7 +412,7 @@ def run_ensemble(circuit: Circuit, *init_and_seed) -> EnsembleResult:
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
     # A prepared run's junk is evolved, and checked, on demand by the run of
     # its materialised arrays, with the same element operations.
-    junk = ((lambda: run_ensemble(circuit, *prepared, seed)._fields.junk())
+    junk = ((lambda: run_ensemble(circuit, *prepared.arrays(), seed)._fields.junk())
             if junk_re is None else lambda: (junk_re, junk_im))
     return EnsembleResult(detector_layers, q, degenerate,
                           _Fields(group, records, levels, u_re, u_im, junk))

@@ -276,10 +276,6 @@ def _within_bands(counts: Mapping[str, int], probs: Mapping[str, float],
     return dict(zip(keys, zip(sigma.tolist(), ok.tolist())))
 
 
-# Per-shot ``(q, u, levels)`` arrays of a materialised preparation.
-Prepared = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def _prepare(config: ExperimentConfig) -> PreparedEnsemble:
     """The config's initial ensemble: one field and a junk recipe."""
     return prepare_ensemble(config.prepare.mode, config.prepare.path,
@@ -289,18 +285,17 @@ def _prepare(config: ExperimentConfig) -> PreparedEnsemble:
 
 def traced_shots(config: ExperimentConfig,
                  diagnostics: ShotDiagnostics | None = None,
-                 prepared: Prepared | None = None,
                  ) -> Iterator[tuple[int, OutcomeRecord, list[OnticState]]]:
     """Replay every shot of a config through the single-shot engine.
 
     Yields ``(shot, record, trajectory)`` in shot order; each shot starts
-    from its row of the prepared ensemble (``prepared``, else prepared and
-    materialised here) and draws its own slice of the stream
+    from its row of the materialised preparation (junk included, for the
+    trace lines print it) and draws its own slice of the stream
     (:func:`interfersim.rng.shot_streams`), so it reproduces the shot of
     the vectorised run.
     """
     circuit = config.circuit
-    init_q, init_u, init_levels = prepared or _prepare(config)
+    init_q, init_u, init_levels = _prepare(config).arrays()
     n_draws = circuit.count_gates(BeamSplitter)
     for shot, gen in enumerate(streams.shot_streams(
             config.seed, streams.ONTIC_SHOTS, config.shots, n_draws)):
@@ -322,11 +317,9 @@ def write_trace_lines(fh: IO[str], shot: int,
 def run_traced(config: ExperimentConfig,
                cross_check: EnsembleResult | None = None,
                jsonl: str | None = None,
-               prepared: Prepared | None = None,
                ) -> tuple[dict, list[dict]]:
-    """Replay every shot with tracing (:func:`traced_shots`, from
-    ``prepared`` when the caller already holds the initial ensemble) and
-    verify label congruence.
+    """Replay every shot with tracing (:func:`traced_shots`) and verify
+    label congruence.
 
     Returns a summary dict plus the per-shot congruence reports in their
     JSON shape ``{shot, layers: [{deviation}], pass}``. When ``cross_check``
@@ -343,8 +336,7 @@ def run_traced(config: ExperimentConfig,
     shot_reports: list[dict] = []
     with (open(jsonl, "w", encoding="utf-8") if jsonl
           else contextlib.nullcontext()) as trace_fh:
-        for shot, record, trajectory in traced_shots(config, diagnostics,
-                                                     prepared):
+        for shot, record, trajectory in traced_shots(config, diagnostics):
             if cross_check is not None and record != cross_check.record_for_shot(shot):
                 raise AssertionError(
                     f"shot {shot}: single-shot replay disagrees with ensemble record"
@@ -443,24 +435,18 @@ def run_experiment(config: ExperimentConfig,
     With ``trace`` set or a ``jsonl`` path given, every shot of the ensemble
     is additionally replayed once with tracing (:func:`run_traced`), which
     writes the trace lines to ``jsonl``; the label congruence summary goes
-    into the report only when ``trace`` is set. The trace lines print the
-    junk, so a traced run materialises the preparation once and runs the
-    ensemble on those arrays; any other run draws no junk.
+    into the report only when ``trace`` is set. The ensemble draws no junk;
+    only the replay materialises it.
     """
     start = time.perf_counter()
     circuit = config.circuit
     counts = probs = congruence = None
     kept = degenerate = 0
     if config.mode != "quantum-exact":
-        prepared = _prepare(config)
+        result = run_ensemble(circuit, _prepare(config), config.seed)
         if config.trace or jsonl:
-            arrays = prepared.arrays()
-            result = run_ensemble(circuit, *arrays, config.seed)
-            summary, _ = run_traced(config, cross_check=result, jsonl=jsonl,
-                                    prepared=arrays)
+            summary, _ = run_traced(config, cross_check=result, jsonl=jsonl)
             congruence = summary if config.trace else None
-        else:
-            result = run_ensemble(circuit, prepared, config.seed)
         degenerate = result.degenerate_relocations
         if config.postselect:
             result = result.select(result.match_mask(config.postselect))

@@ -22,7 +22,7 @@ randomized checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .quantum import (
     QuantumState,
     RecordTree,
     _measure_layer,
-    _Node,
     _norm,
     collapse,
     ray_overlap,
@@ -141,8 +140,7 @@ def predicted_label_update(z: QuantumState, layer: Layer,
     return collapse(state, detectors, click)
 
 
-@dataclass(frozen=True)
-class LayerCheck:
+class LayerCheck(NamedTuple):
     """Congruence evidence for one layer of a traced shot."""
 
     layer: int
@@ -191,18 +189,18 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
         raise ValueError("initial label does not match the circuit width")
     if tree is None:
         tree = RecordTree(circuit, init_label)
-    checks: list[LayerCheck] = []
+    node = tree.root_for(circuit, init_label)
+    clicks = dict(record.events)
+    checks: list[LayerCheck] = []  # from layer -1, the initial state
     max_dev = 0.0
     passed = True
-
-    def judge(layer_idx: int, state: OnticState, node: _Node) -> None:
-        nonlocal max_dev, passed
-        deviation, member = _judge(state, node.state, node.overlaps)
-        ok = deviation <= tol and member
+    for layer_idx, state in enumerate(trajectory, -1):
         if layer_idx >= 0:
-            checks.append(LayerCheck(layer_idx, deviation, member))
+            node = tree.child(node, layer_idx, clicks.get(layer_idx))
+        deviation, member = _judge(state, node.state, node.overlaps)
+        checks.append(LayerCheck(layer_idx, deviation, member))
         max_dev = max(max_dev, deviation)
-        if not ok:
+        if not (deviation <= tol and member):
             passed = False
             if strict:
                 raise CongruenceError(
@@ -210,14 +208,7 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
                     f"layer {layer_idx}: deviation {deviation:.3e}, "
                     f"member={member}, state={state!r}",
                 )
-
-    node = tree.root_for(circuit, init_label)
-    judge(-1, trajectory[0], node)
-    clicks = dict(record.events)
-    for layer_idx in range(circuit.depth):
-        node = tree.child(node, layer_idx, clicks.get(layer_idx))
-        judge(layer_idx, trajectory[layer_idx + 1], node)
-    return CongruenceReport(tuple(checks), max_dev, passed)
+    return CongruenceReport(tuple(checks[1:]), max_dev, passed)
 
 
 def check_delta_commutation(layer: Layer, tau_before: Sequence[int],

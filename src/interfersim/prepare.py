@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -145,7 +145,6 @@ class PreparedEnsemble:
     ``seed``. :func:`interfersim.ensemble.run_ensemble` runs the one field
     and draws no junk; :meth:`arrays` materialises the per-shot arrays for
     whatever reads the junk (a traced replay, the final amplitudes).
-    Iterating gives the same arrays, so ``q, u, levels = prepared`` works.
     """
 
     path: int
@@ -164,9 +163,6 @@ class PreparedEnsemble:
         levels = np.full((self.shots, self.width), ZERO_LEVEL, dtype=np.int64)
         levels[:, self.path] = 0
         return q, u, levels
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.arrays())
 
 
 def prepare_ensemble(mode: str, path: int, width: int, shots: int, seed: int,

@@ -16,27 +16,29 @@ the state on one outcome.
 The state after a layer is a function of the outcome record so far, so
 ``RecordTree`` computes it once per record prefix: each node runs
 ``_measure_layer`` once and each edge ``collapse`` once, however many shots
-pass through. ``run_quantum_shot`` walks such a tree, picking one outcome
-per detector layer from a single uniform draw against the node's cached
-thresholds; ``interfersim.labels`` walks a given record through one to
-predict the stochastic engine's labels. Sharing a tree across the shots of
-a run changes no bit: every node holds exactly the state that a shot
-stepping alone would compute. ``exact_outcome_distribution`` keeps every
-outcome. The enumeration walks the layers
-with a frontier of live branches (no recursion, so circuit depth is not
-limited by Python's stack) and grows each branch in place into its clicks
-in ascending path order and then its no-click, so the result lists outcomes
-in depth-first order. Every live branch ends in at least one leaf, so the
-branch cap trips for exactly the circuits with more leaves than the cap, as
-soon as the frontier passes it. Memory is bounded by the cap: at most about
-``branch_cap`` live branches, each a state vector and its event tuple.
+or branches pass through. The tree serves three consumers.
+``run_quantum_shot`` walks it, picking one outcome per detector layer from a
+single uniform draw against the node's cached thresholds;
+``interfersim.labels`` walks a given record through it to predict the
+stochastic engine's labels; and ``exact_outcome_distribution`` walks every
+outcome of it, multiplying the node's cached probabilities. Sharing a tree
+changes no bit: every node holds exactly the state that a shot stepping
+alone would compute. The enumeration walks the layers with a frontier of
+live branches (no recursion, so circuit depth is not limited by Python's
+stack) and grows each branch in place into its clicks in ascending path
+order and then its no-click, so the result lists outcomes in depth-first
+order. Every live branch ends in at least one leaf, so the branch cap trips
+for exactly the circuits with more leaves than the cap, as soon as the
+frontier passes it. Memory is bounded by the cap and the circuit: at most
+about ``branch_cap`` live branches, each a node, a probability and its
+events so far, on a tree of at most ``1 + depth * (1 + detectors)`` nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -227,6 +229,19 @@ def _measure_layer(state: QuantumState, layer: Layer,
     return state, detectors, probs, max(0.0, 1.0 - sum(probs))
 
 
+class LayerEvent(NamedTuple):
+    """A node's measurement event at one layer: the state before collapse,
+    the sorted detector paths, their click probabilities, the joint
+    no-click probability, and the ``(path, threshold)`` pairs of cumulative
+    click probabilities over ``(clicks..., no-click)`` in detector order."""
+
+    state: QuantumState
+    detectors: tuple[int, ...]
+    probs: list[float]
+    no_click: float
+    thresholds: tuple[tuple[int, float], ...]
+
+
 class _Node:
     """A record prefix: the state before layer ``k``, its measurement event
     at layer ``k`` and its no-click child, each filled in on first use, and
@@ -246,13 +261,18 @@ class RecordTree:
     """The quantum state as a function of the outcome record prefix, built
     lazily and shared by every shot of one circuit and initial state.
 
-    A node holds the state before layer ``k``. :meth:`event` runs
-    :func:`_measure_layer` once per node and keeps the detectors and the
-    cumulative click thresholds; :meth:`child` runs :func:`collapse` once
-    per edge. A click resets the state to a basis vector, so the click child
-    at ``(k, j)`` is one node for the whole tree; a no-click child belongs to
-    its parent. The tree therefore holds at most ``1 + depth * (1 +
-    detectors)`` nodes, whatever the number of shots walked through it.
+    The tree serves three consumers: the sampler
+    (:func:`run_quantum_shot`), the label check
+    (:func:`interfersim.labels.verify_congruence`) and the exact enumerator
+    (:func:`exact_outcome_distribution`). A node holds the state before
+    layer ``k``. :meth:`event` runs :func:`_measure_layer` once per node and
+    keeps its :class:`LayerEvent`: the click and no-click probabilities and
+    the cumulative click thresholds; :meth:`child` runs :func:`collapse`
+    once per edge. A click resets the state to a basis vector, so the click
+    child at ``(k, j)`` is one node for the whole tree; a no-click child
+    belongs to its parent. The tree therefore holds at most ``1 + depth * (1
+    + detectors)`` nodes, whatever the number of shots or branches walked
+    through it.
     """
 
     def __init__(self, circuit: Circuit, init: QuantumState):
@@ -264,11 +284,8 @@ class RecordTree:
         self._detector_paths = [_detectors(layer) for layer in circuit.layers]
         self._clicks: dict[tuple[int, int], _Node] = {}
 
-    def event(self, node: _Node, k: int
-              ) -> tuple[QuantumState, tuple[int, ...], tuple[tuple[int, float], ...]]:
-        """Layer ``k`` from ``node``: the state before collapse, the sorted
-        detector paths and ``(path, threshold)`` pairs, the cumulative click
-        probabilities over ``(clicks..., no-click)`` in detector order."""
+    def event(self, node: _Node, k: int) -> LayerEvent:
+        """Layer ``k`` from ``node``, measured on first use."""
         if node.event is None:
             state, detectors, probs, no_click = _measure_layer(
                 node.state, self.circuit.layers[k], self._detector_paths[k])
@@ -278,7 +295,8 @@ class RecordTree:
             for j, p in zip(detectors, probs):
                 acc += p / total
                 thresholds.append((j, acc))
-            node.event = state, detectors, tuple(thresholds)
+            node.event = LayerEvent(state, detectors, probs, no_click,
+                                    tuple(thresholds))
         return node.event
 
     def child(self, node: _Node, k: int, click: int | None) -> _Node:
@@ -286,8 +304,9 @@ class RecordTree:
         (``None`` for a joint no-click or a layer without detectors)."""
         if click is None:
             if node.no_click is None:
-                state, detectors, _ = self.event(node, k)
-                node.no_click = self._new(collapse(state, detectors, None))
+                event = self.event(node, k)
+                node.no_click = self._new(
+                    collapse(event.state, event.detectors, None))
             return node.no_click
         key = (k, click)
         found = self._clicks.get(key)
@@ -326,12 +345,12 @@ def run_quantum_shot(circuit: Circuit, init: QuantumState,
     node = tree.root_for(circuit, init)
     events: list[tuple[int, int | None]] = []
     for layer_idx in range(circuit.depth):
-        _, detectors, thresholds = tree.event(node, layer_idx)
+        event = tree.event(node, layer_idx)
         clicked = None
-        if detectors:
+        if event.detectors:
             # One uniform draw through the cumulative (clicks..., no-click).
             u = float(rng.random())
-            for j, threshold in thresholds:
+            for j, threshold in event.thresholds:
                 if u < threshold:
                     clicked = j
                     break
@@ -370,30 +389,29 @@ def exact_outcome_distribution(circuit: Circuit, init: QuantumState,
                                branch_cap: int = 10 ** 6) -> OutcomeDistribution:
     """Enumerate the full outcome tree with exact branch probabilities.
 
-    Live branches are ``(state, probability, events)``, grown layer by
-    layer as the module docstring describes. Branches with probability at
-    most ``IMPOSSIBLE_TOL`` are pruned, so a recorded outcome absent from
-    the result is an impossible event. Raises :class:`BranchCapError` as
-    soon as more than ``branch_cap`` branches are live.
+    Live branches are ``(node, probability, events)`` on a
+    :class:`RecordTree` of ``circuit`` and ``init``, grown layer by layer as
+    the module docstring describes. Outcomes with probability at most
+    ``IMPOSSIBLE_TOL`` are pruned, so a recorded outcome absent from the
+    result is an impossible event. Raises :class:`BranchCapError` as soon as
+    more than ``branch_cap`` branches are live.
     """
-    if init.width != circuit.width:
-        raise ValueError("initial state width does not match circuit")
-    # a click collapses onto a basis state; branches share one per path
-    basis = [QuantumState.basis(j, circuit.width) for j in range(circuit.width)]
-    branches = [(init, 1.0, ())]
-    for layer_idx, layer in enumerate(circuit.layers):
+    tree = RecordTree(circuit, init)
+    branches = [(tree.root, 1.0, ())]
+    for layer_idx in range(circuit.depth):
         grown = []
-        detectors = _detectors(layer)
-        for state, prob, events in branches:
-            state, _, probs, no_click = _measure_layer(state, layer, detectors)
-            if not detectors:
-                grown.append((state, prob, events))
+        for node, prob, events in branches:
+            event = tree.event(node, layer_idx)
+            if not event.detectors:
+                grown.append((tree.child(node, layer_idx, None), prob, events))
                 continue
-            for j, p in zip(detectors, probs):
+            for j, p in zip(event.detectors, event.probs):
                 if p > IMPOSSIBLE_TOL:
-                    grown.append((basis[j], prob * p, events + ((layer_idx, j),)))
-            if no_click > IMPOSSIBLE_TOL:
-                grown.append((project_no_click(state, detectors), prob * no_click,
+                    grown.append((tree.child(node, layer_idx, j), prob * p,
+                                  events + ((layer_idx, j),)))
+            if event.no_click > IMPOSSIBLE_TOL:
+                grown.append((tree.child(node, layer_idx, None),
+                              prob * event.no_click,
                               events + ((layer_idx, None),)))
             if len(grown) > branch_cap:
                 raise BranchCapError(

@@ -284,7 +284,7 @@ def test_criterion_7_exactness_invariants():
     for name in available_scenarios():
         circuit = scenario(name)
         q, amp, levels = prepare_ensemble("source", 0, circuit.width, 20_000,
-                                          71, "disk")
+                                          71, "disk").arrays()
         result = run_ensemble(circuit, q, amp, levels, 71)
         degenerate += result.degenerate_relocations
     assert degenerate == 0

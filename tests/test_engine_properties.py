@@ -70,7 +70,7 @@ def test_scalar_replay_matches_ensemble_rows(width, depth, circuit_seed, seed,
     config = ExperimentConfig(circuit=circuit,
                               prepare=PreparationSpec("source", path, junk),
                               shots=SHOTS, seed=seed, mode="ontic-only")
-    q, u, levels = prepare_ensemble("source", path, width, SHOTS, seed, junk)
+    q, u, levels = prepare_ensemble("source", path, width, SHOTS, seed, junk).arrays()
     result = run_ensemble(circuit, q, u, levels, seed)
     diagnostics = ShotDiagnostics()
     for shot, record, trajectory in traced_shots(config, diagnostics):

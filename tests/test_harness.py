@@ -258,17 +258,22 @@ def test_junk_invariance_on_one_scenario():
 
 
 def test_traced_experiment_prepares_once(monkeypatch):
-    # the traced pass replays the ensemble the run prepared
-    prepare = harness.prepare_ensemble
+    # one ensemble run, without junk, and one materialised preparation, the
+    # replay's: the junk is drawn once
+    materialise, ensemble = harness.PreparedEnsemble.arrays, harness.run_ensemble
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return prepare(*args, **kwargs)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(harness, "prepare_ensemble", counted)
+    monkeypatch.setattr(harness.PreparedEnsemble, "arrays",
+                        counted("arrays", materialise))
+    monkeypatch.setattr(harness, "run_ensemble", counted("run", ensemble))
     report = run_experiment(ExperimentConfig(
         circuit=scenario("mz-3"), prepare=PreparationSpec(path=0, junk="disk"),
         shots=50, seed=5, mode="ontic-only", trace=True))
-    assert len(calls) == 1
+    assert calls == ["run", "arrays"]
     assert report.congruence["violations"] == 0

@@ -326,7 +326,8 @@ def test_ensemble_matches_single_shots_bitwise(name):
     circuit = scenario(name)
     shots = 200
     seed = 31
-    q, u, levels = prepare_ensemble("source", 0, circuit.width, shots, seed, "disk")
+    q, u, levels = prepare_ensemble("source", 0, circuit.width, shots, seed,
+                                    "disk").arrays()
     result = run_ensemble(circuit, q, u, levels, seed)
     draws = circuit.count_gates(BeamSplitter)
     for shot in range(shots):
@@ -342,7 +343,7 @@ def test_ensemble_matches_single_shots_bitwise(name):
 
 def test_ensemble_counts_sum_to_shots():
     circuit = scenario("mz-2")
-    q, u, levels = prepare_ensemble("source", 0, 2, 5000, 3, "zero")
+    q, u, levels = prepare_ensemble("source", 0, 2, 5000, 3, "zero").arrays()
     result = run_ensemble(circuit, q, u, levels, 3)
     counts = result.counts()
     assert sum(counts.values()) == 5000
@@ -369,7 +370,8 @@ def _tally_case(name):
         circuit = random_circuit(8, 36, np.random.default_rng(11), p_detector=0.4)
     else:
         circuit = scenario("zeno-8")
-    q, u, levels = prepare_ensemble("source", 0, circuit.width, 20000, 6, "disk")
+    q, u, levels = prepare_ensemble("source", 0, circuit.width, 20000, 6,
+                                    "disk").arrays()
     result = run_ensemble(circuit, q, u, levels, 6)
     if name == "postselected":
         result = result.select(result.match_mask(((1, None), (3, None))))
@@ -390,7 +392,7 @@ def test_ensemble_counts_match_row_sort_tally(name):
 @pytest.mark.parametrize("bad", [-1, ZERO_LEVEL + 1])
 def test_ensemble_rejects_levels_outside_range(bad):
     circuit = scenario("mz-2")
-    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero")
+    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero").arrays()
     levels[4, 1] = bad
     with pytest.raises(ValueError, match="strength levels"):
         run_ensemble(circuit, q, u, levels, 3)
@@ -398,7 +400,7 @@ def test_ensemble_rejects_levels_outside_range(bad):
 
 def test_ensemble_postselect_mask():
     circuit = scenario("elitzur-vaidman")
-    q, u, levels = prepare_ensemble("source", 0, 2, 2000, 4, "zero")
+    q, u, levels = prepare_ensemble("source", 0, 2, 2000, 4, "zero").arrays()
     result = run_ensemble(circuit, q, u, levels, 4)
     mask = result.match_mask(((1, None),))
     kept = result.select(mask)
@@ -410,7 +412,8 @@ def test_ensemble_postselect_mask():
 def test_ensemble_no_degenerate_relocations_from_valid_preparations():
     for name in available_scenarios():
         circuit = scenario(name)
-        q, u, levels = prepare_ensemble("source", 0, circuit.width, 2000, 5, "disk")
+        q, u, levels = prepare_ensemble("source", 0, circuit.width, 2000, 5,
+                                        "disk").arrays()
         result = run_ensemble(circuit, q, u, levels, 5)
         assert result.degenerate_relocations == 0
 
@@ -420,7 +423,7 @@ def test_ensemble_no_degenerate_relocations_from_valid_preparations():
 def test_ensemble_rejects_non_finite_amplitudes(bad, path):
     # as OnticState does, on a live path (0) and on a dead one (1) alike
     circuit = scenario("mz-2")
-    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero")
+    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero").arrays()
     u[4, path] = bad
     with pytest.raises(ValueError, match="finite"):
         run_ensemble(circuit, q, u, levels, 3)
@@ -431,7 +434,7 @@ def test_ensemble_flags_amplitude_overflow(path):
     # A finite amplitude whose rotation overflows: on the live path 0 it sits
     # in the group arrays, on the dead path 1 in that shot's junk row.
     circuit = Circuit(2, [Layer([PhaseShifter(path, math.pi / 4)])])
-    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero")
+    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero").arrays()
     u[:, path] = complex(1.7e308, 1.7e308)
     with (np.errstate(over="ignore"),
           pytest.raises(AssertionError, match="non-finite amplitude after layer 0")):
@@ -444,7 +447,7 @@ def test_ensemble_asserts_splitter_expansion(monkeypatch):
 
     monkeypatch.setattr(ensemble, "mix_amplitudes", expanding)
     circuit = scenario("mz-2")
-    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero")
+    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero").arrays()
     with pytest.raises(AssertionError, match="expanded the pair intensity"):
         run_ensemble(circuit, q, u, levels, 3)
 
@@ -456,7 +459,7 @@ def test_ensemble_groups_are_record_prefixes():
     n = 6
     mesh = reck_decompose(haar_unitary(n, np.random.default_rng(8)))
     circuit = Circuit(n, list(mesh.layers) + [Layer([Detector(j) for j in range(n)])])
-    q, u, levels = prepare_ensemble("source", 2, n, 20000, 8, "disk")
+    q, u, levels = prepare_ensemble("source", 2, n, 20000, 8, "disk").arrays()
     result = run_ensemble(circuit, q, u, levels, 8)
     assert result.groups == len(result.counts()) == n
 
@@ -470,7 +473,8 @@ def test_ensemble_groups_are_record_prefixes():
 def test_ensemble_postselected_counts(name, constraints, expected):
     # counts recorded before the ensemble computed its fields per group
     circuit = scenario(name)
-    q, u, levels = prepare_ensemble("source", 0, circuit.width, 5000, 4, "disk")
+    q, u, levels = prepare_ensemble("source", 0, circuit.width, 5000, 4,
+                                    "disk").arrays()
     result = run_ensemble(circuit, q, u, levels, 4)
     kept = result.select(result.match_mask(constraints))
     assert kept.counts() == expected

@@ -98,7 +98,7 @@ def test_sieve_gives_up_on_unreachable_target():
 
 
 def test_prepare_ensemble_shapes_and_class():
-    q, u, levels = prepare_ensemble("source", 1, 3, 100, 9, "disk")
+    q, u, levels = prepare_ensemble("source", 1, 3, 100, 9, "disk").arrays()
     assert q.shape == (100,) and u.shape == (100, 3) and levels.shape == (100, 3)
     assert (q == 1).all()
     assert (u[:, 1] == 1.0).all()
@@ -109,14 +109,14 @@ def test_prepare_ensemble_shapes_and_class():
 def test_prepare_ensemble_sieve_equals_source_distribution():
     a = prepare_ensemble("sieve", 0, 2, 50, 11, "disk")
     b = prepare_ensemble("source", 0, 2, 50, 11, "disk")
-    for x, y in zip(a, b):
+    for x, y in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
 
 
 def test_prepare_ensemble_deterministic():
     a = prepare_ensemble("source", 0, 2, 50, 12, "disk")
     b = prepare_ensemble("source", 0, 2, 50, 12, "disk")
-    for x, y in zip(a, b):
+    for x, y in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
 
 

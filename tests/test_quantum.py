@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interfersim import rng
+from interfersim import quantum, rng
 from interfersim.circuits import (
     BeamSplitter,
     Circuit,
@@ -19,6 +19,7 @@ from interfersim.circuits import (
 from interfersim.cli import main
 from interfersim.records import OutcomeRecord
 from interfersim.quantum import (
+    IMPOSSIBLE_TOL,
     BranchCapError,
     ImpossibleOutcomeError,
     QuantumState,
@@ -30,6 +31,7 @@ from interfersim.quantum import (
     apply_phase,
     detector_click_probability,
     exact_outcome_distribution,
+    project_no_click,
     run_quantum_shot,
     unitary_part,
 )
@@ -395,9 +397,9 @@ def test_shared_tree_sampler_is_bit_identical(circuit):
         assert final.amplitudes.tobytes() == final_a.amplitudes.tobytes()
         node, walked = tree.root, []
         for layer_idx in range(circuit.depth):
-            _, detectors, cumulative = tree.event(node, layer_idx)
-            if detectors:
-                walked.append(cumulative)
+            event = tree.event(node, layer_idx)
+            if event.detectors:
+                walked.append(event.thresholds)
             node = tree.child(node, layer_idx, record.result_for_layer(layer_idx)
                               if record.has_layer(layer_idx) else None)
         assert [[a.hex() for _, a in c] for c in walked] == \
@@ -452,8 +454,70 @@ def test_shared_tree_sampler_property(width, depth, circuit_seed, seed):
     circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed))
     init = QuantumState.basis(int(circuit_seed % width), width)
     shared, fresh = _shared_and_fresh(circuit, init, 20, seed)
-    probs = exact_outcome_distribution(circuit, init).probabilities
+    probs = _frontier_distribution(circuit, init)
     for (rec_a, final_a), (rec_b, final_b) in zip(shared, fresh):
         assert rec_a == rec_b
         assert final_a.amplitudes.tobytes() == final_b.amplitudes.tobytes()
         assert probs.get(rec_a, 0.0) > 0.0
+
+
+# -- exact enumeration on the tree --------------------------------------------
+
+def _frontier_distribution(circuit, init):
+    # the enumerator stated without a tree: a state per live branch, one
+    # layer step per branch per layer; clicks in path order, then no-click
+    basis = [QuantumState.basis(j, circuit.width) for j in range(circuit.width)]
+    branches = [(init, 1.0, ())]
+    for layer_idx, layer in enumerate(circuit.layers):
+        grown = []
+        for branch_state, prob, events in branches:
+            branch_state, detectors, probs, no_click = _measure_layer(
+                branch_state, layer)
+            if not detectors:
+                grown.append((branch_state, prob, events))
+                continue
+            for j, p in zip(detectors, probs):
+                if p > IMPOSSIBLE_TOL:
+                    grown.append((basis[j], prob * p, events + ((layer_idx, j),)))
+            if no_click > IMPOSSIBLE_TOL:
+                grown.append((project_no_click(branch_state, detectors),
+                              prob * no_click, events + ((layer_idx, None),)))
+        branches = grown
+    return {OutcomeRecord(events): prob for _, prob, events in branches}
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(2, 6), depth=st.integers(1, 20),
+       circuit_seed=st.integers(0, 2 ** 32 - 1),
+       p_detector=st.sampled_from([0.15, 0.3]))
+def test_tree_enumerator_matches_frontier_property(width, depth, circuit_seed,
+                                                   p_detector):
+    circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed),
+                             p_detector=p_detector)
+    init = QuantumState.basis(int(circuit_seed % width), width)
+    dist = exact_outcome_distribution(circuit, init).probabilities
+    reference = _frontier_distribution(circuit, init)
+    assert [(rec.key, p.hex()) for rec, p in dist.items()] == \
+        [(rec.key, p.hex()) for rec, p in reference.items()]
+
+
+def test_enumeration_measures_each_tree_node_once(monkeypatch):
+    trees, measured = [], []
+    real_tree, real_measure = quantum.RecordTree, quantum._measure_layer
+
+    def recording_tree(*args):
+        trees.append(real_tree(*args))
+        return trees[-1]
+
+    def counting_measure(*args):
+        measured.append(args[0])
+        return real_measure(*args)
+
+    monkeypatch.setattr(quantum, "RecordTree", recording_tree)
+    monkeypatch.setattr(quantum, "_measure_layer", counting_measure)
+    circuit = zeno_chain(16)
+    dist = exact_outcome_distribution(circuit, QuantumState.basis(0, 2))
+    (tree,) = trees
+    assert len(dist.probabilities) == 2 ** 16
+    assert len(measured) <= tree.nodes
+    assert tree.nodes <= 1 + circuit.depth * (1 + circuit.count_gates(Detector))
