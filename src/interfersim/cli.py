@@ -184,6 +184,11 @@ def cmd_compare(args, config: ExperimentConfig) -> int:
     print(f"verdict: {report.verdict}  "
           f"tvd={report.total_variation:.6f}  "
           f"chi2 p={report.chi_square.p_value:.6g}")
+    if report.verdict == "fail":
+        row, pull = report.worst_outcome()
+        print(f"worst outcome: {row.key}  count={row.count}  "
+              f"probability={row.probability:.6g}  pull={pull:+.3g}  "
+              f"chi2 p={report.chi_square.p_value:.6g}")
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 

@@ -4,7 +4,10 @@ Runs an ensemble of stochastic-engine shots against the exact outcome
 distribution of the quantum engine for the same circuit and preparation,
 aggregates per-outcome statistics (frequencies, total variation distance,
 Pearson chi-square with a regularized-incomplete-gamma tail, per-outcome
-binomial bands) and renders a pass/fail verdict.
+binomial bands) and renders a pass/fail verdict. SciPy is imported inside
+the two functions that call it, so it loads on the first statistic; only
+a report that holds both counts and probabilities (``compare``) computes
+one, and ``trace`` and ``run`` on either engine never load it.
 
 Every report, whichever engines ran (``compare``, ``ontic-only``,
 ``quantum-exact`` here, ``quantum-sample`` from sampled quantum records), is
@@ -20,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -27,8 +31,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
-from scipy.stats import binom as binom_dist
 
 from . import rng as streams
 from .circuits import BeamSplitter, Circuit
@@ -169,6 +171,7 @@ def chi_square_goodness(counts: Mapping[str, int],
     if dof == 0:
         p_value = 1.0 if statistic <= 1e-9 else 0.0
     else:
+        from scipy.special import gammaincc
         p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
     return ChiSquareResult(float(statistic), p_value, dof, int(impossible))
 
@@ -217,6 +220,19 @@ class ExperimentReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
+    def worst_outcome(self) -> tuple[OutcomeStat, float]:
+        """The row that best explains a failed verdict, with its pull
+        ``(frequency - probability) / sigma``: an observed impossible
+        outcome first, else the largest |pull|. A zero-sigma row outside
+        its band pulls infinitely."""
+        def pull(o: OutcomeStat) -> float:
+            deviation = o.frequency - o.probability
+            if o.sigma:
+                return deviation / o.sigma
+            return 0.0 if o.within_ci else math.copysign(math.inf, deviation)
+        row = max(self.outcomes, key=lambda o: (o.impossible, abs(pull(o)), o.count))
+        return row, pull(row)
+
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -262,6 +278,7 @@ def _within_bands(counts: Mapping[str, int], probs: Mapping[str, float],
     must not fall under the CI_SIGMA significance. Maps each outcome to its
     normal-approximation sigma (for the report table) and flag; each tail
     is one scipy call for all outcomes."""
+    from scipy.stats import binom as binom_dist
     keys = [key for key, p in probs.items() if p > 0.0]
     n = np.array([counts.get(key, 0) for key in keys], dtype=np.int64)
     p = np.array([probs[key] for key in keys], dtype=np.float64)

@@ -1,10 +1,15 @@
 """Command-line interface: commands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import interfersim
 from interfersim import cli, harness
 from interfersim.cli import main
 from interfersim.compiler import haar_unitary
@@ -286,6 +291,62 @@ def test_compare_passes(mz_file, tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 0
     assert "verdict: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("counts, probs, worst", [
+    ({"A": 500, "B": 250, "C": 250}, {"A": 0.5, "B": 0.25, "C": 0.25}, None),
+    ({"A": 560, "B": 240, "C": 200}, {"A": 0.5, "B": 0.25, "C": 0.25},
+     "worst outcome: A  count=560  probability=0.5  pull=+3.79  "
+     "chi2 p=0.000150733"),
+    ({"A": 500, "B": 499, "X": 1}, {"A": 0.5, "B": 0.5},
+     "worst outcome: X  count=1  probability=0  pull=+inf  chi2 p=0.964329"),
+], ids=["pass", "largest-pull", "impossible-first"])
+def test_compare_failure_names_worst_outcome(mz_file, tmp_path, capsys,
+                                             monkeypatch, counts, probs, worst):
+    """A failed verdict adds one line after the verdict naming the outcome
+    that failed it; a passing one prints nothing more."""
+    def forced(config):
+        return harness.outcome_report(config, "compare", counts,
+                                      sum(counts.values()), probs)
+
+    monkeypatch.setattr(cli, "run_experiment", forced)
+    code = main(["compare", mz_file, "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == str(tmp_path / "report.json")
+    assert lines[1].startswith("verdict: " + ("fail" if worst else "pass"))
+    assert lines[2:] == ([worst] if worst else [])
+    assert code == (cli.EXIT_FAIL if worst else cli.EXIT_PASS)
+
+
+_COLD_START = """
+import json, sys
+from interfersim import cli
+circuit, out = sys.argv[1:3]
+assert cli.main(["trace", circuit, "--shots", "50", "--out", out]) == 0
+assert cli.main(["run", circuit, "--shots", "50", "--out", out]) == 0
+assert cli.main(["run", circuit, "--shots", "50", "--engine", "quantum",
+                 "--out", out]) == 0
+before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert cli.main(["compare", circuit, "--shots", "2000", "--seed", "3",
+                 "--out", out]) == 0
+print(json.dumps({"before": before, "after": "scipy" in sys.modules}))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_statistics(tmp_path):
+    """A fresh process runs ``trace`` and ``run`` on either engine without
+    SciPy, whose import is most of the package's start-up time; the first
+    verdict loads it. The test process itself already holds SciPy."""
+    src = str(Path(interfersim.__file__).resolve().parents[1])
+    circuit = Path(interfersim.__file__).parent / "data" / "mz-3.circ"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _COLD_START, str(circuit),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"before": [], "after": True}
+    assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "pass"
 
 
 def test_compare_branch_cap_exceeded(mz_file, tmp_path):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 from scipy.stats import binom
 
 import interfersim
@@ -94,6 +95,23 @@ def test_chi_square_pools_small_cells():
     expected = {"a": 0.99, "b": 0.005, "c": 0.005}
     res = chi_square_goodness({"a": 990, "b": 6, "c": 4}, expected)
     assert res.dof == 1  # b and c pooled into one remainder cell
+
+
+@pytest.mark.parametrize("counts, expected, dof", [
+    ({"a": 520, "b": 480}, {"a": 0.5, "b": 0.5}, 1),
+    ({"a": 310, "b": 350, "c": 340}, {"a": 0.3, "b": 0.35, "c": 0.35}, 2),
+    ({k: 100 + 7 * i for i, k in enumerate("abcdef")},
+     {k: 1 / 6 for k in "abcdef"}, 5),
+    ({"a": 970, "b": 9, "c": 4, "d": 17}, {"a": 0.975, "b": 0.005, "c": 0.005,
+                                           "d": 0.015}, 2),  # b, c pooled
+], ids=["dof1", "dof2", "dof5", "pooled"])
+def test_chi_square_tail_bits(counts, expected, dof):
+    """The p-value is the regularized upper incomplete gamma, bit for bit."""
+    res = chi_square_goodness(counts, expected)
+    assert res.dof == dof
+    assert res.statistic > 0.0
+    assert float.hex(res.p_value) == \
+        float.hex(float(gammaincc(dof / 2, res.statistic / 2)))
 
 
 def scalar_band(count, probability, kept):
