@@ -1,4 +1,4 @@
-"""Vectorised execution of many independent stochastic-engine runs.
+"""Vectorised execution of a prepared ensemble of stochastic-engine runs.
 
 The layer loop of :func:`run_ensemble` is the vector statement of the gate
 rules; the scalar statement is the helpers behind
@@ -10,37 +10,26 @@ strongest field has the smallest level; Python ints in an
 :class:`interfersim.ontic.OnticState`, int64 arrays here), the uniform draw
 schedule and the separated real-arithmetic kernels, so a shot extracted
 from an ensemble and replayed through :func:`interfersim.ontic.run_ontic_shot`
-with its slice of the stream reproduces the same record and final state bit
-for bit; the property tests in ``tests/test_engine_properties.py`` check
-this on random circuits, from prepared and from arbitrary initial states.
+with its slice of the stream reproduces the same record, position, levels
+and live amplitudes bit for bit; the property tests in
+``tests/test_engine_properties.py`` check this on random circuits.
 
 The model keeps a field per shot, but the loop computes each distinct field
-once. Shots that share a field form a *group*: a prepared ensemble, whose
-shots all start with the same level row and the same bits on their live
-paths (those below ``ZERO_LEVEL``), is one group, and any other input
-starts with one group per shot. Every gate does the same arithmetic on a
+once. A prepared ensemble (:class:`interfersim.prepare.PreparedEnsemble`)
+starts every shot with the particle on the one live path and the same
+field, so it is one *group*. Every gate does the same arithmetic on a
 group's live paths and sets the same levels, wherever its particles are,
-until a detector layer splits the group by outcome: the live field and the
+until a detector layer splits the group by outcome: the field and the
 level row are functions of the record prefix, the paper's point that the
 label depends only on what the agent has seen. So they are held once per
-group, in ``(width, groups)`` arrays, with a group id per shot. Only the
-particle position ``q`` and the amplitudes on dead paths (the *junk*) are
-per shot. A splitter suppresses a dead path whose partner lives, so junk
-enters the arithmetic only where both paths of a pair are dead, and a
-particle reads junk only there, that is, only if it started on a dead path
-(a particle on a live path never moves onto a dead one). Junk rows are
-rotated and mixed for the shots whose group has the path (or pair) dead,
-and a no-click turns the group's live value on its path into junk.
+group, in ``(width, groups)`` arrays, with a group id per shot; only the
+particle position ``q`` is per shot.
 
-A prepared ensemble (:class:`interfersim.prepare.PreparedEnsemble`) has no
-particle on a dead path, so nothing in its run reads the junk: its
-records, positions and levels are functions of the circuit, the target
-path and the seed alone. It runs as one group field with no junk at all.
-Its junk is evolved only when :attr:`EnsembleResult.final_u` is read, by
-running the materialised per-shot arrays through the same loop, which
-keeps the junk's bits and its checks. Per-shot arrays (a traced run's
-materialised preparation, or arbitrary states) carry their junk from the
-start.
+The amplitudes a preparation leaves on its dead paths are not carried. A
+splitter suppresses a dead path whose partner lives, so a particle could
+read such a leftover only from a dead path, and no particle of a prepared
+ensemble ever stands on one: nothing the loop computes depends on them.
+The scalar replay carries them, for the trace lines print them.
 
 Inside the loop a level is stored relative to the layer clock, as ``level -
 layers_done``: every field ages by one level per layer unless a gate resets
@@ -51,9 +40,9 @@ click sets ``-(layer + 1)`` (absolute level 0 once its layer is done), and
 
 :class:`EnsembleResult` keeps the particle positions, the group of every
 shot and a record row per group. It builds the per-shot ``records``,
-``final_u`` and ``final_levels`` from the group rows (and the junk) on first
-access; :meth:`EnsembleResult.counts`, :meth:`~EnsembleResult.match_mask`
-and :meth:`~EnsembleResult.select` work on the group rows and never do.
+``final_u`` and ``final_levels`` from the group rows on first access;
+:meth:`EnsembleResult.counts`, :meth:`~EnsembleResult.match_mask` and
+:meth:`~EnsembleResult.select` work on the group rows and never do.
 """
 
 from __future__ import annotations
@@ -61,13 +50,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from . import rng
 from .circuits import BeamSplitter, Circuit, Detector, PhaseShifter, validate_layer
 from .ontic import ZERO_LEVEL, mix_amplitudes, rotate_amplitude
+from .prepare import PreparedEnsemble
 from .records import OutcomeRecord
 
 NO_CLICK = np.int16(-1)
@@ -76,16 +65,13 @@ NO_CLICK = np.int16(-1)
 @dataclass(frozen=True)
 class _Fields:
     """What a run ends with: a column per group for the records and the
-    live paths, and a junk column per shot for the dead paths, the latter
-    behind a call so that a prepared run can evolve it on demand."""
+    field."""
 
     group: np.ndarray    # (shots,) group of each shot
     records: np.ndarray  # (detector_layers, groups) int16, -1 = no click
     levels: np.ndarray   # (width, groups) absolute int64 levels
     u_re: np.ndarray     # (width, groups), zero on dead paths
     u_im: np.ndarray
-    # () -> (junk_re, junk_im), each (width, shots), meaningful on dead paths
-    junk: Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -103,8 +89,8 @@ class EnsembleResult:
 
     @property
     def groups(self) -> int:
-        """Number of field groups among the shots; for a prepared ensemble,
-        one per distinct outcome record."""
+        """Number of field groups among the shots, one per distinct outcome
+        record."""
         return int(np.count_nonzero(np.bincount(self._fields.group)))
 
     @cached_property
@@ -114,14 +100,12 @@ class EnsembleResult:
 
     @cached_property
     def final_u(self) -> np.ndarray:
-        """(shots, width) complex amplitudes; for a prepared run the first
-        read draws and evolves the junk (module docstring)."""
+        """(shots, width) complex amplitudes of each shot's group field:
+        zero on dead paths (module docstring)."""
         f = self._fields
-        junk_re, junk_im = f.junk()
-        live = f.levels[:, f.group] != ZERO_LEVEL
         final_u = np.empty((self.shots, f.levels.shape[0]), dtype=np.complex128)
-        final_u.real = np.where(live, f.u_re[:, f.group], junk_re).T
-        final_u.imag = np.where(live, f.u_im[:, f.group], junk_im).T
+        final_u.real = f.u_re[:, f.group].T
+        final_u.imag = f.u_im[:, f.group].T
         return final_u
 
     @cached_property
@@ -145,7 +129,6 @@ class EnsembleResult:
             return {"-": self.shots}
         members = np.bincount(f.group, minlength=f.records.shape[1])
         present = members > 0
-        # Groups from different initial fields can share a record row.
         rows, row = np.unique(f.records.T[present], axis=0, return_inverse=True)
         n = np.bincount(row.ravel(), weights=members[present],
                         minlength=len(rows))
@@ -158,8 +141,7 @@ class EnsembleResult:
             self.detector_layers,
             self.final_q[mask],
             self.degenerate_relocations,
-            replace(f, group=f.group[mask],
-                    junk=lambda: tuple(a[:, mask] for a in f.junk())),
+            replace(f, group=f.group[mask]),
         )
 
     def match_mask(self, constraints: tuple[tuple[int, int | None], ...]
@@ -177,41 +159,11 @@ class EnsembleResult:
         return mask[self._fields.group]
 
 
-def _path_major(a: np.ndarray, dtype) -> np.ndarray:
-    """C-ordered transpose of a ``(shots, k)`` array, copied a block of
-    shots at a time (one strided copy of a narrow array is several times
-    slower)."""
-    out = np.empty(a.shape[::-1], dtype=dtype)
-    for start in range(0, a.shape[0], 2048):
-        out[:, start:start + 2048] = a[start:start + 2048].T
-    return out
-
-
-def _initial_groups(u_re: np.ndarray, u_im: np.ndarray, levels: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Group of every shot and the first shot of each group, from
-    path-major arrays: one group when every shot has the same level row and
-    the same bits on its live paths (a prepared ensemble), else one group
-    per shot."""
-    shots = levels.shape[1]
-    if shots and (levels == levels[:, :1]).all():
-        live = levels[:, 0] != ZERO_LEVEL
-        bits = (b.view(np.int64)[live] for b in (u_re, u_im))
-        if all((b == b[:, :1]).all() for b in bits):
-            return np.zeros(shots, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    return np.arange(shots), np.arange(shots)
-
-
-def _members(flagged: np.ndarray, group: np.ndarray) -> slice | np.ndarray:
-    """Index of the shots whose group is flagged; all of them as a slice."""
-    return slice(None) if flagged.all() else np.flatnonzero(flagged[group])
-
-
 def _split_pair(re_s, im_s, re_t, im_t, root_r: float, root_t: float,
                 layer_idx: int):
-    """Mix a splitter's surviving amplitudes (arrays over groups or shots)
-    and assert that the pair intensity does not grow. Returns the mixed
-    amplitudes, the outgoing intensity on ``s`` and the total."""
+    """Mix a splitter's surviving amplitudes (arrays over groups) and assert
+    that the pair intensity does not grow. Returns the mixed amplitudes,
+    the outgoing intensity on ``s`` and the total."""
     s_re, s_im, t_re, t_im = mix_amplitudes(re_s, im_s, re_t, im_t,
                                             root_r, root_t)
     into = re_s * re_s + im_s * im_s + re_t * re_t + im_t * im_t
@@ -223,24 +175,10 @@ def _split_pair(re_s, im_s, re_t, im_t, root_r: float, root_t: float,
     return (s_re, s_im, t_re, t_im), p_s, p_s + (t_re2 + t_im2)
 
 
-def _chance_s(p_s: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Relocation chance to ``s``; 50/50 where both outputs vanish."""
-    return np.divide(p_s, total, out=np.full(total.shape, 0.5),
-                     where=total > 0.0)
+def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
+                 seed: int) -> EnsembleResult:
+    """Run every shot of a prepared ensemble through the circuit.
 
-
-def _finite(*arrays: np.ndarray) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
-
-
-def run_ensemble(circuit: Circuit, *init_and_seed) -> EnsembleResult:
-    """Run every shot of an ensemble through the circuit.
-
-    Called as ``run_ensemble(circuit, prepared, seed)`` on a
-    :class:`~interfersim.prepare.PreparedEnsemble`, which runs as one group
-    with no junk (module docstring), or as ``run_ensemble(circuit, q, u,
-    levels, seed)`` on per-shot arrays of particle positions, field
-    amplitudes (finite) and strength levels (each in ``[0, ZERO_LEVEL]``).
     Uniform draws come from the shot-sliced stream of purpose
     :data:`interfersim.rng.ONTIC_SHOTS` under ``seed``, one column per beam
     splitter in circuit order.
@@ -249,89 +187,45 @@ def run_ensemble(circuit: Circuit, *init_and_seed) -> EnsembleResult:
     docstring). A splitter mixes the group columns, computes one relocation
     chance per group and moves the particles with one gather; a detector
     layer splits every group into its no-click and click-at-``j`` children.
-    This is exact: a live path's arithmetic reads only its group's live
-    values, which depend on the record prefix alone, and junk is mixed, and
-    read by a particle, per shot, with the same element operations.
+    This is exact: a live path's arithmetic reads only its group's values,
+    which depend on the record prefix alone.
 
-    Every splitter asserts that it never expands its pair's intensity, on
-    the group columns and on the junk it mixes, and every layer that the
-    group amplitudes and the junk it wrote stay finite and the group levels
+    Every splitter asserts that it never expands its pair's intensity, and
+    every layer that the group amplitudes stay finite and the group levels
     stay in the dyadic range.
     """
-    *init, seed = init_and_seed
     width = circuit.width
-    if len(init) == 1:
-        (prepared,) = init
-        if prepared.width != width:
-            raise ValueError("prepared ensemble width differs from the circuit's")
-        shots = prepared.shots
-        q = np.full(shots, prepared.path, dtype=np.int64)
-        group = np.zeros(shots, dtype=np.intp)
-        # The one group field, dead off the target path.
-        levels = np.full((width, 1), ZERO_LEVEL, dtype=np.int64)
-        levels[prepared.path] = 0
-        u_re, u_im = np.zeros((width, 1)), np.zeros((width, 1))
-        u_re[prepared.path] = 1.0
-        junk_re = junk_im = None
-        strays = False
-        level_bound = circuit.depth
-    else:
-        init_q, init_u, init_levels = init
-        shots = init_q.shape[0]
-        if init_u.shape != (shots, width) or init_levels.shape != (shots, width):
-            raise ValueError("ensemble arrays disagree on shots or width")
-        if init_levels.size and (init_levels.min() < 0
-                                 or init_levels.max() > ZERO_LEVEL):
-            raise ValueError(f"strength levels must lie in [0, {ZERO_LEVEL}]")
-        if not np.isfinite(init_u).all():
-            raise ValueError("field amplitudes must be finite")
-        if shots and (init_q.min() < 0 or init_q.max() >= width):
-            raise ValueError(f"particle positions must lie in [0, {width})")
-
-        q = init_q.astype(np.int64)
-        # Path-major per-shot amplitudes; on dead paths they are the junk.
-        junk_re = _path_major(init_u.real, np.float64)
-        junk_im = _path_major(init_u.imag, np.float64)
-        shot_levels = _path_major(init_levels, np.int64)
-        group, first = _initial_groups(junk_re, junk_im, shot_levels)
-        # Group rows, levels relative to the layer clock (module docstring).
-        levels = shot_levels[:, first]
-        dead = levels == ZERO_LEVEL
-        u_re = np.where(dead, 0.0, junk_re[:, first])
-        u_im = np.where(dead, 0.0, junk_im[:, first])
-        strays = bool((shot_levels[q, np.arange(shots)] == ZERO_LEVEL).any())
-        del shot_levels, dead
-        nonzero_init = init_levels[init_levels < ZERO_LEVEL]
-        level_bound = ((int(nonzero_init.max()) if nonzero_init.size else 0)
-                       + circuit.depth)
+    if prepared.width != width:
+        raise ValueError("prepared ensemble width differs from the circuit's")
+    shots = prepared.shots
+    q = np.full(shots, prepared.path, dtype=np.int64)
+    group = np.zeros(shots, dtype=np.intp)
+    # The one group field, dead off the target path; levels relative to the
+    # layer clock (module docstring).
+    levels = np.full((width, 1), ZERO_LEVEL, dtype=np.int64)
+    levels[prepared.path] = 0
+    u_re, u_im = np.zeros((width, 1)), np.zeros((width, 1))
+    u_re[prepared.path] = 1.0
 
     n_splitters = circuit.count_gates(BeamSplitter)
     uniforms = rng.ensemble_uniforms(seed, rng.ONTIC_SHOTS, shots, n_splitters)
     draw_idx = 0
 
     detector_layers = circuit.detector_layers()
-    records = np.full((len(detector_layers), levels.shape[1]), NO_CLICK,
-                      dtype=np.int16)
+    records = np.full((len(detector_layers), 1), NO_CLICK, dtype=np.int16)
     record_row = {layer: i for i, layer in enumerate(detector_layers)}
     degenerate = 0
 
     for layer_idx, layer in enumerate(circuit.layers):
         validate_layer(layer, width)
         clock = layer_idx + 1  # layers done once this one is applied
-        junk_finite = True
         detectors = []
         for gate in layer.gates:
             if isinstance(gate, PhaseShifter):
                 j = gate.path
-                cos_w, sin_w = math.cos(gate.omega), math.sin(gate.omega)
-                u_re[j], u_im[j] = rotate_amplitude(u_re[j], u_im[j], cos_w, sin_w)
-                dead_j = levels[j] == ZERO_LEVEL
-                if junk_re is not None and dead_j.any():
-                    sel = _members(dead_j, group)
-                    re, im = rotate_amplitude(junk_re[j, sel], junk_im[j, sel],
-                                              cos_w, sin_w)
-                    junk_re[j, sel], junk_im[j, sel] = re, im
-                    junk_finite &= _finite(re, im)
+                u_re[j], u_im[j] = rotate_amplitude(u_re[j], u_im[j],
+                                                    math.cos(gate.omega),
+                                                    math.sin(gate.omega))
             elif isinstance(gate, Detector):
                 detectors.append(gate.path)
             else:
@@ -348,22 +242,12 @@ def run_ensemble(circuit: Circuit, *init_and_seed) -> EnsembleResult:
                     root_r, root_t, layer_idx)
                 u_re[s], u_im[s], u_re[t], u_im[t] = mixed
                 levels[s] = levels[t] = lmin
-                draw = uniforms[:, draw_idx]
+                # Relocation chance to s; 50/50 where both outputs vanish.
+                chance_s = np.divide(p_s, total, out=np.full(total.shape, 0.5),
+                                     where=total > 0.0)
+                move = uniforms[:, draw_idx] < chance_s[group]
                 draw_idx += 1
-                move = draw < _chance_s(p_s, total)[group]
-                junk = lmin == ZERO_LEVEL  # both dead: the shots mix junk
-                stuck = (total == 0.0) & ~junk
-                if junk_re is not None and junk.any():
-                    sel = _members(junk, group)
-                    mixed, p_s, total = _split_pair(
-                        junk_re[s, sel], junk_im[s, sel],
-                        junk_re[t, sel], junk_im[t, sel], root_r, root_t, layer_idx)
-                    junk_re[s, sel], junk_im[s, sel], junk_re[t, sel], junk_im[t, sel] = mixed
-                    junk_finite &= _finite(*mixed)
-                    if strays:
-                        on_pair = (q[sel] == s) | (q[sel] == t)
-                        degenerate += int(np.count_nonzero(on_pair & (total == 0.0)))
-                        move[sel] = draw[sel] < _chance_s(p_s, total)
+                stuck = (total == 0.0) & (lmin != ZERO_LEVEL)
                 if stuck.any():
                     degenerate += int(np.count_nonzero(stuck[group]
                                                        & ((q == s) | (q == t))))
@@ -375,13 +259,6 @@ def run_ensemble(circuit: Circuit, *init_and_seed) -> EnsembleResult:
                 to[[2 * s + 1, 2 * t + 1]] = s
                 q = to[2 * q + move]
         if detectors:
-            # A no-click leaves the path's amplitude as junk.
-            for j in detectors if junk_re is not None else ():
-                live_j = levels[j] != ZERO_LEVEL
-                if live_j.any():
-                    sel = _members(live_j, group)
-                    junk_re[j, sel] = u_re[j][group[sel]]
-                    junk_im[j, sel] = u_im[j][group[sel]]
             # Children: group * n + c, where c is 0 for no click and k for a
             # click at the layer's k-th detector.
             n = len(detectors) + 1
@@ -401,18 +278,14 @@ def run_ensemble(circuit: Circuit, *init_and_seed) -> EnsembleResult:
                 u_im[j] = 0.0
             records[record_row[layer_idx]] = np.array([NO_CLICK] + detectors,
                                                       dtype=np.int16)[click]
-        if not (junk_finite and _finite(u_re, u_im)):
+        if not (np.isfinite(u_re).all() and np.isfinite(u_im).all()):
             raise AssertionError(f"non-finite amplitude after layer {layer_idx}")
-        # Absolute levels in [0, level_bound] or ZERO_LEVEL, as reductions.
+        # Absolute levels in [0, depth] or ZERO_LEVEL, as reductions.
         if (levels.min(initial=-clock) < -clock
                 or levels.max(where=levels != ZERO_LEVEL, initial=-clock)
-                > level_bound - clock):
+                > circuit.depth - clock):
             raise AssertionError("strength level left the dyadic range")
 
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
-    # A prepared run's junk is evolved, and checked, on demand by the run of
-    # its materialised arrays, with the same element operations.
-    junk = ((lambda: run_ensemble(circuit, *prepared.arrays(), seed)._fields.junk())
-            if junk_re is None else lambda: (junk_re, junk_im))
     return EnsembleResult(detector_layers, q, degenerate,
-                          _Fields(group, records, levels, u_re, u_im, junk))
+                          _Fields(group, records, levels, u_re, u_im))

@@ -38,7 +38,8 @@ from .ensemble import EnsembleResult, run_ensemble
 from .labels import verify_congruence
 from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
 from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
-from .quantum import QuantumState, RecordTree, exact_outcome_distribution
+from .quantum import (QuantumState, RecordTree, exact_outcome_distribution,
+                      sum_in_order)
 from .records import OutcomeRecord, event_token, parse_event_token
 
 # Below this many (post-selection) shots no verdict is claimed.
@@ -124,7 +125,8 @@ def parse_postselect_tokens(tokens: Iterable[str]
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Half the L1 distance between two distributions over outcome keys."""
     keys = sorted(set(p) | set(q))  # a fixed order keeps the sum reproducible
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    return 0.5 * sum_in_order(abs(p.get(k, 0.0) - q.get(k, 0.0))
+                              for k in keys)
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ def chi_square_goodness(counts: Mapping[str, int],
             cells.append((observed, expected_count))
     if small_exp > 0.0:
         cells.append((small_obs, small_exp))
-    statistic = sum((obs - exp) ** 2 / exp for obs, exp in cells if exp > 0.0)
+    statistic = sum_in_order((obs - exp) ** 2 / exp
+                             for obs, exp in cells if exp > 0.0)
     dof = max(len(cells) - 1, 0)
     if dof == 0:
         p_value = 1.0 if statistic <= 1e-9 else 0.0

@@ -144,7 +144,7 @@ class PreparedEnsemble:
     once, from the :data:`interfersim.rng.PREPARE_FIELDS` stream of
     ``seed``. :func:`interfersim.ensemble.run_ensemble` runs the one field
     and draws no junk; :meth:`arrays` materialises the per-shot arrays for
-    whatever reads the junk (a traced replay, the final amplitudes).
+    the scalar replay, whose trace lines print the junk.
     """
 
     path: int

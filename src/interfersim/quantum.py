@@ -210,6 +210,17 @@ def _detectors(layer: Layer) -> tuple[int, ...]:
     return tuple(sorted(layer.detector_paths()))
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """Add ``values`` left to right from 0, one rounded addition each: the
+    bits of the built-in ``sum`` up to Python 3.11. From 3.12 ``sum``
+    compensates float rounding (Neumaier), so its bits depend on the
+    interpreter."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _measure_layer(state: QuantumState, layer: Layer,
                    detectors: tuple[int, ...] | None = None,
                    ) -> tuple[QuantumState, tuple[int, ...], list[float], float]:
@@ -226,7 +237,7 @@ def _measure_layer(state: QuantumState, layer: Layer,
     if len(detectors) < len(layer.gates):  # a phase shifter or splitter
         state = _evolve(state, layer.gates)
     probs = [detector_click_probability(state, j) for j in detectors]
-    return state, detectors, probs, max(0.0, 1.0 - sum(probs))
+    return state, detectors, probs, max(0.0, 1.0 - sum_in_order(probs))
 
 
 class LayerEvent(NamedTuple):
@@ -289,7 +300,7 @@ class RecordTree:
         if node.event is None:
             state, detectors, probs, no_click = _measure_layer(
                 node.state, self.circuit.layers[k], self._detector_paths[k])
-            total = sum(probs) + no_click
+            total = sum_in_order(probs) + no_click
             acc = 0.0
             thresholds = []
             for j, p in zip(detectors, probs):
@@ -379,7 +390,7 @@ class OutcomeDistribution:
         constraints, renormalized."""
         kept = {rec: p for rec, p in self.probabilities.items()
                 if rec.matches(constraints)}
-        total = sum(kept.values())
+        total = sum_in_order(kept.values())
         if total <= 0.0:
             raise ImpossibleOutcomeError("conditioning event has probability 0")
         return OutcomeDistribution({rec: p / total for rec, p in kept.items()})

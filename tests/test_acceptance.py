@@ -283,9 +283,8 @@ def test_criterion_7_exactness_invariants():
     degenerate = 0
     for name in available_scenarios():
         circuit = scenario(name)
-        q, amp, levels = prepare_ensemble("source", 0, circuit.width, 20_000,
-                                          71, "disk").arrays()
-        result = run_ensemble(circuit, q, amp, levels, 71)
+        result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
+                                                        20_000, 71, "disk"), 71)
         degenerate += result.degenerate_relocations
     assert degenerate == 0
     report_pass(7, "dyadic closure and locality exact over 8000 gate "

@@ -326,25 +326,25 @@ def test_ensemble_matches_single_shots_bitwise(name):
     circuit = scenario(name)
     shots = 200
     seed = 31
-    q, u, levels = prepare_ensemble("source", 0, circuit.width, shots, seed,
-                                    "disk").arrays()
-    result = run_ensemble(circuit, q, u, levels, seed)
+    prepared = prepare_ensemble("source", 0, circuit.width, shots, seed, "disk")
+    result = run_ensemble(circuit, prepared, seed)
+    q, u, levels = prepared.arrays()
     draws = circuit.count_gates(BeamSplitter)
     for shot in range(shots):
         init = OnticState(int(q[shot]), u[shot], levels[shot])
         gen = rng.shot_generator(seed, rng.ONTIC_SHOTS, shot, draws)
         record, traj = run_ontic_shot(circuit, init, gen)
         final = traj[-1]
+        live = result.final_levels[shot] != ZERO_LEVEL
         assert record == result.record_for_shot(shot)
-        assert np.array_equal(final.u, result.final_u[shot])
+        assert np.array_equal(final.u[live], result.final_u[shot][live])
         assert final.q == result.final_q[shot]
         assert final.tau == tuple(result.final_levels[shot])
 
 
 def test_ensemble_counts_sum_to_shots():
     circuit = scenario("mz-2")
-    q, u, levels = prepare_ensemble("source", 0, 2, 5000, 3, "zero").arrays()
-    result = run_ensemble(circuit, q, u, levels, 3)
+    result = run_ensemble(circuit, prepare_ensemble("source", 0, 2, 5000, 3), 3)
     counts = result.counts()
     assert sum(counts.values()) == 5000
     assert set(counts) <= {"L4:C1", "L4:C2"}
@@ -370,9 +370,8 @@ def _tally_case(name):
         circuit = random_circuit(8, 36, np.random.default_rng(11), p_detector=0.4)
     else:
         circuit = scenario("zeno-8")
-    q, u, levels = prepare_ensemble("source", 0, circuit.width, 20000, 6,
-                                    "disk").arrays()
-    result = run_ensemble(circuit, q, u, levels, 6)
+    result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
+                                                    20000, 6, "disk"), 6)
     if name == "postselected":
         result = result.select(result.match_mask(((1, None), (3, None))))
     return circuit, result
@@ -389,19 +388,9 @@ def test_ensemble_counts_match_row_sort_tally(name):
     assert sum(result.counts().values()) == result.shots
 
 
-@pytest.mark.parametrize("bad", [-1, ZERO_LEVEL + 1])
-def test_ensemble_rejects_levels_outside_range(bad):
-    circuit = scenario("mz-2")
-    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero").arrays()
-    levels[4, 1] = bad
-    with pytest.raises(ValueError, match="strength levels"):
-        run_ensemble(circuit, q, u, levels, 3)
-
-
 def test_ensemble_postselect_mask():
     circuit = scenario("elitzur-vaidman")
-    q, u, levels = prepare_ensemble("source", 0, 2, 2000, 4, "zero").arrays()
-    result = run_ensemble(circuit, q, u, levels, 4)
+    result = run_ensemble(circuit, prepare_ensemble("source", 0, 2, 2000, 4), 4)
     mask = result.match_mask(((1, None),))
     kept = result.select(mask)
     assert kept.shots == int(mask.sum())
@@ -412,33 +401,21 @@ def test_ensemble_postselect_mask():
 def test_ensemble_no_degenerate_relocations_from_valid_preparations():
     for name in available_scenarios():
         circuit = scenario(name)
-        q, u, levels = prepare_ensemble("source", 0, circuit.width, 2000, 5,
-                                        "disk").arrays()
-        result = run_ensemble(circuit, q, u, levels, 5)
+        result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
+                                                        2000, 5, "disk"), 5)
         assert result.degenerate_relocations == 0
 
 
 @pytest.mark.parametrize("path", [0, 1])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
-def test_ensemble_rejects_non_finite_amplitudes(bad, path):
-    # as OnticState does, on a live path (0) and on a dead one (1) alike
-    circuit = scenario("mz-2")
-    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero").arrays()
-    u[4, path] = bad
-    with pytest.raises(ValueError, match="finite"):
-        run_ensemble(circuit, q, u, levels, 3)
+def test_ensemble_flags_amplitude_overflow(monkeypatch, path):
+    # a rotation that overflows on the live path, where the group field is
+    def overflowing(re, im, cos_w, sin_w):
+        return np.full_like(re, np.inf), im
 
-
-@pytest.mark.parametrize("path", [0, 1])
-def test_ensemble_flags_amplitude_overflow(path):
-    # A finite amplitude whose rotation overflows: on the live path 0 it sits
-    # in the group arrays, on the dead path 1 in that shot's junk row.
+    monkeypatch.setattr(ensemble, "rotate_amplitude", overflowing)
     circuit = Circuit(2, [Layer([PhaseShifter(path, math.pi / 4)])])
-    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero").arrays()
-    u[:, path] = complex(1.7e308, 1.7e308)
-    with (np.errstate(over="ignore"),
-          pytest.raises(AssertionError, match="non-finite amplitude after layer 0")):
-        run_ensemble(circuit, q, u, levels, 3)
+    with pytest.raises(AssertionError, match="non-finite amplitude after layer 0"):
+        run_ensemble(circuit, prepare_ensemble("source", path, 2, 10, 3), 3)
 
 
 def test_ensemble_asserts_splitter_expansion(monkeypatch):
@@ -446,10 +423,19 @@ def test_ensemble_asserts_splitter_expansion(monkeypatch):
         return tuple(2.0 * part for part in mix_amplitudes(*args))
 
     monkeypatch.setattr(ensemble, "mix_amplitudes", expanding)
-    circuit = scenario("mz-2")
-    q, u, levels = prepare_ensemble("source", 0, 2, 10, 3, "zero").arrays()
     with pytest.raises(AssertionError, match="expanded the pair intensity"):
-        run_ensemble(circuit, q, u, levels, 3)
+        run_ensemble(scenario("mz-2"), prepare_ensemble("source", 0, 2, 10, 3), 3)
+
+
+def test_ensemble_asserts_dyadic_range(monkeypatch):
+    # a circuit that under-reports its depth by one: the prepared path's
+    # level outgrows the bound at the last layer
+    monkeypatch.setattr(Circuit, "depth",
+                        property(lambda self: len(self.layers) - 1))
+    circuit = Circuit(2, [Layer([PhaseShifter(0, 0.3)]),
+                          Layer([PhaseShifter(1, 0.3)])])
+    with pytest.raises(AssertionError, match="left the dyadic range"):
+        run_ensemble(circuit, prepare_ensemble("source", 0, 2, 10, 3), 3)
 
 
 def test_ensemble_groups_are_record_prefixes():
@@ -459,9 +445,25 @@ def test_ensemble_groups_are_record_prefixes():
     n = 6
     mesh = reck_decompose(haar_unitary(n, np.random.default_rng(8)))
     circuit = Circuit(n, list(mesh.layers) + [Layer([Detector(j) for j in range(n)])])
-    q, u, levels = prepare_ensemble("source", 2, n, 20000, 8, "disk").arrays()
-    result = run_ensemble(circuit, q, u, levels, 8)
+    result = run_ensemble(circuit, prepare_ensemble("source", 2, n, 20000, 8, "disk"), 8)
     assert result.groups == len(result.counts()) == n
+
+
+@pytest.mark.parametrize("name, post", [
+    *((name, None) for name in available_scenarios()),
+    ("zeno-8", tuple((layer, None) for layer in range(1, 15, 2))),
+])
+def test_ensemble_has_a_record_row_per_group(name, post):
+    # every present group has a record row of its own, which counts()
+    # relies on, also after a select
+    circuit = scenario(name)
+    result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
+                                                    20000, 8, "disk"), 8)
+    if post:
+        result = result.select(result.match_mask(post))
+        assert 0 < result.shots < 20000
+    assert result.groups == len(result.counts())
+    assert len(np.unique(result.records, axis=0)) == result.groups
 
 
 @pytest.mark.parametrize("name, constraints, expected", [
@@ -473,29 +475,9 @@ def test_ensemble_groups_are_record_prefixes():
 def test_ensemble_postselected_counts(name, constraints, expected):
     # counts recorded before the ensemble computed its fields per group
     circuit = scenario(name)
-    q, u, levels = prepare_ensemble("source", 0, circuit.width, 5000, 4,
-                                    "disk").arrays()
-    result = run_ensemble(circuit, q, u, levels, 4)
+    result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
+                                                    5000, 4, "disk"), 4)
     kept = result.select(result.match_mask(constraints))
     assert kept.counts() == expected
     assert kept.shots == sum(expected.values())
     assert kept.groups == len(expected) < result.groups
-
-
-def test_ensemble_counts_merge_groups_sharing_a_record():
-    # arbitrary initial fields give about a group per shot, so many groups
-    # end with the same record row; the tally must merge them, also after
-    # a select
-    circuit = random_circuit(5, 20, np.random.default_rng(12), p_detector=0.3)
-    g = np.random.default_rng(13)
-    shots = 3000
-    q = g.integers(0, 5, shots)
-    levels = np.where(g.random((shots, 5)) < 0.3, ZERO_LEVEL,
-                      g.integers(0, 9, (shots, 5)))
-    u = g.uniform(-1, 1, (shots, 5)) + 1j * g.uniform(-1, 1, (shots, 5))
-    result = run_ensemble(circuit, q, u, levels, 13)
-    assert result.groups > 10 * len(result.counts())
-    assert list(result.counts().items()) == list(reference_counts(result).items())
-    kept = result.select(result.records[:, 0] == -1)
-    assert list(kept.counts().items()) == list(reference_counts(kept).items())
-    assert kept.shots == sum(kept.counts().values())
