@@ -6,7 +6,10 @@ unitary (JSON matrix of ``[re, im]`` pairs) into a circuit file, ``trace``
 replays traced shots and verifies label congruence.
 
 Exit codes: 0 success/pass, 1 verdict or congruence failure, 2 usage,
-input or output-file error, 3 resource cap exceeded or memory exhausted.
+input or output-file error, 3 resource cap exceeded or memory exhausted,
+4 an internal invariant failed (an engine's own consistency check, such as
+a splitter that grows its pair's intensity: a fault of the program, not of
+the input).
 Option values beat config-file values beat the ``QM_SEED`` environment
 variable beat defaults.
 """
@@ -52,6 +55,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
@@ -313,6 +317,9 @@ def main(argv=None) -> int:
                      EXIT_RESOURCE)
     except MemoryError:
         return _fail("out of memory; request fewer shots", EXIT_RESOURCE)
+    except AssertionError as exc:
+        return _fail(f"internal invariant failed: {str(exc) or 'assert'}",
+                     EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,13 @@ relative level (which ages with the clock as the absolute rule does), a
 click sets ``-(layer + 1)`` (absolute level 0 once its layer is done), and
 ``ZERO_LEVEL`` stays a sentinel that no clock moves.
 
+The particles move after their fields. A splitter computes its group
+arithmetic at once and queues its relocation chances and move table; at
+each detector layer, whose split reads the positions, and after the last
+layer, the particles walk through the queued splitters a block of shots at
+a time, so a block's rows of the uniform matrix are read from cache by
+every splitter of the segment instead of from memory once per splitter.
+
 :class:`EnsembleResult` keeps the particle positions, the group of every
 shot and a record row per group. It builds the per-shot ``records``,
 ``final_u`` and ``final_levels`` from the group rows on first access;
@@ -60,6 +67,9 @@ from .prepare import PreparedEnsemble
 from .records import OutcomeRecord
 
 NO_CLICK = np.int16(-1)
+# Shots per block of the particle walk: a block's rows of the uniform
+# matrix stay in cache across the splitters it moves through.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -175,6 +185,27 @@ def _split_pair(re_s, im_s, re_t, im_t, root_r: float, root_t: float,
     return (s_re, s_im, t_re, t_im), p_s, p_s + (t_re2 + t_im2)
 
 
+def _walk(q: np.ndarray, group: np.ndarray, uniforms: np.ndarray,
+          pending: list) -> int:
+    """Move the particles through the ``pending`` splitters, a block of
+    :data:`_BLOCK` shots at a time, and empty the list. ``q`` is updated in
+    place; returns the degenerate relocations among the moves."""
+    degenerate = 0
+    for lo in range(0, q.shape[0], _BLOCK):
+        qb, gb = q[lo:lo + _BLOCK], group[lo:lo + _BLOCK]
+        ub = uniforms[lo:lo + _BLOCK]
+        for column, s, t, to, chance_s, stuck in pending:
+            chance = chance_s[0] if chance_s.shape[0] == 1 else chance_s[gb]
+            move = ub[:, column] < chance
+            if stuck is not None:
+                degenerate += int(np.count_nonzero(stuck[gb]
+                                                   & ((qb == s) | (qb == t))))
+            # every index is in range; "clip" skips the buffered checked take
+            np.take(to, 2 * qb + move, out=qb, mode="clip")
+    pending.clear()
+    return degenerate
+
+
 def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
                  seed: int) -> EnsembleResult:
     """Run every shot of a prepared ensemble through the circuit.
@@ -185,10 +216,12 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
 
     Each distinct field is computed once, for a group of shots (module
     docstring). A splitter mixes the group columns, computes one relocation
-    chance per group and moves the particles with one gather; a detector
-    layer splits every group into its no-click and click-at-``j`` children.
-    This is exact: a live path's arithmetic reads only its group's values,
-    which depend on the record prefix alone.
+    chance per group and queues its move table; before a detector layer,
+    and after the last layer, the particles walk through the queued
+    splitters in blocks of shots, one gather per splitter and block. A
+    detector layer splits every group into its no-click and click-at-``j``
+    children. This is exact: a live path's arithmetic reads only its
+    group's values, which depend on the record prefix alone.
 
     Every splitter asserts that it never expands its pair's intensity, and
     every layer that the group amplitudes stay finite and the group levels
@@ -215,6 +248,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
     records = np.full((len(detector_layers), 1), NO_CLICK, dtype=np.int16)
     record_row = {layer: i for i, layer in enumerate(detector_layers)}
     degenerate = 0
+    pending = []  # splitters whose particle moves are not yet made
 
     for layer_idx, layer in enumerate(circuit.layers):
         validate_layer(layer, width)
@@ -245,20 +279,18 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
                 # Relocation chance to s; 50/50 where both outputs vanish.
                 chance_s = np.divide(p_s, total, out=np.full(total.shape, 0.5),
                                      where=total > 0.0)
-                move = uniforms[:, draw_idx] < chance_s[group]
-                draw_idx += 1
                 stuck = (total == 0.0) & (lmin != ZERO_LEVEL)
-                if stuck.any():
-                    degenerate += int(np.count_nonzero(stuck[group]
-                                                       & ((q == s) | (q == t))))
                 # A particle on the pair moves to s if its draw falls under
                 # the chance, else to t; any other stays. Entry 2p + move of
                 # ``to`` is where a particle at p goes.
                 to = np.arange(width).repeat(2)
                 to[[2 * s, 2 * t]] = t
                 to[[2 * s + 1, 2 * t + 1]] = s
-                q = to[2 * q + move]
+                pending.append((draw_idx, s, t, to, chance_s,
+                                stuck if stuck.any() else None))
+                draw_idx += 1
         if detectors:
+            degenerate += _walk(q, group, uniforms, pending)
             # Children: group * n + c, where c is 0 for no click and k for a
             # click at the layer's k-th detector.
             n = len(detectors) + 1
@@ -286,6 +318,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
                 > circuit.depth - clock):
             raise AssertionError("strength level left the dyadic range")
 
+    degenerate += _walk(q, group, uniforms, pending)
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
     return EnsembleResult(detector_layers, q, degenerate,
                           _Fields(group, records, levels, u_re, u_im))

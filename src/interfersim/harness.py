@@ -4,10 +4,13 @@ Runs an ensemble of stochastic-engine shots against the exact outcome
 distribution of the quantum engine for the same circuit and preparation,
 aggregates per-outcome statistics (frequencies, total variation distance,
 Pearson chi-square with a regularized-incomplete-gamma tail, per-outcome
-binomial bands) and renders a pass/fail verdict. SciPy is imported inside
-the two functions that call it, so it loads on the first statistic; only
-a report that holds both counts and probabilities (``compare``) computes
-one, and ``trace`` and ``run`` on either engine never load it.
+exact binomial bands from the regularized incomplete beta function) and
+renders a pass/fail verdict. ``scipy.special`` is imported inside the
+functions that call it, so it loads on the first statistic; only a report
+that holds both counts and probabilities (``compare``) computes one, and
+``trace`` and ``run`` on either engine never load it. No statistic needs
+``scipy.stats``, whose import costs several times that of
+``scipy.special``.
 
 Every report, whichever engines ran (``compare``, ``ontic-only``,
 ``quantum-exact`` here, ``quantum-sample`` from sampled quantum records), is
@@ -274,23 +277,44 @@ class ExperimentReport:
         return json_path, csv_path
 
 
+def binomial_at_least(n: np.ndarray, kept: int, p: np.ndarray) -> np.ndarray:
+    """``P(X >= n)`` for ``X ~ Binomial(kept, p)``, ``0 <= n <= kept``, as
+    the regularized incomplete beta ``I_p(n, kept - n + 1)``: the bits of
+    ``scipy.stats.binom.sf(n - 1, kept, p)``, without importing
+    ``scipy.stats``. ``n = 0`` is outside the beta function's domain and
+    certain."""
+    from scipy.special import betainc
+    tail = betainc(n, kept - n + 1, p)
+    tail[n <= 0] = 1.0
+    return tail
+
+
+def binomial_at_most(n: np.ndarray, kept: int, p: np.ndarray) -> np.ndarray:
+    """``P(X <= n)`` for ``X ~ Binomial(kept, p)``, ``0 <= n <= kept``, as
+    ``I_{1-p}(kept - n, n + 1)``. ``n = kept`` is outside the domain and
+    certain. This gives the bits of ``scipy.stats.binom.cdf`` except where
+    the rounding of ``1 - p`` shows, mostly at small ``p``: a relative
+    error under ``kept * 2**-52``, far below what moves a band's flag."""
+    from scipy.special import betainc
+    tail = betainc(kept - n, n + 1, 1.0 - p)
+    tail[n >= kept] = 1.0
+    return tail
+
+
 def _within_bands(counts: Mapping[str, int], probs: Mapping[str, float],
                   kept: int) -> dict[str, tuple[float, bool]]:
     """Per-outcome acceptance bands for the outcomes of positive
     probability: the exact two-sided binomial tail of each observed count
     must not fall under the CI_SIGMA significance. Maps each outcome to its
     normal-approximation sigma (for the report table) and flag; each tail
-    is one scipy call for all outcomes."""
-    from scipy.stats import binom as binom_dist
+    is one ``scipy.special.betainc`` call for all outcomes."""
     keys = [key for key, p in probs.items() if p > 0.0]
     n = np.array([counts.get(key, 0) for key in keys], dtype=np.int64)
     p = np.array([probs[key] for key in keys], dtype=np.float64)
     clamped = np.clip(p, 0.0, 1.0)  # enumeration rounding can leave 1+eps
     sigma = np.sqrt(clamped * (1.0 - clamped) / kept)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = np.where(n >= clamped * kept,
-                        binom_dist.sf(n - 1, kept, clamped),
-                        binom_dist.cdf(n, kept, clamped))
+    tail = np.where(n >= clamped * kept, binomial_at_least(n, kept, clamped),
+                    binomial_at_most(n, kept, clamped))
     exact = np.abs(n / kept - p) <= 1e-9
     ok = np.where(sigma == 0.0, exact, np.minimum(1.0, 2.0 * tail) >= CI_ALPHA)
     return dict(zip(keys, zip(sigma.tolist(), ok.tolist())))

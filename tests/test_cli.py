@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import interfersim
-from interfersim import cli, harness
+from interfersim import cli, ensemble, harness
 from interfersim.cli import main
 from interfersim.compiler import haar_unitary
 from interfersim.quantum import BranchCapError, ImpossibleOutcomeError
@@ -329,14 +329,18 @@ assert cli.main(["run", circuit, "--shots", "50", "--engine", "quantum",
 before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 assert cli.main(["compare", circuit, "--shots", "2000", "--seed", "3",
                  "--out", out]) == 0
-print(json.dumps({"before": before, "after": "scipy" in sys.modules}))
+print(json.dumps({"before": before, "after": "scipy" in sys.modules,
+                  "special": "scipy.special" in sys.modules,
+                  "stats": "scipy.stats" in sys.modules}))
 """
 
 
 def test_cold_start_loads_scipy_only_for_statistics(tmp_path):
     """A fresh process runs ``trace`` and ``run`` on either engine without
     SciPy, whose import is most of the package's start-up time; the first
-    verdict loads it. The test process itself already holds SciPy."""
+    verdict loads ``scipy.special`` and never ``scipy.stats``, whose import
+    costs several times as much. The test process itself already holds
+    SciPy."""
     src = str(Path(interfersim.__file__).resolve().parents[1])
     circuit = Path(interfersim.__file__).parent / "data" / "mz-3.circ"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -345,7 +349,8 @@ def test_cold_start_loads_scipy_only_for_statistics(tmp_path):
                            str(tmp_path)], env=env, capture_output=True,
                           text=True, check=True)
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"before": [], "after": True}
+    assert loaded == {"before": [], "after": True, "special": True,
+                      "stats": False}
     assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "pass"
 
 
@@ -537,3 +542,19 @@ def test_oversized_shots_exit_resource(mz_file, tmp_path, capsys, command):
     assert code == cli.EXIT_RESOURCE
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_internal_invariant_failure_exits_internal(mz_file, tmp_path, capsys,
+                                                   monkeypatch):
+    # a rotation that overflows on the live path trips the ensemble's
+    # finiteness check: a fault of the program, not of the input
+    def overflowing(re, im, cos_w, sin_w):
+        return np.full_like(re, np.inf), im
+
+    monkeypatch.setattr(ensemble, "rotate_amplitude", overflowing)
+    code = main(["compare", mz_file, "--shots", "100", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal invariant failed: non-finite "
+                          "amplitude after layer ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,0 +1,89 @@
+"""The particle walk of :func:`interfersim.ensemble.run_ensemble` moves shots
+in blocks of ``ensemble._BLOCK``; nothing a run reports may depend on the
+block size. Each block size runs at one shot under, one over and just past
+two whole blocks, against the same run walked as one block."""
+
+import numpy as np
+import pytest
+
+from interfersim import ensemble, ontic
+from interfersim.ensemble import run_ensemble
+from interfersim.harness import ExperimentConfig, PreparationSpec, traced_shots
+from interfersim.ontic import ZERO_LEVEL, ShotDiagnostics
+from interfersim.prepare import prepare_ensemble
+from interfersim.scenarios import available_scenarios, random_circuit, scenario
+
+BLOCKS = (1, 7, ensemble._BLOCK)
+
+
+def _shot_counts(block):
+    return [n for n in (block - 1, block + 1, 2 * block + 3) if n > 0]
+
+
+def _cases():
+    for name in available_scenarios():
+        yield pytest.param(scenario(name), 0, None, id=name)
+    zeno = scenario("zeno-8")
+    # no click at the last stage that can go either way (about 90%)
+    yield pytest.param(zeno, 0, ((zeno.detector_layers()[-2], None),),
+                       id="zeno-8-postselected")
+    for width in (4, 6, 8):
+        circuit = random_circuit(width, 16, np.random.default_rng(40 + width),
+                                 p_detector=0.35)
+        assert len(circuit.detector_layers()) > 2
+        yield pytest.param(circuit, width // 2, None, id=f"random-{width}")
+
+
+def _run(monkeypatch, circuit, path, shots, block, post=None):
+    monkeypatch.setattr(ensemble, "_BLOCK", block)
+    prepared = prepare_ensemble("source", path, circuit.width, shots, 11, "disk")
+    result = run_ensemble(circuit, prepared, 11)
+    return result.select(result.match_mask(post)) if post else result
+
+
+def _observed(result):
+    live = result.final_levels != ZERO_LEVEL
+    return (result.final_q.tobytes(), result.records.tobytes(),
+            result.final_levels.tobytes(), result.final_u[live].tobytes(),
+            list(result.counts().items()), result.groups,
+            result.degenerate_relocations)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("circuit, path, post", _cases())
+def test_walk_is_independent_of_block_size(monkeypatch, circuit, path, post,
+                                           block):
+    for shots in _shot_counts(block):
+        blocked = _run(monkeypatch, circuit, path, shots, block, post)
+        whole = _run(monkeypatch, circuit, path, shots, shots, post)
+        if post and shots > 100:
+            assert 0 < blocked.shots < shots
+        assert _observed(blocked) == _observed(whole)
+
+
+def _vanishing(re_s, im_s, re_t, im_t, root_r, root_t):
+    return re_s * 0.0, im_s * 0.0, re_t * 0.0, im_t * 0.0
+
+
+@pytest.mark.parametrize("block", BLOCKS[:2])
+@pytest.mark.parametrize("name", ["random3-a", "zeno-8"])
+def test_walk_counts_degenerate_relocations_in_every_block(monkeypatch, name,
+                                                           block):
+    # splitters that leave no amplitude: every particle on a live pair
+    # relocates 50/50, counted where its move is made
+    monkeypatch.setattr(ensemble, "mix_amplitudes", _vanishing)
+    monkeypatch.setattr(ontic, "mix_amplitudes", _vanishing)
+    circuit = scenario(name)
+    for shots in _shot_counts(block):
+        blocked = _run(monkeypatch, circuit, 0, shots, block)
+        assert blocked.degenerate_relocations > 0
+        assert _observed(blocked) == _observed(
+            _run(monkeypatch, circuit, 0, shots, shots))
+        diagnostics = ShotDiagnostics()
+        config = ExperimentConfig(circuit=circuit, shots=shots, seed=11,
+                                  prepare=PreparationSpec("source", 0, "disk"))
+        for shot, record, trajectory in traced_shots(config, diagnostics):
+            assert record == blocked.record_for_shot(shot)
+            assert trajectory[-1].q == blocked.final_q[shot]
+        assert diagnostics.degenerate_relocations == \
+            blocked.degenerate_relocations

@@ -22,6 +22,8 @@ from interfersim.harness import (
     ConfigError,
     ExperimentConfig,
     PreparationSpec,
+    binomial_at_least,
+    binomial_at_most,
     chi_square_goodness,
     parse_postselect_tokens,
     run_experiment,
@@ -145,6 +147,33 @@ def test_within_bands_match_scalar_rule():
     flags = [ok for _, ok in bands.values()]
     assert flags[-8:] == [False, False, True, False, True, False, True, True]
     assert 0 < flags.count(False)
+
+
+def _tail_cases():
+    gen = np.random.default_rng(17)
+    for kept in (1, 2, 7, 1000, 100_000, *gen.integers(3, 10**6, 20).tolist()):
+        n = np.concatenate([[0, 1, kept - 1, kept],
+                            gen.integers(0, kept + 1, 200)])
+        # the bands clamp enumeration's 1+eps to 1
+        p = np.concatenate([[0.0, 1.0, min(1.0 + 2e-16, 1.0), 1e-300, 0.5],
+                            10.0 ** gen.uniform(-12, 0, 199)])
+        yield kept, n, p
+
+
+@pytest.mark.parametrize("kept, n, p", _tail_cases())
+def test_binomial_tails_match_scipy_stats(kept, n, p):
+    # every (count, probability) pair of the grid, the edges among them:
+    # count 0 and kept, kept = 1, p in {0, 1, clamped 1+eps, 1e-300}
+    n, p = (a.ravel() for a in np.meshgrid(n, p))
+    hexes = lambda a: [float.hex(x) for x in a.tolist()]
+    assert hexes(binomial_at_least(n, kept, p)) == hexes(binom.sf(n - 1, kept, p))
+    # the lower tail reads 1 - p, whose rounding moves p by up to 2**-53:
+    # a relative error of up to kept * 2**-53 on the tail
+    at_most, reference = binomial_at_most(n, kept, p), binom.cdf(n, kept, p)
+    np.testing.assert_allclose(at_most, reference, rtol=kept * 2.0 ** -52,
+                               atol=0.0)
+    certain = (n == kept) | (p == 0.0) | (p == 1.0)  # no rounding of 1 - p
+    assert hexes(at_most[certain]) == hexes(reference[certain])
 
 
 # -- full experiments ---------------------------------------------------------
