@@ -6,7 +6,8 @@ unitary (JSON matrix of ``[re, im]`` pairs) into a circuit file, ``trace``
 replays traced shots and verifies label congruence.
 
 Exit codes: 0 success/pass, 1 verdict or congruence failure, 2 usage,
-input or output-file error, 3 resource cap exceeded or memory exhausted,
+input or output-file error, 3 resource cap (branches or
+:data:`MAX_SHOTS`) exceeded or memory exhausted,
 4 an internal invariant failed (an engine's own consistency check, such as
 a splitter that grows its pair's intensity: a fault of the program, not of
 the input).
@@ -56,6 +57,16 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+# The most shots one command runs, checked before any engine starts. An
+# ontic run at the cap already needs 64 GB for its positions and group ids,
+# and the quantum sampler, which allocates nothing per shot, would otherwise
+# run any count for as long as it takes.
+MAX_SHOTS = 2 ** 32
+
+
+class ShotCapError(Exception):
+    """A shot count above :data:`MAX_SHOTS`."""
 
 
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
@@ -143,15 +154,20 @@ def _prepare(text: str | None, config: dict) -> PreparationSpec:
 
 def _experiment(args) -> ExperimentConfig:
     """The command's config in ``args.mode``: the circuit argument plus each
-    of :data:`SETTINGS`, resolved in the table's order."""
+    of :data:`SETTINGS`, resolved in the table's order. Raises
+    :class:`ShotCapError` for more than :data:`MAX_SHOTS` shots."""
     circuit = parse_circuit_file(args.circuit)
     config = _load_config(args.config)
     tokens = _setting("postselect", args.postselect or None, config)
+    shots = _setting("shots", args.shots, config)
+    if shots > MAX_SHOTS:
+        raise ShotCapError(f"{shots} shots exceed the cap of {MAX_SHOTS} "
+                           f"per command; request fewer shots")
     return ExperimentConfig(
         circuit=circuit,
         postselect=parse_postselect_tokens(tokens) if tokens else None,
         prepare=_prepare(args.prepare, _setting("prepare", None, config)),
-        shots=_setting("shots", args.shots, config),
+        shots=shots,
         seed=_setting("seed", args.seed, config),
         mode=args.mode,
         trace=_setting("trace", None, config),
@@ -312,6 +328,8 @@ def main(argv=None) -> int:
     # unreadable input, unwritable output, a post-selection that cannot happen
     except (OSError, ImpossibleOutcomeError) as exc:
         return _fail(str(exc))
+    except ShotCapError as exc:
+        return _fail(str(exc), EXIT_RESOURCE)
     except BranchCapError as exc:
         return _fail(f"{exc}; rerun with the 'run' command (ontic engine only)",
                      EXIT_RESOURCE)

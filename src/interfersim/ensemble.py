@@ -42,8 +42,17 @@ The particles move after their fields. A splitter computes its group
 arithmetic at once and queues its relocation chances and move table; at
 each detector layer, whose split reads the positions, and after the last
 layer, the particles walk through the queued splitters a block of shots at
-a time, so a block's rows of the uniform matrix are read from cache by
-every splitter of the segment instead of from memory once per splitter.
+a time, so a block's draws are read from cache by every splitter of the
+segment instead of from memory once per splitter.
+
+No run holds the whole ``(shots, splitters)`` uniform matrix. A shot's
+draws are a fixed slice of its counter-based stream, so the first walk
+draws each block's rows (:func:`interfersim.rng.ensemble_uniforms` with
+``first``) when it reaches the block, and drops them after its splitters.
+Only the columns of splitters queued after that walk, which the later walks
+read, are copied into one ``(shots, later splitters)`` store; a circuit
+whose splitters all precede its first detector layer, such as a compiled
+mesh with terminal detectors, stores none.
 
 :class:`EnsembleResult` keeps the particle positions, the group of every
 shot and a record row per group. It builds the per-shot ``records``,
@@ -185,25 +194,46 @@ def _split_pair(re_s, im_s, re_t, im_t, root_r: float, root_t: float,
     return (s_re, s_im, t_re, t_im), p_s, p_s + (t_re2 + t_im2)
 
 
-def _walk(q: np.ndarray, group: np.ndarray, uniforms: np.ndarray,
-          pending: list) -> int:
+def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
+          n_splitters: int, later: np.ndarray | None
+          ) -> tuple[int, np.ndarray | None]:
     """Move the particles through the ``pending`` splitters, a block of
     :data:`_BLOCK` shots at a time, and empty the list. ``q`` is updated in
-    place; returns the degenerate relocations among the moves."""
+    place; returns the degenerate relocations among the moves and the
+    later-column store.
+
+    The first walk with splitters to pass (``later`` is None) draws each
+    block's rows of the ontic stream as it reaches the block, and copies
+    the columns of the splitters not yet queued into a new ``(shots,
+    n_splitters - queued)`` store; every later walk reads its draws there.
+    """
+    if not pending:
+        return 0, later
+    shots, queued = q.shape[0], len(pending)
+    drawing = later is None
+    if drawing:
+        later = np.empty((shots, n_splitters - queued))
+    # stream column of ``ub[:, 0]``: drawn rows hold every column
+    offset = 0 if drawing else n_splitters - later.shape[1]
     degenerate = 0
-    for lo in range(0, q.shape[0], _BLOCK):
+    for lo in range(0, shots, _BLOCK):
         qb, gb = q[lo:lo + _BLOCK], group[lo:lo + _BLOCK]
-        ub = uniforms[lo:lo + _BLOCK]
+        if drawing:
+            ub = rng.ensemble_uniforms(seed, rng.ONTIC_SHOTS, qb.shape[0],
+                                       n_splitters, first=lo)
+            later[lo:lo + _BLOCK] = ub[:, queued:]
+        else:
+            ub = later[lo:lo + _BLOCK]
         for column, s, t, to, chance_s, stuck in pending:
             chance = chance_s[0] if chance_s.shape[0] == 1 else chance_s[gb]
-            move = ub[:, column] < chance
+            move = ub[:, column - offset] < chance
             if stuck is not None:
                 degenerate += int(np.count_nonzero(stuck[gb]
                                                    & ((qb == s) | (qb == t))))
             # every index is in range; "clip" skips the buffered checked take
             np.take(to, 2 * qb + move, out=qb, mode="clip")
     pending.clear()
-    return degenerate
+    return degenerate, later
 
 
 def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
@@ -212,7 +242,9 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
 
     Uniform draws come from the shot-sliced stream of purpose
     :data:`interfersim.rng.ONTIC_SHOTS` under ``seed``, one column per beam
-    splitter in circuit order.
+    splitter in circuit order. They are drawn a block of shots at a time
+    by the first walk, which keeps only the columns of the splitters queued
+    after it, for the later walks (module docstring).
 
     Each distinct field is computed once, for a group of shots (module
     docstring). A splitter mixes the group columns, computes one relocation
@@ -241,7 +273,6 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
     u_re[prepared.path] = 1.0
 
     n_splitters = circuit.count_gates(BeamSplitter)
-    uniforms = rng.ensemble_uniforms(seed, rng.ONTIC_SHOTS, shots, n_splitters)
     draw_idx = 0
 
     detector_layers = circuit.detector_layers()
@@ -249,6 +280,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
     record_row = {layer: i for i, layer in enumerate(detector_layers)}
     degenerate = 0
     pending = []  # splitters whose particle moves are not yet made
+    later = None  # draws of the splitters queued after the first walk
 
     for layer_idx, layer in enumerate(circuit.layers):
         validate_layer(layer, width)
@@ -290,7 +322,8 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
                                 stuck if stuck.any() else None))
                 draw_idx += 1
         if detectors:
-            degenerate += _walk(q, group, uniforms, pending)
+            moved, later = _walk(q, group, pending, seed, n_splitters, later)
+            degenerate += moved
             # Children: group * n + c, where c is 0 for no click and k for a
             # click at the layer's k-th detector.
             n = len(detectors) + 1
@@ -318,7 +351,8 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
                 > circuit.depth - clock):
             raise AssertionError("strength level left the dyadic range")
 
-    degenerate += _walk(q, group, uniforms, pending)
+    moved, _ = _walk(q, group, pending, seed, n_splitters, later)
+    degenerate += moved
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
     return EnsembleResult(detector_layers, q, degenerate,
                           _Fields(group, records, levels, u_re, u_im))

@@ -3,12 +3,14 @@
 Everything random derives from one 64-bit experiment seed. Each consumer
 ("purpose") owns an independent counter-based Philox stream keyed by
 ``(seed, purpose)``, and within a purpose each shot owns a fixed slice of
-the counter space, padded to the generator's four-word block size. The
-whole ensemble can then be drawn in a single vectorised call while any
-individual shot remains reproducible in isolation by advancing the counter
-to the start of its slice. Read sequentially, the stream is the
-concatenation of the padded slices, so :func:`shot_streams` serves every
-shot of a per-shot run from one generator.
+the counter space, padded to the generator's four-word block size. Any
+run of consecutive shots, from one shot to the whole ensemble, is then one
+vectorised draw that starts by advancing the counter to the first shot's
+slice, so :func:`ensemble_uniforms` can draw an ensemble a block of shots
+at a time and any shot replays in isolation from the same bits. Read
+sequentially, the stream is the concatenation of the padded slices, so
+:func:`shot_streams` serves every shot of a per-shot run from one
+generator.
 """
 
 from __future__ import annotations
@@ -46,16 +48,19 @@ def padded_width(draws_per_shot: int) -> int:
 
 
 def ensemble_uniforms(seed: int, purpose: int, shots: int,
-                      draws_per_shot: int) -> np.ndarray:
-    """Uniforms for a whole ensemble, shape ``(shots, draws_per_shot)``.
+                      draws_per_shot: int, *, first: int = 0) -> np.ndarray:
+    """Uniforms of shots ``first .. first + shots``, shape ``(shots,
+    draws_per_shot)``.
 
-    Row ``i`` equals the stream of :func:`shot_generator` for shot ``i``.
+    Row ``i`` equals the stream of :func:`shot_generator` for shot
+    ``first + i``, so consecutive blocks of rows concatenate to the rows
+    drawn in one call.
     """
     width = padded_width(draws_per_shot)
     if width == 0:
         return np.zeros((shots, 0))
-    flat = np.random.Generator(_bit_generator(seed, purpose)).random(shots * width)
-    return flat.reshape(shots, width)[:, :draws_per_shot]
+    gen = shot_generator(seed, purpose, first, draws_per_shot)
+    return gen.random(shots * width).reshape(shots, width)[:, :draws_per_shot]
 
 
 def shot_generator(seed: int, purpose: int, shot: int,
@@ -76,9 +81,7 @@ def shot_generator(seed: int, purpose: int, shot: int,
 def shot_uniforms(seed: int, purpose: int, shot: int,
                   draws_per_shot: int) -> np.ndarray:
     """The uniforms shot ``shot`` will consume, drawn in isolation."""
-    if draws_per_shot <= 0:
-        return np.zeros(0)
-    return shot_generator(seed, purpose, shot, draws_per_shot).random(draws_per_shot)
+    return ensemble_uniforms(seed, purpose, 1, draws_per_shot, first=shot)[0]
 
 
 class ShotStream:

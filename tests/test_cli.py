@@ -532,16 +532,33 @@ def test_consecutive_calls_share_no_state(tmp_path):
     assert cli._parser() is cli._parser()
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "trace"])
+@pytest.mark.parametrize("command", ["run", "compare", "trace",
+                                     "run --engine quantum"])
 def test_oversized_shots_exit_resource(mz_file, tmp_path, capsys, command):
-    # 10**15 shots need more memory than the address space holds, so the
-    # first per-shot array fails to allocate under any overcommit setting.
-    # ``run --engine quantum`` steps shot by shot and never asks for it.
-    code = main([command, mz_file, "--shots", str(10 ** 15),
+    # the cap is checked before any engine starts, so the quantum sampler,
+    # which allocates nothing per shot, exits as soon as the others
+    assert cli.MAX_SHOTS < 10 ** 15
+    code = main([*command.split(), mz_file, "--shots", str(10 ** 15),
                  "--out", str(tmp_path)])
     assert code == cli.EXIT_RESOURCE
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert err.startswith(f"error: {10 ** 15} shots exceed the cap of "
+                          f"{cli.MAX_SHOTS} per command")
+    assert err.count("\n") == 1
+
+
+def test_memory_exhaustion_exits_resource(mz_file, tmp_path, capsys,
+                                          monkeypatch):
+    # under the shot cap a run can still outgrow the machine's memory
+    def exhausted(config, jsonl=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    code = main(["run", mz_file, "--shots", str(cli.MAX_SHOTS),
+                 "--out", str(tmp_path)])
+    assert code == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err == "error: out of memory; request fewer shots\n"
 
 
 def test_internal_invariant_failure_exits_internal(mz_file, tmp_path, capsys,

@@ -1,12 +1,17 @@
 """The particle walk of :func:`interfersim.ensemble.run_ensemble` moves shots
-in blocks of ``ensemble._BLOCK``; nothing a run reports may depend on the
-block size. Each block size runs at one shot under, one over and just past
-two whole blocks, against the same run walked as one block."""
+in blocks of ``ensemble._BLOCK`` and draws their uniforms a block at a time;
+nothing a run reports may depend on the block size. Each block size runs at
+one shot under, one over and just past two whole blocks, against the same
+run walked and drawn as one block."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from interfersim import ensemble, ontic
+from interfersim import ensemble, ontic, rng
+from interfersim.circuits import BeamSplitter, Circuit, Detector, Layer, PhaseShifter
+from interfersim.compiler import haar_unitary, reck_decompose
 from interfersim.ensemble import run_ensemble
 from interfersim.harness import ExperimentConfig, PreparationSpec, traced_shots
 from interfersim.ontic import ZERO_LEVEL, ShotDiagnostics
@@ -14,6 +19,10 @@ from interfersim.prepare import prepare_ensemble
 from interfersim.scenarios import available_scenarios, random_circuit, scenario
 
 BLOCKS = (1, 7, ensemble._BLOCK)
+
+
+def _layers(*gates):
+    return [Layer(g if isinstance(g, tuple) else (g,)) for g in gates]
 
 
 def _shot_counts(block):
@@ -32,6 +41,22 @@ def _cases():
                                  p_detector=0.35)
         assert len(circuit.detector_layers()) > 2
         yield pytest.param(circuit, width // 2, None, id=f"random-{width}")
+    # the first walk has no splitters to pass; a later walk reads the store
+    yield pytest.param(Circuit(3, _layers(
+        Detector(2), BeamSplitter(0, 1, 0.3), BeamSplitter(1, 2, 0.6),
+        Detector(1), BeamSplitter(0, 1, 0.5),
+        (Detector(0), Detector(1), Detector(2)))), 1, None,
+        id="detectors-first")
+    yield pytest.param(Circuit(2, _layers(
+        PhaseShifter(0, 0.4), Detector(1), (Detector(0), Detector(1)))),
+        0, None, id="no-splitters")
+    # splitters in three walks, post-selected on the first detector layer
+    walks3 = Circuit(3, _layers(
+        BeamSplitter(0, 1, 0.5), BeamSplitter(1, 2, 0.4), Detector(2),
+        (BeamSplitter(0, 1, 0.3), PhaseShifter(2, 0.7)),
+        BeamSplitter(1, 2, 0.6), Detector(0), BeamSplitter(1, 2, 0.45),
+        (Detector(0), Detector(1), Detector(2))))
+    yield pytest.param(walks3, 0, ((2, None),), id="three-walks-postselected")
 
 
 def _run(monkeypatch, circuit, path, shots, block, post=None):
@@ -87,3 +112,22 @@ def test_walk_counts_degenerate_relocations_in_every_block(monkeypatch, name,
             assert trajectory[-1].q == blocked.final_q[shot]
         assert diagnostics.degenerate_relocations == \
             blocked.degenerate_relocations
+
+
+def test_run_never_holds_the_whole_uniform_matrix():
+    # a compiled mesh with terminal detectors has one walk, which passes
+    # every splitter, so nothing of the stream outlives its block
+    mesh = reck_decompose(haar_unitary(6, np.random.default_rng(6)))
+    circuit = Circuit(6, list(mesh.layers) + [Layer([Detector(j)
+                                                     for j in range(6)])])
+    shots = 100_000
+    prepared = prepare_ensemble("source", 2, 6, shots, 5, "disk")
+    matrix_bytes = shots * rng.padded_width(mesh.count_gates(BeamSplitter)) * 8
+    tracemalloc.start()
+    try:
+        result = run_ensemble(circuit, prepared, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.shots == shots
+    assert peak < matrix_bytes / 2

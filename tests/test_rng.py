@@ -23,6 +23,16 @@ def test_shot_slices_match_ensemble_rows(draws):
         assert np.array_equal(mat[shot], row)
 
 
+@pytest.mark.parametrize("draws", [0, 1, 4, 5, 15])
+def test_offset_rows_match_whole_draw(draws):
+    whole = rng.ensemble_uniforms(41, rng.ONTIC_SHOTS, 30, draws)
+    for first, shots in ((0, 30), (1, 29), (7, 5), (29, 1), (30, 0)):
+        rows = rng.ensemble_uniforms(41, rng.ONTIC_SHOTS, shots, draws,
+                                     first=first)
+        assert rows.shape == (shots, draws)
+        assert rows.tobytes() == whole[first:first + shots].tobytes()
+
+
 def test_shot_generator_stream_matches():
     mat = rng.ensemble_uniforms(9, rng.QUANTUM_SHOTS, 20, 6)
     gen = rng.shot_generator(9, rng.QUANTUM_SHOTS, 11, 6)
