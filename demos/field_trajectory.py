@@ -55,8 +55,9 @@ def main():
     print(f"{'start':<6} {state.q:>2}  "
           f"{' '.join(fmt_amp(z) for z in state.u):<24} "
           f"{' '.join(fmt_tau(t) for t in state.tau):<12} {'-':>16}")
+    events = dict(record.events)
     for idx, layer in enumerate(circuit.layers):
-        click = record.result_for_layer(idx) if record.has_layer(idx) else None
+        click = events.get(idx)
         label = predicted_label_update(label, layer, click)
         state = trajectory[idx + 1]
         extracted = extract_label(state)

@@ -57,20 +57,19 @@ mesh with terminal detectors, stores none.
 :class:`EnsembleResult` keeps the particle positions, the group of every
 shot and a record row per group. It builds the per-shot ``records``,
 ``final_u`` and ``final_levels`` from the group rows on first access;
-:meth:`EnsembleResult.counts`, :meth:`~EnsembleResult.match_mask` and
-:meth:`~EnsembleResult.select` work on the group rows and never do.
+:meth:`EnsembleResult.counts` works on the group rows and never does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import rng
-from .circuits import BeamSplitter, Circuit, Detector, PhaseShifter, validate_layer
+from .circuits import BeamSplitter, Circuit, Detector, PhaseShifter
 from .ontic import ZERO_LEVEL, mix_amplitudes, rotate_amplitude
 from .prepare import PreparedEnsemble
 from .records import OutcomeRecord
@@ -152,30 +151,6 @@ class EnsembleResult:
         n = np.bincount(row.ravel(), weights=members[present],
                         minlength=len(rows))
         return {self._record(r).key: int(k) for r, k in zip(rows, n)}
-
-    def select(self, mask: np.ndarray) -> "EnsembleResult":
-        """Restrict to the shots where ``mask`` is true."""
-        f = self._fields
-        return EnsembleResult(
-            self.detector_layers,
-            self.final_q[mask],
-            self.degenerate_relocations,
-            replace(f, group=f.group[mask]),
-        )
-
-    def match_mask(self, constraints: tuple[tuple[int, int | None], ...]
-                   ) -> np.ndarray:
-        """Boolean mask of shots whose record satisfies every
-        ``(layer, result)`` constraint."""
-        records = self._fields.records
-        mask = np.ones(records.shape[1], dtype=bool)
-        column = {layer: i for i, layer in enumerate(self.detector_layers)}
-        for layer, wanted in constraints:
-            if layer not in column:
-                raise ValueError(f"layer {layer} has no detectors to condition on")
-            want = NO_CLICK if wanted is None else np.int16(wanted)
-            mask &= records[column[layer]] == want
-        return mask[self._fields.group]
 
 
 def _split_pair(re_s, im_s, re_t, im_t, root_r: float, root_t: float,
@@ -283,7 +258,6 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
     later = None  # draws of the splitters queued after the first walk
 
     for layer_idx, layer in enumerate(circuit.layers):
-        validate_layer(layer, width)
         clock = layer_idx + 1  # layers done once this one is applied
         detectors = []
         for gate in layer.gates:

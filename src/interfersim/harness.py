@@ -41,9 +41,9 @@ from .ensemble import EnsembleResult, run_ensemble
 from .labels import verify_congruence
 from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
 from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
-from .quantum import (QuantumState, RecordTree, exact_outcome_distribution,
-                      sum_in_order)
-from .records import OutcomeRecord, event_token, parse_event_token
+from .quantum import (ImpossibleOutcomeError, QuantumState, RecordTree,
+                      exact_outcome_distribution, sum_in_order)
+from .records import OutcomeRecord, event_token, parse_event_token, postselect
 
 # Below this many (post-selection) shots no verdict is claimed.
 MIN_VERDICT_SHOTS = 100
@@ -464,9 +464,11 @@ def outcome_report(config: ExperimentConfig, mode: str,
 def sampled_report(config: ExperimentConfig,
                    records: Iterable[OutcomeRecord]) -> ExperimentReport:
     """The ``quantum-sample`` report of sampled quantum-engine records."""
-    counts = Counter(record.key for record in records
-                     if not config.postselect or record.matches(config.postselect))
-    return outcome_report(config, "quantum-sample", counts, counts.total(), None)
+    counts = Counter(record.key for record in records)
+    if config.postselect:
+        counts = postselect(counts, config.postselect)
+    return outcome_report(config, "quantum-sample", counts,
+                          sum(counts.values()), None)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -480,7 +482,9 @@ def run_experiment(config: ExperimentConfig,
     is additionally replayed once with tracing (:func:`run_traced`), which
     writes the trace lines to ``jsonl``; the label congruence summary goes
     into the report only when ``trace`` is set. The ensemble draws no junk;
-    only the replay materialises it.
+    only the replay materialises it. A post-selection filters the counts and
+    the exact probabilities by the one rule of
+    :func:`interfersim.records.postselect`, and renormalises the latter.
     """
     start = time.perf_counter()
     circuit = config.circuit
@@ -492,17 +496,22 @@ def run_experiment(config: ExperimentConfig,
             summary, _ = run_traced(config, cross_check=result, jsonl=jsonl)
             congruence = summary if config.trace else None
         degenerate = result.degenerate_relocations
+        counts = result.counts()
         if config.postselect:
-            result = result.select(result.match_mask(config.postselect))
-        counts, kept = result.counts(), result.shots
+            counts = postselect(counts, config.postselect)
+        kept = sum(counts.values())
 
     if config.mode != "ontic-only":
         dist = exact_outcome_distribution(
             circuit, quantum_init(config.prepare.path, circuit.width),
             branch_cap=config.branch_cap)
-        if config.postselect:
-            dist = dist.condition(config.postselect)
         probs = dist.by_key()
+        if config.postselect:
+            probs = postselect(probs, config.postselect)
+            total = sum_in_order(probs.values())
+            if total <= 0.0:
+                raise ImpossibleOutcomeError("conditioning event has probability 0")
+            probs = {key: p / total for key, p in probs.items()}
 
     report = outcome_report(config, config.mode, counts, kept, probs,
                             degenerate, congruence)

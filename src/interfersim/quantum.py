@@ -384,17 +384,6 @@ class OutcomeDistribution:
     def by_key(self) -> dict[str, float]:
         return {record.key: p for record, p in self.probabilities.items()}
 
-    def condition(self, constraints: tuple[tuple[int, int | None], ...]
-                  ) -> "OutcomeDistribution":
-        """Distribution conditioned on matching the ``(layer, result)``
-        constraints, renormalized."""
-        kept = {rec: p for rec, p in self.probabilities.items()
-                if rec.matches(constraints)}
-        total = sum_in_order(kept.values())
-        if total <= 0.0:
-            raise ImpossibleOutcomeError("conditioning event has probability 0")
-        return OutcomeDistribution({rec: p / total for rec, p in kept.items()})
-
 
 def exact_outcome_distribution(circuit: Circuit, init: QuantumState,
                                branch_cap: int = 10 ** 6) -> OutcomeDistribution:

@@ -6,12 +6,19 @@ means at most one click per layer. Records serialise to a canonical string
 key, ``"L<layer>:C<path>"`` or ``"L<layer>:N"`` joined by ``";"`` with
 one-based layer and path numbers (matching the circuit text format); the
 empty record is ``"-"``.
+
+Post-selection is an agent's update on the records it has seen, so it is
+one rule on record-keyed tables (:func:`postselect`), whichever engine
+filled them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
+from typing import Mapping, TypeVar
+
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -30,27 +37,6 @@ class OutcomeRecord:
     @property
     def key(self) -> str:
         return ";".join(starmap(event_token, self.events)) or "-"
-
-    def result_for_layer(self, layer: int) -> int | None:
-        """Clicked path at ``layer`` (None for no click). Raises KeyError if
-        the layer recorded no detector event."""
-        for recorded, clicked in self.events:
-            if recorded == layer:
-                return clicked
-        raise KeyError(f"no detector event recorded for layer {layer}")
-
-    def has_layer(self, layer: int) -> bool:
-        return any(recorded == layer for recorded, _ in self.events)
-
-    def matches(self, constraints: tuple[tuple[int, int | None], ...]) -> bool:
-        """True when every ``(layer, result)`` constraint equals the recorded
-        result at that layer."""
-        for layer, wanted in constraints:
-            if not self.has_layer(layer):
-                return False
-            if self.result_for_layer(layer) != wanted:
-                return False
-        return True
 
 
 def event_token(layer: int, clicked: int | None) -> str:
@@ -73,3 +59,14 @@ def parse_event_token(token: str) -> tuple[int, int | None]:
         return (layer, int(tail[1:]) - 1)
     except ValueError:
         raise ValueError(f"bad outcome token {token!r}") from None
+
+
+def postselect(table: Mapping[str, V],
+               constraints: tuple[tuple[int, int | None], ...]) -> dict[str, V]:
+    """The rows of a record-keyed table, in table order, whose key holds the
+    token of every ``(layer, result)`` constraint. A full record has one
+    token per detector layer, so this keeps exactly the records that show
+    every constrained result."""
+    wanted = {event_token(*c) for c in constraints}
+    return {key: value for key, value in table.items()
+            if wanted.issubset(key.split(";"))}

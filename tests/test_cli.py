@@ -375,6 +375,31 @@ def test_trace_maps_engine_errors_to_exit_codes(mz_file, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
+@pytest.mark.parametrize("command", ["compare", "run", "run --engine quantum"])
+def test_zero_probability_postselection(tmp_path, capsys, command):
+    """A post-selection that no record shows keeps no shot: ``run`` reports
+    that, and ``compare``, which must renormalise the exact distribution
+    over it, exits 2 with one line."""
+    circuit = tmp_path / "ev.circ"
+    export_scenario("elitzur-vaidman", circuit)
+    out = tmp_path / "out"
+    name, *options = command.split()
+    code = main([name, str(circuit), *options, "--shots", "500", "--seed", "3",
+                 "--postselect", "L2:N", "L2:C2", "--out", str(out)])
+    err = capsys.readouterr().err
+    if name == "compare":
+        assert code == 2
+        assert err == "error: conditioning event has probability 0\n"
+        assert not out.exists()
+    else:
+        assert code == 0 and err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["kept_shots"] == 0
+        assert report["preselection_shots"] == 500
+        assert report["outcomes"] == []
+        assert report["verdict"] == "no-verdict"
+
+
 def test_compare_reports_bit_identical(mz_file, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["compare", mz_file, "--shots", "5000", "--seed", "21",

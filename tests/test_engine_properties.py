@@ -1,6 +1,9 @@
 """Property tests tying the two statements of the stochastic-engine rules
 together: the scalar gate helpers in :mod:`interfersim.ontic` and the
-vectorised layer loop in :mod:`interfersim.ensemble`."""
+vectorised layer loop in :mod:`interfersim.ensemble`; and the one
+post-selection rule on outcome tables against per-shot tallies."""
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,7 +28,9 @@ from interfersim.ontic import (
     gate_phase,
     step_layer,
 )
-from interfersim.prepare import prepare_ensemble
+from interfersim.prepare import prepare_ensemble, quantum_init
+from interfersim.quantum import exact_outcome_distribution
+from interfersim.records import postselect
 from interfersim.scenarios import random_circuit
 
 SHOTS = 16
@@ -63,6 +68,44 @@ def test_scalar_replay_matches_ensemble_rows(width, depth, circuit_seed, seed,
         assert final.tau == tuple(result.final_levels[shot])
         assert same_bits(final.u[live[shot]], result.final_u[shot][live[shot]])
     assert diagnostics.degenerate_relocations == result.degenerate_relocations
+
+
+def _shows(events, constraints):
+    return all(layer in events and events[layer] == wanted
+               for layer, wanted in constraints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(2, 6), depth=st.integers(1, 12),
+       circuit_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_postselect_keeps_the_records_that_show_every_constraint(
+        width, depth, circuit_seed, seed, data):
+    """Post-selecting the ensemble's counts gives the tally of the shots
+    whose events show every constraint, and post-selecting the exact
+    distribution keeps the records that show them, both in table order;
+    constraint sets may repeat or contradict each other."""
+    circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed))
+    results = [(layer, clicked) for layer in circuit.detector_layers()
+               for clicked in (None, *circuit.layers[layer].detector_paths())]
+    constraints = tuple(data.draw(st.lists(st.sampled_from(results), max_size=4),
+                                  label="constraints"))
+    shots = 200
+    result = run_ensemble(circuit, prepare_ensemble("source", 0, width, shots,
+                                                    seed), seed)
+    tally = Counter()
+    for shot in range(shots):
+        record = result.record_for_shot(shot)
+        if _shows(dict(record.events), constraints):
+            tally[record.key] += 1
+    counts = result.counts()
+    kept = postselect(counts, constraints)
+    assert kept == tally
+    assert list(kept) == [key for key in counts if key in tally]
+    dist = exact_outcome_distribution(circuit, quantum_init(0, width))
+    assert list(postselect(dist.by_key(), constraints)) == [
+        record.key for record in dist.probabilities
+        if _shows(dict(record.events), constraints)]
 
 
 @st.composite

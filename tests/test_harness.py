@@ -1,6 +1,7 @@
 """Comparison harness: statistics, verdicts, reports, reproducibility."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -15,7 +16,8 @@ from scipy.stats import binom
 
 import interfersim
 from interfersim import harness
-from interfersim.cli import _quantum_sample_report
+from interfersim.circuits import serialize_circuit
+from interfersim.cli import _quantum_sample_report, main
 from interfersim.harness import (
     CI_ALPHA,
     OUTCOME_COLUMNS,
@@ -30,7 +32,8 @@ from interfersim.harness import (
     _within_bands,
     total_variation,
 )
-from interfersim.scenarios import elitzur_vaidman, mach_zehnder, scenario
+from interfersim.scenarios import (elitzur_vaidman, export_scenario, mach_zehnder,
+                                   random_circuit, scenario)
 
 
 def mz_config(omega=math.pi / 3, **kw):
@@ -324,3 +327,67 @@ def test_traced_experiment_prepares_once(monkeypatch):
         shots=50, seed=5, mode="ontic-only", trace=True))
     assert calls == ["run", "arrays"]
     assert report.congruence["violations"] == 0
+
+
+# -- post-selected report bytes -----------------------------------------------
+
+def _postselect_case(name, tmp_path):
+    """A post-selected case: a circuit file and its ``--postselect`` tokens."""
+    path = tmp_path / f"{name}.circ"
+    if name == "elitzur-vaidman":
+        export_scenario(name, path)
+        return str(path), ["L2:N"]
+    if name == "zeno-8":
+        export_scenario(name, path)
+        return str(path), [f"L{k}:N" for k in range(2, 15, 2)]
+    # detector layers 2, 3, 4, 7, 8: a click at layer 2, then no click at 4
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(13)))
+    path.write_text(serialize_circuit(random_circuit(4, 8, gen, name=name)))
+    return str(path), ["L2:C1", "L4:N"]
+
+
+# sha256 of (report.json, summary.csv), 3000 shots under seed 11
+_POSTSELECTED_DIGESTS = {
+    ('elitzur-vaidman', 'compare'):
+        ('fb3f97b58ae1f291600535d84e5ab06a5c0c3eb26421b0a3c66247b6362f51ea',
+         'ee794186031e075bea8ae1e3807c035bbeeabd940d69d6fc1e3b8879e181976f'),
+    ('elitzur-vaidman', 'run'):
+        ('19741db2bcee5e64255a711af927b8a967709627721d86c23d1a61d487e886a9',
+         'eaa3d2890c4720942bc0b44edeb46a844c3776c8cfa1ee4f960eb7f0299dcf7f'),
+    ('elitzur-vaidman', 'run --engine quantum'):
+        ('7da04459ae46c7b0830c0e92300d646f5fc81e3c31948fc6e1053595bc726ae6',
+         '9709b610a246546c2fe2749b10df3a58cd1051f3537aa805c946c3ce367716f4'),
+    ('zeno-8', 'compare'):
+        ('a9f8e14eebacf8645ade403d538220157a5f3536c538144be73b944f51eb5deb',
+         'ccf57cc8c61cfa457a817a80d5fb50d70e262cb0578365ef6629495e1bb7f439'),
+    ('zeno-8', 'run'):
+        ('13f4672a93d0e105c695f1f56ba898c9c8ca88a553ce48caaba6dc09b16ccb2c',
+         'b44b50a7e0177687f0041b2eb8f97d86c1f322f1594e97fbe2adea4fa3554a9c'),
+    ('zeno-8', 'run --engine quantum'):
+        ('0389a4a151f595fa588774e9b7803e17b312bd6ba53f68a9ccb6ce5213866604',
+         '85dc3db0d9f0d4237ff1653953d0953c4368bc87e826d6b96c0431d3911799d9'),
+    ('random4', 'compare'):
+        ('c054a9c1a10f5c1fe032ddc4041e1fc0a16ad15182694418824d00253357a526',
+         '61679a608890880c75bc514197865fdb347333bc286cbeb064fada92e410b99f'),
+    ('random4', 'run'):
+        ('7ccfbca264f6d64da150ad9b004adf82a3d6210a7c6814d4e0683221585b2438',
+         '9ff6d8a1a19123c35444da9ad425001c5d312fb3f1f8b2ef4761c045e0fae28f'),
+    ('random4', 'run --engine quantum'):
+        ('66d1aafb2bfc95a01e451718e128b140717433daa4172b26c201eefc3968f54c',
+         '585b1b4415a4c4f71b3fd5808921f11bbbbf35685ff9a3977d45edbbd9b4adf6'),
+}
+
+
+@pytest.mark.parametrize("command", ["compare", "run", "run --engine quantum"])
+@pytest.mark.parametrize("name", ["elitzur-vaidman", "zeno-8", "random4"])
+def test_postselected_report_bytes(tmp_path, name, command):
+    """Post-selected reports of every engine keep their bytes."""
+    circuit, tokens = _postselect_case(name, tmp_path)
+    out = tmp_path / "out"
+    code = main([*command.split()[:1], circuit, *command.split()[1:],
+                 "--shots", "3000", "--seed", "11", "--postselect", *tokens,
+                 "--out", str(out)])
+    assert code in (0, 1)
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("report.json", "summary.csv"))
+    assert digests == _POSTSELECTED_DIGESTS[name, command]

@@ -184,11 +184,9 @@ def test_label_chain_is_sampler_state():
         init = QuantumState.basis(int(gen.integers(width)), width)
         for _ in range(20):
             record, final = run_quantum_shot(circuit, init, gen)
-            label = init
+            label, events = init, dict(record.events)
             for idx, layer in enumerate(circuit.layers):
-                click = record.result_for_layer(idx) if record.has_layer(idx) \
-                    else None
-                label = predicted_label_update(label, layer, click)
+                label = predicted_label_update(label, layer, events.get(idx))
             assert np.array_equal(label.amplitudes, final.amplitudes)
 
 
@@ -262,11 +260,10 @@ def test_congruence_membership_is_in_class():
             trajectory[2] = OnticState(state.q, u, state.tau)
         report = verify_congruence(trajectory, record, circuit,
                                    QuantumState.basis(0, 2))
-        label = QuantumState.basis(0, 2)
+        label, events = QuantumState.basis(0, 2), dict(record.events)
         for check, layer in zip(report.checks, circuit.layers):
             idx = check.layer
-            click = record.result_for_layer(idx) if record.has_layer(idx) else None
-            label = predicted_label_update(label, layer, click)
+            label = predicted_label_update(label, layer, events.get(idx))
             state = trajectory[idx + 1]
             assert check.member == in_class(state, label, state.q)
             members.add(check.member)

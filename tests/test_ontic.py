@@ -30,7 +30,7 @@ from interfersim.ontic import (
     trace_json_object,
 )
 from interfersim.prepare import prepare_ensemble, source_prepare
-from interfersim.records import OutcomeRecord
+from interfersim.records import OutcomeRecord, postselect
 from interfersim.scenarios import (
     available_scenarios,
     mach_zehnder,
@@ -223,15 +223,20 @@ def test_step_layer_disjoint_supports():
 
 
 def test_run_shot_uses_the_circuits_partitions(monkeypatch):
-    # the circuit validated its layers once; a shot replays them unchecked
+    # the circuit validated its layers once; a shot or an ensemble replays
+    # them unchecked
     circuit = random_circuit(5, 12, np.random.default_rng(12))
     state = source_prepare(0, 5, np.random.default_rng(0), junk="disk")
     expected = run_ontic_shot(circuit, state, np.random.default_rng(1), trace=True)
+    prepared = prepare_ensemble("source", 0, 5, 100, 1)
+    expected_counts = run_ensemble(circuit, prepared, 1).counts()
 
     def refuse(layer, width):
         raise AssertionError("layer validated again")
 
     monkeypatch.setattr(ontic, "validate_layer", refuse)
+    monkeypatch.setattr(ensemble, "validate_layer", refuse, raising=False)
+    assert run_ensemble(circuit, prepared, 1).counts() == expected_counts
     record, trajectory = run_ontic_shot(circuit, state, np.random.default_rng(1),
                                         trace=True)
     assert record == expected[0]
@@ -350,11 +355,16 @@ def test_ensemble_counts_sum_to_shots():
     assert set(counts) <= {"L4:C1", "L4:C2"}
 
 
-def reference_counts(result):
-    """The row-sort tally: ``np.unique`` over whole record rows."""
+def reference_counts(result, post=()):
+    """The row-sort tally: ``np.unique`` over the whole record rows that
+    hold every ``(layer, result)`` constraint of ``post``."""
     if result.records.shape[1] == 0:
         return {"-": result.shots}
-    rows, counts = np.unique(result.records, axis=0, return_counts=True)
+    column = {layer: i for i, layer in enumerate(result.detector_layers)}
+    keep = np.ones(result.shots, dtype=bool)
+    for layer, wanted in post:
+        keep &= result.records[:, column[layer]] == (-1 if wanted is None else wanted)
+    rows, counts = np.unique(result.records[keep], axis=0, return_counts=True)
     out = {}
     for row, n in zip(rows, counts):
         events = tuple((layer, None if value == -1 else int(value))
@@ -372,30 +382,19 @@ def _tally_case(name):
         circuit = scenario("zeno-8")
     result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
                                                     20000, 6, "disk"), 6)
-    if name == "postselected":
-        result = result.select(result.match_mask(((1, None), (3, None))))
-    return circuit, result
+    return circuit, result, ((1, None), (3, None)) if name == "postselected" else ()
 
 
 @pytest.mark.parametrize("name", ["no-detectors", "zeno-8", "postselected", "wide"])
 def test_ensemble_counts_match_row_sort_tally(name):
-    circuit, result = _tally_case(name)
+    circuit, result, post = _tally_case(name)
     if name == "wide":  # mixed-radix codes of these rows overflow int64
         assert len(result.detector_layers) >= 25
         assert (circuit.width + 1) ** len(result.detector_layers) > 2 ** 63
         assert len(np.unique(result.records, axis=0)) > 1000
-    assert list(result.counts().items()) == list(reference_counts(result).items())
+    assert list(postselect(result.counts(), post).items()) == \
+        list(reference_counts(result, post).items())
     assert sum(result.counts().values()) == result.shots
-
-
-def test_ensemble_postselect_mask():
-    circuit = scenario("elitzur-vaidman")
-    result = run_ensemble(circuit, prepare_ensemble("source", 0, 2, 2000, 4), 4)
-    mask = result.match_mask(((1, None),))
-    kept = result.select(mask)
-    assert kept.shots == int(mask.sum())
-    for key in kept.counts():
-        assert key.startswith("L2:N")
 
 
 def test_ensemble_no_degenerate_relocations_from_valid_preparations():
@@ -455,15 +454,16 @@ def test_ensemble_groups_are_record_prefixes():
 ])
 def test_ensemble_has_a_record_row_per_group(name, post):
     # every present group has a record row of its own, which counts()
-    # relies on, also after a select
+    # relies on; a post-selection keeps some of those rows
     circuit = scenario(name)
     result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
                                                     20000, 8, "disk"), 8)
-    if post:
-        result = result.select(result.match_mask(post))
-        assert 0 < result.shots < 20000
     assert result.groups == len(result.counts())
     assert len(np.unique(result.records, axis=0)) == result.groups
+    if post:
+        kept = postselect(result.counts(), post)
+        assert 0 < sum(kept.values()) < 20000
+        assert 0 < len(kept) < result.groups
 
 
 @pytest.mark.parametrize("name, constraints, expected", [
@@ -477,7 +477,5 @@ def test_ensemble_postselected_counts(name, constraints, expected):
     circuit = scenario(name)
     result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
                                                     5000, 4, "disk"), 4)
-    kept = result.select(result.match_mask(constraints))
-    assert kept.counts() == expected
-    assert kept.shots == sum(expected.values())
-    assert kept.groups == len(expected) < result.groups
+    assert postselect(result.counts(), constraints) == expected
+    assert len(expected) < result.groups

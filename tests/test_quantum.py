@@ -395,13 +395,12 @@ def test_shared_tree_sampler_is_bit_identical(circuit):
             circuit.depth, rng.QUANTUM_SHOTS, shot, draws))
         assert record == rec_a
         assert final.amplitudes.tobytes() == final_a.amplitudes.tobytes()
-        node, walked = tree.root, []
+        node, walked, events = tree.root, [], dict(record.events)
         for layer_idx in range(circuit.depth):
             event = tree.event(node, layer_idx)
             if event.detectors:
                 walked.append(event.thresholds)
-            node = tree.child(node, layer_idx, record.result_for_layer(layer_idx)
-                              if record.has_layer(layer_idx) else None)
+            node = tree.child(node, layer_idx, events.get(layer_idx))
         assert [[a.hex() for _, a in c] for c in walked] == \
             [[a.hex() for _, a in c] for c in thresholds]
 
@@ -430,7 +429,7 @@ def test_record_tree_belongs_to_its_circuit_and_state():
     with pytest.raises(ValueError, match="another circuit"):
         run_quantum_shot(mach_zehnder(0.5), tree.root.state, gen, tree=tree)
     record, _ = run_quantum_shot(circuit, tree.root.state, gen, tree=tree)
-    assert record.has_layer(circuit.depth - 1)
+    assert circuit.depth - 1 in dict(record.events)
     with pytest.raises(ValueError, match="width"):
         RecordTree(circuit, state(1, 0, 0))
 
