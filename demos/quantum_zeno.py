@@ -31,7 +31,7 @@ def unwatched_transfer(stages: int) -> float:
                        if not layer.has_detectors])
     dist = exact_outcome_distribution(
         Circuit(2, bare.layers + (circuit.layers[-1],)), quantum_init(0, 2))
-    return dist.by_key().get(OutcomeRecord(((bare.depth, 1),)).key, 0.0)
+    return dist.probabilities.get(OutcomeRecord(((bare.depth, 1),)).key, 0.0)
 
 
 def main():

@@ -93,18 +93,20 @@ _KINDS = {
     "true or false": lambda v: isinstance(v, bool),
 }
 # setting -> (default, JSON kind of a config value or None when the
-# experiment config checks it, environment variable read in its place)
+# experiment config checks it, environment variable read in its place); the
+# defaults are those of ExperimentConfig and PreparationSpec
 SETTINGS = {
-    "postselect": (None, "a list of strings", None),
+    "postselect": (ExperimentConfig.postselect, "a list of strings", None),
     "prepare": ({}, "an object", None),
-    "shots": (10000, "an integer", None),
-    "seed": (0, "an integer", "QM_SEED"),
-    "trace": (False, "true or false", None),
-    "branch_cap": (10 ** 6, "an integer", None),
+    "shots": (ExperimentConfig.shots, "an integer", None),
+    "seed": (ExperimentConfig.seed, "an integer", "QM_SEED"),
+    "trace": (ExperimentConfig.trace, "true or false", None),
+    "branch_cap": (ExperimentConfig.branch_cap, "an integer", None),
 }
 # the closed set of ``prepare`` keys; the path is one-based
-PREPARE = {"path": (1, "an integer", None), "mode": ("source", None, None),
-           "junk": ("zero", None, None)}
+PREPARE = {"path": (PreparationSpec.path + 1, "an integer", None),
+           "mode": (PreparationSpec.mode, None, None),
+           "junk": (PreparationSpec.junk, None, None)}
 
 
 def _setting(key: str, flag, config: dict, table: dict = SETTINGS):

@@ -57,7 +57,8 @@ mesh with terminal detectors, stores none.
 :class:`EnsembleResult` keeps the particle positions, the group of every
 shot and a record row per group. It builds the per-shot ``records``,
 ``final_u`` and ``final_levels`` from the group rows on first access;
-:meth:`EnsembleResult.counts` works on the group rows and never does.
+:meth:`EnsembleResult.counts` works on the group rows and never does. Groups
+are distinct records and each holds a shot, so the tally is a row per group.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from . import rng
 from .circuits import BeamSplitter, Circuit, Detector, PhaseShifter
 from .ontic import ZERO_LEVEL, mix_amplitudes, rotate_amplitude
 from .prepare import PreparedEnsemble
-from .records import OutcomeRecord
+from .records import OutcomeRecord, event_suffix, record_key
 
 NO_CLICK = np.int16(-1)
 # Shots per block of the particle walk: a block's rows of the uniform
@@ -107,9 +108,9 @@ class EnsembleResult:
 
     @property
     def groups(self) -> int:
-        """Number of field groups among the shots, one per distinct outcome
-        record."""
-        return int(np.count_nonzero(np.bincount(self._fields.group)))
+        """Number of field groups, one per distinct outcome record; every
+        group holds at least one shot."""
+        return self._fields.records.shape[1]
 
     @cached_property
     def records(self) -> np.ndarray:
@@ -140,17 +141,25 @@ class EnsembleResult:
         return self._record(self._fields.records[:, self._fields.group[shot]])
 
     def counts(self) -> dict[str, int]:
-        """Empirical outcome counts keyed by canonical record string, in
-        lexicographic record order (no click before path 0, 1, ...)."""
+        """Empirical outcome counts keyed by record key, one entry per
+        group, in lexicographic record order (no click before path 0, 1,
+        ...). Groups are distinct records: two with one key raise
+        ``AssertionError``."""
         f = self._fields
-        if f.records.shape[0] == 0:
-            return {"-": self.shots}
-        members = np.bincount(f.group, minlength=f.records.shape[1])
-        present = members > 0
-        rows, row = np.unique(f.records.T[present], axis=0, return_inverse=True)
-        n = np.bincount(row.ravel(), weights=members[present],
-                        minlength=len(rows))
-        return {self._record(r).key: int(k) for r, k in zip(rows, n)}
+        # one key row per detector layer, the first the most significant
+        order = np.lexsort(f.records[::-1]) if f.records.size else np.arange(1)
+        members = np.bincount(f.group, minlength=f.records.shape[1])[order]
+        keys = np.full(order.shape, "", dtype=object)
+        width = f.levels.shape[0]
+        for layer, row in zip(self.detector_layers, f.records[:, order]):
+            # entry 0 is the no-click, entry j + 1 a click at path j
+            suffixes = np.array([event_suffix(layer, None)] + [
+                event_suffix(layer, j) for j in range(width)], dtype=object)
+            keys += suffixes[row + 1]
+        counts = dict(zip(map(record_key, keys), members.tolist()))
+        if len(counts) != len(order):
+            raise AssertionError("two outcome groups share a record")
+        return counts
 
 
 def _split_pair(re_s, im_s, re_t, im_t, root_r: float, root_t: float,

@@ -41,8 +41,8 @@ from .ensemble import EnsembleResult, run_ensemble
 from .labels import verify_congruence
 from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
 from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
-from .quantum import (ImpossibleOutcomeError, QuantumState, RecordTree,
-                      exact_outcome_distribution, sum_in_order)
+from .quantum import (BRANCH_CAP, ImpossibleOutcomeError, QuantumState,
+                      RecordTree, exact_outcome_distribution, sum_in_order)
 from .records import OutcomeRecord, event_token, parse_event_token, postselect
 
 # Below this many (post-selection) shots no verdict is claimed.
@@ -94,7 +94,7 @@ class ExperimentConfig:
     mode: str = "compare"  # compare | ontic-only | quantum-exact
     postselect: tuple[tuple[int, int | None], ...] | None = None
     trace: bool = False
-    branch_cap: int = 10 ** 6
+    branch_cap: int = BRANCH_CAP
 
     def __post_init__(self):
         if self.shots < 1:
@@ -475,9 +475,11 @@ def run_experiment(config: ExperimentConfig,
                    jsonl: str | None = None) -> ExperimentReport:
     """Execute one experiment according to its mode.
 
-    ``compare`` runs the stochastic ensemble and the exact quantum
-    enumeration and fills the whole comparison table; ``ontic-only`` skips
-    the enumeration (no verdict); ``quantum-exact`` skips the ensemble.
+    ``compare`` runs the exact quantum enumeration and the stochastic
+    ensemble and fills the whole comparison table; ``ontic-only`` skips
+    the enumeration (no verdict); ``quantum-exact`` skips the ensemble. The
+    enumeration runs first, so a branch-cap overflow or a post-selection
+    of probability 0 ends the run before any shot is drawn.
     With ``trace`` set or a ``jsonl`` path given, every shot of the ensemble
     is additionally replayed once with tracing (:func:`run_traced`), which
     writes the trace lines to ``jsonl``; the label congruence summary goes
@@ -490,6 +492,17 @@ def run_experiment(config: ExperimentConfig,
     circuit = config.circuit
     counts = probs = congruence = None
     kept = degenerate = 0
+    if config.mode != "ontic-only":
+        probs = exact_outcome_distribution(
+            circuit, quantum_init(config.prepare.path, circuit.width),
+            branch_cap=config.branch_cap).probabilities
+        if config.postselect:
+            probs = postselect(probs, config.postselect)
+            total = sum_in_order(probs.values())
+            if total <= 0.0:
+                raise ImpossibleOutcomeError("conditioning event has probability 0")
+            probs = {key: p / total for key, p in probs.items()}
+
     if config.mode != "quantum-exact":
         result = run_ensemble(circuit, _prepare(config), config.seed)
         if config.trace or jsonl:
@@ -500,18 +513,6 @@ def run_experiment(config: ExperimentConfig,
         if config.postselect:
             counts = postselect(counts, config.postselect)
         kept = sum(counts.values())
-
-    if config.mode != "ontic-only":
-        dist = exact_outcome_distribution(
-            circuit, quantum_init(config.prepare.path, circuit.width),
-            branch_cap=config.branch_cap)
-        probs = dist.by_key()
-        if config.postselect:
-            probs = postselect(probs, config.postselect)
-            total = sum_in_order(probs.values())
-            if total <= 0.0:
-                raise ImpossibleOutcomeError("conditioning event has probability 0")
-            probs = {key: p / total for key, p in probs.items()}
 
     report = outcome_report(config, config.mode, counts, kept, probs,
                             degenerate, congruence)

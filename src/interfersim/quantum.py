@@ -31,7 +31,9 @@ order. Every live branch ends in at least one leaf, so the branch cap trips
 for exactly the circuits with more leaves than the cap, as soon as the
 frontier passes it. Memory is bounded by the cap and the circuit: at most
 about ``branch_cap`` live branches, each a node, a probability and its
-events so far, on a tree of at most ``1 + depth * (1 + detectors)`` nodes.
+record key so far (one string, grown by each event's suffix as
+:mod:`interfersim.records` states), on a tree of at most ``1 + depth * (1 +
+detectors)`` nodes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .circuits import BeamSplitter, Circuit, Gate, Layer, PhaseShifter, check_path
-from .records import OutcomeRecord
+from .records import OutcomeRecord, event_suffix, record_key
 
 # Norm drift below RENORM_TOL is ignored, between the two it is silently
 # renormalized, beyond FAIL_TOL it is treated as an internal error.
@@ -52,6 +54,9 @@ FAIL_TOL = 1e-6
 
 # Outcome branches with probability at or below this are impossible.
 IMPOSSIBLE_TOL = 1e-12
+
+# Default budget of live branches for the exact enumeration.
+BRANCH_CAP = 10 ** 6
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -372,51 +377,51 @@ def run_quantum_shot(circuit: Circuit, init: QuantumState,
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Exact probability for every reachable full outcome record."""
+    """Exact probability for every reachable full outcome record, keyed by
+    its record key (:mod:`interfersim.records`), in depth-first order."""
 
-    probabilities: Mapping[OutcomeRecord, float]
+    probabilities: Mapping[str, float]
 
     def __post_init__(self):
         total = sum(self.probabilities.values())
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"branch probabilities sum to {total}, not 1")
 
-    def by_key(self) -> dict[str, float]:
-        return {record.key: p for record, p in self.probabilities.items()}
-
 
 def exact_outcome_distribution(circuit: Circuit, init: QuantumState,
-                               branch_cap: int = 10 ** 6) -> OutcomeDistribution:
+                               branch_cap: int = BRANCH_CAP) -> OutcomeDistribution:
     """Enumerate the full outcome tree with exact branch probabilities.
 
-    Live branches are ``(node, probability, events)`` on a
-    :class:`RecordTree` of ``circuit`` and ``init``, grown layer by layer as
-    the module docstring describes. Outcomes with probability at most
+    Live branches are ``(node, probability, key)`` on a :class:`RecordTree`
+    of ``circuit`` and ``init``, grown layer by layer as the module
+    docstring describes; each click or no-click appends its event's suffix
+    to the key prefix. Outcomes with probability at most
     ``IMPOSSIBLE_TOL`` are pruned, so a recorded outcome absent from the
     result is an impossible event. Raises :class:`BranchCapError` as soon as
     more than ``branch_cap`` branches are live.
     """
     tree = RecordTree(circuit, init)
-    branches = [(tree.root, 1.0, ())]
-    for layer_idx in range(circuit.depth):
+    branches = [(tree.root, 1.0, "")]
+    for layer_idx, layer in enumerate(circuit.layers):
+        clicks = [event_suffix(layer_idx, j) for j in _detectors(layer)]
+        silent = event_suffix(layer_idx, None)
         grown = []
-        for node, prob, events in branches:
+        for node, prob, key in branches:
             event = tree.event(node, layer_idx)
             if not event.detectors:
-                grown.append((tree.child(node, layer_idx, None), prob, events))
+                grown.append((tree.child(node, layer_idx, None), prob, key))
                 continue
-            for j, p in zip(event.detectors, event.probs):
+            for j, p, click in zip(event.detectors, event.probs, clicks):
                 if p > IMPOSSIBLE_TOL:
                     grown.append((tree.child(node, layer_idx, j), prob * p,
-                                  events + ((layer_idx, j),)))
+                                  key + click))
             if event.no_click > IMPOSSIBLE_TOL:
                 grown.append((tree.child(node, layer_idx, None),
-                              prob * event.no_click,
-                              events + ((layer_idx, None),)))
+                              prob * event.no_click, key + silent))
             if len(grown) > branch_cap:
                 raise BranchCapError(
                     f"outcome enumeration exceeded {branch_cap} branches"
                 )
         branches = grown
-    return OutcomeDistribution({OutcomeRecord(events): prob
-                                for _, prob, events in branches})
+    return OutcomeDistribution({record_key(key): prob
+                                for _, prob, key in branches})

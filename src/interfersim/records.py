@@ -5,7 +5,10 @@ whose detector clicked or ``None`` for a joint no-click. A single particle
 means at most one click per layer. Records serialise to a canonical string
 key, ``"L<layer>:C<path>"`` or ``"L<layer>:N"`` joined by ``";"`` with
 one-based layer and path numbers (matching the circuit text format); the
-empty record is ``"-"``.
+empty record is ``"-"``. This module is the only statement of that format:
+a key grows by one :func:`event_suffix` per event and ends in
+:func:`record_key`, so the exact enumerator and the ensemble tally key their
+tables without an :class:`OutcomeRecord`, which stays a single shot's record.
 
 Post-selection is an agent's update on the records it has seen, so it is
 one rule on record-keyed tables (:func:`postselect`), whichever engine
@@ -36,13 +39,24 @@ class OutcomeRecord:
 
     @property
     def key(self) -> str:
-        return ";".join(starmap(event_token, self.events)) or "-"
+        return record_key("".join(starmap(event_suffix, self.events)))
 
 
 def event_token(layer: int, clicked: int | None) -> str:
     """One event's ``L<layer>:C<path>`` / ``L<layer>:N`` token (one-based);
     the inverse of :func:`parse_event_token`."""
     return f"L{layer + 1}:N" if clicked is None else f"L{layer + 1}:C{clicked + 1}"
+
+
+def event_suffix(layer: int, clicked: int | None) -> str:
+    """What one event appends to a key prefix: ``";"`` and its token."""
+    return ";" + event_token(layer, clicked)
+
+
+def record_key(prefix: str) -> str:
+    """The key of a record whose events' :func:`event_suffix` strings,
+    concatenated in layer order, are ``prefix``."""
+    return prefix[1:] or "-"
 
 
 def parse_event_token(token: str) -> tuple[int, int | None]:

@@ -400,6 +400,28 @@ def test_zero_probability_postselection(tmp_path, capsys, command):
         assert report["verdict"] == "no-verdict"
 
 
+@pytest.mark.parametrize("name, options, code, err_start", [
+    ("zeno-8", ["--shots", "2000000", "--postselect", "L2:N", "L2:C2"], 2,
+     "error: conditioning event has probability 0\n"),
+    ("mz-3", ["--branch-cap", "1"], 3,
+     "error: outcome enumeration exceeded 1 branches;"),
+], ids=["impossible", "branch-cap"])
+def test_compare_enumerates_before_any_shot(tmp_path, capsys, monkeypatch,
+                                            name, options, code, err_start):
+    """``compare`` enumerates first, so a post-selection of probability 0
+    or a branch-cap overflow ends it before the ensemble draws a shot."""
+    def no_shots(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(harness, "run_ensemble", no_shots)
+    circuit = tmp_path / f"{name}.circ"
+    export_scenario(name, circuit)
+    assert main(["compare", str(circuit), *options,
+                 "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(err_start) and err.count("\n") == 1
+
+
 def test_compare_reports_bit_identical(mz_file, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["compare", mz_file, "--shots", "5000", "--seed", "21",

@@ -30,7 +30,7 @@ from interfersim.ontic import (
 )
 from interfersim.prepare import prepare_ensemble, quantum_init
 from interfersim.quantum import exact_outcome_distribution
-from interfersim.records import postselect
+from interfersim.records import parse_event_token, postselect
 from interfersim.scenarios import random_circuit
 
 SHOTS = 16
@@ -103,9 +103,9 @@ def test_postselect_keeps_the_records_that_show_every_constraint(
     assert kept == tally
     assert list(kept) == [key for key in counts if key in tally]
     dist = exact_outcome_distribution(circuit, quantum_init(0, width))
-    assert list(postselect(dist.by_key(), constraints)) == [
-        record.key for record in dist.probabilities
-        if _shows(dict(record.events), constraints)]
+    assert list(postselect(dist.probabilities, constraints)) == [
+        key for key in dist.probabilities
+        if _shows(dict(map(parse_event_token, key.split(";"))), constraints)]
 
 
 @st.composite

@@ -15,7 +15,7 @@ from scipy.special import gammaincc
 from scipy.stats import binom
 
 import interfersim
-from interfersim import harness
+from interfersim import ensemble, harness, quantum
 from interfersim.circuits import serialize_circuit
 from interfersim.cli import _quantum_sample_report, main
 from interfersim.harness import (
@@ -250,6 +250,21 @@ def test_trace_mode_congruence_summary():
     assert report.congruence["violations"] == 0
     assert report.congruence["max_deviation"] < 1e-9
     assert report.congruence["shots"] == 300
+
+
+def test_outcome_tables_build_no_outcome_record(monkeypatch):
+    # the enumerator and the ensemble tally key their rows from the record
+    # suffixes, without a per-leaf or per-row OutcomeRecord
+    config = ExperimentConfig(circuit=scenario("zeno-8"), shots=3000, seed=5,
+                              postselect=((1, None),))
+    expected = run_experiment(config).to_json()
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("an OutcomeRecord was built")
+
+    monkeypatch.setattr(quantum, "OutcomeRecord", no_record)
+    monkeypatch.setattr(ensemble, "OutcomeRecord", no_record)
+    assert run_experiment(config).to_json() == expected
 
 
 def test_report_files(tmp_path):

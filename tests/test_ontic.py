@@ -466,6 +466,18 @@ def test_ensemble_has_a_record_row_per_group(name, post):
         assert 0 < len(kept) < result.groups
 
 
+def test_counts_refuses_groups_that_share_a_record():
+    # two groups with one record row: a broken split, never merged
+    fields = ensemble._Fields(
+        group=np.array([0, 1, 1]), records=np.full((1, 2), -1, dtype=np.int16),
+        levels=np.zeros((2, 2), dtype=np.int64), u_re=np.zeros((2, 2)),
+        u_im=np.zeros((2, 2)))
+    result = ensemble.EnsembleResult((0,), np.zeros(3, dtype=np.int64), 0, fields)
+    assert result.groups == 2
+    with pytest.raises(AssertionError, match="share a record"):
+        result.counts()
+
+
 @pytest.mark.parametrize("name, constraints, expected", [
     ("elitzur-vaidman", ((1, None),), {"L2:N;L4:C1": 1236, "L2:N;L4:C2": 1280}),
     ("zeno-8", tuple((layer, None) for layer in range(1, 15, 2)),

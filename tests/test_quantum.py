@@ -17,7 +17,7 @@ from interfersim.circuits import (
     serialize_circuit,
 )
 from interfersim.cli import main
-from interfersim.records import OutcomeRecord
+from interfersim.records import OutcomeRecord, parse_event_token
 from interfersim.quantum import (
     IMPOSSIBLE_TOL,
     BranchCapError,
@@ -209,16 +209,16 @@ def test_run_shot_frequencies_follow_born_rule():
 
 def test_exact_distribution_mach_zehnder():
     dist = exact_outcome_distribution(mach_zehnder(math.pi / 3.0), state(1, 0))
-    by_key = dist.by_key()
-    assert set(by_key) == {"L4:C1", "L4:C2"}
-    assert by_key["L4:C1"] == pytest.approx(0.25, abs=1e-12)
-    assert by_key["L4:C2"] == pytest.approx(0.75, abs=1e-12)
+    probs = dist.probabilities
+    assert set(probs) == {"L4:C1", "L4:C2"}
+    assert probs["L4:C1"] == pytest.approx(0.25, abs=1e-12)
+    assert probs["L4:C2"] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_exact_distribution_no_detectors_single_branch():
     circuit = Circuit(2, [Layer([BeamSplitter(0, 1, 0.3)])])
     dist = exact_outcome_distribution(circuit, state(1, 0))
-    assert dist.by_key() == {"-": 1.0}
+    assert dist.probabilities == {"-": 1.0}
 
 
 def test_exact_distribution_sequential_detector_layers():
@@ -226,9 +226,8 @@ def test_exact_distribution_sequential_detector_layers():
     circuit = Circuit(2, [Layer([Detector(0), Detector(1)]),
                           Layer([Detector(0), Detector(1)])])
     dist = exact_outcome_distribution(circuit, state(INV_SQRT2, INV_SQRT2))
-    by_key = dist.by_key()
-    assert by_key == pytest.approx({"L1:C1;L2:C1": 0.5, "L1:C2;L2:C2": 0.5},
-                                   abs=1e-12)
+    assert dist.probabilities == pytest.approx(
+        {"L1:C1;L2:C1": 0.5, "L1:C2;L2:C2": 0.5}, abs=1e-12)
 
 
 def test_exact_distribution_branch_cap():
@@ -276,14 +275,15 @@ def test_leaf_order_clicks_then_no_click_layer_by_layer(seed):
     width = 3 + seed % 3
     circuit = random_circuit(width, 10, np.random.default_rng(200 + seed),
                              p_detector=0.3)
-    records = list(exact_outcome_distribution(
+    keys = list(exact_outcome_distribution(
         circuit, QuantumState.basis(0, width)).probabilities)
-    assert len(records) >= 13
+    assert len(keys) >= 13
 
-    def rank(record):  # a click at path j sorts as j, no-click after all
-        return [(layer, width if j is None else j) for layer, j in record.events]
+    def rank(key):  # a click at path j sorts as j, no-click after all
+        return [(layer, width if j is None else j)
+                for layer, j in map(parse_event_token, key.split(";"))]
 
-    assert records == sorted(records, key=rank)
+    assert keys == sorted(keys, key=rank)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -486,17 +486,18 @@ def _frontier_distribution(circuit, init):
 
 
 @settings(max_examples=100, deadline=None)
-@given(width=st.integers(2, 6), depth=st.integers(1, 20),
+@given(width=st.integers(2, 11), depth=st.integers(1, 20),
        circuit_seed=st.integers(0, 2 ** 32 - 1),
        p_detector=st.sampled_from([0.15, 0.3]))
 def test_tree_enumerator_matches_frontier_property(width, depth, circuit_seed,
                                                    p_detector):
+    # widths past 9 give two-digit path tokens (L3:C10)
     circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed),
                              p_detector=p_detector)
     init = QuantumState.basis(int(circuit_seed % width), width)
     dist = exact_outcome_distribution(circuit, init).probabilities
     reference = _frontier_distribution(circuit, init)
-    assert [(rec.key, p.hex()) for rec, p in dist.items()] == \
+    assert [(key, p.hex()) for key, p in dist.items()] == \
         [(rec.key, p.hex()) for rec, p in reference.items()]
 
 

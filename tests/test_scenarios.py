@@ -53,7 +53,7 @@ def test_zeno_chain_structure():
     refl = circuit.layers[0].gates[0].reflectivity
     assert refl == pytest.approx(math.cos(math.pi / 16.0) ** 2, abs=1e-15)
     # without the detectors the chain is a full swap
-    survival = exact_outcome_distribution(circuit, quantum_init(0, 2)).by_key()
+    survival = exact_outcome_distribution(circuit, quantum_init(0, 2)).probabilities
     keep = sum(p for key, p in survival.items() if key.endswith("C1")
                and key.count("N") == 8)
     assert keep == pytest.approx(refl ** 8, abs=1e-12)

@@ -56,7 +56,7 @@ def test_sum_in_order_adds_left_to_right():
 
 def _exact_hex(circuit):
     dist = exact_outcome_distribution(circuit, quantum_init(0, circuit.width))
-    return [(record.key, p.hex()) for record, p in dist.probabilities.items()]
+    return [(key, p.hex()) for key, p in dist.probabilities.items()]
 
 
 def test_exact_distributions_independent_of_builtin_sum(shadowed):
