@@ -49,10 +49,8 @@ from .labels import (
     CongruenceError,
     CongruenceReport,
     check_delta_commutation,
-    delta_projection,
     dominant_strength,
     extract_label,
-    in_class,
     predicted_label_update,
     verify_congruence,
 )
@@ -79,10 +77,6 @@ from .quantum import (
     OutcomeDistribution,
     QuantumState,
     RecordTree,
-    apply_beamsplitter,
-    apply_detection,
-    apply_phase,
-    detector_click_probability,
     exact_outcome_distribution,
     run_quantum_shot,
 )

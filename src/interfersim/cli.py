@@ -245,7 +245,8 @@ def cmd_trace(args, config: ExperimentConfig) -> int:
         where = "--postselect" if args.postselect is not None \
             else "config 'postselect'"
         return _fail(f"{where} applies to the run and compare commands only")
-    summary, shot_reports = run_traced(config, jsonl=args.jsonl)
+    shot_reports = [] if args.report else None
+    summary = run_traced(config, jsonl=args.jsonl, shot_reports=shot_reports)
     print(f"traced {config.shots} shots: max label deviation "
           f"{summary['max_deviation']:.3e}, {summary['violations']} violation(s)")
     if args.report:

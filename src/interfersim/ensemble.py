@@ -7,7 +7,8 @@ as one-row arrays would leave one statement, but costs several times the
 scalar engine per layer, so both stay. They share the strength encoding
 (integer levels: ``k`` is strength ``2**-k``, ``ZERO_LEVEL`` is zero, the
 strongest field has the smallest level; Python ints in an
-:class:`interfersim.ontic.OnticState`, int64 arrays here), the uniform draw
+:class:`interfersim.ontic.OnticState`, whose amplitudes are a tuple of
+Python complex numbers, and int64 arrays here), the uniform draw
 schedule and the separated real-arithmetic kernels, so a shot extracted
 from an ensemble and replayed through :func:`interfersim.ontic.run_ontic_shot`
 with its slice of the stream reproduces the same record, position, levels

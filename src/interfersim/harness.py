@@ -343,7 +343,8 @@ def traced_shots(config: ExperimentConfig,
     n_draws = circuit.count_gates(BeamSplitter)
     for shot, gen in enumerate(streams.shot_streams(
             config.seed, streams.ONTIC_SHOTS, config.shots, n_draws)):
-        init = OnticState(int(init_q[shot]), init_u[shot], init_levels[shot])
+        init = OnticState(int(init_q[shot]), init_u[shot].tolist(),
+                          init_levels[shot])
         record, trajectory = run_ontic_shot(circuit, init, gen, trace=True,
                                             diagnostics=diagnostics)
         yield shot, record, trajectory
@@ -361,23 +362,24 @@ def write_trace_lines(fh: IO[str], shot: int,
 def run_traced(config: ExperimentConfig,
                cross_check: EnsembleResult | None = None,
                jsonl: str | None = None,
-               ) -> tuple[dict, list[dict]]:
+               shot_reports: list[dict] | None = None,
+               ) -> dict:
     """Replay every shot with tracing (:func:`traced_shots`) and verify
-    label congruence.
+    label congruence; returns a summary dict.
 
-    Returns a summary dict plus the per-shot congruence reports in their
-    JSON shape ``{shot, layers: [{deviation}], pass}``. When ``cross_check``
-    holds the vectorised run of the same config, each replayed record is
-    asserted equal to the ensemble's. With a ``jsonl`` path, each shot's
-    trace lines (:func:`write_trace_lines`) are written there as it is
-    checked.
+    When ``cross_check`` holds the vectorised run of the same config, each
+    replayed record is asserted equal to the ensemble's. With a ``jsonl``
+    path, each shot's trace lines (:func:`write_trace_lines`) are written
+    there as it is checked. With a ``shot_reports`` list, each shot's
+    congruence report is appended to it in its JSON shape ``{shot, layers:
+    [{deviation}], pass}``; without one, no per-shot report outlives its
+    shot, so memory stays bounded in the shot count.
     """
     label0 = QuantumState.basis(config.prepare.path, config.circuit.width)
     tree = RecordTree(config.circuit, label0)  # the labels of every shot
     max_dev = 0.0
     violations = 0
     diagnostics = ShotDiagnostics()
-    shot_reports: list[dict] = []
     with (open(jsonl, "w", encoding="utf-8") if jsonl
           else contextlib.nullcontext()) as trace_fh:
         for shot, record, trajectory in traced_shots(config, diagnostics):
@@ -390,16 +392,16 @@ def run_traced(config: ExperimentConfig,
             max_dev = max(max_dev, report.max_deviation)
             if not report.passed:
                 violations += 1
-            shot_reports.append(report.to_json_dict(shot=shot))
+            if shot_reports is not None:
+                shot_reports.append(report.to_json_dict(shot=shot))
             if trace_fh is not None:
                 write_trace_lines(trace_fh, shot, trajectory)
-    summary = {
+    return {
         "shots": config.shots,
         "max_deviation": max_dev,
         "violations": violations,
         "degenerate_relocations": diagnostics.degenerate_relocations,
     }
-    return summary, shot_reports
 
 
 def outcome_report(config: ExperimentConfig, mode: str,
@@ -506,7 +508,7 @@ def run_experiment(config: ExperimentConfig,
     if config.mode != "quantum-exact":
         result = run_ensemble(circuit, _prepare(config), config.seed)
         if config.trace or jsonl:
-            summary, _ = run_traced(config, cross_check=result, jsonl=jsonl)
+            summary = run_traced(config, cross_check=result, jsonl=jsonl)
             congruence = summary if config.trace else None
         degenerate = result.degenerate_relocations
         counts = result.counts()

@@ -10,8 +10,8 @@ record through a :class:`~interfersim.quantum.RecordTree`, the same walk the
 sampler takes, so a traced run computes each layer step once per record
 prefix rather than once per shot. The shots through one prefix carry the
 same dominant-strength amplitudes, so each node also keeps the overlap of
-every projection judged there, and a shot whose projection matches one
-already judged, bit for bit, reuses its overlap. This module extracts
+every projection judged there, and a shot whose projection equals one
+already judged reuses its overlap. This module extracts
 labels from engine states, tests membership in the family of labelled state
 classes, and verifies that traced trajectories stay congruent with the
 quantum state at every step. It also materialises both sides of the
@@ -62,17 +62,6 @@ def _project(state: OnticState, top: int) -> np.ndarray:
     return np.where(np.array(state.tau) == top, state.u, 0.0j)
 
 
-def delta_projection(state: OnticState) -> np.ndarray:
-    """Amplitudes at the dominant strength, the rest zeroed (exact selection).
-
-    Requires a non-zero dominant strength.
-    """
-    top = dominant_strength(state)
-    if top == ZERO_LEVEL:
-        raise ValueError("all field strengths are zero; nothing to project")
-    return _project(state, top)
-
-
 def _unit(projected: np.ndarray) -> np.ndarray | None:
     norm = _norm(projected)
     return None if norm <= PROJECTION_TOL else projected / norm
@@ -100,8 +89,10 @@ def _judge(state: OnticState, z: QuantumState,
 
     The overlap depends on the dominant-strength paths and their amplitudes
     alone. With ``overlaps`` (a record-tree node's, for the node holding
-    ``z``), it is computed once per distinct such projection, bit for bit,
-    and kept there.
+    ``z``), it is computed once per distinct such projection and kept
+    there. Projections are told apart by value, so ``-0.0`` and ``0.0``
+    share an entry; that changes no overlap bit, since a signed zero adds
+    nothing to a non-zero sum and ``abs`` drops the sign of a zero one.
     """
     top = dominant_strength(state)
     if top == ZERO_LEVEL:
@@ -109,19 +100,12 @@ def _judge(state: OnticState, z: QuantumState,
     elif overlaps is None:
         overlap = _overlap(_project(state, top), z)
     else:
-        paths = [j for j, level in enumerate(state.tau) if level == top]
-        key = (tuple(paths), state.u.take(paths).tobytes())
+        key = tuple(u if level == top else None
+                    for u, level in zip(state.u, state.tau))
         overlap = overlaps.get(key)
         if overlap is None:
             overlap = overlaps[key] = _overlap(_project(state, top), z)
     return 1.0 - overlap, state.tau[state.q] == top and overlap >= 1.0 - RAY_TOL
-
-
-def in_class(state: OnticState, z: QuantumState, i: int) -> bool:
-    """Membership test for the labelled class anchored at path ``i``:
-    the particle is at ``i``, path ``i`` carries the (non-zero) dominant
-    strength, and the extracted label ray-equals ``z``."""
-    return state.q == i and _judge(state, z)[1]
 
 
 def predicted_label_update(z: QuantumState, layer: Layer,

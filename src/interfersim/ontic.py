@@ -28,13 +28,15 @@ whether or not the particle is present. This fixed schedule makes a shot's
 stream consumption a function of the circuit alone, so vectorised ensemble
 runs and isolated single-shot replays are bit-identical.
 
-The rules are stated twice, once per representation. Here each gate rule
-is one private helper (``_age``, ``_phase``, ``_detect``, ``_split``)
-shared by the public ``gate_*`` functions and by ``_step``, the body of
-:func:`step_layer` that :func:`run_ontic_shot` calls on the circuit's
-stored partitions;
-:func:`interfersim.ensemble.run_ensemble` is the vector statement, one column
-per group of shots that share a field. Amplitude updates in both are written in explicitly separated
+The rules are stated twice, once per representation. Here, the scalar
+statement, a state holds Python values (a tuple of complex amplitudes and a
+tuple of int levels) and each gate rule is one private helper (``_age``,
+``_phase``, ``_detect``, ``_split``) on working lists, shared by the public
+``gate_*`` functions and by ``_step``, the body of :func:`step_layer` that
+:func:`run_ontic_shot` calls on the circuit's stored partitions;
+:func:`interfersim.ensemble.run_ensemble` is the vector statement on numpy
+arrays, one column per group of shots that share a field. Amplitude
+updates in both are written in explicitly separated
 real arithmetic (:func:`rotate_amplitude`, :func:`mix_amplitudes`): every
 step is a single exactly-rounded IEEE multiply or add, never a fused
 complex kernel, so the two produce bit-identical trajectories. The
@@ -44,6 +46,7 @@ random circuits.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -94,50 +97,50 @@ def mix_amplitudes(re_s, im_s, re_t, im_t, root_r, root_t):
 
 @dataclass(frozen=True)
 class OnticState:
-    """One point of the model: particle position plus per-path fields, the
-    strengths as levels (see :data:`ZERO_LEVEL`)."""
+    """One point of the model: particle position plus per-path fields, held
+    as Python values (the scalar statement): the amplitudes a tuple of
+    complex numbers, the strengths a tuple of levels (see
+    :data:`ZERO_LEVEL`). Equality and hashing are by value, so states that
+    differ only in the sign of a zero compare equal (``-0.0 == 0.0``)."""
 
     q: int
-    u: np.ndarray
+    u: tuple[complex, ...]
     tau: tuple[int, ...]
 
     def __init__(self, q: int, u: Iterable[complex], tau: Iterable[int]):
-        u_arr = np.array(tuple(u), dtype=np.complex128)
+        try:
+            u_t = tuple(map(complex, u))
+        except (TypeError, ValueError):
+            raise ValueError("field amplitudes must be numbers") from None
         try:
             tau_t = tuple(map(operator.index, tau))  # numpy rows become ints
         except TypeError:
             raise ValueError("strength levels must be ints") from None
-        if u_arr.ndim != 1 or u_arr.size == 0:
+        if not u_t:
             raise ValueError("field amplitudes must form a non-empty vector")
-        if len(tau_t) != u_arr.size:
+        if len(tau_t) != len(u_t):
             raise ValueError("amplitude and strength vectors differ in length")
-        if not 0 <= q < u_arr.size:
+        if not 0 <= q < len(u_t):
             raise IndexError(f"particle position {q} out of range")
         if min(tau_t) < 0 or max(tau_t) > ZERO_LEVEL:
             raise ValueError(f"strength levels {tau_t} outside [0, ZERO_LEVEL]")
-        _fill(self, int(q), u_arr, tau_t)
+        _fill(self, int(q), u_t, tau_t)
 
     @property
     def width(self) -> int:
-        return self.u.size
+        return len(self.u)
 
 
-def _fill(state: OnticState, q: int, u: np.ndarray, tau: tuple[int, ...]
-          ) -> None:
-    if not np.isfinite(u.view(np.float64)).all():
+def _fill(state: OnticState, q: int, u: tuple[complex, ...],
+          tau: tuple[int, ...]) -> OnticState:
+    """Fill ``state``; the one check left for a state the gate rules made
+    from a valid one is finiteness (they keep the particle in range and one
+    level in ``[0, ZERO_LEVEL]`` per amplitude)."""
+    if not all(map(cmath.isfinite, u)):
         raise ValueError("field amplitudes must be finite")
-    u.setflags(write=False)
     object.__setattr__(state, "q", q)
     object.__setattr__(state, "u", u)
     object.__setattr__(state, "tau", tau)
-
-
-def _made(q: int, u: list, tau: list) -> OnticState:
-    """The state a gate rule made from a valid one. The rules keep the
-    particle in range and one level in ``[0, ZERO_LEVEL]`` per amplitude,
-    so of the constructor's checks only finiteness is left."""
-    state = object.__new__(OnticState)
-    _fill(state, int(q), np.array(u, dtype=np.complex128), tuple(tau))
     return state
 
 
@@ -201,7 +204,7 @@ def _split(u: list, tau: list, q: int, s: int, t: int, reflectivity: float,
 
 
 def _working(state: OnticState) -> tuple[list, list]:
-    return state.u.tolist(), list(state.tau)
+    return list(state.u), list(state.tau)
 
 
 def gate_free(state: OnticState, path: int) -> OnticState:
@@ -286,7 +289,8 @@ def _step(state: OnticState, layer: Layer, free: Iterable[int],
             q = _split(u, tau, q, gate.s, gate.t, gate.reflectivity,
                        float(rng.random()), diagnostics)
     assert sum(clicked for _, clicked in results) <= 1
-    return tuple(results), _made(q, u, tau)
+    return tuple(results), _fill(object.__new__(OnticState), int(q),
+                                 tuple(u), tuple(tau))
 
 
 def run_ontic_shot(circuit: Circuit, init: OnticState, rng: np.random.Generator,
@@ -326,6 +330,6 @@ def trace_json_object(shot: int, layer: int, state: OnticState) -> dict:
         "shot": shot,
         "layer": layer,
         "q": state.q,
-        "u": [[float(c.real), float(c.imag)] for c in state.u],
+        "u": [[c.real, c.imag] for c in state.u],
         "tau": [None if t == ZERO_LEVEL else t for t in state.tau],
     }

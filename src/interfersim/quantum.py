@@ -150,34 +150,6 @@ def _evolve(state: QuantumState, gates: Sequence[Gate]) -> QuantumState:
     return QuantumState(_apply_gates(state.amplitudes.copy(), gates))
 
 
-def apply_phase(state: QuantumState, path: int, omega: float) -> QuantumState:
-    """Multiply component ``path`` by ``exp(i omega)``."""
-    check_path(path, state.width)
-    return _evolve(state, (PhaseShifter(path, omega),))
-
-
-def apply_beamsplitter(state: QuantumState, s: int, t: int,
-                       reflectivity: float) -> QuantumState:
-    """Apply the coupler block to components ``(s, t)``."""
-    check_path(s, state.width)
-    check_path(t, state.width)
-    return _evolve(state, (BeamSplitter(s, t, reflectivity),))
-
-
-def detector_click_probability(state: QuantumState, path: int) -> float:
-    """Born probability ``|psi_path|**2``."""
-    check_path(path, state.width)
-    return float(abs(state.amplitudes[path]) ** 2)
-
-
-def apply_detection(state: QuantumState, path: int, clicked: bool) -> QuantumState:
-    """Collapse after a detector outcome: click projects onto the path,
-    no-click projects it out and renormalizes."""
-    if clicked and detector_click_probability(state, path) <= IMPOSSIBLE_TOL:
-        raise ImpossibleOutcomeError(f"click at path {path} has probability 0")
-    return collapse(state, (path,), path if clicked else None)
-
-
 def project_no_click(state: QuantumState, paths: Iterable[int]) -> QuantumState:
     """Joint no-click collapse: zero every listed component, renormalize once."""
     psi = state.amplitudes.copy()
@@ -241,7 +213,7 @@ def _measure_layer(state: QuantumState, layer: Layer,
         detectors = _detectors(layer)
     if len(detectors) < len(layer.gates):  # a phase shifter or splitter
         state = _evolve(state, layer.gates)
-    probs = [detector_click_probability(state, j) for j in detectors]
+    probs = [float(abs(state.amplitudes[j]) ** 2) for j in detectors]
     return state, detectors, probs, max(0.0, 1.0 - sum_in_order(probs))
 
 

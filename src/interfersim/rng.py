@@ -78,12 +78,6 @@ def shot_generator(seed: int, purpose: int, shot: int,
     return np.random.Generator(bg)
 
 
-def shot_uniforms(seed: int, purpose: int, shot: int,
-                  draws_per_shot: int) -> np.ndarray:
-    """The uniforms shot ``shot`` will consume, drawn in isolation."""
-    return ensemble_uniforms(seed, purpose, 1, draws_per_shot, first=shot)[0]
-
-
 class ShotStream:
     """One shot's uniforms, handed out in order by :meth:`random` as a
     generator would; reading past them raises :class:`IndexError`."""
@@ -107,7 +101,7 @@ class ShotStream:
 def shot_streams(seed: int, purpose: int, shots: int,
                  draws_per_shot: int) -> Iterator[ShotStream]:
     """One :class:`ShotStream` per shot, in shot order: stream ``i`` holds
-    the uniforms of :func:`shot_uniforms` for shot ``i``, bit for bit.
+    row ``i`` of :func:`ensemble_uniforms`, bit for bit.
 
     The rows are one sequential read of the purpose stream, from a single
     :func:`shot_generator`, in blocks of ``_STREAM_SHOTS`` shots so memory

@@ -268,12 +268,6 @@ PATH_ENTRIES = {
     "gate_detector": lambda p: ontic.gate_detector(_ontic_state(), p),
     "gate_beamsplitter": lambda p: ontic.gate_beamsplitter(
         _ontic_state(), p, 1, 0.5, np.random.default_rng(0)),
-    "apply_phase": lambda p: quantum.apply_phase(_quantum_state(), p, 0.5),
-    "apply_beamsplitter": lambda p: quantum.apply_beamsplitter(
-        _quantum_state(), p, 1, 0.5),
-    "apply_detection": lambda p: quantum.apply_detection(_quantum_state(), p, False),
-    "detector_click_probability": lambda p: quantum.detector_click_probability(
-        _quantum_state(), p),
     "QuantumState.basis": lambda p: quantum.QuantumState.basis(p, WIDTH),
     "source_prepare": lambda p: prepare.source_prepare(
         p, WIDTH, np.random.default_rng(0)),
@@ -284,10 +278,6 @@ PATH_ENTRIES = {
 
 def _ontic_state():
     return ontic.OnticState(1, [0.0, 1.0, 0.0], (ontic.ZERO_LEVEL, 0, ontic.ZERO_LEVEL))
-
-
-def _quantum_state():
-    return quantum.QuantumState.basis(1, WIDTH)
 
 
 @pytest.mark.parametrize("path", [-1, WIDTH])

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, file outputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,10 +12,12 @@ import pytest
 
 import interfersim
 from interfersim import cli, ensemble, harness
+from interfersim.circuits import serialize_circuit
 from interfersim.cli import main
 from interfersim.compiler import haar_unitary
+from interfersim.labels import CongruenceReport
 from interfersim.quantum import BranchCapError, ImpossibleOutcomeError
-from interfersim.scenarios import export_scenario
+from interfersim.scenarios import export_scenario, random_circuit
 
 
 @pytest.fixture()
@@ -551,6 +554,66 @@ def test_trace_jsonl_replays_each_shot_once(mz_file, tmp_path, monkeypatch):
     assert cfg_jsonl.read_bytes() == jsonl.read_bytes()
     congruence = json.loads((tmp_path / "report.json").read_text())["congruence"]
     assert congruence["shots"] == 10 and congruence["violations"] == 0
+
+
+def test_traced_runs_build_shot_reports_only_for_report(mz_file, tmp_path,
+                                                        monkeypatch):
+    # a per-shot congruence dict is kept only for ``trace --report``, so a
+    # traced run's memory stays bounded in the shot count
+    def refuse(self, shot=0):
+        raise AssertionError("per-shot congruence report built")
+
+    monkeypatch.setattr(CongruenceReport, "to_json_dict", refuse)
+    config = harness.ExperimentConfig(circuit=cli.parse_circuit_file(mz_file),
+                                      shots=50, seed=2, mode="ontic-only",
+                                      trace=True)
+    assert harness.run_experiment(config).congruence["violations"] == 0
+    assert main(["trace", mz_file, "--shots", "50", "--seed", "2",
+                 "--jsonl", str(tmp_path / "trace.jsonl"),
+                 "--out", str(tmp_path)]) == 0
+
+
+# sha256 of ``trace --jsonl`` (the same lines as ``run --trace``) and of
+# ``trace --report`` at 200 shots and seed 5, the particle in path 1 and disk
+# junk on the other paths, so junk amplitudes are printed. ``random5`` is a
+# 5-path random circuit with mid-circuit detectors.
+PER_SHOT_DIGESTS = {
+    "zeno-8": (
+        "c7721a53a9ff6b4c3ea21b806b4853182e78bc265a617c8481e80aab67228f51",
+        "ce79691fdb7b4922dc0e07e52f7a5fc3f7b24ccb129e837be841a7efd9fb6f36"),
+    "elitzur-vaidman": (
+        "0953a93a1a93f2b7c64eb2eb596aaffe003ee6ebee129c082d3d4aedfae48d19",
+        "32f3ca72e30d8a84cabd628c37f7032cab6c796f44a72354de6298ab36e01f9c"),
+    "random3-a": (
+        "4b9f4e3931685d09f71af1b98c8405e90c5c7825a68c8d291472d4ae6ce24b29",
+        "56cb7a6535f03b175ff29ad2298ed0b906a01286fea4978e87cf9635dcf6383e"),
+    "random5": (
+        "25fa37ee4e384f09f8615711fb805bb83f6bc56e103c8d036f627783ed7bae31",
+        "b19965de0b440edfbc6ec897f3b89427b9054f64fac8351ffe7b594cf8f61aac"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_SHOT_DIGESTS))
+def test_per_shot_output_bytes_are_pinned(tmp_path, name):
+    circ = tmp_path / f"{name}.circ"
+    if name == "random5":
+        gen = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+        circ.write_text(serialize_circuit(random_circuit(5, 8, gen,
+                                                         name=name)))
+    else:
+        export_scenario(name, circ)
+    common = [str(circ), "--shots", "200", "--seed", "5",
+              "--prepare", "path=1,junk=disk", "--out", str(tmp_path)]
+    trace_jsonl, report, run_jsonl = (tmp_path / "trace.jsonl",
+                                      tmp_path / "congruence.json",
+                                      tmp_path / "run.jsonl")
+    assert main(["trace", *common, "--jsonl", str(trace_jsonl),
+                 "--report", str(report)]) == 0
+    assert main(["run", *common, "--trace", str(run_jsonl)]) == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (trace_jsonl, report, run_jsonl)]
+    jsonl_digest, report_digest = PER_SHOT_DIGESTS[name]
+    assert digests == [jsonl_digest, report_digest, jsonl_digest]
 
 
 def test_help_exits_zero():

@@ -16,11 +16,11 @@ from interfersim.circuits import (
 from interfersim.labels import (
     PROJECTION_TOL,
     CongruenceError,
+    _judge,
+    _project,
     check_delta_commutation,
-    delta_projection,
     dominant_strength,
     extract_label,
-    in_class,
     predicted_label_update,
     verify_congruence,
 )
@@ -69,27 +69,28 @@ def test_dominant_strength_examples():
 
 def test_delta_projection_keeps_strongest():
     state = make_state(0, [0.5, 0.8j], (1, 2))
-    assert np.array_equal(delta_projection(state), [0.5, 0])
+    assert np.array_equal(_project(state, dominant_strength(state)), [0.5, 0])
     state = make_state(0, [0.5, 0.8j], (2, 1))
-    assert np.array_equal(delta_projection(state), [0, 0.8j])
+    assert np.array_equal(_project(state, dominant_strength(state)), [0, 0.8j])
 
 
 def test_delta_projection_tie_keeps_both():
     state = make_state(0, [0.5, 0.8j], (1, 1))
-    assert np.array_equal(delta_projection(state), [0.5, 0.8j])
+    assert np.array_equal(_project(state, dominant_strength(state)), [0.5, 0.8j])
 
 
 def test_delta_projection_can_be_zero_vector():
     state = make_state(1, [0, 1], (1, 3))
-    assert np.array_equal(delta_projection(state), [0, 0])
+    assert np.array_equal(_project(state, dominant_strength(state)), [0, 0])
     assert extract_label(state) is None
 
 
 def test_delta_projection_rejects_all_zero():
+    # with every strength zero there is nothing to project: no label, the
+    # full deviation, and no class membership
     state = make_state(0, [1, 0], (ZERO_LEVEL, ZERO_LEVEL))
-    with pytest.raises(ValueError, match="zero"):
-        delta_projection(state)
     assert extract_label(state) is None
+    assert _judge(state, QuantumState.basis(0, 2)) == (1.0, False)
 
 
 # -- label extraction and membership ----------------------------------------
@@ -106,10 +107,14 @@ def test_extract_label_scale_invariant():
     assert label.ray_equals(QuantumState([1j * INV_SQRT2, INV_SQRT2]))
 
 
+# Membership in a labelled class is judged at the class anchored at the
+# particle's position: ``_judge(state, z)[1]``.
+
 def test_in_class_post_click():
     state = post_click_state(2, 4)
-    assert in_class(state, QuantumState.basis(2, 4), 2)
-    assert not in_class(state, QuantumState.basis(2, 4), 1)
+    assert _judge(state, QuantumState.basis(2, 4))[1]
+    moved = OnticState(1, state.u, state.tau)
+    assert not _judge(moved, QuantumState.basis(2, 4))[1]
 
 
 def test_in_class_requires_dominant_strength_at_anchor():
@@ -117,9 +122,9 @@ def test_in_class_requires_dominant_strength_at_anchor():
     state = make_state(0, [0.5, 1], (2, 1))
     z = extract_label(state)
     assert z is not None
-    assert not in_class(state, z, 0)
+    assert not _judge(state, z)[1]
     state2 = make_state(1, [0.5, 1], (2, 1))
-    assert in_class(state2, z, 1)
+    assert _judge(state2, z)[1]
 
 
 def test_class_disjointness():
@@ -133,12 +138,11 @@ def test_class_disjointness():
         z = extract_label(state)
         if z is None:
             continue
-        anchors = [i for i in range(width) if in_class(state, z, i)]
-        assert len(anchors) <= 1
-        if anchors:
+        # the anchor is the particle's path, so a state has at most one
+        if _judge(state, z)[1]:
             other = QuantumState(np.roll(z.amplitudes, 1)) if width > 1 else z
             if not other.ray_equals(z):
-                assert not in_class(state, other, anchors[0])
+                assert not _judge(state, other)[1]
 
 
 # -- predicted label updates -------------------------------------------------
@@ -230,7 +234,7 @@ def test_congruence_detects_corruption():
     circuit = mach_zehnder(math.pi / 3)
     record, trajectory = traced_shot(circuit, 3)
     broken = trajectory[2]
-    u = broken.u.copy()
+    u = list(broken.u)
     u[0] *= np.exp(0.25j)  # corrupt a dominant-strength amplitude
     trajectory[2] = OnticState(broken.q, u, broken.tau)
     report = verify_congruence(trajectory, record, circuit,
@@ -244,7 +248,8 @@ def test_congruence_detects_corruption():
 
 def test_congruence_membership_is_in_class():
     # verify_congruence judges membership from one extraction per state;
-    # it must agree with in_class on members and on corrupted non-members
+    # it must agree with the uncached judgement on members and on
+    # corrupted non-members
     circuit = mach_zehnder(math.pi / 3)
     members = set()
     for seed in range(30):
@@ -265,7 +270,7 @@ def test_congruence_membership_is_in_class():
             idx = check.layer
             label = predicted_label_update(label, layer, events.get(idx))
             state = trajectory[idx + 1]
-            assert check.member == in_class(state, label, state.q)
+            assert check.member == _judge(state, label)[1]
             members.add(check.member)
     assert members == {True, False}
 

@@ -240,10 +240,19 @@ def test_run_shot_uses_the_circuits_partitions(monkeypatch):
     record, trajectory = run_ontic_shot(circuit, state, np.random.default_rng(1),
                                         trace=True)
     assert record == expected[0]
-    assert [s.u.tobytes() for s in trajectory] == \
-        [s.u.tobytes() for s in expected[1]]
+    assert [np.array(s.u).tobytes() for s in trajectory] == \
+        [np.array(s.u).tobytes() for s in expected[1]]
     with pytest.raises(AssertionError, match="validated again"):
         step_layer(state, circuit.layers[0], np.random.default_rng(1))
+
+
+def test_states_compare_and_hash_by_value():
+    a = make_state(1, [0.6, 0.8j, 0], (1, 1, ZERO_LEVEL))
+    b = make_state(1, [0.6, 0.8j, -0.0], (1, 1, ZERO_LEVEL))
+    assert a == b and hash(a) == hash(b)  # by value: -0.0 == 0.0
+    assert a != make_state(1, [0.6, 0.8j, 0.5], (1, 1, ZERO_LEVEL))
+    assert a != make_state(0, [0.6, 0.8j, 0], (1, 1, ZERO_LEVEL))
+    assert b in {a} and len({a, b, gate_free(a, 0)}) == 2
 
 
 def test_run_shot_zero_layers():
@@ -342,7 +351,8 @@ def test_ensemble_matches_single_shots_bitwise(name):
         final = traj[-1]
         live = result.final_levels[shot] != ZERO_LEVEL
         assert record == result.record_for_shot(shot)
-        assert np.array_equal(final.u[live], result.final_u[shot][live])
+        assert (np.array(final.u)[live].tobytes()
+                == result.final_u[shot][live].tobytes())
         assert final.q == result.final_q[shot]
         assert final.tau == tuple(result.final_levels[shot])
 

@@ -68,7 +68,7 @@ def test_outputs_independent_of_junk_bit_for_bit(circuit, path, post):
             assert record == result.record_for_shot(shot)
             assert final.q == result.final_q[shot]
             assert final.tau == tuple(result.final_levels[shot])
-            assert (final.u[live[shot]].tobytes()
+            assert (np.array(final.u)[live[shot]].tobytes()
                     == result.final_u[shot][live[shot]].tobytes())
 
 

@@ -19,7 +19,8 @@ def test_shot_slices_match_ensemble_rows(draws):
     mat = rng.ensemble_uniforms(123, rng.ONTIC_SHOTS, 50, draws)
     assert mat.shape == (50, draws)
     for shot in (0, 1, 7, 49):
-        row = rng.shot_uniforms(123, rng.ONTIC_SHOTS, shot, draws)
+        row = rng.ensemble_uniforms(123, rng.ONTIC_SHOTS, 1, draws,
+                                    first=shot)[0]
         assert np.array_equal(mat[shot], row)
 
 
@@ -60,7 +61,7 @@ def test_deterministic_under_fixed_seed():
 
 def test_zero_draws():
     assert rng.ensemble_uniforms(1, rng.ONTIC_SHOTS, 9, 0).shape == (9, 0)
-    assert rng.shot_uniforms(1, rng.ONTIC_SHOTS, 3, 0).size == 0
+    assert rng.ensemble_uniforms(1, rng.ONTIC_SHOTS, 1, 0, first=3).size == 0
 
 
 def _read(stream, draws):
@@ -81,8 +82,8 @@ def test_shot_streams_rows_are_shot_uniforms(draws, shots):
     edges = {0, 1, shots - 1} | {b + d for b in range(4096, shots, 4096)
                                  for d in (-1, 0, 1)}
     for shot in sorted(edges & set(range(shots))):
-        assert rows[shot].tobytes() == rng.shot_uniforms(
-            31, rng.ONTIC_SHOTS, shot, draws).tobytes()
+        assert rows[shot].tobytes() == rng.ensemble_uniforms(
+            31, rng.ONTIC_SHOTS, 1, draws, first=shot).tobytes()
     for stream in (streams[0], streams[-1]):
         with pytest.raises(IndexError, match="exhausted"):
             stream.random()
