@@ -16,9 +16,9 @@ import argparse
 from interfersim.harness import (
     ExperimentConfig,
     PreparationSpec,
-    parse_postselect_tokens,
     run_experiment,
 )
+from interfersim.records import parse_event_token
 from interfersim.scenarios import elitzur_vaidman
 
 
@@ -44,7 +44,7 @@ def main():
     show("all runs (bomb present)", unconditional)
 
     conditional = run_experiment(ExperimentConfig(
-        postselect=parse_postselect_tokens(["L2:N"]), **base))
+        postselect=(parse_event_token("L2:N"),), **base))
     show("post-selected on the bomb staying silent (L2:N)", conditional)
     kept = conditional.kept_shots / conditional.preselection_shots
     print(f"\n  kept {conditional.kept_shots} of {conditional.preselection_shots} "

@@ -23,7 +23,7 @@ from interfersim.labels import (
 )
 from interfersim.ontic import ZERO_LEVEL, run_ontic_shot
 from interfersim.prepare import source_prepare
-from interfersim.quantum import QuantumState, ray_overlap
+from interfersim.quantum import QuantumState, RecordTree, ray_overlap
 from interfersim.scenarios import mach_zehnder
 
 
@@ -67,8 +67,8 @@ def main():
               f"{' '.join(fmt_tau(t) for t in state.tau):<12} "
               f"{deviation:>16.2e}")
 
-    report = verify_congruence(trajectory, record, circuit,
-                               QuantumState.basis(0, 2))
+    tree = RecordTree(circuit, QuantumState.basis(0, 2))
+    report = verify_congruence(trajectory, record, tree)
     print(f"\ncongruence over the whole run: max deviation "
           f"{report.max_deviation:.2e}, pass={report.passed}")
 

@@ -227,8 +227,12 @@ class Circuit:
         return sum(isinstance(g, kind) for layer in self.layers for g in layer.gates)
 
 
-def structurally_equal(a: Circuit, b: Circuit, tol: float = 1e-12) -> bool:
-    """Structural equality with real gate parameters compared within ``tol``."""
+PARAM_TOL = 1e-12  # real gate parameters this close are structurally equal
+
+
+def structurally_equal(a: Circuit, b: Circuit) -> bool:
+    """Structural equality, real gate parameters compared within
+    ``PARAM_TOL``."""
     if a.width != b.width or a.depth != b.depth:
         return False
     if (a.name, a.description) != (b.name, b.description):
@@ -240,7 +244,7 @@ def structurally_equal(a: Circuit, b: Circuit, tol: float = 1e-12) -> bool:
             if type(ga) is not type(gb) or gate_paths(ga) != gate_paths(gb):
                 return False
             param = GATE_FORMATS[type(ga)].param
-            if param and abs(getattr(ga, param) - getattr(gb, param)) > tol:
+            if param and abs(getattr(ga, param) - getattr(gb, param)) > PARAM_TOL:
                 return False
     return True
 

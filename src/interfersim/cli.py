@@ -39,7 +39,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     PreparationSpec,
-    parse_postselect_tokens,
     run_experiment,
     run_traced,
     sampled_report,
@@ -51,6 +50,7 @@ from .quantum import (
     RecordTree,
     run_quantum_shot,
 )
+from .records import parse_event_token
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -167,7 +167,8 @@ def _experiment(args) -> ExperimentConfig:
                            f"per command; request fewer shots")
     return ExperimentConfig(
         circuit=circuit,
-        postselect=parse_postselect_tokens(tokens) if tokens else None,
+        postselect=(tuple(map(parse_event_token, tokens)) if tokens
+                    else None),
         prepare=_prepare(args.prepare, _setting("prepare", None, config)),
         shots=shots,
         seed=_setting("seed", args.seed, config),
@@ -180,10 +181,9 @@ def _experiment(args) -> ExperimentConfig:
 def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
     """Sampled (not exact) quantum-engine run, for ``run --engine quantum``."""
     circuit = config.circuit
-    init = quantum_init(config.prepare.path, circuit.width)
+    tree = RecordTree(circuit, quantum_init(config.prepare.path, circuit.width))
     draws = len(circuit.detector_layers())
-    tree = RecordTree(circuit, init)
-    records = (run_quantum_shot(circuit, init, gen, tree=tree)[0]
+    records = (run_quantum_shot(tree, gen)[0]
                for gen in streams.shot_streams(
                    config.seed, streams.QUANTUM_SHOTS, config.shots, draws))
     return sampled_report(config, records)
@@ -245,15 +245,9 @@ def cmd_trace(args, config: ExperimentConfig) -> int:
         where = "--postselect" if args.postselect is not None \
             else "config 'postselect'"
         return _fail(f"{where} applies to the run and compare commands only")
-    shot_reports = [] if args.report else None
-    summary = run_traced(config, jsonl=args.jsonl, shot_reports=shot_reports)
+    summary = run_traced(config, jsonl=args.jsonl, report=args.report)
     print(f"traced {config.shots} shots: max label deviation "
           f"{summary['max_deviation']:.3e}, {summary['violations']} violation(s)")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump({"summary": summary, "shots": shot_reports}, fh,
-                      sort_keys=True, indent=2)
-            fh.write("\n")
     return EXIT_PASS if summary["violations"] == 0 else EXIT_FAIL
 
 

@@ -39,14 +39,14 @@ def _wrap_angle(x: float) -> float:
     return y - math.pi
 
 
-def assert_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def assert_unitary(matrix: np.ndarray) -> np.ndarray:
     """Validate and return the matrix as complex; raises NonUnitaryError."""
     u = np.asarray(matrix, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
         raise NonUnitaryError(f"expected a square matrix, got shape {u.shape}")
     gram = u.conj().T @ u
     dev = float(np.max(np.abs(gram - np.eye(u.shape[0]))))
-    if not dev <= tol:  # also rejects NaN entries
+    if not dev <= UNITARY_TOL:  # also rejects NaN entries
         raise NonUnitaryError(f"matrix deviates from unitarity by {dev:.3e}")
     return u
 

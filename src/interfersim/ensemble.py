@@ -16,15 +16,15 @@ and live amplitudes bit for bit; the property tests in
 ``tests/test_engine_properties.py`` check this on random circuits.
 
 The model keeps a field per shot, but the loop computes each distinct field
-once. A prepared ensemble (:class:`interfersim.prepare.PreparedEnsemble`)
-starts every shot with the particle on the one live path and the same
-field, so it is one *group*. Every gate does the same arithmetic on a
-group's live paths and sets the same levels, wherever its particles are,
-until a detector layer splits the group by outcome: the field and the
-level row are functions of the record prefix, the paper's point that the
-label depends only on what the agent has seen. So they are held once per
-group, in ``(width, groups)`` arrays, with a group id per shot; only the
-particle position ``q`` is per shot.
+once. A prepared ensemble (:class:`interfersim.prepare.PreparedEnsemble`,
+which also holds the seed the run draws under) starts every shot with the
+particle on the one live path and the same field, so it is one *group*.
+Every gate does the same arithmetic on a group's live paths and sets the
+same levels, wherever its particles are, until a detector layer splits the
+group by outcome: the field and the level row are functions of the record
+prefix, the paper's point that the label depends only on what the agent
+has seen. So they are held once per group, in ``(width, groups)`` arrays,
+with a group id per shot; only the particle position ``q`` is per shot.
 
 The amplitudes a preparation leaves on its dead paths are not carried. A
 splitter suppresses a dead path whose partner lives, so a particle could
@@ -221,15 +221,14 @@ def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
     return degenerate, later
 
 
-def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
-                 seed: int) -> EnsembleResult:
+def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult:
     """Run every shot of a prepared ensemble through the circuit.
 
     Uniform draws come from the shot-sliced stream of purpose
-    :data:`interfersim.rng.ONTIC_SHOTS` under ``seed``, one column per beam
-    splitter in circuit order. They are drawn a block of shots at a time
-    by the first walk, which keeps only the columns of the splitters queued
-    after it, for the later walks (module docstring).
+    :data:`interfersim.rng.ONTIC_SHOTS` under ``prepared.seed``, one column
+    per beam splitter in circuit order. They are drawn a block of shots at
+    a time by the first walk, which keeps only the columns of the splitters
+    queued after it, for the later walks (module docstring).
 
     Each distinct field is computed once, for a group of shots (module
     docstring). A splitter mixes the group columns, computes one relocation
@@ -247,7 +246,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble,
     width = circuit.width
     if prepared.width != width:
         raise ValueError("prepared ensemble width differs from the circuit's")
-    shots = prepared.shots
+    shots, seed = prepared.shots, prepared.seed
     q = np.full(shots, prepared.path, dtype=np.int64)
     group = np.zeros(shots, dtype=np.intp)
     # The one group field, dead off the target path; levels relative to the

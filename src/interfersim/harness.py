@@ -39,11 +39,12 @@ from . import rng as streams
 from .circuits import BeamSplitter, Circuit
 from .ensemble import EnsembleResult, run_ensemble
 from .labels import verify_congruence
-from .ontic import run_ontic_shot, trace_json_object, OnticState, ShotDiagnostics
+from .ontic import (ZERO_LEVEL, OnticState, ShotDiagnostics, run_ontic_shot,
+                    trace_json_object)
 from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
 from .quantum import (BRANCH_CAP, ImpossibleOutcomeError, QuantumState,
                       RecordTree, exact_outcome_distribution, sum_in_order)
-from .records import OutcomeRecord, event_token, parse_event_token, postselect
+from .records import OutcomeRecord, event_token, postselect
 
 # Below this many (post-selection) shots no verdict is claimed.
 MIN_VERDICT_SHOTS = 100
@@ -119,12 +120,6 @@ class ExperimentConfig:
                                       f"{clicked + 1} at layer {layer + 1}: no detector")
 
 
-def parse_postselect_tokens(tokens: Iterable[str]
-                            ) -> tuple[tuple[int, int | None], ...]:
-    """Parse ``["L2:N", "L4:C1", ...]`` tokens into constraints."""
-    return tuple(parse_event_token(token) for token in tokens)
-
-
 def total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Half the L1 distance between two distributions over outcome keys."""
     keys = sorted(set(p) | set(q))  # a fixed order keeps the sum reproducible
@@ -141,17 +136,16 @@ class ChiSquareResult:
 
 
 def chi_square_goodness(counts: Mapping[str, int],
-                        expected: Mapping[str, float],
-                        pool_below: float = POOL_EXPECTED_MIN) -> ChiSquareResult:
+                        expected: Mapping[str, float]) -> ChiSquareResult:
     """Pearson goodness-of-fit of observed counts against expected
     probabilities.
 
     Outcomes with zero expected probability are pooled separately: any
     observation there is reported as ``impossible_count`` (an automatic
     fail for the verdict) and excluded from the statistic. Cells with
-    expected count below ``pool_below`` are merged into one remainder cell
-    so the chi-square approximation stays valid. The tail probability is
-    the regularized upper incomplete gamma at ``dof/2``.
+    expected count below ``POOL_EXPECTED_MIN`` are merged into one
+    remainder cell so the chi-square approximation stays valid. The tail
+    probability is the regularized upper incomplete gamma at ``dof/2``.
     """
     total = sum(counts.values())
     impossible = sum(n for key, n in counts.items()
@@ -164,7 +158,7 @@ def chi_square_goodness(counts: Mapping[str, int],
             continue
         observed = float(counts.get(key, 0))
         expected_count = prob * total
-        if expected_count < pool_below:
+        if expected_count < POOL_EXPECTED_MIN:
             small_obs += observed
             small_exp += expected_count
         else:
@@ -322,9 +316,8 @@ def _within_bands(counts: Mapping[str, int], probs: Mapping[str, float],
 
 def _prepare(config: ExperimentConfig) -> PreparedEnsemble:
     """The config's initial ensemble: one field and a junk recipe."""
-    return prepare_ensemble(config.prepare.mode, config.prepare.path,
-                            config.circuit.width, config.shots, config.seed,
-                            config.prepare.junk)
+    return prepare_ensemble(config.prepare.path, config.circuit.width,
+                            config.shots, config.seed, config.prepare.junk)
 
 
 def traced_shots(config: ExperimentConfig,
@@ -333,18 +326,20 @@ def traced_shots(config: ExperimentConfig,
     """Replay every shot of a config through the single-shot engine.
 
     Yields ``(shot, record, trajectory)`` in shot order; each shot starts
-    from its row of the materialised preparation (junk included, for the
-    trace lines print it) and draws its own slice of the stream
+    from the prepared field with its row of the amplitudes (junk included,
+    for the trace lines print it) and draws its own slice of the stream
     (:func:`interfersim.rng.shot_streams`), so it reproduces the shot of
     the vectorised run.
     """
     circuit = config.circuit
-    init_q, init_u, init_levels = _prepare(config).arrays()
+    prepared = _prepare(config)
+    init_u = prepared.amplitudes()
+    init_levels = [ZERO_LEVEL] * circuit.width
+    init_levels[prepared.path] = 0
     n_draws = circuit.count_gates(BeamSplitter)
     for shot, gen in enumerate(streams.shot_streams(
             config.seed, streams.ONTIC_SHOTS, config.shots, n_draws)):
-        init = OnticState(int(init_q[shot]), init_u[shot].tolist(),
-                          init_levels[shot])
+        init = OnticState(prepared.path, init_u[shot].tolist(), init_levels)
         record, trajectory = run_ontic_shot(circuit, init, gen, trace=True,
                                             diagnostics=diagnostics)
         yield shot, record, trajectory
@@ -359,10 +354,17 @@ def write_trace_lines(fh: IO[str], shot: int,
                             sort_keys=True) + "\n")
 
 
+def _nested(obj: dict, depth: int) -> str:
+    """``obj`` as ``json.dump(..., sort_keys=True, indent=2)`` writes it
+    ``depth`` levels deep, after the indent of its first line."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace(
+        "\n", "\n" + "  " * depth)
+
+
 def run_traced(config: ExperimentConfig,
                cross_check: EnsembleResult | None = None,
                jsonl: str | None = None,
-               shot_reports: list[dict] | None = None,
+               report: str | None = None,
                ) -> dict:
     """Replay every shot with tracing (:func:`traced_shots`) and verify
     label congruence; returns a summary dict.
@@ -370,47 +372,55 @@ def run_traced(config: ExperimentConfig,
     When ``cross_check`` holds the vectorised run of the same config, each
     replayed record is asserted equal to the ensemble's. With a ``jsonl``
     path, each shot's trace lines (:func:`write_trace_lines`) are written
-    there as it is checked. With a ``shot_reports`` list, each shot's
-    congruence report is appended to it in its JSON shape ``{shot, layers:
-    [{deviation}], pass}``; without one, no per-shot report outlives its
-    shot, so memory stays bounded in the shot count.
+    there as it is checked. With a ``report`` path, the file gets the bytes
+    of ``json.dump({"shots": [...], "summary": summary}, sort_keys=True,
+    indent=2)`` and a newline, each shot's congruence report ``{shot,
+    layers: [{deviation}], pass}`` written as it is checked; ``"shots"``
+    sorts first, so only the summary waits for the end. No per-shot report
+    outlives its shot, so memory stays bounded in the shot count.
     """
     label0 = QuantumState.basis(config.prepare.path, config.circuit.width)
     tree = RecordTree(config.circuit, label0)  # the labels of every shot
     max_dev = 0.0
     violations = 0
     diagnostics = ShotDiagnostics()
-    with (open(jsonl, "w", encoding="utf-8") if jsonl
-          else contextlib.nullcontext()) as trace_fh:
+    with contextlib.ExitStack() as files:
+        trace_fh, report_fh = (
+            files.enter_context(open(path, "w", encoding="utf-8"))
+            if path else None for path in (jsonl, report))
         for shot, record, trajectory in traced_shots(config, diagnostics):
             if cross_check is not None and record != cross_check.record_for_shot(shot):
                 raise AssertionError(
                     f"shot {shot}: single-shot replay disagrees with ensemble record"
                 )
-            report = verify_congruence(trajectory, record, config.circuit,
-                                       label0, tree=tree)
-            max_dev = max(max_dev, report.max_deviation)
-            if not report.passed:
+            check = verify_congruence(trajectory, record, tree)
+            max_dev = max(max_dev, check.max_deviation)
+            if not check.passed:
                 violations += 1
-            if shot_reports is not None:
-                shot_reports.append(report.to_json_dict(shot=shot))
+            if report_fh is not None:  # one item of the "shots" list
+                report_fh.write((",\n    " if shot else '{\n  "shots": [\n    ')
+                                + _nested(check.to_json_dict(shot=shot), 2))
             if trace_fh is not None:
                 write_trace_lines(trace_fh, shot, trajectory)
-    return {
-        "shots": config.shots,
-        "max_deviation": max_dev,
-        "violations": violations,
-        "degenerate_relocations": diagnostics.degenerate_relocations,
-    }
+        summary = {
+            "shots": config.shots,
+            "max_deviation": max_dev,
+            "violations": violations,
+            "degenerate_relocations": diagnostics.degenerate_relocations,
+        }
+        if report_fh is not None:
+            report_fh.write('\n  ],\n  "summary": ' + _nested(summary, 1)
+                            + "\n}\n")
+    return summary
 
 
 def outcome_report(config: ExperimentConfig, mode: str,
-                   counts: Mapping[str, int] | None, kept: int,
+                   counts: Mapping[str, int] | None,
                    probs: Mapping[str, float] | None, degenerate: int = 0,
                    congruence: dict | None = None) -> ExperimentReport:
     """Build a run's report from its engine results: ``counts`` over the
-    ``kept`` (post-selected) shots of a sampling engine, and the exact
-    outcome probabilities ``probs``; ``None`` for an engine that did not run.
+    kept (post-selected) shots of a sampling engine, and the exact outcome
+    probabilities ``probs``; ``None`` for an engine that did not run.
 
     There is one row per outcome of either. Counts fill ``count`` and
     ``frequency``, probabilities fill ``probability``; only with both are
@@ -419,6 +429,7 @@ def outcome_report(config: ExperimentConfig, mode: str,
     kept shots unless an impossible outcome was observed.
     """
     both = counts is not None and probs is not None
+    kept = sum(counts.values()) if counts is not None else 0
     freqs = {key: n / kept for key, n in (counts or {}).items()}
     tvd = chi = None
     hard_fail = 0
@@ -469,8 +480,7 @@ def sampled_report(config: ExperimentConfig,
     counts = Counter(record.key for record in records)
     if config.postselect:
         counts = postselect(counts, config.postselect)
-    return outcome_report(config, "quantum-sample", counts,
-                          sum(counts.values()), None)
+    return outcome_report(config, "quantum-sample", counts, None)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -493,7 +503,7 @@ def run_experiment(config: ExperimentConfig,
     start = time.perf_counter()
     circuit = config.circuit
     counts = probs = congruence = None
-    kept = degenerate = 0
+    degenerate = 0
     if config.mode != "ontic-only":
         probs = exact_outcome_distribution(
             circuit, quantum_init(config.prepare.path, circuit.width),
@@ -506,7 +516,7 @@ def run_experiment(config: ExperimentConfig,
             probs = {key: p / total for key, p in probs.items()}
 
     if config.mode != "quantum-exact":
-        result = run_ensemble(circuit, _prepare(config), config.seed)
+        result = run_ensemble(circuit, _prepare(config))
         if config.trace or jsonl:
             summary = run_traced(config, cross_check=result, jsonl=jsonl)
             congruence = summary if config.trace else None
@@ -514,9 +524,8 @@ def run_experiment(config: ExperimentConfig,
         counts = result.counts()
         if config.postselect:
             counts = postselect(counts, config.postselect)
-        kept = sum(counts.values())
 
-    report = outcome_report(config, config.mode, counts, kept, probs,
-                            degenerate, congruence)
+    report = outcome_report(config, config.mode, counts, probs, degenerate,
+                            congruence)
     report.runtime_seconds = time.perf_counter() - start
     return report

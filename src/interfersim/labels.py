@@ -8,15 +8,16 @@ layer step (``_measure_layer`` and ``collapse``), and
 :func:`verify_congruence` reads each predicted label from the walk of the
 record through a :class:`~interfersim.quantum.RecordTree`, the same walk the
 sampler takes, so a traced run computes each layer step once per record
-prefix rather than once per shot. The shots through one prefix carry the
-same dominant-strength amplitudes, so each node also keeps the overlap of
-every projection judged there, and a shot whose projection equals one
-already judged reuses its overlap. This module extracts
-labels from engine states, tests membership in the family of labelled state
-classes, and verifies that traced trajectories stay congruent with the
-quantum state at every step. It also materialises both sides of the
-projection/update commutation identity that underlies the congruence, for
-randomized checking.
+prefix rather than once per shot. The tree holds the circuit and the
+initial label, so a check is handed the trajectory, the record and the tree
+alone. The shots through one prefix carry the same dominant-strength
+amplitudes, so each node also keeps the overlap of every projection judged
+there, and a shot whose projection equals one already judged reuses its
+overlap. This module extracts labels from engine states, tests membership
+in the family of labelled state classes, and verifies that traced
+trajectories stay congruent with the quantum state at every step. It also
+materialises both sides of the projection/update commutation identity that
+underlies the congruence, for randomized checking.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Layer, validate_layer
+from .circuits import Layer, validate_layer
 from .ontic import ZERO_LEVEL, OnticState, _age
 from .quantum import (
+    RAY_TOL,
     QuantumState,
     RecordTree,
     _measure_layer,
@@ -39,8 +41,8 @@ from .quantum import (
 )
 from .records import OutcomeRecord
 
-RAY_TOL = 1e-9
 PROJECTION_TOL = 1e-12
+COMMUTATION_TOL = 1e-12  # entrywise, between the identity's two sides
 
 
 class CongruenceError(RuntimeError):
@@ -149,31 +151,25 @@ class CongruenceReport:
 
 
 def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
-                      circuit: Circuit, init_label: QuantumState,
-                      tol: float = RAY_TOL, strict: bool = False,
-                      tree: RecordTree | None = None,
+                      tree: RecordTree, strict: bool = False,
                       ) -> CongruenceReport:
     """Check a traced shot against the quantum engine, layer by layer.
 
     ``trajectory`` must hold the initial state followed by the state after
-    every layer (``run_ontic_shot`` with ``trace=True``). At each boundary
-    the extracted label must ray-equal the quantum state evolved from
-    ``init_label`` under the same outcomes, and the state must belong to the
-    labelled class anchored at its particle position. Deviations are
-    ``1 - |overlap|``. The predicted labels are the nodes of ``record`` in
-    ``tree`` (a :class:`~interfersim.quantum.RecordTree` of ``circuit`` and
-    ``init_label`` shared across shots), or in a tree of this shot's own.
+    every layer of the tree's circuit (``run_ontic_shot`` with
+    ``trace=True``). At each boundary the extracted label must ray-equal
+    the quantum state evolved from the tree's root state under the same
+    outcomes, and the state must belong to the labelled class anchored at
+    its particle position. Deviations are ``1 - |overlap|``. The predicted
+    labels are the nodes of ``record`` in ``tree``, which every shot of one
+    circuit and initial label shares.
 
     With ``strict`` the first violation raises :class:`CongruenceError`;
     otherwise the report carries every layer's deviation.
     """
-    if len(trajectory) != circuit.depth + 1:
+    if len(trajectory) != tree.circuit.depth + 1:
         raise ValueError("trajectory must contain the state after every layer")
-    if init_label.width != circuit.width:
-        raise ValueError("initial label does not match the circuit width")
-    if tree is None:
-        tree = RecordTree(circuit, init_label)
-    node = tree.root_for(circuit, init_label)
+    node = tree.root
     clicks = dict(record.events)
     checks: list[LayerCheck] = []  # from layer -1, the initial state
     max_dev = 0.0
@@ -184,7 +180,7 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
         deviation, member = _judge(state, node.state, node.overlaps)
         checks.append(LayerCheck(layer_idx, deviation, member))
         max_dev = max(max_dev, deviation)
-        if not (deviation <= tol and member):
+        if not (deviation <= RAY_TOL and member):
             passed = False
             if strict:
                 raise CongruenceError(
@@ -196,7 +192,7 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
 
 
 def check_delta_commutation(layer: Layer, tau_before: Sequence[int],
-                            width: int, tol: float = 1e-12) -> bool:
+                            width: int) -> bool:
     """Materialise both sides of the projection/update commutation identity
     for one layer and strength pattern and compare them entrywise.
 
@@ -242,4 +238,4 @@ def check_delta_commutation(layer: Layer, tau_before: Sequence[int],
     left = delta_after @ unitaries @ suppress
     right = unitaries @ delta_before
     right[list(partition.detectors)] = 0.0  # no-click: detector paths zeroed
-    return bool(np.max(np.abs(left - right)) <= tol)
+    return bool(np.max(np.abs(left - right)) <= COMMUTATION_TOL)

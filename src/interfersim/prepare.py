@@ -13,7 +13,8 @@ amplitude 1 and strength 1 there, zero strength elsewhere, and unknown
 leftover amplitudes elsewhere. No particle of such an ensemble ever reads
 those leftovers, so :func:`prepare_ensemble` keeps them as a recipe that is
 drawn only where something reads them; tests check that swapping junk
-samplers changes no record.
+samplers changes no record. A junk sampler is named by its key in
+:data:`JUNK_SAMPLERS`.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ JUNK_SAMPLERS: dict[str, JunkSampler] = {
 }
 
 
-def resolve_junk(junk: str | JunkSampler) -> JunkSampler:
-    if callable(junk):
-        return junk
+def resolve_junk(junk: str) -> JunkSampler:
+    """The sampler of :data:`JUNK_SAMPLERS` named ``junk``."""
     try:
         return JUNK_SAMPLERS[junk]
     except KeyError:
@@ -69,7 +69,7 @@ def quantum_init(path: int, width: int) -> QuantumState:
 
 
 def source_prepare(path: int, width: int, gen: np.random.Generator,
-                   junk: str | JunkSampler = "zero") -> OnticState:
+                   junk: str = "zero") -> OnticState:
     """Blocked-path source: particle injected into ``path`` with a full-
     strength unit field there; all other paths get zero strength and a junk
     amplitude."""
@@ -110,8 +110,7 @@ def sieve_prepare(raw_sampler: Callable[[np.random.Generator], OnticState],
     )
 
 
-def default_raw_sampler(width: int,
-                        junk: str | JunkSampler = "disk",
+def default_raw_sampler(width: int, junk: str = "disk",
                         ) -> Callable[[np.random.Generator], OnticState]:
     """An intentionally messy unknown source: uniform particle position,
     junk amplitudes everywhere, assorted field strengths."""
@@ -143,8 +142,9 @@ class PreparedEnsemble:
     only their recipe is kept: ``sampler`` draws them, ``(shots, width)`` at
     once, from the :data:`interfersim.rng.PREPARE_FIELDS` stream of
     ``seed``. :func:`interfersim.ensemble.run_ensemble` runs the one field
-    and draws no junk; :meth:`arrays` materialises the per-shot arrays for
-    the scalar replay, whose trace lines print the junk.
+    under ``seed`` and draws no junk; :meth:`amplitudes` materialises the
+    per-shot amplitudes for the scalar replay, whose trace lines print the
+    junk.
     """
 
     path: int
@@ -153,34 +153,29 @@ class PreparedEnsemble:
     seed: int
     sampler: JunkSampler
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-shot ``(q, u, levels)``: positions, amplitudes (the junk on
-        the dead paths, freshly drawn) and strength levels."""
+    def amplitudes(self) -> np.ndarray:
+        """Per-shot ``(shots, width)`` amplitudes: 1 on the path and the
+        junk, freshly drawn, on the dead paths (the only per-shot part)."""
         gen = streams.generator(self.seed, streams.PREPARE_FIELDS)
         u = self.sampler(gen, (self.shots, self.width))
         u[:, self.path] = 1.0
-        q = np.full(self.shots, self.path, dtype=np.int64)
-        levels = np.full((self.shots, self.width), ZERO_LEVEL, dtype=np.int64)
-        levels[:, self.path] = 0
-        return q, u, levels
+        return u
 
 
-def prepare_ensemble(mode: str, path: int, width: int, shots: int, seed: int,
-                     junk: str | JunkSampler = "zero") -> PreparedEnsemble:
+def prepare_ensemble(path: int, width: int, shots: int, seed: int,
+                     junk: str = "zero") -> PreparedEnsemble:
     """The initial ensemble of ``shots`` runs, as a :class:`PreparedEnsemble`.
 
-    Both modes produce the same distribution by construction: the sieve's
-    detector array leaves the non-target amplitudes untouched and zeroes
-    their strengths, and the raw source's amplitude marginal is the junk
-    distribution independently of the particle position, so conditioning on
-    the target click is equivalent to direct injection. ``sieve_prepare``
-    implements the literal rejection procedure for single states; here both
-    modes build the accepted ensemble directly. The arguments are checked
-    here; no junk is drawn.
+    It takes no mode: both produce the same distribution by construction.
+    The sieve's detector array leaves the non-target amplitudes untouched
+    and zeroes their strengths, and the raw source's amplitude marginal is
+    the junk distribution independently of the particle position, so
+    conditioning on the target click is equivalent to direct injection.
+    ``sieve_prepare`` implements the literal rejection procedure for single
+    states; here either mode's accepted ensemble is built directly. The
+    arguments are checked here; no junk is drawn.
     """
     check_path(path, width)
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    if mode not in ("source", "sieve"):
-        raise ValueError(f"unknown preparation mode {mode!r}")
     return PreparedEnsemble(path, width, shots, seed, resolve_junk(junk))

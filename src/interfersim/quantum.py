@@ -16,7 +16,9 @@ the state on one outcome.
 The state after a layer is a function of the outcome record so far, so
 ``RecordTree`` computes it once per record prefix: each node runs
 ``_measure_layer`` once and each edge ``collapse`` once, however many shots
-or branches pass through. The tree serves three consumers.
+or branches pass through. The tree holds its circuit and initial state, so
+the sampler and the label check are handed the tree alone. It serves three
+consumers.
 ``run_quantum_shot`` walks it, picking one outcome per detector layer from a
 single uniform draw against the node's cached thresholds;
 ``interfersim.labels`` walks a given record through it to predict the
@@ -51,6 +53,9 @@ from .records import OutcomeRecord, event_suffix, record_key
 # renormalized, beyond FAIL_TOL it is treated as an internal error.
 RENORM_TOL = 1e-9
 FAIL_TOL = 1e-6
+
+# Two unit vectors whose ray overlap is at least 1 - RAY_TOL span one ray.
+RAY_TOL = 1e-9
 
 # Outcome branches with probability at or below this are impossible.
 IMPOSSIBLE_TOL = 1e-12
@@ -102,8 +107,8 @@ class QuantumState:
     def width(self) -> int:
         return self.amplitudes.size
 
-    def ray_equals(self, other: "QuantumState", tol: float = 1e-9) -> bool:
-        return ray_overlap(self.amplitudes, other.amplitudes) >= 1.0 - tol
+    def ray_equals(self, other: "QuantumState") -> bool:
+        return ray_overlap(self.amplitudes, other.amplitudes) >= 1.0 - RAY_TOL
 
     @classmethod
     def basis(cls, path: int, width: int) -> "QuantumState":
@@ -307,32 +312,21 @@ class RecordTree:
         self.nodes += 1
         return _Node(state)
 
-    def root_for(self, circuit: Circuit, init: QuantumState) -> _Node:
-        """The root, after checking that the tree was built from these
-        ``circuit`` and ``init`` objects."""
-        if self.circuit is not circuit or self.root.state is not init:
-            raise ValueError("record tree was built for another circuit "
-                             "or initial state")
-        return self.root
 
-
-def run_quantum_shot(circuit: Circuit, init: QuantumState,
-                     rng: np.random.Generator, tree: RecordTree | None = None,
+def run_quantum_shot(tree: RecordTree, rng: np.random.Generator,
                      ) -> tuple[OutcomeRecord, QuantumState]:
-    """Execute one sampled run.
+    """Execute one sampled run of the tree's circuit from its root state.
 
     Per layer: apply the unitary gates, then treat the layer's detectors as a
     single measurement event (at most one click, else joint no-click) and
     collapse accordingly. Consumes exactly one uniform draw per detector
     layer, so a shot's stream use is a function of the circuit alone. The
-    shot walks ``tree`` (a :class:`RecordTree` of ``circuit`` and ``init``
-    shared across shots), or a tree of its own.
+    shot walks ``tree``, which every shot of one circuit and initial state
+    shares.
     """
-    if tree is None:
-        tree = RecordTree(circuit, init)
-    node = tree.root_for(circuit, init)
+    node = tree.root
     events: list[tuple[int, int | None]] = []
-    for layer_idx in range(circuit.depth):
+    for layer_idx in range(tree.circuit.depth):
         event = tree.event(node, layer_idx)
         clicked = None
         if event.detectors:

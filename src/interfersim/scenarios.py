@@ -85,9 +85,12 @@ def zeno_chain(stages: int = 8) -> Circuit:
     return Circuit(2, layers, name=f"zeno-{stages}")
 
 
+# Chances of a splitter and of a phase shifter on a path of a random circuit.
+P_SPLITTER, P_PHASE = 0.45, 0.25
+
+
 def random_circuit(width: int, depth: int, gen: np.random.Generator,
-                   p_splitter: float = 0.45, p_detector: float = 0.15,
-                   p_phase: float = 0.25, name: str = "") -> Circuit:
+                   p_detector: float = 0.15, name: str = "") -> Circuit:
     """Seeded random circuit with a terminal all-path detector layer."""
     layers = []
     for _ in range(depth - 1):
@@ -96,12 +99,12 @@ def random_circuit(width: int, depth: int, gen: np.random.Generator,
         while unassigned:
             path = int(unassigned.pop())
             roll = gen.random()
-            if roll < p_splitter and unassigned:
+            if roll < P_SPLITTER and unassigned:
                 other = int(unassigned.pop())
                 gates.append(BeamSplitter(path, other, float(gen.random())))
-            elif roll < p_splitter + p_detector:
+            elif roll < P_SPLITTER + p_detector:
                 gates.append(Detector(path))
-            elif roll < p_splitter + p_detector + p_phase:
+            elif roll < P_SPLITTER + p_detector + P_PHASE:
                 omega = float(gen.uniform(-math.pi, math.pi))
                 gates.append(PhaseShifter(path, omega))
         layers.append(Layer(gates))

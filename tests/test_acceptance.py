@@ -28,7 +28,6 @@ from interfersim.ensemble import run_ensemble
 from interfersim.harness import (
     ExperimentConfig,
     PreparationSpec,
-    parse_postselect_tokens,
     run_experiment,
 )
 from interfersim.labels import check_delta_commutation
@@ -41,6 +40,7 @@ from interfersim.ontic import (
     gate_phase,
 )
 from interfersim.prepare import prepare_ensemble
+from interfersim.records import parse_event_token
 from interfersim.scenarios import (
     available_scenarios,
     compare_suite,
@@ -121,7 +121,7 @@ def test_criterion_3_collapse_imitation():
     config = ExperimentConfig(circuit=scenario("elitzur-vaidman"),
                               prepare=PreparationSpec(path=0, junk="disk"),
                               shots=SHOTS, seed=5,
-                              postselect=parse_postselect_tokens(["L2:N"]))
+                              postselect=(parse_event_token("L2:N"),))
     report = run_experiment(config)
     assert report.hard_fail_events == 0
     assert report.total_variation < 0.01
@@ -283,8 +283,8 @@ def test_criterion_7_exactness_invariants():
     degenerate = 0
     for name in available_scenarios():
         circuit = scenario(name)
-        result = run_ensemble(circuit, prepare_ensemble("source", 0, circuit.width,
-                                                        20_000, 71, "disk"), 71)
+        result = run_ensemble(circuit, prepare_ensemble(0, circuit.width,
+                                                        20_000, 71, "disk"))
         degenerate += result.degenerate_relocations
     assert degenerate == 0
     report_pass(7, "dyadic closure and locality exact over 8000 gate "

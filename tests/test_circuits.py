@@ -271,8 +271,7 @@ PATH_ENTRIES = {
     "QuantumState.basis": lambda p: quantum.QuantumState.basis(p, WIDTH),
     "source_prepare": lambda p: prepare.source_prepare(
         p, WIDTH, np.random.default_rng(0)),
-    "prepare_ensemble": lambda p: prepare.prepare_ensemble(
-        "source", p, WIDTH, 4, 0),
+    "prepare_ensemble": lambda p: prepare.prepare_ensemble(p, WIDTH, 4, 0),
 }
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -309,8 +310,7 @@ def test_compare_failure_names_worst_outcome(mz_file, tmp_path, capsys,
     """A failed verdict adds one line after the verdict naming the outcome
     that failed it; a passing one prints nothing more."""
     def forced(config):
-        return harness.outcome_report(config, "compare", counts,
-                                      sum(counts.values()), probs)
+        return harness.outcome_report(config, "compare", counts, probs)
 
     monkeypatch.setattr(cli, "run_experiment", forced)
     code = main(["compare", mz_file, "--out", str(tmp_path)])
@@ -571,6 +571,28 @@ def test_traced_runs_build_shot_reports_only_for_report(mz_file, tmp_path,
     assert main(["trace", mz_file, "--shots", "50", "--seed", "2",
                  "--jsonl", str(tmp_path / "trace.jsonl"),
                  "--out", str(tmp_path)]) == 0
+
+
+def test_trace_report_is_written_shot_by_shot(tmp_path):
+    # ``trace --report`` writes each shot's congruence record as the shot is
+    # checked, so the report adds no memory that grows with the shot count
+    circ = tmp_path / "zeno-8.circ"
+    export_scenario("zeno-8", circ)
+    report = tmp_path / "congruence.json"
+    peaks = {}
+    for extra in ((), ("--report", str(report))):
+        tracemalloc.start()
+        try:
+            assert main(["trace", str(circ), "--shots", "300", "--seed", "5",
+                         "--out", str(tmp_path), *extra]) == 0
+            peaks[bool(extra)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one held congruence dict per shot would add about 1.2 MB here
+    assert peaks[True] < peaks[False] + 100_000, peaks
+    obj = json.loads(report.read_text())
+    assert [shot["shot"] for shot in obj["shots"]] == list(range(300))
+    assert obj["summary"]["shots"] == 300
 
 
 # sha256 of ``trace --jsonl`` (the same lines as ``run --trace``) and of

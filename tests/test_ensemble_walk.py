@@ -62,8 +62,8 @@ def _cases():
 
 def _run(monkeypatch, circuit, path, shots, block):
     monkeypatch.setattr(ensemble, "_BLOCK", block)
-    prepared = prepare_ensemble("source", path, circuit.width, shots, 11, "disk")
-    return run_ensemble(circuit, prepared, 11)
+    prepared = prepare_ensemble(path, circuit.width, shots, 11, "disk")
+    return run_ensemble(circuit, prepared)
 
 
 def _observed(result, post=None):
@@ -121,11 +121,11 @@ def test_run_never_holds_the_whole_uniform_matrix():
     circuit = Circuit(6, list(mesh.layers) + [Layer([Detector(j)
                                                      for j in range(6)])])
     shots = 100_000
-    prepared = prepare_ensemble("source", 2, 6, shots, 5, "disk")
+    prepared = prepare_ensemble(2, 6, shots, 5, "disk")
     matrix_bytes = shots * rng.padded_width(mesh.count_gates(BeamSplitter)) * 8
     tracemalloc.start()
     try:
-        result = run_ensemble(circuit, prepared, 5)
+        result = run_ensemble(circuit, prepared)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -27,11 +27,11 @@ from interfersim.harness import (
     binomial_at_least,
     binomial_at_most,
     chi_square_goodness,
-    parse_postselect_tokens,
     run_experiment,
     _within_bands,
     total_variation,
 )
+from interfersim.records import parse_event_token
 from interfersim.scenarios import (elitzur_vaidman, export_scenario, mach_zehnder,
                                    random_circuit, scenario)
 
@@ -234,7 +234,7 @@ def test_postselected_bomb_test():
     config = ExperimentConfig(circuit=elitzur_vaidman(),
                               prepare=PreparationSpec(path=0),
                               shots=40000, seed=9,
-                              postselect=parse_postselect_tokens(["L2:N"]))
+                              postselect=(parse_event_token("L2:N"),))
     report = run_experiment(config)
     assert report.passed
     assert report.preselection_shots == 40000
@@ -303,7 +303,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         # layer 1 (zero-based 0) has no detectors
         ExperimentConfig(circuit=mach_zehnder(0.1), shots=10, seed=0,
-                         postselect=parse_postselect_tokens(["L1:N"]))
+                         postselect=(parse_event_token("L1:N"),))
 
 
 def test_junk_invariance_on_one_scenario():
@@ -325,7 +325,7 @@ def test_junk_invariance_on_one_scenario():
 def test_traced_experiment_prepares_once(monkeypatch):
     # one ensemble run, without junk, and one materialised preparation, the
     # replay's: the junk is drawn once
-    materialise, ensemble = harness.PreparedEnsemble.arrays, harness.run_ensemble
+    materialise, ensemble = harness.PreparedEnsemble.amplitudes, harness.run_ensemble
     calls = []
 
     def counted(name, original):
@@ -334,13 +334,13 @@ def test_traced_experiment_prepares_once(monkeypatch):
             return original(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(harness.PreparedEnsemble, "arrays",
-                        counted("arrays", materialise))
+    monkeypatch.setattr(harness.PreparedEnsemble, "amplitudes",
+                        counted("amplitudes", materialise))
     monkeypatch.setattr(harness, "run_ensemble", counted("run", ensemble))
     report = run_experiment(ExperimentConfig(
         circuit=scenario("mz-3"), prepare=PreparationSpec(path=0, junk="disk"),
         shots=50, seed=5, mode="ontic-only", trace=True))
-    assert calls == ["run", "arrays"]
+    assert calls == ["run", "amplitudes"]
     assert report.congruence["violations"] == 0
 
 

@@ -186,8 +186,9 @@ def test_label_chain_is_sampler_state():
                               p_detector=0.25)
         circuit = Circuit(width, full.layers[:-1])  # keep the final state live
         init = QuantumState.basis(int(gen.integers(width)), width)
+        tree = RecordTree(circuit, init)
         for _ in range(20):
-            record, final = run_quantum_shot(circuit, init, gen)
+            record, final = run_quantum_shot(tree, gen)
             label, events = init, dict(record.events)
             for idx, layer in enumerate(circuit.layers):
                 label = predicted_label_update(label, layer, events.get(idx))
@@ -208,8 +209,8 @@ def test_congruence_on_mach_zehnder(omega):
     circuit = mach_zehnder(omega)
     for seed in range(40):
         record, trajectory = traced_shot(circuit, seed)
-        report = verify_congruence(trajectory, record, circuit,
-                                   QuantumState.basis(0, 2))
+        report = verify_congruence(trajectory, record,
+                                   RecordTree(circuit, QuantumState.basis(0, 2)))
         assert report.passed
         assert report.max_deviation < 1e-12
 
@@ -217,17 +218,16 @@ def test_congruence_on_mach_zehnder(omega):
 def test_congruence_zero_layer_circuit_vacuous():
     circuit = Circuit(2)
     state = post_click_state(0, 2)
-    report = verify_congruence([state], OutcomeRecord(), circuit,
-                               QuantumState.basis(0, 2))
+    report = verify_congruence([state], OutcomeRecord(),
+                               RecordTree(circuit, QuantumState.basis(0, 2)))
     assert report.passed
     assert report.checks == ()
 
 
 def test_congruence_rejects_label_of_other_width():
-    circuit = mach_zehnder(math.pi / 3)
-    record, trajectory = traced_shot(circuit, 3)
+    # the labels come from a record tree, which checks the width once
     with pytest.raises(ValueError, match="width"):
-        verify_congruence(trajectory, record, circuit, QuantumState.basis(0, 3))
+        RecordTree(mach_zehnder(math.pi / 3), QuantumState.basis(0, 3))
 
 
 def test_congruence_detects_corruption():
@@ -237,13 +237,12 @@ def test_congruence_detects_corruption():
     u = list(broken.u)
     u[0] *= np.exp(0.25j)  # corrupt a dominant-strength amplitude
     trajectory[2] = OnticState(broken.q, u, broken.tau)
-    report = verify_congruence(trajectory, record, circuit,
-                               QuantumState.basis(0, 2))
+    tree = RecordTree(circuit, QuantumState.basis(0, 2))
+    report = verify_congruence(trajectory, record, tree)
     assert not report.passed
     assert any(c.layer == 1 and c.deviation > 1e-9 for c in report.checks)
     with pytest.raises(CongruenceError):
-        verify_congruence(trajectory, record, circuit, QuantumState.basis(0, 2),
-                          strict=True)
+        verify_congruence(trajectory, record, tree, strict=True)
 
 
 def test_congruence_membership_is_in_class():
@@ -263,8 +262,8 @@ def test_congruence_membership_is_in_class():
             state = trajectory[2]
             u = state.u * np.array([np.exp(0.25j), 1.0])
             trajectory[2] = OnticState(state.q, u, state.tau)
-        report = verify_congruence(trajectory, record, circuit,
-                                   QuantumState.basis(0, 2))
+        report = verify_congruence(trajectory, record,
+                                   RecordTree(circuit, QuantumState.basis(0, 2)))
         label, events = QuantumState.basis(0, 2), dict(record.events)
         for check, layer in zip(report.checks, circuit.layers):
             idx = check.layer
@@ -278,8 +277,8 @@ def test_congruence_membership_is_in_class():
 def test_congruence_report_json_shape():
     circuit = mach_zehnder(0.5)
     record, trajectory = traced_shot(circuit, 8)
-    report = verify_congruence(trajectory, record, circuit,
-                               QuantumState.basis(0, 2))
+    report = verify_congruence(trajectory, record,
+                               RecordTree(circuit, QuantumState.basis(0, 2)))
     obj = report.to_json_dict(shot=5)
     assert obj["shot"] == 5 and obj["pass"] is True
     assert len(obj["layers"]) == circuit.depth
@@ -376,8 +375,8 @@ def test_congruence_through_shared_tree_is_bit_identical(circuit):
     tree = RecordTree(circuit, label0)
     for seed in range(25):
         record, trajectory = traced_shot(circuit, seed)
-        shared = verify_congruence(trajectory, record, circuit, label0, tree=tree)
-        alone = verify_congruence(trajectory, record, circuit, label0)
+        shared = verify_congruence(trajectory, record, tree)
+        alone = verify_congruence(trajectory, record, RecordTree(circuit, label0))
         assert shared == alone
         assert _report_bits(shared) == _report_bits(alone)
 
@@ -387,15 +386,14 @@ def test_congruence_through_shared_tree_keeps_errors():
     label0 = QuantumState.basis(0, 2)
     tree = RecordTree(circuit, label0)
     record, trajectory = traced_shot(circuit, 3)
-    verify_congruence(trajectory, record, circuit, label0, tree=tree)
+    verify_congruence(trajectory, record, tree)
     broken = trajectory[2]
     trajectory[2] = OnticState(broken.q, broken.u * np.array([np.exp(0.25j), 1.0]),
                                broken.tau)
     layers = []
-    for shared in (tree, None):
+    for shared in (tree, RecordTree(circuit, label0)):
         with pytest.raises(CongruenceError) as err:
-            verify_congruence(trajectory, record, circuit, label0, strict=True,
-                              tree=shared)
+            verify_congruence(trajectory, record, shared, strict=True)
         layers.append(err.value.layer)
     assert layers == [1, 1]
     # a record claiming a no-click at a certain detector is impossible
@@ -404,8 +402,7 @@ def test_congruence_through_shared_tree_keeps_errors():
     for _ in range(2):
         with pytest.raises(ImpossibleOutcomeError):
             verify_congruence([post_click_state(0, 2)] * 2,
-                              OutcomeRecord(((0, None),)), certain, label0,
-                              tree=tree)
+                              OutcomeRecord(((0, None),)), tree)
 
 
 # -- deviations keep the bits of a plain reference ----------------------------
@@ -437,7 +434,7 @@ def test_congruence_deviations_match_reference_bits(circuit):
         record, trajectory = traced_shot(circuit, seed)
         if seed % 3 == 2:
             trajectory = [OnticState(s.q, s.u * skew, s.tau) for s in trajectory]
-        report = verify_congruence(trajectory, record, circuit, label0, tree=tree)
+        report = verify_congruence(trajectory, record, tree)
         label, clicks = label0, dict(record.events)
         expected = []
         for layer_idx, layer in enumerate(circuit.layers):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from interfersim.harness import ExperimentConfig, PreparationSpec, _prepare
 from interfersim.labels import _judge
 from interfersim.ontic import ZERO_LEVEL, OnticState
 from interfersim.prepare import (
@@ -17,6 +18,7 @@ from interfersim.prepare import (
     source_prepare,
 )
 from interfersim.quantum import QuantumState
+from interfersim.scenarios import scenario
 
 
 def test_quantum_init_basis_states():
@@ -98,32 +100,40 @@ def test_sieve_gives_up_on_unreachable_target():
 
 
 def test_prepare_ensemble_shapes_and_class():
-    q, u, levels = prepare_ensemble("source", 1, 3, 100, 9, "disk").arrays()
-    assert q.shape == (100,) and u.shape == (100, 3) and levels.shape == (100, 3)
-    assert (q == 1).all()
-    assert (u[:, 1] == 1.0).all()
-    assert (levels[:, 1] == 0).all()
-    assert (levels[:, 0] == ZERO_LEVEL).all() and (levels[:, 2] == ZERO_LEVEL).all()
+    # one amplitude row per shot: 1 on the path, junk on the dead paths;
+    # the position and the levels are the same for every shot
+    prepared = prepare_ensemble(1, 3, 100, 9, "disk")
+    u = prepared.amplitudes()
+    assert u.shape == (100, 3) and (u[:, 1] == 1.0).all()
+    assert (np.abs(u[:, [0, 2]]) <= 1.0).all() and (u[:, [0, 2]] != 0.0).all()
+    assert (prepared.path, prepared.width, prepared.shots) == (1, 3, 100)
 
 
 def test_prepare_ensemble_sieve_equals_source_distribution():
-    a = prepare_ensemble("sieve", 0, 2, 50, 11, "disk")
-    b = prepare_ensemble("source", 0, 2, 50, 11, "disk")
-    for x, y in zip(a.arrays(), b.arrays()):
-        assert np.array_equal(x, y)
+    # both modes build the accepted ensemble directly: a config differing
+    # only in the mode prepares the same ensemble
+    circuit = scenario("mz-2")
+    a, b = (_prepare(ExperimentConfig(circuit, PreparationSpec(mode, 0, "disk"),
+                                      shots=50, seed=11))
+            for mode in ("sieve", "source"))
+    assert a == b
+    assert np.array_equal(a.amplitudes(), b.amplitudes())
 
 
 def test_prepare_ensemble_deterministic():
-    a = prepare_ensemble("source", 0, 2, 50, 12, "disk")
-    b = prepare_ensemble("source", 0, 2, 50, 12, "disk")
-    for x, y in zip(a.arrays(), b.arrays()):
-        assert np.array_equal(x, y)
+    a = prepare_ensemble(0, 2, 50, 12, "disk")
+    b = prepare_ensemble(0, 2, 50, 12, "disk")
+    assert np.array_equal(a.amplitudes(), b.amplitudes())
 
 
 def test_prepare_ensemble_validates():
     with pytest.raises(IndexError):
-        prepare_ensemble("source", 5, 2, 10, 0)
+        prepare_ensemble(5, 2, 10, 0)
     with pytest.raises(ValueError):
-        prepare_ensemble("magic", 0, 2, 10, 0)
-    with pytest.raises(ValueError):
-        prepare_ensemble("source", 0, 2, 0, 0)
+        prepare_ensemble(0, 2, 0, 0)
+    # junk is named, never passed as a sampler
+    with pytest.raises(ValueError, match="unknown junk"):
+        prepare_ensemble(0, 2, 10, 0, junk_disk)
+    # the mode is checked by the spec that reads it
+    with pytest.raises(ValueError, match="unknown preparation mode"):
+        PreparationSpec(mode="magic")

@@ -30,8 +30,8 @@ REPLAYED = 200  # shots replayed through the scalar engine per junk sampler
 
 
 def prepared_run(circuit, path, seed):
-    prepared = prepare_ensemble("source", path, circuit.width, SHOTS, seed)
-    return run_ensemble(circuit, prepared, seed)
+    prepared = prepare_ensemble(path, circuit.width, SHOTS, seed)
+    return run_ensemble(circuit, prepared)
 
 
 def _cases():
@@ -84,9 +84,10 @@ def forbidden(gen, shape):
 DEAD_ROTATION = Circuit(2, [Layer([PhaseShifter(1, math.pi / 4)])])
 
 
-def test_prepared_run_draws_no_junk():
+def test_prepared_run_draws_no_junk(monkeypatch):
+    monkeypatch.setitem(prepare.JUNK_SAMPLERS, "forbidden", forbidden)
     result = run_ensemble(DEAD_ROTATION,
-                          prepare_ensemble("source", 0, 2, 10, 3, forbidden), 3)
+                          prepare_ensemble(0, 2, 10, 3, "forbidden"))
     assert result.counts() == {"-": 10}
     assert result.final_u.tolist() == [[1.0, 0.0]] * 10
 
@@ -126,5 +127,4 @@ def test_junk_overflow_raises_in_single_shot_replay(monkeypatch):
 
 def test_prepared_ensemble_checks_width():
     with pytest.raises(ValueError, match="width differs from the circuit's"):
-        run_ensemble(scenario("mz-3"),
-                     prepare_ensemble("source", 0, 3, 10, 3), 3)
+        run_ensemble(scenario("mz-3"), prepare_ensemble(0, 3, 10, 3))

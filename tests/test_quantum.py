@@ -182,7 +182,7 @@ def test_detection_impossible_outcomes():
 def test_run_shot_no_detectors():
     circuit = Circuit(2, [Layer([BeamSplitter(0, 1, 0.5)]),
                           Layer([PhaseShifter(1, 0.3)])])
-    record, final = run_quantum_shot(circuit, state(1, 0),
+    record, final = run_quantum_shot(RecordTree(circuit, state(1, 0)),
                                      np.random.default_rng(0))
     assert record.events == ()
     expected = _evolve(_evolve(state(1, 0), [BeamSplitter(0, 1, 0.5)]),
@@ -191,22 +191,22 @@ def test_run_shot_no_detectors():
 
 
 def test_run_shot_mach_zehnder_dark_port():
-    circuit = mach_zehnder(0.0)
+    tree = RecordTree(mach_zehnder(0.0), state(1, 0))
     gen = np.random.default_rng(1)
     for _ in range(100):
-        record, final = run_quantum_shot(circuit, state(1, 0), gen)
+        record, final = run_quantum_shot(tree, gen)
         assert record.key == "L4:C2"
         assert np.array_equal(final.amplitudes, [0, 1])
 
 
 def test_run_shot_frequencies_follow_born_rule():
     circuit = Circuit(2, [Layer([Detector(0), Detector(1)])])
-    init = state(INV_SQRT2, INV_SQRT2)
+    tree = RecordTree(circuit, state(INV_SQRT2, INV_SQRT2))
     shots = 4000
     clicks = 0
     for shot in range(shots):
         gen = rng.shot_generator(21, rng.QUANTUM_SHOTS, shot, 1)
-        record, _ = run_quantum_shot(circuit, init, gen)
+        record, _ = run_quantum_shot(tree, gen)
         clicks += record.key == "L1:C1"
     sigma = math.sqrt(0.25 / shots)
     assert abs(clicks / shots - 0.5) < 5 * sigma
@@ -376,10 +376,11 @@ def _shared_and_fresh(circuit, init, shots, seed):
     draws = len(circuit.detector_layers())
     shared, fresh = [], []
     for shot in range(shots):
-        shared.append(run_quantum_shot(circuit, init, rng.shot_generator(
-            seed, rng.QUANTUM_SHOTS, shot, draws), tree=tree))
-        fresh.append(run_quantum_shot(circuit, init, rng.shot_generator(
+        shared.append(run_quantum_shot(tree, rng.shot_generator(
             seed, rng.QUANTUM_SHOTS, shot, draws)))
+        fresh.append(run_quantum_shot(RecordTree(circuit, init),
+                                      rng.shot_generator(
+                                          seed, rng.QUANTUM_SHOTS, shot, draws)))
     return shared, fresh
 
 
@@ -414,24 +415,21 @@ def test_record_tree_node_bound_and_saturation():
     tree = RecordTree(circuit, init)
     gen = np.random.default_rng(1)
     for _ in range(10_000):
-        run_quantum_shot(circuit, init, gen, tree=tree)
+        run_quantum_shot(tree, gen)
     saturated = tree.nodes
     assert saturated <= circuit.depth * (1 + detectors)
     for _ in range(10_000):
-        run_quantum_shot(circuit, init, gen, tree=tree)
+        run_quantum_shot(tree, gen)
     assert tree.nodes == saturated
 
 
 def test_record_tree_belongs_to_its_circuit_and_state():
-    circuit = mach_zehnder(0.4)
-    tree = RecordTree(circuit, state(1, 0))
-    gen = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="another circuit"):
-        run_quantum_shot(circuit, state(0, 1), gen, tree=tree)
-    with pytest.raises(ValueError, match="another circuit"):
-        run_quantum_shot(mach_zehnder(0.5), tree.root.state, gen, tree=tree)
-    record, _ = run_quantum_shot(circuit, tree.root.state, gen, tree=tree)
-    assert circuit.depth - 1 in dict(record.events)
+    # a shot reads the circuit and the initial state from the tree alone
+    circuit, init = mach_zehnder(0.4), state(1, 0)
+    tree = RecordTree(circuit, init)
+    assert tree.circuit is circuit and tree.root.state is init
+    record, _ = run_quantum_shot(tree, np.random.default_rng(0))
+    assert [layer for layer, _ in record.events] == [circuit.depth - 1]
     with pytest.raises(ValueError, match="width"):
         RecordTree(circuit, state(1, 0, 0))
 
