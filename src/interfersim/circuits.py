@@ -55,7 +55,10 @@ class ParseError(CircuitError):
 
 @dataclass(frozen=True)
 class PhaseShifter:
-    """Phase rotation by ``omega`` radians on a single path."""
+    """Phase rotation by ``omega`` radians on a single path. ``cos_w`` and
+    ``sin_w``, set at construction outside the fields (so equality, hash,
+    repr and both formats ignore them), hold ``math.cos(omega)`` and
+    ``math.sin(omega)`` for the engines."""
 
     path: int
     omega: float
@@ -63,11 +66,15 @@ class PhaseShifter:
     def __post_init__(self):
         if not math.isfinite(self.omega):
             raise CircuitError(f"phase {self.omega!r} is not finite")
+        object.__setattr__(self, "cos_w", math.cos(self.omega))
+        object.__setattr__(self, "sin_w", math.sin(self.omega))
 
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    """Two-path coupler with reflectivity ``R`` and transmissivity ``1 - R``."""
+    """Two-path coupler with reflectivity ``R`` and transmissivity ``1 - R``.
+    ``root_r`` and ``root_t``, set like a phase shifter's constants, hold
+    ``math.sqrt(R)`` and ``math.sqrt(1 - R)``."""
 
     s: int
     t: int
@@ -78,6 +85,8 @@ class BeamSplitter:
             raise CircuitError("beam splitter requires two distinct paths")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise CircuitError(f"reflectivity {self.reflectivity!r} outside [0, 1]")
+        object.__setattr__(self, "root_r", math.sqrt(self.reflectivity))
+        object.__setattr__(self, "root_t", math.sqrt(1.0 - self.reflectivity))
 
 
 @dataclass(frozen=True)
@@ -202,13 +211,23 @@ class Circuit:
         if width < 1:
             raise CircuitError(f"circuit width must be positive, got {width}")
         layers = tuple(layers)
+        self._fill(width, layers,
+                   tuple(validate_layer(layer, width) for layer in layers),
+                   name, description)
+
+    def _fill(self, width: int, layers: tuple[Layer, ...],
+              partitions: tuple[Partition, ...], name: str,
+              description: str) -> "Circuit":
+        """Set the fields of a circuit whose layers were validated into
+        ``partitions``; :func:`parse_circuit` validates each layer as it
+        reads it and builds its circuit here."""
         # kept outside the fields, so equality, hash and repr ignore it
-        object.__setattr__(self, "_partitions",
-                           tuple(validate_layer(layer, width) for layer in layers))
+        object.__setattr__(self, "_partitions", partitions)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "description", description)
+        return self
 
     @property
     def depth(self) -> int:
@@ -328,6 +347,7 @@ def parse_circuit(text: str) -> Circuit:
     width: int | None = None
     header = {"name": "", "info": ""}
     layers: list[Layer] = []
+    partitions: list[Partition] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -363,14 +383,15 @@ def parse_circuit(text: str) -> Circuit:
             gates.append(_parse_gate(seg_tokens, width, lineno, seg_col))
             offset += len(segment) + 1
         layer = Layer(gates)
-        try:
-            validate_layer(layer, width)
+        try:  # here, so a conflict is reported before any later line's fault
+            partitions.append(validate_layer(layer, width))
         except LayerConflictError as exc:
             raise ParseError(str(exc), lineno, col) from None
         layers.append(layer)
     if width is None:
         raise ParseError("missing 'paths N' header", 1)
-    return Circuit(width, layers, name=header["name"], description=header["info"])
+    return object.__new__(Circuit)._fill(width, tuple(layers), tuple(partitions),
+                                         header["name"], header["info"])
 
 
 def parse_circuit_file(path) -> Circuit:

@@ -64,7 +64,6 @@ are distinct records and each holds a shot, so the tally is a row per group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -273,14 +272,11 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
             if isinstance(gate, PhaseShifter):
                 j = gate.path
                 u_re[j], u_im[j] = rotate_amplitude(u_re[j], u_im[j],
-                                                    math.cos(gate.omega),
-                                                    math.sin(gate.omega))
+                                                    gate.cos_w, gate.sin_w)
             elif isinstance(gate, Detector):
                 detectors.append(gate.path)
             else:
                 s, t = gate.s, gate.t
-                root_r = math.sqrt(gate.reflectivity)
-                root_t = math.sqrt(1.0 - gate.reflectivity)
                 ls, lt = levels[s], levels[t]
                 lmin = np.minimum(ls, lt)  # lowest level = strongest field
                 keep_s = ls == lmin
@@ -288,7 +284,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
                 mixed, p_s, total = _split_pair(
                     np.where(keep_s, u_re[s], 0.0), np.where(keep_s, u_im[s], 0.0),
                     np.where(keep_t, u_re[t], 0.0), np.where(keep_t, u_im[t], 0.0),
-                    root_r, root_t, layer_idx)
+                    gate.root_r, gate.root_t, layer_idx)
                 u_re[s], u_im[s], u_re[t], u_im[t] = mixed
                 levels[s] = levels[t] = lmin
                 # Relocation chance to s; 50/50 where both outputs vanish.

@@ -39,8 +39,8 @@ from . import rng as streams
 from .circuits import BeamSplitter, Circuit
 from .ensemble import EnsembleResult, run_ensemble
 from .labels import verify_congruence
-from .ontic import (ZERO_LEVEL, OnticState, ShotDiagnostics, run_ontic_shot,
-                    trace_json_object)
+from .ontic import (ZERO_LEVEL, OnticState, ShotDiagnostics, initial_states,
+                    run_ontic_shot, trace_json_object)
 from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
 from .quantum import (BRANCH_CAP, ImpossibleOutcomeError, QuantumState,
                       RecordTree, exact_outcome_distribution, sum_in_order)
@@ -333,13 +333,12 @@ def traced_shots(config: ExperimentConfig,
     """
     circuit = config.circuit
     prepared = _prepare(config)
-    init_u = prepared.amplitudes()
     init_levels = [ZERO_LEVEL] * circuit.width
     init_levels[prepared.path] = 0
+    inits = initial_states(prepared.path, prepared.amplitudes(), init_levels)
     n_draws = circuit.count_gates(BeamSplitter)
-    for shot, gen in enumerate(streams.shot_streams(
-            config.seed, streams.ONTIC_SHOTS, config.shots, n_draws)):
-        init = OnticState(prepared.path, init_u[shot].tolist(), init_levels)
+    for shot, (init, gen) in enumerate(zip(inits, streams.shot_streams(
+            config.seed, streams.ONTIC_SHOTS, config.shots, n_draws))):
         record, trajectory = run_ontic_shot(circuit, init, gen, trace=True,
                                             diagnostics=diagnostics)
         yield shot, record, trajectory
@@ -476,8 +475,11 @@ def outcome_report(config: ExperimentConfig, mode: str,
 
 def sampled_report(config: ExperimentConfig,
                    records: Iterable[OutcomeRecord]) -> ExperimentReport:
-    """The ``quantum-sample`` report of sampled quantum-engine records."""
-    counts = Counter(record.key for record in records)
+    """The ``quantum-sample`` report of sampled quantum-engine records.
+    They are tallied by their event tuples, so each distinct record's key
+    is built once."""
+    tally = Counter(record.events for record in records)
+    counts = {OutcomeRecord(events).key: n for events, n in tally.items()}
     if config.postselect:
         counts = postselect(counts, config.postselect)
     return outcome_report(config, "quantum-sample", counts, None)

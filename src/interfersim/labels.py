@@ -10,19 +10,23 @@ record through a :class:`~interfersim.quantum.RecordTree`, the same walk the
 sampler takes, so a traced run computes each layer step once per record
 prefix rather than once per shot. The tree holds the circuit and the
 initial label, so a check is handed the trajectory, the record and the tree
-alone. The shots through one prefix carry the same dominant-strength
-amplitudes, so each node also keeps the overlap of every projection judged
-there, and a shot whose projection equals one already judged reuses its
-overlap. This module extracts labels from engine states, tests membership
-in the family of labelled state classes, and verifies that traced
-trajectories stay congruent with the quantum state at every step. It also
-materialises both sides of the projection/update commutation identity that
-underlies the congruence, for randomized checking.
+alone. The shots through one prefix carry the same levels and
+dominant-strength amplitudes, so each node also keeps the overlap of every
+state judged there, keyed by ``(tau, *amplitudes at the dominant
+strength)`` (``_judge``): a shot whose key equals one already judged reuses
+its overlap, whatever junk its dead paths carry. This module extracts
+labels from engine states, tests membership in the family of labelled
+state classes, and verifies that traced trajectories stay congruent with
+the quantum state at every step. It also materialises both sides of the
+projection/update commutation identity that underlies the congruence, for
+randomized checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,7 +65,8 @@ def dominant_strength(state: OnticState) -> int:
 
 
 def _project(state: OnticState, top: int) -> np.ndarray:
-    return np.where(np.array(state.tau) == top, state.u, 0.0j)
+    return np.array([u if level == top else 0j
+                     for u, level in zip(state.u, state.tau)])
 
 
 def _unit(projected: np.ndarray) -> np.ndarray | None:
@@ -91,23 +96,25 @@ def _judge(state: OnticState, z: QuantumState,
 
     The overlap depends on the dominant-strength paths and their amplitudes
     alone. With ``overlaps`` (a record-tree node's, for the node holding
-    ``z``), it is computed once per distinct such projection and kept
-    there. Projections are told apart by value, so ``-0.0`` and ``0.0``
-    share an entry; that changes no overlap bit, since a signed zero adds
-    nothing to a non-zero sum and ``abs`` drops the sign of a zero one.
+    ``z``), it is computed once per distinct key ``(tau, *amplitudes at the
+    dominant strength)`` and kept there: the levels fix which paths are
+    dominant, and the shots through one node share them. Keys are told
+    apart by value, so ``-0.0`` and ``0.0`` share an entry; that changes no
+    overlap bit, since a signed zero adds nothing to a non-zero sum and
+    ``abs`` drops the sign of a zero one.
     """
-    top = dominant_strength(state)
+    tau = state.tau
+    top = min(tau)  # the dominant strength
     if top == ZERO_LEVEL:
         overlap = 0.0
     elif overlaps is None:
         overlap = _overlap(_project(state, top), z)
     else:
-        key = tuple(u if level == top else None
-                    for u, level in zip(state.u, state.tau))
+        key = (tau, *compress(state.u, map(top.__eq__, tau)))
         overlap = overlaps.get(key)
         if overlap is None:
             overlap = overlaps[key] = _overlap(_project(state, top), z)
-    return 1.0 - overlap, state.tau[state.q] == top and overlap >= 1.0 - RAY_TOL
+    return 1.0 - overlap, tau[state.q] == top and overlap >= 1.0 - RAY_TOL
 
 
 def predicted_label_update(z: QuantumState, layer: Layer,
@@ -132,6 +139,10 @@ class LayerCheck(NamedTuple):
     layer: int
     deviation: float
     member: bool
+
+
+# A LayerCheck from its field tuple, without the Python-level constructor.
+_layer_check = partial(tuple.__new__, LayerCheck)
 
 
 @dataclass(frozen=True)
@@ -170,16 +181,19 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
     if len(trajectory) != tree.circuit.depth + 1:
         raise ValueError("trajectory must contain the state after every layer")
     node = tree.root
-    clicks = dict(record.events)
+    child, judge, click_at = tree.child, _judge, dict(record.events).get
     checks: list[LayerCheck] = []  # from layer -1, the initial state
-    max_dev = 0.0
-    passed = True
+    append = checks.append
+    max_dev, passed = 0.0, True
     for layer_idx, state in enumerate(trajectory, -1):
-        if layer_idx >= 0:
-            node = tree.child(node, layer_idx, clicks.get(layer_idx))
-        deviation, member = _judge(state, node.state, node.overlaps)
-        checks.append(LayerCheck(layer_idx, deviation, member))
-        max_dev = max(max_dev, deviation)
+        if layer_idx >= 0:  # a cached no-click child is read without the call
+            click = click_at(layer_idx)
+            node = (click is None and node.no_click) or child(node, layer_idx,
+                                                              click)
+        deviation, member = judge(state, node.state, node.overlaps)
+        append(_layer_check((layer_idx, deviation, member)))
+        if deviation > max_dev:
+            max_dev = deviation
         if not (deviation <= RAY_TOL and member):
             passed = False
             if strict:

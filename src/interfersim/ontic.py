@@ -42,21 +42,29 @@ step is a single exactly-rounded IEEE multiply or add, never a fused
 complex kernel, so the two produce bit-identical trajectories. The
 property tests in ``tests/test_engine_properties.py`` hold them together on
 random circuits.
+
+The constants of the rules live on the gates: a
+:class:`~interfersim.circuits.PhaseShifter` holds ``cos_w``/``sin_w`` and a
+:class:`~interfersim.circuits.BeamSplitter` ``root_r``/``root_t``, computed
+once when the gate is built. ``_phase`` and ``_split`` take them, and so
+does the ensemble's loop, so no shot recomputes a cosine, sine or square
+root; only the public ``gate_phase``/``gate_beamsplitter``, which take raw
+parameters, compute them per call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
+from cmath import isfinite
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .circuits import (
+    BeamSplitter,
     Circuit,
-    Detector,
     Layer,
     PhaseShifter,
     check_path,
@@ -124,6 +132,8 @@ class OnticState:
             raise IndexError(f"particle position {q} out of range")
         if min(tau_t) < 0 or max(tau_t) > ZERO_LEVEL:
             raise ValueError(f"strength levels {tau_t} outside [0, ZERO_LEVEL]")
+        if not all(map(isfinite, u_t)):
+            raise ValueError("field amplitudes must be finite")
         _fill(self, int(q), u_t, tau_t)
 
     @property
@@ -133,15 +143,24 @@ class OnticState:
 
 def _fill(state: OnticState, q: int, u: tuple[complex, ...],
           tau: tuple[int, ...]) -> OnticState:
-    """Fill ``state``; the one check left for a state the gate rules made
-    from a valid one is finiteness (they keep the particle in range and one
-    level in ``[0, ZERO_LEVEL]`` per amplitude)."""
-    if not all(map(cmath.isfinite, u)):
-        raise ValueError("field amplitudes must be finite")
-    object.__setattr__(state, "q", q)
-    object.__setattr__(state, "u", u)
-    object.__setattr__(state, "tau", tau)
+    """Fill ``state`` with values already checked, its fields set in one
+    call rather than one per field."""
+    object.__setattr__(state, "__dict__", {"q": q, "u": u, "tau": tau})
     return state
+
+
+def initial_states(q: int, u: np.ndarray,
+                   tau: Iterable[int]) -> Iterator[OnticState]:
+    """One state per row of the ``(shots, width)`` amplitudes ``u``, each
+    with particle ``q`` and levels ``tau``. The checks of
+    :class:`OnticState` run once for the block: in full on the first row,
+    then finiteness on the whole block."""
+    first = OnticState(q, u[0].tolist(), tau)
+    if not np.isfinite(u).all():
+        raise ValueError("field amplitudes must be finite")
+    for row in u:
+        yield _fill(object.__new__(OnticState), first.q, tuple(row.tolist()),
+                    first.tau)
 
 
 @dataclass
@@ -160,9 +179,8 @@ def _age(level: int) -> int:
     return ZERO_LEVEL if level >= ZERO_LEVEL else level + 1
 
 
-def _phase(u: list, tau: list, path: int, omega: float) -> None:
-    re, im = rotate_amplitude(u[path].real, u[path].imag,
-                              math.cos(omega), math.sin(omega))
+def _phase(u: list, tau: list, path: int, cos_w: float, sin_w: float) -> None:
+    re, im = rotate_amplitude(u[path].real, u[path].imag, cos_w, sin_w)
     u[path] = complex(re, im)
     tau[path] = _age(tau[path])
 
@@ -177,14 +195,15 @@ def _detect(u: list, tau: list, q: int, path: int) -> bool:
     return clicked
 
 
-def _split(u: list, tau: list, q: int, s: int, t: int, reflectivity: float,
-           draw: float, diagnostics: ShotDiagnostics | None) -> int:
-    """Splitter rule; returns the new particle position."""
-    lmin = min(tau[s], tau[t])  # lowest level = strongest field
-    u_s = u[s] if tau[s] == lmin else 0.0j
-    u_t = u[t] if tau[t] == lmin else 0.0j
-    root_r = math.sqrt(reflectivity)
-    root_t = math.sqrt(1.0 - reflectivity)
+def _split(u: list, tau: list, q: int, s: int, t: int, root_r: float,
+           root_t: float, draw: float,
+           diagnostics: ShotDiagnostics | None) -> int:
+    """Splitter rule with coupler roots ``sqrt(R)``, ``sqrt(1 - R)``;
+    returns the new particle position."""
+    level_s, level_t = tau[s], tau[t]
+    lmin = level_s if level_s <= level_t else level_t  # strongest field
+    u_s = u[s] if level_s == lmin else 0.0j
+    u_t = u[t] if level_t == lmin else 0.0j
     s_re, s_im, t_re, t_im = mix_amplitudes(u_s.real, u_s.imag,
                                             u_t.real, u_t.imag, root_r, root_t)
     u[s] = complex(s_re, s_im)
@@ -219,7 +238,7 @@ def gate_phase(state: OnticState, path: int, omega: float) -> OnticState:
     """Rotate the path's amplitude by ``exp(i omega)``; strength ages."""
     check_path(path, state.width)
     u, tau = _working(state)
-    _phase(u, tau, path, omega)
+    _phase(u, tau, path, math.cos(omega), math.sin(omega))
     return OnticState(state.q, u, tau)
 
 
@@ -250,8 +269,8 @@ def gate_beamsplitter(state: OnticState, s: int, t: int, reflectivity: float,
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity {reflectivity!r} outside [0, 1]")
     u, tau = _working(state)
-    q = _split(u, tau, state.q, s, t, reflectivity, float(rng.random()),
-               diagnostics)
+    q = _split(u, tau, state.q, s, t, math.sqrt(reflectivity),
+               math.sqrt(1.0 - reflectivity), float(rng.random()), diagnostics)
     return OnticState(q, u, tau)
 
 
@@ -274,23 +293,33 @@ def step_layer(state: OnticState, layer: Layer, rng: np.random.Generator,
 def _step(state: OnticState, layer: Layer, free: Iterable[int],
           rng: np.random.Generator, diagnostics: ShotDiagnostics | None,
           ) -> tuple[tuple[tuple[int, bool], ...], OnticState]:
-    """:func:`step_layer` on a validated layer whose free paths are ``free``."""
-    u, tau = _working(state)
-    q = state.q
+    """:func:`step_layer` on a validated layer whose free paths are ``free``:
+    the one scalar layer loop. Free paths age inline (``_age``); each gate
+    applies its rule with the constants it holds."""
+    u, tau, q = list(state.u), list(state.tau), state.q
     results: list[tuple[int, bool]] = []
     for path in free:
-        tau[path] = _age(tau[path])
+        level = tau[path]
+        if level < ZERO_LEVEL:
+            tau[path] = level + 1
     for gate in layer.gates:
-        if isinstance(gate, PhaseShifter):
-            _phase(u, tau, gate.path, gate.omega)
-        elif isinstance(gate, Detector):
-            results.append((gate.path, _detect(u, tau, q, gate.path)))
+        kind = type(gate)
+        if kind is BeamSplitter:
+            q = _split(u, tau, q, gate.s, gate.t, gate.root_r, gate.root_t,
+                       rng.random(), diagnostics)
+        elif kind is PhaseShifter:
+            _phase(u, tau, gate.path, gate.cos_w, gate.sin_w)
         else:
-            q = _split(u, tau, q, gate.s, gate.t, gate.reflectivity,
-                       float(rng.random()), diagnostics)
-    assert sum(clicked for _, clicked in results) <= 1
-    return tuple(results), _fill(object.__new__(OnticState), int(q),
-                                 tuple(u), tuple(tau))
+            results.append((gate.path, _detect(u, tau, q, gate.path)))
+    assert len(results) < 2 or sum(hit for _, hit in results) <= 1
+    # The one check left for a state the gate rules made from a valid one:
+    # they keep the particle in range and one level in [0, ZERO_LEVEL] per
+    # amplitude.
+    u = tuple(u)
+    if not all(map(isfinite, u)):
+        raise ValueError("field amplitudes must be finite")
+    return tuple(results), _fill(object.__new__(OnticState), int(q), u,
+                                 tuple(tau))
 
 
 def run_ontic_shot(circuit: Circuit, init: OnticState, rng: np.random.Generator,

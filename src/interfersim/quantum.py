@@ -80,12 +80,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array = np.array(array, dtype=np.complex128)
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """Normalized state vector; equality of physical states is ray equality."""
@@ -93,7 +87,9 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes: Iterable[complex]):
-        psi = np.array(tuple(amplitudes), dtype=np.complex128)
+        # a private copy either way; only a non-array needs the tuple
+        psi = np.array(amplitudes if isinstance(amplitudes, np.ndarray)
+                       else tuple(amplitudes), dtype=np.complex128)
         if psi.ndim != 1 or psi.size == 0:
             raise ValueError("state must be a non-empty vector")
         norm = _norm(psi)
@@ -101,7 +97,8 @@ class QuantumState:
             raise ValueError(f"state norm {norm} too far from 1")
         if abs(norm - 1.0) > RENORM_TOL:
             psi = psi / norm
-        object.__setattr__(self, "amplitudes", _readonly(psi))
+        psi.setflags(write=False)
+        object.__setattr__(self, "amplitudes", psi)
 
     @property
     def width(self) -> int:
@@ -115,7 +112,10 @@ class QuantumState:
         check_path(path, width)
         psi = np.zeros(width, dtype=np.complex128)
         psi[path] = 1.0
-        return cls(psi)
+        psi.setflags(write=False)
+        state = object.__new__(cls)  # a unit vector: the checks pass as is
+        object.__setattr__(state, "amplitudes", psi)
+        return state
 
 
 def ray_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -144,10 +144,11 @@ def _apply_gates(rows: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
         if isinstance(gate, PhaseShifter):
             rows[gate.path] *= np.exp(1j * gate.omega)
         elif isinstance(gate, BeamSplitter):
-            b = beamsplitter_matrix(gate.reflectivity)
+            # the entries of beamsplitter_matrix, from the gate's constants
+            i_root_r, root_t = 1j * gate.root_r, complex(gate.root_t)
             s, t = gate.s, gate.t
-            rows[s], rows[t] = (b[0, 0] * rows[s] + b[0, 1] * rows[t],
-                                b[1, 0] * rows[s] + b[1, 1] * rows[t])
+            rows[s], rows[t] = (i_root_r * rows[s] + root_t * rows[t],
+                                root_t * rows[s] + i_root_r * rows[t])
     return rows
 
 
@@ -239,7 +240,7 @@ class _Node:
     """A record prefix: the state before layer ``k``, its measurement event
     at layer ``k`` and its no-click child, each filled in on first use, and
     the ray overlaps that ``interfersim.labels`` judged against the state,
-    by projection."""
+    by the judged state's levels and dominant amplitudes."""
 
     __slots__ = ("state", "event", "no_click", "overlaps")
 
@@ -325,19 +326,22 @@ def run_quantum_shot(tree: RecordTree, rng: np.random.Generator,
     shares.
     """
     node = tree.root
+    measure, child = tree.event, tree.child
     events: list[tuple[int, int | None]] = []
     for layer_idx in range(tree.circuit.depth):
-        event = tree.event(node, layer_idx)
+        event = node.event or measure(node, layer_idx)
         clicked = None
         if event.detectors:
             # One uniform draw through the cumulative (clicks..., no-click).
-            u = float(rng.random())
+            u = rng.random()
             for j, threshold in event.thresholds:
                 if u < threshold:
                     clicked = j
                     break
             events.append((layer_idx, clicked))
-        node = tree.child(node, layer_idx, clicked)
+        # a cached no-click child is read without the call
+        node = (clicked is None and node.no_click) or child(node, layer_idx,
+                                                            clicked)
     return OutcomeRecord(tuple(events)), node.state
 
 

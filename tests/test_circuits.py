@@ -1,5 +1,7 @@
 """Circuit model, text format and JSON mirror."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +75,19 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_circuit("paths 2\n\nlayer D 9")
     assert err.value.line == 3
+
+
+def test_parse_conflict_on_a_later_layer_names_its_position():
+    text = ("paths 3\n"
+            "layer BS 1 2 R=0.5\n"
+            "# the conflict is on line 5, a bad gate on line 6\n"
+            "layer S 3 w=0.1\n"
+            "  layer D 1 | S 1 w=0.2\n"
+            "layer XX 1\n")
+    with pytest.raises(ParseError, match="path 1 appears in more than one gate") as err:
+        parse_circuit(text)
+    assert (err.value.line, err.value.column) == (5, 3)
+    assert str(err.value).startswith("line 5, column 3: ")
 
 
 def test_validate_layer_partition():
@@ -235,6 +250,43 @@ def test_text_round_trip_property(circuit):
 @given(circuits())
 def test_json_round_trip_property(circuit):
     assert circuit_from_json(circuit_to_json(circuit)) == circuit
+
+
+def _gate_constants(gate):
+    if isinstance(gate, PhaseShifter):
+        return {"cos_w": math.cos(gate.omega), "sin_w": math.sin(gate.omega)}
+    if isinstance(gate, BeamSplitter):
+        return {"root_r": math.sqrt(gate.reflectivity),
+                "root_t": math.sqrt(1.0 - gate.reflectivity)}
+    return {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_gate_constants_are_exact_and_outside_the_fields(circuit):
+    """Each gate holds its rule's constants bit for bit, and they show in
+    no comparison, hash, repr or serialisation: a twin whose constants are
+    all NaN is indistinguishable there."""
+    twin_layers = []
+    for layer in circuit.layers:
+        twin_gates = []
+        for gate in layer.gates:
+            constants = _gate_constants(gate)
+            for name, value in constants.items():
+                assert getattr(gate, name).hex() == value.hex()
+            twin = copy.copy(gate)
+            for name in constants:
+                object.__setattr__(twin, name, math.nan)
+            twin_gates.append(twin)
+        twin_layers.append(Layer(twin_gates))
+    twin = Circuit(circuit.width, twin_layers)
+    assert twin == circuit and hash(twin) == hash(circuit)
+    assert repr(twin) == repr(circuit)
+    assert serialize_circuit(twin) == serialize_circuit(circuit)
+    assert circuit_to_json(twin) == circuit_to_json(circuit)
+    for kind in (PhaseShifter, BeamSplitter):
+        names = {f.name for f in dataclasses.fields(kind)}
+        assert names.isdisjoint({"cos_w", "sin_w", "root_r", "root_t"})
 
 
 def test_partitions_are_kept_outside_the_fields():

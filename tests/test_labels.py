@@ -368,6 +368,38 @@ def _report_bits(report):
         report.max_deviation.hex(), report.passed
 
 
+def _cache_entries(tree):
+    """Overlap-cache entries over every node of ``tree``."""
+    nodes, stack = [], [tree.root, *tree._clicks.values()]
+    while stack:
+        node = stack.pop()
+        if node is not None and all(node is not seen for seen in nodes):
+            nodes.append(node)
+            stack.append(node.no_click)
+    return sum(len(node.overlaps) for node in nodes)
+
+
+def _dead_junk_swapped(state):
+    """``state`` with other junk on every path below the dominant strength."""
+    top = min(state.tau)
+    u = [x if level == top else complex(7.0, -3.0 - j)
+         for j, (x, level) in enumerate(zip(state.u, state.tau))]
+    return OnticState(state.q, u, state.tau)
+
+
+def _flip_zero(x):
+    return -x if x == 0.0 else x
+
+
+def _zeros_flipped(state):
+    """``state`` with the sign of every zero component flipped on its
+    dominant paths (``1+0j`` becomes ``complex(1.0, -0.0)``)."""
+    top = min(state.tau)
+    u = [complex(_flip_zero(x.real), _flip_zero(x.imag)) if level == top else x
+         for x, level in zip(state.u, state.tau)]
+    return OnticState(state.q, u, state.tau)
+
+
 @pytest.mark.parametrize("circuit", _tree_cases(), ids=lambda c: c.name or
                          f"random{c.width}x{c.depth}")
 def test_congruence_through_shared_tree_is_bit_identical(circuit):
@@ -379,6 +411,35 @@ def test_congruence_through_shared_tree_is_bit_identical(circuit):
         alone = verify_congruence(trajectory, record, RecordTree(circuit, label0))
         assert shared == alone
         assert _report_bits(shared) == _report_bits(alone)
+        # Shots that differ only in dead-path junk or in the sign of a zero
+        # on a dominant path share the cache entries of this one.
+        entries = _cache_entries(tree)
+        for variant in (_dead_junk_swapped, _zeros_flipped):
+            twin = [variant(state) for state in trajectory]
+            assert repr(twin) != repr(trajectory)  # some bits did change
+            again = verify_congruence(twin, record, tree)
+            assert _cache_entries(tree) == entries
+            assert _report_bits(again) == _report_bits(shared)
+            fresh = verify_congruence(twin, record, RecordTree(circuit, label0))
+            assert _report_bits(fresh) == _report_bits(shared)
+    # States whose dominant paths differ, in amplitude or in which paths
+    # they are, get entries of their own at the node of the last layer.
+    final = trajectory[-1]
+    top = min(final.tau)
+    assert top < ZERO_LEVEL  # the last layer's detectors clicked
+    j = final.tau.index(top)
+    turned = list(final.u)
+    turned[j] = turned[j] * complex(math.cos(0.25), math.sin(0.25)) + 0.5
+    raised = list(final.tau)
+    raised[j] = top + 1
+    node = tree.root
+    for k in range(circuit.depth):
+        node = tree.child(node, k, dict(record.events).get(k))
+    for other in (OnticState(final.q, turned, final.tau),
+                  OnticState(final.q, final.u, raised)):
+        before = len(node.overlaps)
+        _judge(other, node.state, node.overlaps)
+        assert len(node.overlaps) == before + 1
 
 
 def test_congruence_through_shared_tree_keeps_errors():

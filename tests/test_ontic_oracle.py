@@ -62,13 +62,13 @@ def ontic_record_distribution(circuit, path):
             detectors = []
             for gate in layer.gates:
                 if isinstance(gate, PhaseShifter):
-                    _phase(u, tau, gate.path, gate.omega)
+                    _phase(u, tau, gate.path, gate.cos_w, gate.sin_w)
                 elif isinstance(gate, Detector):
                     detectors.append(gate.path)
                 else:
                     probe = _ChanceProbe()
-                    _split(u, tau, gate.s, gate.s, gate.t, gate.reflectivity,
-                           probe, None)
+                    _split(u, tau, gate.s, gate.s, gate.t, gate.root_r,
+                           gate.root_t, probe, None)
                     on_pair = mass[gate.s] + mass[gate.t]
                     mass[gate.s] = on_pair * probe.chance
                     mass[gate.t] = on_pair * (1.0 - probe.chance)
