@@ -39,6 +39,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     PreparationSpec,
+    overwrite,
     run_experiment,
     run_traced,
     sampled_report,
@@ -229,7 +230,7 @@ def cmd_compile(args) -> int:
     except NonUnitaryError as exc:
         return _fail(str(exc))
     out = args.out or str(Path(args.unitary).with_suffix(".circ"))
-    with open(out, "w", encoding="utf-8") as fh:
+    with overwrite(out) as fh:
         fh.write(serialize_circuit(circuit))
     print(out)
     if args.verify:

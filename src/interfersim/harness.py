@@ -18,7 +18,8 @@ built by :func:`outcome_report`, the one outcome-table rule. Reports
 persist as JSON plus a CSV summary table whose rows hold the same
 :data:`OUTCOME_COLUMNS`. The persisted JSON is canonical: fixed key order
 and no volatile fields (wall-clock runtime is kept on the in-memory report
-only), so a fixed seed reproduces the files byte for byte.
+only), so a fixed seed reproduces the files byte for byte. Every output
+file, here and in the command line, is written through :func:`overwrite`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ import contextlib
 import csv
 import json
 import math
+import os
+import stat
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -57,6 +61,27 @@ CI_SIGMA = 5.0
 CI_ALPHA = 5.733031438470704e-07
 # Cells with expected count under this are pooled before the chi-square.
 POOL_EXPECTED_MIN = 10.0
+
+
+@contextlib.contextmanager
+def overwrite(path, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open ``path`` for writing UTF-8 text in place, creating it if needed.
+
+    Unlike ``open(path, "w")`` the file is not cut to zero bytes first: on
+    ext4 that truncation costs several times the write of a small report.
+    It is cut at the position reached when the block ends, on success and on
+    error alike, so its bytes are always exactly those written. A file that
+    is not a regular file (``/dev/null``, a pipe) is never cut. The file
+    keeps its inode, mode and links; nothing is fsynced.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 class ConfigError(ValueError):
@@ -233,7 +258,8 @@ class ExperimentReport:
         row = max(self.outcomes, key=lambda o: (o.impossible, abs(pull(o)), o.count))
         return row, pull(row)
 
-    def to_json_dict(self) -> dict:
+    def _header_dict(self) -> dict:
+        """The persisted fields other than the outcome rows."""
         return {
             "seed": self.seed,
             "shots": self.shots,
@@ -244,7 +270,6 @@ class ExperimentReport:
                            if self.postselect else None),
             "preselection_shots": self.preselection_shots,
             "kept_shots": self.kept_shots,
-            "outcomes": [dict(zip(OUTCOME_COLUMNS, o)) for o in self.outcomes],
             "total_variation": self.total_variation,
             "chi_square": (asdict(self.chi_square)
                            if self.chi_square is not None else None),
@@ -254,21 +279,64 @@ class ExperimentReport:
             "verdict": self.verdict,
         }
 
+    def to_json_dict(self) -> dict:
+        return {**self._header_dict(),
+                "outcomes": [dict(zip(OUTCOME_COLUMNS, o)) for o in self.outcomes]}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and
+        a newline; the outcome rows are filled from :data:`_JSON_ROW`."""
+        text = json.dumps({**self._header_dict(), "outcomes": []},
+                          sort_keys=True, indent=2) + "\n"
+        if not self.outcomes:
+            return text
+        rows = ",\n".join([_JSON_ROW % (
+            _json_scalar(n), _json_scalar(f), _json_scalar(impossible),
+            encode_basestring_ascii(key), _json_scalar(p), _json_scalar(sigma),
+            _json_scalar(ok)) for key, n, f, p, sigma, ok, impossible
+            in self.outcomes])
+        return text.replace('\n  "outcomes": [],',
+                            '\n  "outcomes": [\n' + rows + '\n  ],', 1)
 
     def save(self, directory) -> tuple[Path, Path]:
-        """Write ``report.json`` and ``summary.csv``; returns their paths."""
+        """Write ``report.json`` and ``summary.csv`` (:func:`overwrite`),
+        creating ``directory`` if it is missing; returns their paths."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         json_path = directory / "report.json"
         csv_path = directory / "summary.csv"
-        json_path.write_text(self.to_json(), encoding="utf-8")
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        text = self.to_json()
+        try:
+            with overwrite(json_path) as fh:
+                fh.write(text)
+        except FileNotFoundError:  # no directory yet, so nothing was written
+            directory.mkdir(parents=True, exist_ok=True)
+            with overwrite(json_path) as fh:
+                fh.write(text)
+        with overwrite(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(OUTCOME_COLUMNS)
             writer.writerows(self.outcomes)
         return json_path, csv_path
+
+
+# One report.json outcome row as ``json.dumps(..., sort_keys=True,
+# indent=2)`` writes it inside the ``outcomes`` list: a ``%s`` per cell, in
+# sorted column order, for :func:`_json_scalar` of the cell or the escaped key.
+_JSON_ROW = "    {\n%s\n    }" % ",\n".join(
+    f'      "{column}": %s' for column in sorted(OUTCOME_COLUMNS))
+
+
+def _json_scalar(value: int | float | bool | None) -> str:
+    """A cell of an outcome row as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    return int.__repr__(value)
 
 
 def binomial_at_least(n: np.ndarray, kept: int, p: np.ndarray) -> np.ndarray:
@@ -385,8 +453,8 @@ def run_traced(config: ExperimentConfig,
     diagnostics = ShotDiagnostics()
     with contextlib.ExitStack() as files:
         trace_fh, report_fh = (
-            files.enter_context(open(path, "w", encoding="utf-8"))
-            if path else None for path in (jsonl, report))
+            files.enter_context(overwrite(path)) if path else None
+            for path in (jsonl, report))
         for shot, record, trajectory in traced_shots(config, diagnostics):
             if cross_check is not None and record != cross_check.record_for_shot(shot):
                 raise AssertionError(

@@ -31,7 +31,7 @@ from .circuits import (
     PhaseShifter,
     parse_circuit,
 )
-from .harness import ExperimentConfig, PreparationSpec
+from .harness import ExperimentConfig, PreparationSpec, overwrite
 
 
 def mach_zehnder(omega: float, reflectivity: float = 0.5,
@@ -152,7 +152,7 @@ def scenario(name: str) -> Circuit:
 def export_scenario(name: str, path) -> None:
     """Copy a scenario's ``.circ`` source to a file on disk."""
     text = resources.files(__package__).joinpath(f"data/{name}.circ").read_text()
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         fh.write(text)
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaincc
 from scipy.stats import binom
 
@@ -21,8 +23,11 @@ from interfersim.cli import _quantum_sample_report, main
 from interfersim.harness import (
     CI_ALPHA,
     OUTCOME_COLUMNS,
+    ChiSquareResult,
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
+    OutcomeStat,
     PreparationSpec,
     binomial_at_least,
     binomial_at_most,
@@ -286,6 +291,43 @@ def test_report_files(tmp_path):
             assert sorted(json_row) == sorted(OUTCOME_COLUMNS)
             assert row == ["" if json_row[c] is None else str(json_row[c])
                            for c in OUTCOME_COLUMNS]
+
+
+# cells that json writes in every form: -0.0, subnormals, huge ints, NaN, inf
+_numbers = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+                     st.floats(allow_nan=True, allow_infinity=True,
+                               allow_subnormal=True),
+                     st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                                      math.nan, math.inf, -math.inf]))
+# keys that need escaping: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates
+_keys = st.text(alphabet=st.characters() | st.sampled_from(
+    '"\\\n\t\x00\x1f\x7fé☃\U0001f600\ud800'))
+_rows = st.lists(st.builds(OutcomeStat, _keys, _numbers, _numbers, _numbers,
+                           _numbers, _numbers, _numbers), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@example(rows=[], name="", tvd=None, chi=None)
+@example(rows=[OutcomeStat('L1:C1 "\\ é', 2 ** 70, -0.0, 5e-324, math.nan,
+                           None, True),
+               OutcomeStat("", None, math.inf, -math.inf, 1e308, False, False)],
+         name="mz", tvd=math.nan, chi=None)
+@given(rows=_rows, name=_keys, tvd=_numbers,
+       chi=st.none() | st.builds(ChiSquareResult, _numbers, _numbers,
+                                 st.integers(0, 9), st.integers(0, 9)))
+def test_to_json_matches_json_dumps(rows, name, tvd, chi):
+    """The row template of ``to_json`` writes the bytes of ``json.dumps``,
+    for any rows, zero rows included."""
+    report = ExperimentReport(
+        seed=3, shots=100, mode="compare", circuit_name=name,
+        prepare=PreparationSpec(), postselect=None, preselection_shots=100,
+        kept_shots=100, outcomes=tuple(rows), total_variation=tvd,
+        chi_square=chi, hard_fail_events=0, degenerate_relocations=0,
+        congruence=None, verdict="pass")
+    expected = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert report.to_json() == expected
 
 
 def test_config_validation():
