@@ -24,7 +24,6 @@ from .circuits import (
     parse_circuit,
     parse_circuit_file,
     serialize_circuit,
-    structurally_equal,
     validate_layer,
 )
 from .compiler import (
@@ -46,7 +45,6 @@ from .harness import (
     total_variation,
 )
 from .labels import (
-    CongruenceError,
     CongruenceReport,
     check_delta_commutation,
     dominant_strength,
@@ -65,12 +63,7 @@ from .ontic import (
     run_ontic_shot,
     step_layer,
 )
-from .prepare import (
-    PreparationError,
-    quantum_init,
-    sieve_prepare,
-    source_prepare,
-)
+from .prepare import quantum_init, source_prepare
 from .quantum import (
     BranchCapError,
     ImpossibleOutcomeError,

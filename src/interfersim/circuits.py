@@ -36,6 +36,21 @@ class CircuitError(ValueError):
     """Invalid circuit structure."""
 
 
+# The most paths a circuit may have. Each layer's partition holds a set of
+# its free paths, about 250 bytes a path, so without a cap a one-line header
+# could ask for any amount of memory; at the cap a layer takes about 1 MB.
+MAX_PATHS = 4096
+
+
+class PathCapError(Exception):
+    """A circuit wider than :data:`MAX_PATHS`: a resource cap, not a fault
+    of the circuit's structure."""
+
+    def __init__(self, width: int):
+        super().__init__(f"{width} paths exceed the cap of {MAX_PATHS} "
+                         f"per circuit")
+
+
 class LayerConflictError(CircuitError):
     """Two gates of one layer claim the same path."""
 
@@ -210,6 +225,8 @@ class Circuit:
     ):
         if width < 1:
             raise CircuitError(f"circuit width must be positive, got {width}")
+        if width > MAX_PATHS:
+            raise PathCapError(width)
         layers = tuple(layers)
         self._fill(width, layers,
                    tuple(validate_layer(layer, width) for layer in layers),
@@ -244,28 +261,6 @@ class Circuit:
 
     def count_gates(self, kind: type) -> int:
         return sum(isinstance(g, kind) for layer in self.layers for g in layer.gates)
-
-
-PARAM_TOL = 1e-12  # real gate parameters this close are structurally equal
-
-
-def structurally_equal(a: Circuit, b: Circuit) -> bool:
-    """Structural equality, real gate parameters compared within
-    ``PARAM_TOL``."""
-    if a.width != b.width or a.depth != b.depth:
-        return False
-    if (a.name, a.description) != (b.name, b.description):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if len(la.gates) != len(lb.gates):
-            return False
-        for ga, gb in zip(la.gates, lb.gates):
-            if type(ga) is not type(gb) or gate_paths(ga) != gate_paths(gb):
-                return False
-            param = GATE_FORMATS[type(ga)].param
-            if param and abs(getattr(ga, param) - getattr(gb, param)) > PARAM_TOL:
-                return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +337,8 @@ def parse_circuit(text: str) -> Circuit:
     ``#`` starts a comment. The header line ``paths N`` is mandatory and
     may be followed by optional ``name``/``info`` lines and any number of
     ``layer`` lines with gates separated by ``|``. Raises
-    :class:`ParseError` with line/column diagnostics on any failure.
+    :class:`ParseError` with line/column diagnostics on any failure, and
+    :class:`PathCapError` on a header above :data:`MAX_PATHS`.
     """
     width: int | None = None
     header = {"name": "", "info": ""}
@@ -366,6 +362,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(f"bad path count {tokens[1]!r}", lineno, col) from None
             if width < 1:
                 raise ParseError("path count must be positive", lineno, col)
+            if width > MAX_PATHS:
+                raise PathCapError(width)
             continue
         body = line.split(None, 1)[1] if len(tokens) > 1 else ""
         if keyword in header:

@@ -6,8 +6,8 @@ unitary (JSON matrix of ``[re, im]`` pairs) into a circuit file, ``trace``
 replays traced shots and verifies label congruence.
 
 Exit codes: 0 success/pass, 1 verdict or congruence failure, 2 usage,
-input or output-file error, 3 resource cap (branches or
-:data:`MAX_SHOTS`) exceeded or memory exhausted,
+input or output-file error, 3 resource cap (branches, :data:`MAX_SHOTS`
+or :data:`interfersim.circuits.MAX_PATHS`) exceeded or memory exhausted,
 4 an internal invariant failed (an engine's own consistency check, such as
 a splitter that grows its pair's intensity: a fault of the program, not of
 the input).
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as streams
-from .circuits import parse_circuit_file, serialize_circuit
+from .circuits import PathCapError, parse_circuit_file, serialize_circuit
 from .compiler import (
     NonUnitaryError,
     ray_deviation,
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     # unreadable input, unwritable output, a post-selection that cannot happen
     except (OSError, ImpossibleOutcomeError) as exc:
         return _fail(str(exc))
-    except ShotCapError as exc:
+    except (ShotCapError, PathCapError) as exc:
         return _fail(str(exc), EXIT_RESOURCE)
     except BranchCapError as exc:
         return _fail(f"{exc}; rerun with the 'run' command (ontic engine only)",

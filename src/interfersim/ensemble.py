@@ -70,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .circuits import BeamSplitter, Circuit, Detector, PhaseShifter
+from .circuits import BeamSplitter, Circuit, Detector, PhaseShifter, check_path
 from .ontic import ZERO_LEVEL, mix_amplitudes, rotate_amplitude
 from .prepare import PreparedEnsemble
 from .records import OutcomeRecord, event_suffix, record_key
@@ -238,13 +238,13 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
     children. This is exact: a live path's arithmetic reads only its
     group's values, which depend on the record prefix alone.
 
-    Every splitter asserts that it never expands its pair's intensity, and
-    every layer that the group amplitudes stay finite and the group levels
-    stay in the dyadic range.
+    The prepared path is checked against the circuit's width before any
+    draw. Every splitter asserts that it never expands its pair's
+    intensity, and every layer that the group amplitudes stay finite and
+    the group levels stay in the dyadic range.
     """
     width = circuit.width
-    if prepared.width != width:
-        raise ValueError("prepared ensemble width differs from the circuit's")
+    check_path(prepared.path, width)
     shots, seed = prepared.shots, prepared.seed
     q = np.full(shots, prepared.path, dtype=np.int64)
     group = np.zeros(shots, dtype=np.intp)

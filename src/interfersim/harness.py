@@ -384,8 +384,8 @@ def _within_bands(counts: Mapping[str, int], probs: Mapping[str, float],
 
 def _prepare(config: ExperimentConfig) -> PreparedEnsemble:
     """The config's initial ensemble: one field and a junk recipe."""
-    return prepare_ensemble(config.prepare.path, config.circuit.width,
-                            config.shots, config.seed, config.prepare.junk)
+    return prepare_ensemble(config.prepare.path, config.shots, config.seed,
+                            config.prepare.junk)
 
 
 def traced_shots(config: ExperimentConfig,
@@ -401,9 +401,10 @@ def traced_shots(config: ExperimentConfig,
     """
     circuit = config.circuit
     prepared = _prepare(config)
+    amplitudes = prepared.amplitudes(circuit.width)  # checks the path
     init_levels = [ZERO_LEVEL] * circuit.width
     init_levels[prepared.path] = 0
-    inits = initial_states(prepared.path, prepared.amplitudes(), init_levels)
+    inits = initial_states(prepared.path, amplitudes, init_levels)
     n_draws = circuit.count_gates(BeamSplitter)
     for shot, (init, gen) in enumerate(zip(inits, streams.shot_streams(
             config.seed, streams.ONTIC_SHOTS, config.shots, n_draws))):

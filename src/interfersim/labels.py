@@ -49,15 +49,6 @@ PROJECTION_TOL = 1e-12
 COMMUTATION_TOL = 1e-12  # entrywise, between the identity's two sides
 
 
-class CongruenceError(RuntimeError):
-    """A traced trajectory diverged from its predicted label."""
-
-    def __init__(self, layer: int, deviation: float, message: str):
-        self.layer = layer
-        self.deviation = deviation
-        super().__init__(message)
-
-
 def dominant_strength(state: OnticState) -> int:
     """Level of the strongest field, the smallest level; ``ZERO_LEVEL`` iff
     all strengths are zero."""
@@ -162,8 +153,7 @@ class CongruenceReport:
 
 
 def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
-                      tree: RecordTree, strict: bool = False,
-                      ) -> CongruenceReport:
+                      tree: RecordTree) -> CongruenceReport:
     """Check a traced shot against the quantum engine, layer by layer.
 
     ``trajectory`` must hold the initial state followed by the state after
@@ -173,10 +163,9 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
     outcomes, and the state must belong to the labelled class anchored at
     its particle position. Deviations are ``1 - |overlap|``. The predicted
     labels are the nodes of ``record`` in ``tree``, which every shot of one
-    circuit and initial label shares.
-
-    With ``strict`` the first violation raises :class:`CongruenceError`;
-    otherwise the report carries every layer's deviation.
+    circuit and initial label shares. The report carries every layer's
+    deviation; a layer fails when its deviation exceeds ``RAY_TOL`` or its
+    state is not a member.
     """
     if len(trajectory) != tree.circuit.depth + 1:
         raise ValueError("trajectory must contain the state after every layer")
@@ -196,12 +185,6 @@ def verify_congruence(trajectory: Sequence[OnticState], record: OutcomeRecord,
             max_dev = deviation
         if not (deviation <= RAY_TOL and member):
             passed = False
-            if strict:
-                raise CongruenceError(
-                    layer_idx, deviation,
-                    f"layer {layer_idx}: deviation {deviation:.3e}, "
-                    f"member={member}, state={state!r}",
-                )
     return CongruenceReport(tuple(checks[1:]), max_dev, passed)
 
 

@@ -1,20 +1,16 @@
 """Initial ensemble preparation for both engines.
 
-Two routes to a single-particle start in a chosen path:
+The stochastic engine starts a single particle in a chosen path by direct
+injection (:func:`source_prepare`): full field strength in its path, zero
+strength on every other path, and there an arbitrary "junk" amplitude from
+a pluggable sampler, named by its key in :data:`JUNK_SAMPLERS`. The quantum
+engine starts from the basis state (:func:`quantum_init`).
 
-- *sieve*: push states from an arbitrary raw source through a full array of
-  detectors and keep the runs where exactly the target path clicked;
-- *source*: inject the particle directly with full field strength in its
-  path while every other path carries zero strength and an arbitrary "junk"
-  amplitude from a pluggable sampler.
-
-Either way the prepared state has the particle at the target path with
-amplitude 1 and strength 1 there, zero strength elsewhere, and unknown
-leftover amplitudes elsewhere. No particle of such an ensemble ever reads
-those leftovers, so :func:`prepare_ensemble` keeps them as a recipe that is
-drawn only where something reads them; tests check that swapping junk
-samplers changes no record. A junk sampler is named by its key in
-:data:`JUNK_SAMPLERS`.
+No particle of such an ensemble ever reads the leftover amplitudes, so
+:func:`prepare_ensemble` keeps them as a recipe that is drawn only where
+something reads them; tests check that swapping junk samplers changes no
+record. The ``sieve`` mode, which filters an arbitrary raw source through a
+full detector array, prepares the same ensemble (:func:`prepare_ensemble`).
 """
 
 from __future__ import annotations
@@ -26,15 +22,11 @@ from typing import Callable
 import numpy as np
 
 from . import rng as streams
-from .circuits import Detector, Layer, check_path
-from .ontic import ZERO_LEVEL, OnticState, step_layer
+from .circuits import check_path
+from .ontic import ZERO_LEVEL, OnticState
 from .quantum import QuantumState
 
 JunkSampler = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
-
-
-class PreparationError(RuntimeError):
-    """The sieve could not reach its target acceptance."""
 
 
 def junk_zero(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -81,53 +73,6 @@ def source_prepare(path: int, width: int, gen: np.random.Generator,
     return OnticState(path, u, tau)
 
 
-def sieve_prepare(raw_sampler: Callable[[np.random.Generator], OnticState],
-                  target: int, gen: np.random.Generator,
-                  floor: float = 1e-6) -> OnticState:
-    """Rejection-sample raw states through a full detector array.
-
-    Each draw is pushed through one layer of detectors on every path; the
-    state is kept when exactly the target path clicked. Gives up with a
-    diagnostic once enough draws have failed that an acceptance probability
-    of at least ``floor`` is implausible.
-    """
-    if not 0.0 < floor <= 1.0:
-        raise ValueError("acceptance floor must be in (0, 1]")
-    max_attempts = max(1000, int(math.ceil(20.0 / floor)))
-    attempts = 0
-    while attempts < max_attempts:
-        attempts += 1
-        raw = raw_sampler(gen)
-        sieve = Layer([Detector(j) for j in range(raw.width)])
-        results, sieved = step_layer(raw, sieve, gen)
-        clicked = [p for p, hit in results if hit]
-        assert len(clicked) == 1  # one particle, one click
-        if clicked[0] == target:
-            return sieved
-    raise PreparationError(
-        f"sieve got no click at path {target} in {attempts} draws "
-        f"(acceptance floor {floor})"
-    )
-
-
-def default_raw_sampler(width: int, junk: str = "disk",
-                        ) -> Callable[[np.random.Generator], OnticState]:
-    """An intentionally messy unknown source: uniform particle position,
-    junk amplitudes everywhere, assorted field strengths."""
-    sampler = resolve_junk(junk)
-
-    def draw(gen: np.random.Generator) -> OnticState:
-        q = int(gen.integers(width))
-        u = sampler(gen, (width,))
-        tau = []
-        for _ in range(width):
-            k = int(gen.integers(5))
-            tau.append(ZERO_LEVEL if k == 4 else k)
-        return OnticState(q, u, tau)
-
-    return draw
-
-
 # --------------------------------------------------------------------------
 # Vectorised preparation for the harness
 # --------------------------------------------------------------------------
@@ -141,28 +86,29 @@ class PreparedEnsemble:
     The amplitudes left on those dead paths (the junk) are unobservable, so
     only their recipe is kept: ``sampler`` draws them, ``(shots, width)`` at
     once, from the :data:`interfersim.rng.PREPARE_FIELDS` stream of
-    ``seed``. :func:`interfersim.ensemble.run_ensemble` runs the one field
-    under ``seed`` and draws no junk; :meth:`amplitudes` materialises the
+    ``seed``. The width is the circuit's, read where the ensemble meets it:
+    :func:`interfersim.ensemble.run_ensemble` runs the one field under
+    ``seed`` and draws no junk; :meth:`amplitudes` materialises the
     per-shot amplitudes for the scalar replay, whose trace lines print the
-    junk.
+    junk. Both check the path against the width before any draw.
     """
 
     path: int
-    width: int
     shots: int
     seed: int
     sampler: JunkSampler
 
-    def amplitudes(self) -> np.ndarray:
+    def amplitudes(self, width: int) -> np.ndarray:
         """Per-shot ``(shots, width)`` amplitudes: 1 on the path and the
         junk, freshly drawn, on the dead paths (the only per-shot part)."""
+        check_path(self.path, width)
         gen = streams.generator(self.seed, streams.PREPARE_FIELDS)
-        u = self.sampler(gen, (self.shots, self.width))
+        u = self.sampler(gen, (self.shots, width))
         u[:, self.path] = 1.0
         return u
 
 
-def prepare_ensemble(path: int, width: int, shots: int, seed: int,
+def prepare_ensemble(path: int, shots: int, seed: int,
                      junk: str = "zero") -> PreparedEnsemble:
     """The initial ensemble of ``shots`` runs, as a :class:`PreparedEnsemble`.
 
@@ -171,11 +117,11 @@ def prepare_ensemble(path: int, width: int, shots: int, seed: int,
     and zeroes their strengths, and the raw source's amplitude marginal is
     the junk distribution independently of the particle position, so
     conditioning on the target click is equivalent to direct injection.
-    ``sieve_prepare`` implements the literal rejection procedure for single
-    states; here either mode's accepted ensemble is built directly. The
-    arguments are checked here; no junk is drawn.
+    ``tests/test_prepare.py`` keeps the literal rejection procedure for
+    single states as a reference; here either mode's accepted ensemble is
+    built directly. The shots and the junk are checked here, the path where
+    the ensemble meets its circuit; no junk is drawn.
     """
-    check_path(path, width)
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    return PreparedEnsemble(path, width, shots, seed, resolve_junk(junk))
+    return PreparedEnsemble(path, shots, seed, resolve_junk(junk))

@@ -82,7 +82,8 @@ def _norm(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Normalized state vector; equality of physical states is ray equality."""
+    """Normalized state vector; two states are one physical state when their
+    :func:`ray_overlap` is at least ``1 - RAY_TOL``."""
 
     amplitudes: np.ndarray
 
@@ -103,9 +104,6 @@ class QuantumState:
     @property
     def width(self) -> int:
         return self.amplitudes.size
-
-    def ray_equals(self, other: "QuantumState") -> bool:
-        return ray_overlap(self.amplitudes, other.amplitudes) >= 1.0 - RAY_TOL
 
     @classmethod
     def basis(cls, path: int, width: int) -> "QuantumState":

@@ -23,7 +23,6 @@ import numpy as np
 ONTIC_SHOTS = 0x01
 QUANTUM_SHOTS = 0x02
 PREPARE_FIELDS = 0x03
-PREPARE_SIEVE = 0x04
 
 _BLOCK = 4  # Philox emits four 64-bit words per counter increment
 _STREAM_SHOTS = 4096  # shots per read of :func:`shot_streams`

@@ -11,8 +11,10 @@ The library covers the standard single-particle set pieces:
 - ``random3-a/b/c``: seeded random 3-path circuits with mixed gates and
   mid-circuit detectors.
 
-Factories build the same circuits programmatically; a test pins the shipped
-files to the factories.
+Factories build the same circuits programmatically, and a test pins the
+shipped files to them. :func:`scenario` loads a shipped file and
+:func:`export_scenario` copies one to disk; :func:`random_circuit` also
+generates fresh circuits of any width and depth.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .circuits import (
     PhaseShifter,
     parse_circuit,
 )
-from .harness import ExperimentConfig, PreparationSpec, overwrite
+from .harness import overwrite
 
 
 def mach_zehnder(omega: float, reflectivity: float = 0.5,
@@ -140,33 +142,22 @@ def build_scenario(name: str) -> Circuit:
                        f"available: {', '.join(available_scenarios())}") from None
 
 
-def scenario(name: str) -> Circuit:
-    """Load a library circuit from its shipped ``.circ`` file."""
+def _shipped_text(name: str) -> str:
+    """The shipped ``.circ`` source of a library circuit; an unknown name
+    raises ``KeyError`` listing the available ones."""
     if name not in _factories():
         raise KeyError(f"unknown scenario {name!r}; "
                        f"available: {', '.join(available_scenarios())}")
-    text = resources.files(__package__).joinpath(f"data/{name}.circ").read_text()
-    return parse_circuit(text)
+    return resources.files(__package__).joinpath(f"data/{name}.circ").read_text()
+
+
+def scenario(name: str) -> Circuit:
+    """Load a library circuit from its shipped ``.circ`` file."""
+    return parse_circuit(_shipped_text(name))
 
 
 def export_scenario(name: str, path) -> None:
     """Copy a scenario's ``.circ`` source to a file on disk."""
-    text = resources.files(__package__).joinpath(f"data/{name}.circ").read_text()
+    text = _shipped_text(name)
     with overwrite(path) as fh:
         fh.write(text)
-
-
-def compare_suite(shots: int, seed: int, junk: str = "zero",
-                  ) -> list[ExperimentConfig]:
-    """Comparison configs for every library scenario, particle prepared in
-    the first path."""
-    configs = []
-    for name in available_scenarios():
-        configs.append(ExperimentConfig(
-            circuit=scenario(name),
-            prepare=PreparationSpec(mode="source", path=0, junk=junk),
-            shots=shots,
-            seed=seed,
-        ))
-    return configs
-

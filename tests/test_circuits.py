@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interfersim import ontic, prepare, quantum
+from interfersim import ensemble, ontic, prepare, quantum
 
 from interfersim.circuits import (
+    MAX_PATHS,
     BeamSplitter,
     Circuit,
     CircuitError,
@@ -19,12 +20,12 @@ from interfersim.circuits import (
     Layer,
     LayerConflictError,
     ParseError,
+    PathCapError,
     PhaseShifter,
     circuit_from_json,
     circuit_to_json,
     parse_circuit,
     serialize_circuit,
-    structurally_equal,
     validate_layer,
 )
 
@@ -210,12 +211,21 @@ def test_circuit_rejects_out_of_range_gate():
         Circuit(2, [Layer([Detector(2)])])
 
 
-def test_structurally_equal_tolerance():
-    a = Circuit(2, [Layer([PhaseShifter(0, 1.0)])])
-    b = Circuit(2, [Layer([PhaseShifter(0, 1.0 + 5e-13)])])
-    c = Circuit(2, [Layer([PhaseShifter(0, 1.0 + 5e-9)])])
-    assert structurally_equal(a, b)
-    assert not structurally_equal(a, c)
+def test_path_cap_checked_before_any_layer():
+    # a header above the cap fails before a layer builds its partition
+    huge = 10 ** 9
+    message = f"{huge} paths exceed the cap of {MAX_PATHS} per circuit"
+    with pytest.raises(PathCapError, match=message):
+        parse_circuit(f"paths {huge}\nlayer D 1\nlayer D 2\n")
+    with pytest.raises(PathCapError, match=message):
+        circuit_from_json({"paths": huge,
+                           "layers": [[{"gate": "D", "args": {"path": 1}}]]})
+    with pytest.raises(PathCapError, match=message):
+        Circuit(huge, [Layer([Detector(0)])])
+    assert parse_circuit(f"paths {MAX_PATHS}\nlayer D 1\n").width == MAX_PATHS
+    assert Circuit(MAX_PATHS).width == MAX_PATHS
+    with pytest.raises(PathCapError):
+        parse_circuit(f"paths {MAX_PATHS + 1}\n")
 
 
 @st.composite
@@ -323,7 +333,9 @@ PATH_ENTRIES = {
     "QuantumState.basis": lambda p: quantum.QuantumState.basis(p, WIDTH),
     "source_prepare": lambda p: prepare.source_prepare(
         p, WIDTH, np.random.default_rng(0)),
-    "prepare_ensemble": lambda p: prepare.prepare_ensemble(p, WIDTH, 4, 0),
+    # a prepared ensemble's path is checked where it meets the circuit
+    "prepare_ensemble": lambda p: ensemble.run_ensemble(
+        Circuit(WIDTH), prepare.prepare_ensemble(p, 4, 0)),
 }
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import interfersim
 from interfersim import cli, ensemble, harness
-from interfersim.circuits import serialize_circuit
+from interfersim.circuits import MAX_PATHS, serialize_circuit
 from interfersim.cli import main
 from interfersim.compiler import haar_unitary
 from interfersim.labels import CongruenceReport
@@ -357,6 +358,42 @@ def test_cold_start_loads_scipy_only_for_statistics(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "pass"
 
 
+# Names that only tests used, removed from the package; they must not come
+# back as exports or module attributes.
+_REMOVED = """
+import importlib, json
+gone = []
+for module, name in [("interfersim", "structurally_equal"),
+                     ("interfersim", "CongruenceError"),
+                     ("interfersim", "PreparationError"),
+                     ("interfersim", "sieve_prepare"),
+                     ("interfersim.circuits", "structurally_equal"),
+                     ("interfersim.circuits", "PARAM_TOL"),
+                     ("interfersim.labels", "CongruenceError"),
+                     ("interfersim.rng", "PREPARE_SIEVE"),
+                     ("interfersim.prepare", "sieve_prepare"),
+                     ("interfersim.prepare", "default_raw_sampler"),
+                     ("interfersim.prepare", "PreparationError"),
+                     ("interfersim.scenarios", "compare_suite")]:
+    try:
+        exec(f"from {module} import {name}", {})
+    except ImportError:
+        gone.append(name)
+from interfersim.quantum import QuantumState
+print(json.dumps({"gone": len(gone), "ray_equals":
+                  hasattr(QuantumState, "ray_equals")}))
+"""
+
+
+def test_removed_test_helpers_stay_out_of_the_package():
+    src = str(Path(interfersim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _REMOVED], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {"gone": 12, "ray_equals": False}
+
+
 def test_compare_branch_cap_exceeded(mz_file, tmp_path):
     code = main(["compare", mz_file, "--shots", "100", "--seed", "1",
                  "--branch-cap", "1", "--out", str(tmp_path)])
@@ -677,6 +714,27 @@ def test_oversized_shots_exit_resource(mz_file, tmp_path, capsys, command):
     assert err.startswith(f"error: {10 ** 15} shots exceed the cap of "
                           f"{cli.MAX_SHOTS} per command")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suffix, text", [
+    (".circ", "paths 1000000000\nlayer D 1\nlayer D 2\n"),
+    (".json", json.dumps({"paths": 10 ** 9, "layers": [
+        [{"gate": "D", "args": {"path": 1}}],
+        [{"gate": "D", "args": {"path": 2}}]]})),
+], ids=["circ", "json"])
+@pytest.mark.parametrize("command", ["run", "compare", "trace"])
+def test_oversized_circuit_exits_resource(tmp_path, capsys, suffix, text,
+                                          command):
+    # the path cap is checked on the width before any layer is built
+    circuit = tmp_path / f"wide{suffix}"
+    circuit.write_text(text)
+    start = time.perf_counter()
+    code = main([command, str(circuit), "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err == (f"error: {10 ** 9} paths exceed the cap of "
+                   f"{MAX_PATHS} per circuit\n")
 
 
 def test_memory_exhaustion_exits_resource(mz_file, tmp_path, capsys,

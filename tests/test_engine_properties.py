@@ -55,8 +55,7 @@ def test_scalar_replay_matches_ensemble_rows(width, depth, circuit_seed, seed,
     config = ExperimentConfig(circuit=circuit,
                               prepare=PreparationSpec("source", path, junk),
                               shots=SHOTS, seed=seed, mode="ontic-only")
-    result = run_ensemble(circuit, prepare_ensemble(path, width, SHOTS, seed,
-                                                    junk))
+    result = run_ensemble(circuit, prepare_ensemble(path, SHOTS, seed, junk))
     live = result.final_levels != ZERO_LEVEL
     assert (result.final_u[~live] == 0).all()
     diagnostics = ShotDiagnostics()
@@ -92,7 +91,7 @@ def test_postselect_keeps_the_records_that_show_every_constraint(
     constraints = tuple(data.draw(st.lists(st.sampled_from(results), max_size=4),
                                   label="constraints"))
     shots = 200
-    result = run_ensemble(circuit, prepare_ensemble(0, width, shots, seed))
+    result = run_ensemble(circuit, prepare_ensemble(0, shots, seed))
     tally = Counter()
     for shot in range(shots):
         record = result.record_for_shot(shot)

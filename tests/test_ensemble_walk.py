@@ -62,7 +62,7 @@ def _cases():
 
 def _run(monkeypatch, circuit, path, shots, block):
     monkeypatch.setattr(ensemble, "_BLOCK", block)
-    prepared = prepare_ensemble(path, circuit.width, shots, 11, "disk")
+    prepared = prepare_ensemble(path, shots, 11, "disk")
     return run_ensemble(circuit, prepared)
 
 
@@ -121,7 +121,7 @@ def test_run_never_holds_the_whole_uniform_matrix():
     circuit = Circuit(6, list(mesh.layers) + [Layer([Detector(j)
                                                      for j in range(6)])])
     shots = 100_000
-    prepared = prepare_ensemble(2, 6, shots, 5, "disk")
+    prepared = prepare_ensemble(2, shots, 5, "disk")
     matrix_bytes = shots * rng.padded_width(mesh.count_gates(BeamSplitter)) * 8
     tracemalloc.start()
     try:

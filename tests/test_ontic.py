@@ -228,7 +228,7 @@ def test_run_shot_uses_the_circuits_partitions(monkeypatch):
     circuit = random_circuit(5, 12, np.random.default_rng(12))
     state = source_prepare(0, 5, np.random.default_rng(0), junk="disk")
     expected = run_ontic_shot(circuit, state, np.random.default_rng(1), trace=True)
-    prepared = prepare_ensemble(0, 5, 100, 1)
+    prepared = prepare_ensemble(0, 100, 1)
     expected_counts = run_ensemble(circuit, prepared).counts()
 
     def refuse(layer, width):
@@ -340,9 +340,9 @@ def test_ensemble_matches_single_shots_bitwise(name):
     circuit = scenario(name)
     shots = 200
     seed = 31
-    prepared = prepare_ensemble(0, circuit.width, shots, seed, "disk")
+    prepared = prepare_ensemble(0, shots, seed, "disk")
     result = run_ensemble(circuit, prepared)
-    u = prepared.amplitudes()
+    u = prepared.amplitudes(circuit.width)
     levels = [ZERO_LEVEL] * circuit.width
     levels[0] = 0
     draws = circuit.count_gates(BeamSplitter)
@@ -361,7 +361,7 @@ def test_ensemble_matches_single_shots_bitwise(name):
 
 def test_ensemble_counts_sum_to_shots():
     circuit = scenario("mz-2")
-    result = run_ensemble(circuit, prepare_ensemble(0, 2, 5000, 3))
+    result = run_ensemble(circuit, prepare_ensemble(0, 5000, 3))
     counts = result.counts()
     assert sum(counts.values()) == 5000
     assert set(counts) <= {"L4:C1", "L4:C2"}
@@ -392,8 +392,7 @@ def _tally_case(name):
         circuit = random_circuit(8, 36, np.random.default_rng(11), p_detector=0.4)
     else:
         circuit = scenario("zeno-8")
-    result = run_ensemble(circuit, prepare_ensemble(0, circuit.width,
-                                                    20000, 6, "disk"))
+    result = run_ensemble(circuit, prepare_ensemble(0, 20000, 6, "disk"))
     return circuit, result, ((1, None), (3, None)) if name == "postselected" else ()
 
 
@@ -412,8 +411,7 @@ def test_ensemble_counts_match_row_sort_tally(name):
 def test_ensemble_no_degenerate_relocations_from_valid_preparations():
     for name in available_scenarios():
         circuit = scenario(name)
-        result = run_ensemble(circuit, prepare_ensemble(0, circuit.width,
-                                                        2000, 5, "disk"))
+        result = run_ensemble(circuit, prepare_ensemble(0, 2000, 5, "disk"))
         assert result.degenerate_relocations == 0
 
 
@@ -426,7 +424,7 @@ def test_ensemble_flags_amplitude_overflow(monkeypatch, path):
     monkeypatch.setattr(ensemble, "rotate_amplitude", overflowing)
     circuit = Circuit(2, [Layer([PhaseShifter(path, math.pi / 4)])])
     with pytest.raises(AssertionError, match="non-finite amplitude after layer 0"):
-        run_ensemble(circuit, prepare_ensemble(path, 2, 10, 3))
+        run_ensemble(circuit, prepare_ensemble(path, 10, 3))
 
 
 def test_ensemble_asserts_splitter_expansion(monkeypatch):
@@ -435,7 +433,7 @@ def test_ensemble_asserts_splitter_expansion(monkeypatch):
 
     monkeypatch.setattr(ensemble, "mix_amplitudes", expanding)
     with pytest.raises(AssertionError, match="expanded the pair intensity"):
-        run_ensemble(scenario("mz-2"), prepare_ensemble(0, 2, 10, 3))
+        run_ensemble(scenario("mz-2"), prepare_ensemble(0, 10, 3))
 
 
 def test_ensemble_asserts_dyadic_range(monkeypatch):
@@ -446,7 +444,7 @@ def test_ensemble_asserts_dyadic_range(monkeypatch):
     circuit = Circuit(2, [Layer([PhaseShifter(0, 0.3)]),
                           Layer([PhaseShifter(1, 0.3)])])
     with pytest.raises(AssertionError, match="left the dyadic range"):
-        run_ensemble(circuit, prepare_ensemble(0, 2, 10, 3))
+        run_ensemble(circuit, prepare_ensemble(0, 10, 3))
 
 
 def test_ensemble_groups_are_record_prefixes():
@@ -456,7 +454,7 @@ def test_ensemble_groups_are_record_prefixes():
     n = 6
     mesh = reck_decompose(haar_unitary(n, np.random.default_rng(8)))
     circuit = Circuit(n, list(mesh.layers) + [Layer([Detector(j) for j in range(n)])])
-    result = run_ensemble(circuit, prepare_ensemble(2, n, 20000, 8, "disk"))
+    result = run_ensemble(circuit, prepare_ensemble(2, 20000, 8, "disk"))
     assert result.groups == len(result.counts()) == n
 
 
@@ -468,8 +466,7 @@ def test_ensemble_has_a_record_row_per_group(name, post):
     # every present group has a record row of its own, which counts()
     # relies on; a post-selection keeps some of those rows
     circuit = scenario(name)
-    result = run_ensemble(circuit, prepare_ensemble(0, circuit.width,
-                                                    20000, 8, "disk"))
+    result = run_ensemble(circuit, prepare_ensemble(0, 20000, 8, "disk"))
     assert result.groups == len(result.counts())
     assert len(np.unique(result.records, axis=0)) == result.groups
     if post:
@@ -499,7 +496,6 @@ def test_counts_refuses_groups_that_share_a_record():
 def test_ensemble_postselected_counts(name, constraints, expected):
     # counts recorded before the ensemble computed its fields per group
     circuit = scenario(name)
-    result = run_ensemble(circuit, prepare_ensemble(0, circuit.width,
-                                                    5000, 4, "disk"))
+    result = run_ensemble(circuit, prepare_ensemble(0, 5000, 4, "disk"))
     assert postselect(result.counts(), constraints) == expected
     assert len(expected) < result.groups

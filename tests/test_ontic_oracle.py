@@ -122,6 +122,6 @@ def test_ontic_oracle_equals_quantum_on_random_circuits(width, depth, p_detector
                              p_detector=p_detector)
     path = data.draw(st.integers(0, width - 1), label="path")
     oracle = assert_engines_agree(circuit, path)
-    counts = run_ensemble(circuit, prepare_ensemble(path, width, 200, seed)
+    counts = run_ensemble(circuit, prepare_ensemble(path, 200, seed)
                           ).counts()
     assert counts.keys() <= oracle.keys()

@@ -1,24 +1,74 @@
-"""Initial preparation: source, sieve, junk samplers, ensemble arrays."""
+"""Initial preparation: source, junk samplers, ensemble arrays, and the
+literal sieve as a reference for the ``sieve`` mode's direct construction."""
+
+import math
 
 import numpy as np
 import pytest
 
+from interfersim.circuits import Circuit, Detector, Layer
+from interfersim.ensemble import run_ensemble
 from interfersim.harness import ExperimentConfig, PreparationSpec, _prepare
 from interfersim.labels import _judge
-from interfersim.ontic import ZERO_LEVEL, OnticState
+from interfersim.ontic import ZERO_LEVEL, OnticState, step_layer
 from interfersim.prepare import (
-    PreparationError,
-    default_raw_sampler,
     junk_disk,
     junk_zero,
     prepare_ensemble,
     quantum_init,
     resolve_junk,
-    sieve_prepare,
     source_prepare,
 )
 from interfersim.quantum import QuantumState
 from interfersim.scenarios import scenario
+
+
+class PreparationError(RuntimeError):
+    """The sieve could not reach its target acceptance."""
+
+
+def sieve_prepare(raw_sampler, target, gen, floor=1e-6):
+    """Rejection-sample raw states through a full detector array.
+
+    Each draw is pushed through one layer of detectors on every path; the
+    state is kept when exactly the target path clicked. Gives up with a
+    diagnostic once enough draws have failed that an acceptance probability
+    of at least ``floor`` is implausible.
+    """
+    if not 0.0 < floor <= 1.0:
+        raise ValueError("acceptance floor must be in (0, 1]")
+    max_attempts = max(1000, int(math.ceil(20.0 / floor)))
+    attempts = 0
+    while attempts < max_attempts:
+        attempts += 1
+        raw = raw_sampler(gen)
+        sieve = Layer([Detector(j) for j in range(raw.width)])
+        results, sieved = step_layer(raw, sieve, gen)
+        clicked = [p for p, hit in results if hit]
+        assert len(clicked) == 1  # one particle, one click
+        if clicked[0] == target:
+            return sieved
+    raise PreparationError(
+        f"sieve got no click at path {target} in {attempts} draws "
+        f"(acceptance floor {floor})"
+    )
+
+
+def default_raw_sampler(width, junk="disk"):
+    """An intentionally messy unknown source: uniform particle position,
+    junk amplitudes everywhere, assorted field strengths."""
+    sampler = resolve_junk(junk)
+
+    def draw(gen):
+        q = int(gen.integers(width))
+        u = sampler(gen, (width,))
+        tau = []
+        for _ in range(width):
+            k = int(gen.integers(5))
+            tau.append(ZERO_LEVEL if k == 4 else k)
+        return OnticState(q, u, tau)
+
+    return draw
 
 
 def test_quantum_init_basis_states():
@@ -102,11 +152,11 @@ def test_sieve_gives_up_on_unreachable_target():
 def test_prepare_ensemble_shapes_and_class():
     # one amplitude row per shot: 1 on the path, junk on the dead paths;
     # the position and the levels are the same for every shot
-    prepared = prepare_ensemble(1, 3, 100, 9, "disk")
-    u = prepared.amplitudes()
+    prepared = prepare_ensemble(1, 100, 9, "disk")
+    u = prepared.amplitudes(3)
     assert u.shape == (100, 3) and (u[:, 1] == 1.0).all()
     assert (np.abs(u[:, [0, 2]]) <= 1.0).all() and (u[:, [0, 2]] != 0.0).all()
-    assert (prepared.path, prepared.width, prepared.shots) == (1, 3, 100)
+    assert (prepared.path, prepared.shots) == (1, 100)
 
 
 def test_prepare_ensemble_sieve_equals_source_distribution():
@@ -117,23 +167,27 @@ def test_prepare_ensemble_sieve_equals_source_distribution():
                                       shots=50, seed=11))
             for mode in ("sieve", "source"))
     assert a == b
-    assert np.array_equal(a.amplitudes(), b.amplitudes())
+    assert np.array_equal(a.amplitudes(2), b.amplitudes(2))
 
 
 def test_prepare_ensemble_deterministic():
-    a = prepare_ensemble(0, 2, 50, 12, "disk")
-    b = prepare_ensemble(0, 2, 50, 12, "disk")
-    assert np.array_equal(a.amplitudes(), b.amplitudes())
+    a = prepare_ensemble(0, 50, 12, "disk")
+    b = prepare_ensemble(0, 50, 12, "disk")
+    assert np.array_equal(a.amplitudes(2), b.amplitudes(2))
 
 
 def test_prepare_ensemble_validates():
+    # the path is checked against the width of the circuit it meets
+    prepared = prepare_ensemble(5, 10, 0)
     with pytest.raises(IndexError):
-        prepare_ensemble(5, 2, 10, 0)
+        run_ensemble(Circuit(2), prepared)
+    with pytest.raises(IndexError):
+        prepared.amplitudes(2)
     with pytest.raises(ValueError):
-        prepare_ensemble(0, 2, 0, 0)
+        prepare_ensemble(0, 0, 0)
     # junk is named, never passed as a sampler
     with pytest.raises(ValueError, match="unknown junk"):
-        prepare_ensemble(0, 2, 10, 0, junk_disk)
+        prepare_ensemble(0, 10, 0, junk_disk)
     # the mode is checked by the spec that reads it
     with pytest.raises(ValueError, match="unknown preparation mode"):
         PreparationSpec(mode="magic")

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from interfersim import prepare
+from interfersim import prepare, rng
 from interfersim.circuits import Circuit, Layer, PhaseShifter
 from interfersim.ensemble import run_ensemble
 from interfersim.harness import (
@@ -30,7 +30,7 @@ REPLAYED = 200  # shots replayed through the scalar engine per junk sampler
 
 
 def prepared_run(circuit, path, seed):
-    prepared = prepare_ensemble(path, circuit.width, SHOTS, seed)
+    prepared = prepare_ensemble(path, SHOTS, seed)
     return run_ensemble(circuit, prepared)
 
 
@@ -87,7 +87,7 @@ DEAD_ROTATION = Circuit(2, [Layer([PhaseShifter(1, math.pi / 4)])])
 def test_prepared_run_draws_no_junk(monkeypatch):
     monkeypatch.setitem(prepare.JUNK_SAMPLERS, "forbidden", forbidden)
     result = run_ensemble(DEAD_ROTATION,
-                          prepare_ensemble(0, 2, 10, 3, "forbidden"))
+                          prepare_ensemble(0, 10, 3, "forbidden"))
     assert result.counts() == {"-": 10}
     assert result.final_u.tolist() == [[1.0, 0.0]] * 10
 
@@ -126,5 +126,29 @@ def test_junk_overflow_raises_in_single_shot_replay(monkeypatch):
 
 
 def test_prepared_ensemble_checks_width():
-    with pytest.raises(ValueError, match="width differs from the circuit's"):
-        run_ensemble(scenario("mz-3"), prepare_ensemble(0, 3, 10, 3))
+    # the ensemble holds no width: its path meets the circuit's width here
+    with pytest.raises(IndexError, match="path 2 out of range for width 2"):
+        run_ensemble(scenario("mz-3"), prepare_ensemble(2, 10, 3))
+
+
+def forbidden_draw(*args, **kwargs):
+    raise AssertionError("uniforms drawn")
+
+
+@pytest.mark.parametrize("path", [-1, 2])
+def test_out_of_range_path_raises_before_any_draw(monkeypatch, path):
+    # both places where a prepared ensemble meets its circuit check the
+    # path first; the ensemble's config check is bypassed to reach them
+    monkeypatch.setitem(prepare.JUNK_SAMPLERS, "forbidden", forbidden)
+    monkeypatch.setattr(rng, "ensemble_uniforms", forbidden_draw)
+    monkeypatch.setattr(rng, "shot_generator", forbidden_draw)
+    monkeypatch.setattr(rng, "generator", forbidden_draw)
+    message = f"path {path} out of range for width 2"
+    with pytest.raises(IndexError, match=message):
+        run_ensemble(scenario("mz-3"), prepare_ensemble(path, 10, 3, "forbidden"))
+    config = ExperimentConfig(circuit=scenario("mz-3"), shots=10, seed=3,
+                              prepare=PreparationSpec(path=0, junk="forbidden"))
+    object.__setattr__(config, "prepare",
+                       PreparationSpec(path=path, junk="forbidden"))
+    with pytest.raises(IndexError, match=message):
+        next(traced_shots(config))

@@ -20,6 +20,7 @@ from interfersim.cli import main
 from interfersim.records import OutcomeRecord, parse_event_token
 from interfersim.quantum import (
     IMPOSSIBLE_TOL,
+    RAY_TOL,
     BranchCapError,
     ImpossibleOutcomeError,
     QuantumState,
@@ -29,6 +30,7 @@ from interfersim.quantum import (
     collapse,
     exact_outcome_distribution,
     project_no_click,
+    ray_overlap,
     run_quantum_shot,
     unitary_part,
 )
@@ -54,7 +56,7 @@ def click_probabilities(psi, *paths):
 
 def test_phase_on_basis_state_is_global():
     out = _evolve(state(1, 0), [PhaseShifter(0, math.pi)])
-    assert out.ray_equals(state(1, 0))
+    assert ray_overlap(out.amplitudes, state(1, 0).amplitudes) >= 1.0 - RAY_TOL
     assert abs(out.amplitudes[0] + 1.0) < 1e-15
 
 
@@ -333,7 +335,7 @@ def test_state_rejects_bad_norm():
 def test_ray_equality_ignores_global_phase():
     psi = state(INV_SQRT2, 1j * INV_SQRT2)
     rotated = QuantumState(psi.amplitudes * np.exp(0.7j))
-    assert psi.ray_equals(rotated)
+    assert ray_overlap(psi.amplitudes, rotated.amplitudes) >= 1.0 - RAY_TOL
 
 
 # -- record-prefix tree -------------------------------------------------------

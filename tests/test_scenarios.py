@@ -12,7 +12,6 @@ from interfersim.prepare import quantum_init
 from interfersim.scenarios import (
     available_scenarios,
     build_scenario,
-    compare_suite,
     export_scenario,
     random_circuit,
     scenario,
@@ -86,8 +85,13 @@ def test_unknown_scenario():
         scenario("mz-99")
 
 
-def test_compare_suite_configs():
-    configs = compare_suite(shots=1000, seed=5, junk="disk")
-    assert len(configs) == len(available_scenarios())
-    assert all(c.shots == 1000 and c.seed == 5 for c in configs)
-    assert all(c.prepare.junk == "disk" for c in configs)
+def test_export_unknown_scenario_names_the_library(tmp_path):
+    # the same KeyError as scenario(), and no file is created
+    out = tmp_path / "bogus.circ"
+    with pytest.raises(KeyError) as exported:
+        export_scenario("bogus", out)
+    with pytest.raises(KeyError) as loaded:
+        scenario("bogus")
+    assert str(exported.value) == str(loaded.value)
+    assert "available: " + ", ".join(available_scenarios()) in str(loaded.value)
+    assert not out.exists()
