@@ -46,20 +46,27 @@ layer, the particles walk through the queued splitters a block of shots at
 a time, so a block's draws are read from cache by every splitter of the
 segment instead of from memory once per splitter.
 
-No run holds the whole ``(shots, splitters)`` uniform matrix. A shot's
-draws are a fixed slice of its counter-based stream, so the first walk
-draws each block's rows (:func:`interfersim.rng.ensemble_uniforms` with
-``first``) when it reaches the block, and drops them after its splitters.
-Only the columns of splitters queued after that walk, which the later walks
-read, are copied into one ``(shots, later splitters)`` store; a circuit
-whose splitters all precede its first detector layer, such as a compiled
-mesh with terminal detectors, stores none.
+The draws stay the stream's raw 64-bit words. A queued splitter holds one
+word threshold per group (:func:`interfersim.rng.word_thresholds`), and a
+particle moves when its word is below its group's: exactly the test ``u <
+chance`` on the uniform that the scalar engine reads from the same word.
+
+No run holds the whole ``(shots, splitters)`` word matrix. A shot's draws
+are a fixed slice of its counter-based stream, so the first walk draws each
+block's rows (:func:`interfersim.rng.ensemble_uniforms` with ``first``)
+when it reaches the block, and drops them after its splitters. Only the
+columns of splitters queued after that walk, which the later walks read,
+are copied into one ``(shots, later splitters)`` store; a circuit whose
+splitters all precede its first detector layer, such as a compiled mesh
+with terminal detectors, stores none.
 
 :class:`EnsembleResult` keeps the particle positions, the group of every
-shot and a record row per group. It builds the per-shot ``records``,
-``final_u`` and ``final_levels`` from the group rows on first access;
-:meth:`EnsembleResult.counts` works on the group rows and never does. Groups
-are distinct records and each holds a shot, so the tally is a row per group.
+shot, and per group a record row and the shot count that the detector
+split counted. It builds the per-shot ``records``, ``final_u`` and
+``final_levels`` from the group rows on first access;
+:meth:`EnsembleResult.counts` works on the group rows and never does.
+Groups are distinct records and each holds a shot, so the tally is a row
+per group.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ class _Fields:
     field."""
 
     group: np.ndarray    # (shots,) group of each shot
+    size: np.ndarray     # (groups,) shots in each group
     records: np.ndarray  # (detector_layers, groups) int16, -1 = no click
     levels: np.ndarray   # (width, groups) absolute int64 levels
     u_re: np.ndarray     # (width, groups), zero on dead paths
@@ -148,7 +156,7 @@ class EnsembleResult:
         f = self._fields
         # one key row per detector layer, the first the most significant
         order = np.lexsort(f.records[::-1]) if f.records.size else np.arange(1)
-        members = np.bincount(f.group, minlength=f.records.shape[1])[order]
+        members = f.size[order]
         keys = np.full(order.shape, "", dtype=object)
         width = f.levels.shape[0]
         for layer, row in zip(self.detector_layers, f.records[:, order]):
@@ -187,16 +195,16 @@ def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
     later-column store.
 
     The first walk with splitters to pass (``later`` is None) draws each
-    block's rows of the ontic stream as it reaches the block, and copies
-    the columns of the splitters not yet queued into a new ``(shots,
-    n_splitters - queued)`` store; every later walk reads its draws there.
+    block's rows of words of the ontic stream as it reaches the block, and
+    copies the columns of the splitters not yet queued into a new ``(shots,
+    n_splitters - queued)`` store; every later walk reads its words there.
     """
     if not pending:
         return 0, later
     shots, queued = q.shape[0], len(pending)
     drawing = later is None
     if drawing:
-        later = np.empty((shots, n_splitters - queued))
+        later = np.empty((shots, n_splitters - queued), dtype=np.uint64)
     # stream column of ``ub[:, 0]``: drawn rows hold every column
     offset = 0 if drawing else n_splitters - later.shape[1]
     degenerate = 0
@@ -208,9 +216,11 @@ def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
             later[lo:lo + _BLOCK] = ub[:, queued:]
         else:
             ub = later[lo:lo + _BLOCK]
-        for column, s, t, to, chance_s, stuck in pending:
-            chance = chance_s[0] if chance_s.shape[0] == 1 else chance_s[gb]
-            move = ub[:, column - offset] < chance
+        for column, s, t, to, below, always, stuck in pending:
+            move = ub[:, column - offset] < (
+                below[0] if below.shape[0] == 1 else below[gb])
+            if always is not None:
+                move |= always[gb]
             if stuck is not None:
                 degenerate += int(np.count_nonzero(stuck[gb]
                                                    & ((qb == s) | (qb == t))))
@@ -223,7 +233,7 @@ def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
 def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult:
     """Run every shot of a prepared ensemble through the circuit.
 
-    Uniform draws come from the shot-sliced stream of purpose
+    Draws are the words of the shot-sliced stream of purpose
     :data:`interfersim.rng.ONTIC_SHOTS` under ``prepared.seed``, one column
     per beam splitter in circuit order. They are drawn a block of shots at
     a time by the first walk, which keeps only the columns of the splitters
@@ -231,9 +241,10 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
 
     Each distinct field is computed once, for a group of shots (module
     docstring). A splitter mixes the group columns, computes one relocation
-    chance per group and queues its move table; before a detector layer,
-    and after the last layer, the particles walk through the queued
-    splitters in blocks of shots, one gather per splitter and block. A
+    chance per group, turns it into a word threshold and queues its move
+    table; before a detector layer, and after the last layer, the particles
+    walk through the queued splitters in blocks of shots, one gather per
+    splitter and block. A
     detector layer splits every group into its no-click and click-at-``j``
     children. This is exact: a live path's arithmetic reads only its
     group's values, which depend on the record prefix alone.
@@ -248,6 +259,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
     shots, seed = prepared.shots, prepared.seed
     q = np.full(shots, prepared.path, dtype=np.int64)
     group = np.zeros(shots, dtype=np.intp)
+    size = np.array([shots])
     # The one group field, dead off the target path; levels relative to the
     # layer clock (module docstring).
     levels = np.full((width, 1), ZERO_LEVEL, dtype=np.int64)
@@ -297,7 +309,9 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
                 to = np.arange(width).repeat(2)
                 to[[2 * s, 2 * t]] = t
                 to[[2 * s + 1, 2 * t + 1]] = s
-                pending.append((draw_idx, s, t, to, chance_s,
+                below, always = rng.word_thresholds(chance_s)
+                pending.append((draw_idx, s, t, to, below,
+                                always if always.any() else None,
                                 stuck if stuck.any() else None))
                 draw_idx += 1
         if detectors:
@@ -310,7 +324,9 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
             click_code[detectors] = np.arange(1, n)
             child = group * n + click_code[q]
             present = np.bincount(child)
-            parent, click = np.divmod(np.flatnonzero(present), n)
+            children = np.flatnonzero(present)
+            size = present[children]
+            parent, click = np.divmod(children, n)
             group = (np.cumsum(present > 0) - 1)[child]
             levels, u_re, u_im, records = (
                 levels[:, parent], u_re[:, parent], u_im[:, parent],
@@ -334,4 +350,4 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
     degenerate += moved
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
     return EnsembleResult(detector_layers, q, degenerate,
-                          _Fields(group, records, levels, u_re, u_im))
+                          _Fields(group, size, records, levels, u_re, u_im))

@@ -11,6 +11,11 @@ at a time and any shot replays in isolation from the same bits. Read
 sequentially, the stream is the concatenation of the padded slices, so
 :func:`shot_streams` serves every shot of a per-shot run from one
 generator.
+
+A word ``w`` of the stream stands for numpy's Philox double ``(w >> 11) *
+2**-53``: the per-shot engines draw the doubles, and the vectorised
+ensemble keeps the words and compares them with exact integer thresholds
+(:func:`word_thresholds`).
 """
 
 from __future__ import annotations
@@ -46,35 +51,56 @@ def padded_width(draws_per_shot: int) -> int:
     return _BLOCK * ((draws_per_shot + _BLOCK - 1) // _BLOCK)
 
 
+def _positioned(seed: int, purpose: int, shot: int,
+                width: int) -> np.random.Philox:
+    """Bit generator of the purpose stream at the start of shot ``shot``'s
+    slice of ``width`` words."""
+    bg = _bit_generator(seed, purpose)
+    if shot and width:
+        # advance() counts whole counter blocks of four 64-bit draws
+        bg = bg.advance(shot * width // _BLOCK)
+    return bg
+
+
 def ensemble_uniforms(seed: int, purpose: int, shots: int,
                       draws_per_shot: int, *, first: int = 0) -> np.ndarray:
-    """Uniforms of shots ``first .. first + shots``, shape ``(shots,
-    draws_per_shot)``.
+    """Raw ``uint64`` words of shots ``first .. first + shots``, shape
+    ``(shots, draws_per_shot)``.
 
-    Row ``i`` equals the stream of :func:`shot_generator` for shot
-    ``first + i``, so consecutive blocks of rows concatenate to the rows
-    drawn in one call.
+    Row ``i``, each word ``w`` read as ``(w >> 11) * 2**-53``, equals the
+    stream of :func:`shot_generator` for shot ``first + i`` bit for bit, so
+    consecutive blocks of rows concatenate to the rows drawn in one call.
     """
     width = padded_width(draws_per_shot)
     if width == 0:
-        return np.zeros((shots, 0))
-    gen = shot_generator(seed, purpose, first, draws_per_shot)
-    return gen.random(shots * width).reshape(shots, width)[:, :draws_per_shot]
+        return np.zeros((shots, 0), dtype=np.uint64)
+    words = _positioned(seed, purpose, first, width).random_raw(shots * width)
+    return words.reshape(shots, width)[:, :draws_per_shot]
+
+
+def word_thresholds(chances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer thresholds ``(below, always)`` of chances in ``[0, 1]``: for
+    every word ``w``, ``(w >> 11) * 2**-53 < chance`` exactly when ``w <
+    below`` or ``always``.
+
+    Scaling by ``2**53`` is exact, so the test is ``w >> 11 < ceil(chance *
+    2**53)``, that is ``w < ceil(chance * 2**53) << 11``. Only a chance of 1
+    has the threshold ``2**64``, which wraps to 0; ``always`` marks it.
+    """
+    below = np.ceil(chances * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    return below, chances == 1.0
 
 
 def shot_generator(seed: int, purpose: int, shot: int,
                    draws_per_shot: int) -> np.random.Generator:
     """Generator positioned at shot ``shot``'s slice of the purpose stream.
 
-    The first ``draws_per_shot`` doubles drawn from it are bit-identical to
-    row ``shot`` of :func:`ensemble_uniforms`; consumers must not draw more.
+    The first ``draws_per_shot`` doubles drawn from it are the words of row
+    ``shot`` of :func:`ensemble_uniforms`, read as uniforms, bit for bit;
+    consumers must not draw more.
     """
-    width = padded_width(draws_per_shot)
-    bg = _bit_generator(seed, purpose)
-    if shot and width:
-        # advance() counts whole counter blocks of four 64-bit draws
-        bg = bg.advance(shot * width // _BLOCK)
-    return np.random.Generator(bg)
+    return np.random.Generator(
+        _positioned(seed, purpose, shot, padded_width(draws_per_shot)))
 
 
 class ShotStream:
@@ -100,7 +126,8 @@ class ShotStream:
 def shot_streams(seed: int, purpose: int, shots: int,
                  draws_per_shot: int) -> Iterator[ShotStream]:
     """One :class:`ShotStream` per shot, in shot order: stream ``i`` holds
-    row ``i`` of :func:`ensemble_uniforms`, bit for bit.
+    the words of row ``i`` of :func:`ensemble_uniforms`, read as uniforms,
+    bit for bit.
 
     The rows are one sequential read of the purpose stream, from a single
     :func:`shot_generator`, in blocks of ``_STREAM_SHOTS`` shots so memory

@@ -107,6 +107,34 @@ def test_postselect_keeps_the_records_that_show_every_constraint(
         if _shows(dict(map(parse_event_token, key.split(";"))), constraints)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(2, 6), depth=st.integers(2, 14),
+       circuit_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_counts_are_the_tally_of_group_ids(width, depth, circuit_seed, seed,
+                                           data):
+    """The shot counts that the detector splits carry equal a tally of the
+    shots' group ids, whole and post-selected, on circuits with several
+    detector layers."""
+    circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed),
+                             p_detector=0.35)
+    results = [(layer, clicked) for layer in circuit.detector_layers()
+               for clicked in (None, *circuit.layers[layer].detector_paths())]
+    constraints = tuple(data.draw(st.lists(st.sampled_from(results), max_size=3),
+                                  label="constraints"))
+    path = data.draw(st.integers(0, width - 1), label="path")
+    result = run_ensemble(circuit, prepare_ensemble(path, 300, seed, "disk"))
+    group, rows = result._fields.group, result._fields.records
+    records = [result._record(rows[:, g]) for g in range(result.groups)]
+    tally = np.bincount(group, minlength=result.groups)
+    counts = result.counts()
+    assert counts == {record.key: int(n) for record, n in zip(records, tally)}
+    shows = np.array([_shows(dict(record.events), constraints)
+                      for record in records], dtype=bool)
+    assert sum(postselect(counts, constraints).values()) == \
+        int(np.count_nonzero(shows[group]))
+
+
 @st.composite
 def states_and_layers(draw):
     width = draw(st.integers(1, 6))

@@ -2,22 +2,37 @@
 in blocks of ``ensemble._BLOCK`` and draws their uniforms a block at a time;
 nothing a run reports may depend on the block size. Each block size runs at
 one shot under, one over and just past two whole blocks, against the same
-run walked and drawn as one block."""
+run walked and drawn as one block. Pinned ``compare`` bytes and the draw
+calls of one ``compare`` hold the walk's words to those of the stream."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from interfersim import ensemble, ontic, rng
-from interfersim.circuits import BeamSplitter, Circuit, Detector, Layer, PhaseShifter
+from interfersim.circuits import (
+    BeamSplitter,
+    Circuit,
+    Detector,
+    Layer,
+    PhaseShifter,
+    serialize_circuit,
+)
+from interfersim.cli import main
 from interfersim.compiler import haar_unitary, reck_decompose
 from interfersim.ensemble import run_ensemble
 from interfersim.harness import ExperimentConfig, PreparationSpec, traced_shots
 from interfersim.ontic import ZERO_LEVEL, ShotDiagnostics
 from interfersim.prepare import prepare_ensemble
 from interfersim.records import postselect
-from interfersim.scenarios import available_scenarios, random_circuit, scenario
+from interfersim.scenarios import (
+    available_scenarios,
+    export_scenario,
+    random_circuit,
+    scenario,
+)
 
 BLOCKS = (1, 7, ensemble._BLOCK)
 
@@ -131,3 +146,71 @@ def test_run_never_holds_the_whole_uniform_matrix():
         tracemalloc.stop()
     assert result.shots == shots
     assert peak < matrix_bytes / 2
+
+
+# sha256 of (report.json, summary.csv) of ``compare`` at 20,000 shots (three
+# blocks) under seed 7. ``zeno-8`` walks once per detector layer and reads
+# the later-column store; ``random8x28`` ends in 599 groups after 17
+# detector layers, with per-group chances; ``unit-chances`` has splitters whose chance is exactly
+# 0 or 1 in one group and 0.5 in the other.
+COMPARE_DIGESTS = {
+    "zeno-8": (
+        "4d3583553ed6091c7cd74c0ef031887f592c320261c87744197bda2f118dcca6",
+        "10dc1369434f8d88e33734c6a6632d148cb055cda8df2a6dd3498de28d35e42c"),
+    "random8x28": (
+        "67b8aea171469e469d9dac3ee089c2bdf3867e1ee84c934effb39a6e5a7ca1b1",
+        "33e13a3745c468859f413b76050b0346765a933f5e8a8f089c9254c9c70d9ee7"),
+    "unit-chances": (
+        "8f43c63c719c2eba7db8894e35d839869a30480bd7a1efa629a7e6b9081b3587",
+        "3cb306f96a5628542d70a5acc90713d020578c5af044f2735beb3f276d5f6072"),
+}
+
+
+def _compare_case(name, tmp_path):
+    path = tmp_path / f"{name}.circ"
+    if name == "zeno-8":
+        export_scenario(name, path)
+        return str(path)
+    if name == "random8x28":
+        circuit = random_circuit(8, 28, np.random.default_rng(28), name=name)
+    else:
+        circuit = Circuit(3, _layers(
+            BeamSplitter(0, 1, 0.5), Detector(1), BeamSplitter(1, 2, 1.0),
+            BeamSplitter(2, 0, 1.0), (BeamSplitter(0, 1, 0.0), PhaseShifter(2, 0.3)),
+            Detector(2), BeamSplitter(1, 2, 0.7),
+            (Detector(0), Detector(1), Detector(2))), name=name)
+    path.write_text(serialize_circuit(circuit))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_DIGESTS))
+def test_multi_walk_compare_bytes_are_pinned(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["compare", _compare_case(name, tmp_path), "--shots", "20000",
+                 "--seed", "7", "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("report.json", "summary.csv"))
+    assert digests == COMPARE_DIGESTS[name]
+
+
+def test_compare_draws_each_block_once(monkeypatch, tmp_path):
+    # one ensemble_uniforms call per block, positional (seed, purpose, shots,
+    # draws) as the benchmark's byte counter reads them, and never a
+    # shot_generator, which serves the per-shot engines alone
+    calls = []
+    draw = rng.ensemble_uniforms
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return draw(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compare positioned a per-shot generator")
+
+    monkeypatch.setattr(rng, "ensemble_uniforms", recording)
+    monkeypatch.setattr(rng, "shot_generator", forbidden)
+    shots, block = 20000, ensemble._BLOCK
+    assert main(["compare", _compare_case("zeno-8", tmp_path), "--shots",
+                 str(shots), "--seed", "7", "--out", str(tmp_path / "out")]) == 0
+    assert calls == [((7, rng.ONTIC_SHOTS, min(block, shots - lo), 8),
+                      {"first": lo}) for lo in range(0, shots, block)]

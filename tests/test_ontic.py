@@ -478,7 +478,8 @@ def test_ensemble_has_a_record_row_per_group(name, post):
 def test_counts_refuses_groups_that_share_a_record():
     # two groups with one record row: a broken split, never merged
     fields = ensemble._Fields(
-        group=np.array([0, 1, 1]), records=np.full((1, 2), -1, dtype=np.int16),
+        group=np.array([0, 1, 1]), size=np.array([1, 2]),
+        records=np.full((1, 2), -1, dtype=np.int16),
         levels=np.zeros((2, 2), dtype=np.int64), u_re=np.zeros((2, 2)),
         u_im=np.zeros((2, 2)))
     result = ensemble.EnsembleResult((0,), np.zeros(3, dtype=np.int64), 0, fields)
