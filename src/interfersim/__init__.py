@@ -17,7 +17,6 @@ from .circuits import (
     Layer,
     LayerConflictError,
     ParseError,
-    Partition,
     PhaseShifter,
     circuit_from_json,
     circuit_to_json,

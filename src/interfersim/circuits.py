@@ -3,9 +3,9 @@
 A circuit is a fixed number of paths plus an ordered list of layers. Each
 layer is a parallel arrangement of gates: phase shifters and detectors sit on
 single paths, beam splitters join two distinct paths, and every path not
-covered by a gate evolves freely. A layer therefore induces a partition of
-the path set into free paths, detector paths, shifter paths and splitter
-pairs, which is validated when the circuit is built.
+covered by a gate evolves freely. A layer is its gates: building a circuit
+checks that each gate's paths are in range and that no two gates of a layer
+share a path, and keeps nothing else per layer.
 
 Circuits are plain immutable data with two serialisations:
 
@@ -36,9 +36,10 @@ class CircuitError(ValueError):
     """Invalid circuit structure."""
 
 
-# The most paths a circuit may have. Each layer's partition holds a set of
-# its free paths, about 250 bytes a path, so without a cap a one-line header
-# could ask for any amount of memory; at the cap a layer takes about 1 MB.
+# The most paths a circuit may have. A layer keeps only its gates, but the
+# engines hold width-sized arrays (a field per path, and in the ensemble a
+# move table per splitter), so without a cap a one-line header could ask
+# for any amount of memory.
 MAX_PATHS = 4096
 
 
@@ -151,16 +152,6 @@ def gate_paths(gate: Gate) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Disjoint-exhaustive split of ``{0..N-1}`` induced by one layer."""
-
-    free: frozenset[int]
-    detectors: frozenset[int]
-    shifters: frozenset[int]
-    splitter_pairs: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class Layer:
     """One parallel configuration of gates."""
 
@@ -177,16 +168,13 @@ class Layer:
         return any(isinstance(g, Detector) for g in self.gates)
 
 
-def validate_layer(layer: Layer, width: int) -> Partition:
-    """Check one layer against a circuit width and return its path partition.
+def validate_layer(layer: Layer, width: int) -> None:
+    """Check one layer's gates against a circuit width, in time linear in
+    the gates.
 
     Raises :class:`CircuitError` if a path index is out of range and
     :class:`LayerConflictError` (naming the path) if two gates overlap.
-    Free paths are computed as the complement of all gate paths.
     """
-    detectors: set[int] = set()
-    shifters: set[int] = set()
-    pairs: set[tuple[int, int]] = set()
     seen: set[int] = set()
     for gate in layer.gates:
         for p in gate_paths(gate):
@@ -197,14 +185,6 @@ def validate_layer(layer: Layer, width: int) -> Partition:
             if p in seen:
                 raise LayerConflictError(p)
             seen.add(p)
-        if isinstance(gate, Detector):
-            detectors.add(gate.path)
-        elif isinstance(gate, PhaseShifter):
-            shifters.add(gate.path)
-        else:
-            pairs.add((gate.s, gate.t))
-    free = frozenset(range(width)) - seen
-    return Partition(free, frozenset(detectors), frozenset(shifters), frozenset(pairs))
 
 
 @dataclass(frozen=True)
@@ -228,18 +208,15 @@ class Circuit:
         if width > MAX_PATHS:
             raise PathCapError(width)
         layers = tuple(layers)
-        self._fill(width, layers,
-                   tuple(validate_layer(layer, width) for layer in layers),
-                   name, description)
+        for layer in layers:
+            validate_layer(layer, width)
+        self._fill(width, layers, name, description)
 
-    def _fill(self, width: int, layers: tuple[Layer, ...],
-              partitions: tuple[Partition, ...], name: str,
+    def _fill(self, width: int, layers: tuple[Layer, ...], name: str,
               description: str) -> "Circuit":
-        """Set the fields of a circuit whose layers were validated into
-        ``partitions``; :func:`parse_circuit` validates each layer as it
-        reads it and builds its circuit here."""
-        # kept outside the fields, so equality, hash and repr ignore it
-        object.__setattr__(self, "_partitions", partitions)
+        """Set the fields of a circuit whose layers were validated;
+        :func:`parse_circuit` validates each layer as it reads it and
+        builds its circuit here."""
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "name", name)
@@ -249,11 +226,6 @@ class Circuit:
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    def partitions(self) -> tuple[Partition, ...]:
-        """Each layer's path partition, computed once when the circuit was
-        validated."""
-        return self._partitions
 
     def detector_layers(self) -> tuple[int, ...]:
         """Indices of layers that contain at least one detector."""
@@ -343,7 +315,6 @@ def parse_circuit(text: str) -> Circuit:
     width: int | None = None
     header = {"name": "", "info": ""}
     layers: list[Layer] = []
-    partitions: list[Partition] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -382,14 +353,14 @@ def parse_circuit(text: str) -> Circuit:
             offset += len(segment) + 1
         layer = Layer(gates)
         try:  # here, so a conflict is reported before any later line's fault
-            partitions.append(validate_layer(layer, width))
+            validate_layer(layer, width)
         except LayerConflictError as exc:
             raise ParseError(str(exc), lineno, col) from None
         layers.append(layer)
     if width is None:
         raise ParseError("missing 'paths N' header", 1)
-    return object.__new__(Circuit)._fill(width, tuple(layers), tuple(partitions),
-                                         header["name"], header["info"])
+    return object.__new__(Circuit)._fill(width, tuple(layers), header["name"],
+                                         header["info"])
 
 
 def parse_circuit_file(path) -> Circuit:

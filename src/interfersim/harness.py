@@ -12,8 +12,8 @@ that holds both counts and probabilities (``compare``) computes one, and
 ``scipy.stats``, whose import costs several times that of
 ``scipy.special``.
 
-Every report, whichever engines ran (``compare``, ``ontic-only``,
-``quantum-exact`` here, ``quantum-sample`` from sampled quantum records), is
+Every report, whichever engines ran (``compare`` and ``ontic-only`` here,
+``quantum-sample`` from sampled quantum records), is
 built by :func:`outcome_report`, the one outcome-table rule. Reports
 persist as JSON plus a CSV summary table whose rows hold the same
 :data:`OUTCOME_COLUMNS`. The persisted JSON is canonical: fixed key order
@@ -117,7 +117,7 @@ class ExperimentConfig:
     prepare: PreparationSpec = PreparationSpec()
     shots: int = 10000
     seed: int = 0
-    mode: str = "compare"  # compare | ontic-only | quantum-exact
+    mode: str = "compare"  # compare | ontic-only
     postselect: tuple[tuple[int, int | None], ...] | None = None
     trace: bool = False
     branch_cap: int = BRANCH_CAP
@@ -127,7 +127,7 @@ class ExperimentConfig:
             raise ConfigError("shots must be at least 1")
         if self.branch_cap < 1:
             raise ConfigError("branch_cap must be at least 1")
-        if self.mode not in ("compare", "ontic-only", "quantum-exact"):
+        if self.mode not in ("compare", "ontic-only"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 0 <= self.prepare.path < self.circuit.width:
             raise ConfigError(
@@ -211,8 +211,8 @@ class OutcomeStat(NamedTuple):
     """One row of the per-outcome comparison table (:data:`OUTCOME_COLUMNS`)."""
 
     key: str
-    count: int | None
-    frequency: float | None
+    count: int
+    frequency: float
     probability: float | None
     sigma: float | None
     within_ci: bool | None
@@ -483,12 +483,12 @@ def run_traced(config: ExperimentConfig,
 
 
 def outcome_report(config: ExperimentConfig, mode: str,
-                   counts: Mapping[str, int] | None,
+                   counts: Mapping[str, int],
                    probs: Mapping[str, float] | None, degenerate: int = 0,
                    congruence: dict | None = None) -> ExperimentReport:
     """Build a run's report from its engine results: ``counts`` over the
     kept (post-selected) shots of a sampling engine, and the exact outcome
-    probabilities ``probs``; ``None`` for an engine that did not run.
+    probabilities ``probs``, ``None`` when the enumeration did not run.
 
     There is one row per outcome of either. Counts fill ``count`` and
     ``frequency``, probabilities fill ``probability``; only with both are
@@ -496,9 +496,9 @@ def outcome_report(config: ExperimentConfig, mode: str,
     computed. No verdict is claimed on fewer than ``MIN_VERDICT_SHOTS``
     kept shots unless an impossible outcome was observed.
     """
-    both = counts is not None and probs is not None
-    kept = sum(counts.values()) if counts is not None else 0
-    freqs = {key: n / kept for key, n in (counts or {}).items()}
+    both = probs is not None
+    kept = sum(counts.values())
+    freqs = {key: n / kept for key, n in counts.items()}
     tvd = chi = None
     hard_fail = 0
     if both:
@@ -507,14 +507,12 @@ def outcome_report(config: ExperimentConfig, mode: str,
         hard_fail = chi.impossible_count
         bands = _within_bands(counts, probs, kept) if kept else {}
     outcomes = []
-    for key in sorted(set(counts or ()) | set(probs or ())):
-        n = f = p = sigma = ok = None
+    for key in sorted(set(counts) | set(probs or ())):
+        n, f = counts.get(key, 0), freqs.get(key, 0.0)
+        p = sigma = ok = None
         impossible = False
-        if counts is not None:
-            n, f = counts.get(key, 0), freqs.get(key, 0.0)
-        if probs is not None:
-            p = probs.get(key, 0.0)
         if both:
+            p = probs.get(key, 0.0)
             impossible = p <= 0.0 and n > 0
             sigma, ok = bands.get(key, (0.0, not impossible))
         outcomes.append(OutcomeStat(key, n, f, p, sigma, ok, impossible))
@@ -530,7 +528,7 @@ def outcome_report(config: ExperimentConfig, mode: str,
         circuit_name=config.circuit.name,
         prepare=config.prepare,
         postselect=config.postselect,
-        preselection_shots=config.shots if counts is not None else 0,
+        preselection_shots=config.shots,
         kept_shots=kept,
         outcomes=tuple(outcomes),
         total_variation=tvd,
@@ -560,9 +558,9 @@ def run_experiment(config: ExperimentConfig,
 
     ``compare`` runs the exact quantum enumeration and the stochastic
     ensemble and fills the whole comparison table; ``ontic-only`` skips
-    the enumeration (no verdict); ``quantum-exact`` skips the ensemble. The
-    enumeration runs first, so a branch-cap overflow or a post-selection
-    of probability 0 ends the run before any shot is drawn.
+    the enumeration (no verdict). The enumeration runs first, so a
+    branch-cap overflow or a post-selection of probability 0 ends the run
+    before any shot is drawn.
     With ``trace`` set or a ``jsonl`` path given, every shot of the ensemble
     is additionally replayed once with tracing (:func:`run_traced`), which
     writes the trace lines to ``jsonl``; the label congruence summary goes
@@ -573,8 +571,7 @@ def run_experiment(config: ExperimentConfig,
     """
     start = time.perf_counter()
     circuit = config.circuit
-    counts = probs = congruence = None
-    degenerate = 0
+    probs = congruence = None
     if config.mode != "ontic-only":
         probs = exact_outcome_distribution(
             circuit, quantum_init(config.prepare.path, circuit.width),
@@ -586,17 +583,15 @@ def run_experiment(config: ExperimentConfig,
                 raise ImpossibleOutcomeError("conditioning event has probability 0")
             probs = {key: p / total for key, p in probs.items()}
 
-    if config.mode != "quantum-exact":
-        result = run_ensemble(circuit, _prepare(config))
-        if config.trace or jsonl:
-            summary = run_traced(config, cross_check=result, jsonl=jsonl)
-            congruence = summary if config.trace else None
-        degenerate = result.degenerate_relocations
-        counts = result.counts()
-        if config.postselect:
-            counts = postselect(counts, config.postselect)
+    result = run_ensemble(circuit, _prepare(config))
+    if config.trace or jsonl:
+        summary = run_traced(config, cross_check=result, jsonl=jsonl)
+        congruence = summary if config.trace else None
+    counts = result.counts()
+    if config.postselect:
+        counts = postselect(counts, config.postselect)
 
-    report = outcome_report(config, config.mode, counts, probs, degenerate,
-                            congruence)
+    report = outcome_report(config, config.mode, counts, probs,
+                            result.degenerate_relocations, congruence)
     report.runtime_seconds = time.perf_counter() - start
     return report

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuits import Layer, validate_layer
+from .circuits import BeamSplitter, Layer, validate_layer
 from .ontic import ZERO_LEVEL, OnticState, _age
 from .quantum import (
     RAY_TOL,
@@ -201,7 +201,9 @@ def check_delta_commutation(layer: Layer, tau_before: Sequence[int],
     path without a detector; outside that domain the two sides genuinely
     differ and this check returns False.
     """
-    partition = validate_layer(layer, width)
+    validate_layer(layer, width)
+    pairs = [(g.s, g.t) for g in layer.gates if isinstance(g, BeamSplitter)]
+    detectors = list(layer.detector_paths())
     tau_before = tuple(tau_before)
     if len(tau_before) != width:
         raise ValueError("strength vector does not match width")
@@ -210,15 +212,12 @@ def check_delta_commutation(layer: Layer, tau_before: Sequence[int],
     delta_before = np.diag([1.0 if t == top else 0.0 for t in tau_before]
                            ).astype(np.complex128)
 
-    # Strengths after the layer, by the engine's rules.
-    after = list(tau_before)
-    for path in partition.free:
-        after[path] = _age(after[path])
-    for path in partition.shifters:
-        after[path] = _age(after[path])
-    for path in partition.detectors:
+    # Strengths after the layer, by the engine's rules: every level ages, a
+    # no-click zeroes the detector paths, and a splitter levels its pair.
+    after = [_age(level) for level in tau_before]
+    for path in detectors:
         after[path] = ZERO_LEVEL
-    for s, t in partition.splitter_pairs:
+    for s, t in pairs:
         after[s] = after[t] = _age(min(tau_before[s], tau_before[t]))
     top_after = min(after)
     delta_after = np.diag([1.0 if t == top_after else 0.0 for t in after]
@@ -226,7 +225,7 @@ def check_delta_commutation(layer: Layer, tau_before: Sequence[int],
 
     # Per-splitter suppression of the weaker incoming field.
     suppress = np.eye(width, dtype=np.complex128)
-    for s, t in partition.splitter_pairs:
+    for s, t in pairs:
         pair_top = min(tau_before[s], tau_before[t])
         suppress[s, s] = 1.0 if tau_before[s] == pair_top else 0.0
         suppress[t, t] = 1.0 if tau_before[t] == pair_top else 0.0
@@ -234,5 +233,5 @@ def check_delta_commutation(layer: Layer, tau_before: Sequence[int],
     unitaries = unitary_part(layer, width)
     left = delta_after @ unitaries @ suppress
     right = unitaries @ delta_before
-    right[list(partition.detectors)] = 0.0  # no-click: detector paths zeroed
+    right[detectors] = 0.0  # no-click: detector paths zeroed
     return bool(np.max(np.abs(left - right)) <= COMMUTATION_TOL)

@@ -2,10 +2,12 @@
 
 The complete state of one run is a definite particle position together with
 a classical field per path, described by a complex amplitude and a dyadic
-strength. Gates touch only the paths they sit on:
+strength. Every field ages by one step per layer, and a gate resets only the
+paths it sits on:
 
-- free evolution leaves the amplitude alone and halves the strength
-  ("ageing"); a phase shifter additionally rotates the amplitude;
+- ageing leaves the amplitude alone and halves the strength; this is all
+  that happens to a free path, and a phase shifter additionally rotates the
+  amplitude;
 - a detector reports the particle deterministically (it clicks exactly when
   the particle is in its path), resets its path's field to amplitude 1 and
   full strength on a click, and kills the strength on a no-click;
@@ -31,9 +33,11 @@ runs and isolated single-shot replays are bit-identical.
 The rules are stated twice, once per representation. Here, the scalar
 statement, a state holds Python values (a tuple of complex amplitudes and a
 tuple of int levels) and each gate rule is one private helper (``_age``,
-``_phase``, ``_detect``, ``_split``) on working lists, shared by the public
+``_rotate``, ``_detect``, ``_split``) on working lists, shared by the public
 ``gate_*`` functions and by ``_step``, the body of :func:`step_layer` that
-:func:`run_ontic_shot` calls on the circuit's stored partitions;
+:func:`run_ontic_shot` calls on each layer of a validated circuit. ``_step``
+ages every level first, as the layer clock of the vector statement does,
+and then lets each gate reset its own paths;
 :func:`interfersim.ensemble.run_ensemble` is the vector statement on numpy
 arrays, one column per group of shots that share a field. Amplitude
 updates in both are written in explicitly separated
@@ -58,7 +62,7 @@ import math
 import operator
 from cmath import isfinite
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -171,18 +175,17 @@ class ShotDiagnostics:
 
 
 # The gate rules, each stated once. ``_age`` maps a level to its aged level;
-# the others update a working amplitude list ``u`` and level list ``tau`` in
-# place and touch only their own paths, so the gates of one layer can be
-# applied one after another.
+# the others update a working amplitude list ``u`` (and level list ``tau``)
+# in place and touch only their own paths, so the gates of one layer can be
+# applied one after another to levels that have already aged.
 
 def _age(level: int) -> int:
     return ZERO_LEVEL if level >= ZERO_LEVEL else level + 1
 
 
-def _phase(u: list, tau: list, path: int, cos_w: float, sin_w: float) -> None:
+def _rotate(u: list, path: int, cos_w: float, sin_w: float) -> None:
     re, im = rotate_amplitude(u[path].real, u[path].imag, cos_w, sin_w)
     u[path] = complex(re, im)
-    tau[path] = _age(tau[path])
 
 
 def _detect(u: list, tau: list, q: int, path: int) -> bool:
@@ -195,12 +198,13 @@ def _detect(u: list, tau: list, q: int, path: int) -> bool:
     return clicked
 
 
-def _split(u: list, tau: list, q: int, s: int, t: int, root_r: float,
-           root_t: float, draw: float,
+def _split(u: list, tau: list, before: Sequence[int], q: int, s: int, t: int,
+           root_r: float, root_t: float, draw: float,
            diagnostics: ShotDiagnostics | None) -> int:
-    """Splitter rule with coupler roots ``sqrt(R)``, ``sqrt(1 - R)``;
-    returns the new particle position."""
-    level_s, level_t = tau[s], tau[t]
+    """Splitter rule with coupler roots ``sqrt(R)``, ``sqrt(1 - R)``, which
+    suppresses by the pre-layer levels ``before``; returns the new particle
+    position."""
+    level_s, level_t = before[s], before[t]
     lmin = level_s if level_s <= level_t else level_t  # strongest field
     u_s = u[s] if level_s == lmin else 0.0j
     u_t = u[t] if level_t == lmin else 0.0j
@@ -238,7 +242,8 @@ def gate_phase(state: OnticState, path: int, omega: float) -> OnticState:
     """Rotate the path's amplitude by ``exp(i omega)``; strength ages."""
     check_path(path, state.width)
     u, tau = _working(state)
-    _phase(u, tau, path, math.cos(omega), math.sin(omega))
+    _rotate(u, path, math.cos(omega), math.sin(omega))
+    tau[path] = _age(tau[path])
     return OnticState(state.q, u, tau)
 
 
@@ -269,7 +274,7 @@ def gate_beamsplitter(state: OnticState, s: int, t: int, reflectivity: float,
     if not 0.0 <= reflectivity <= 1.0:
         raise ValueError(f"reflectivity {reflectivity!r} outside [0, 1]")
     u, tau = _working(state)
-    q = _split(u, tau, state.q, s, t, math.sqrt(reflectivity),
+    q = _split(u, tau, state.tau, state.q, s, t, math.sqrt(reflectivity),
                math.sqrt(1.0 - reflectivity), float(rng.random()), diagnostics)
     return OnticState(q, u, tau)
 
@@ -279,36 +284,35 @@ def step_layer(state: OnticState, layer: Layer, rng: np.random.Generator,
                ) -> tuple[tuple[tuple[int, bool], ...], OnticState]:
     """Apply one parallel gate configuration.
 
-    The layer's gates sit on disjoint paths, so applying them in turn gives
-    what each would give reading only pre-layer values; paths under no gate
-    age freely. Uniform draws are consumed by beam splitters in their order
-    of appearance in the layer. Returns the per-detector results in layer
-    order and the new state; at most one detector can click because the
-    particle has a single position.
+    Every field ages one step; the layer's gates sit on disjoint paths and
+    each resets its own, so applying them in turn gives what each would
+    give reading only pre-layer values. Uniform draws are consumed by beam
+    splitters in their order of appearance in the layer. Returns the
+    per-detector results in layer order and the new state; at most one
+    detector can click because the particle has a single position.
     """
-    partition = validate_layer(layer, state.width)
-    return _step(state, layer, partition.free, rng, diagnostics)
+    validate_layer(layer, state.width)
+    return _step(state, layer, rng, diagnostics)
 
 
-def _step(state: OnticState, layer: Layer, free: Iterable[int],
-          rng: np.random.Generator, diagnostics: ShotDiagnostics | None,
+def _step(state: OnticState, layer: Layer, rng: np.random.Generator,
+          diagnostics: ShotDiagnostics | None,
           ) -> tuple[tuple[tuple[int, bool], ...], OnticState]:
-    """:func:`step_layer` on a validated layer whose free paths are ``free``:
-    the one scalar layer loop. Free paths age inline (``_age``); each gate
-    applies its rule with the constants it holds."""
-    u, tau, q = list(state.u), list(state.tau), state.q
+    """:func:`step_layer` on a validated layer: the one scalar layer loop.
+    Every level ages inline (``_age``, the layer clock); then each gate
+    applies its rule with the constants it holds. A phase shifter only
+    rotates, since its path has aged; a splitter suppresses by the
+    pre-layer levels, which it alone reads."""
+    before, u, q = state.tau, list(state.u), state.q
+    tau = [level + 1 if level < ZERO_LEVEL else level for level in before]
     results: list[tuple[int, bool]] = []
-    for path in free:
-        level = tau[path]
-        if level < ZERO_LEVEL:
-            tau[path] = level + 1
     for gate in layer.gates:
         kind = type(gate)
         if kind is BeamSplitter:
-            q = _split(u, tau, q, gate.s, gate.t, gate.root_r, gate.root_t,
-                       rng.random(), diagnostics)
+            q = _split(u, tau, before, q, gate.s, gate.t, gate.root_r,
+                       gate.root_t, rng.random(), diagnostics)
         elif kind is PhaseShifter:
-            _phase(u, tau, gate.path, gate.cos_w, gate.sin_w)
+            _rotate(u, gate.path, gate.cos_w, gate.sin_w)
         else:
             results.append((gate.path, _detect(u, tau, q, gate.path)))
     assert len(results) < 2 or sum(hit for _, hit in results) <= 1
@@ -332,16 +336,15 @@ def run_ontic_shot(circuit: Circuit, init: OnticState, rng: np.random.Generator,
     after every layer (the initial state first), otherwise just the final
     state. Draw consumption matches the vectorised ensemble runner
     shot-for-shot. The circuit's layers were validated when it was built,
-    so each is stepped with its stored partition.
+    so each is stepped unchecked.
     """
     if init.width != circuit.width:
         raise ValueError("initial state width does not match circuit")
     state = init
     trajectory = [state]
     events: list[tuple[int, int | None]] = []
-    for layer_idx, (layer, partition) in enumerate(zip(circuit.layers,
-                                                       circuit.partitions())):
-        results, state = _step(state, layer, partition.free, rng, diagnostics)
+    for layer_idx, layer in enumerate(circuit.layers):
+        results, state = _step(state, layer, rng, diagnostics)
         if results:
             clicked = [path for path, hit in results if hit]
             events.append((layer_idx, clicked[0] if clicked else None))

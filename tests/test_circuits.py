@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from interfersim.circuits import (
     PhaseShifter,
     circuit_from_json,
     circuit_to_json,
+    gate_paths,
     parse_circuit,
     serialize_circuit,
     validate_layer,
@@ -91,19 +93,16 @@ def test_parse_conflict_on_a_later_layer_names_its_position():
     assert str(err.value).startswith("line 5, column 3: ")
 
 
-def test_validate_layer_partition():
-    layer = Layer([BeamSplitter(0, 1, 0.5), Detector(2)])
-    part = validate_layer(layer, 4)
-    assert part.free == frozenset({3})
-    assert part.detectors == frozenset({2})
-    assert part.shifters == frozenset()
-    assert part.splitter_pairs == frozenset({(0, 1)})
+def test_validate_layer_checks_only_the_gates():
+    # disjoint in-range gates pass, whatever paths they leave free
+    assert validate_layer(Layer([BeamSplitter(0, 1, 0.5), Detector(2)]), 4) is None
+    layer = Layer([BeamSplitter(2, 0, 0.25), PhaseShifter(3, 1.0), Detector(1)])
+    assert validate_layer(layer, 5) is None
 
 
 def test_validate_empty_layer_is_all_free():
-    part = validate_layer(Layer([]), 2)
-    assert part.free == frozenset({0, 1})
-    assert not part.detectors and not part.shifters and not part.splitter_pairs
+    assert validate_layer(Layer([]), 2) is None
+    assert Circuit(MAX_PATHS, [Layer([])] * 3).depth == 3
 
 
 def test_validate_overlap_names_path():
@@ -111,15 +110,6 @@ def test_validate_overlap_names_path():
         validate_layer(Layer([PhaseShifter(0, 0.3), Detector(0)]), 3)
     assert err.value.path == 0
     assert "path 1" in str(err.value)
-
-
-def test_partition_covers_everything():
-    layer = Layer([BeamSplitter(2, 0, 0.25), PhaseShifter(3, 1.0), Detector(1)])
-    part = validate_layer(layer, 5)
-    union = set(part.free) | set(part.detectors) | set(part.shifters)
-    for s, t in part.splitter_pairs:
-        union |= {s, t}
-    assert union == set(range(5))
 
 
 def test_serialize_round_trips_mach_zehnder_text():
@@ -212,7 +202,7 @@ def test_circuit_rejects_out_of_range_gate():
 
 
 def test_path_cap_checked_before_any_layer():
-    # a header above the cap fails before a layer builds its partition
+    # a header above the cap fails before any layer is read
     huge = 10 ** 9
     message = f"{huge} paths exceed the cap of {MAX_PATHS} per circuit"
     with pytest.raises(PathCapError, match=message):
@@ -226,6 +216,20 @@ def test_path_cap_checked_before_any_layer():
     assert Circuit(MAX_PATHS).width == MAX_PATHS
     with pytest.raises(PathCapError):
         parse_circuit(f"paths {MAX_PATHS + 1}\n")
+
+
+def test_a_layer_costs_its_gates_not_the_width():
+    # 300 empty layers at the path cap, a 1.8 KB file, keep a few KB: no
+    # layer holds anything per path
+    text = f"paths {MAX_PATHS}\n" + "layer\n" * 300
+    tracemalloc.start()
+    try:
+        circuit = parse_circuit(text)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert circuit.depth == 300
+    assert kept < 1_000_000
 
 
 @st.composite
@@ -299,28 +303,40 @@ def test_gate_constants_are_exact_and_outside_the_fields(circuit):
         assert names.isdisjoint({"cos_w", "sin_w", "root_r", "root_t"})
 
 
-def test_partitions_are_kept_outside_the_fields():
+def test_circuit_keeps_no_per_layer_state():
+    # validation keeps nothing: a circuit, parsed or built, holds its fields
     circuit = parse_circuit(MZ_TEXT)
-    assert circuit.partitions() is circuit.partitions()
-    assert circuit.partitions() == tuple(validate_layer(layer, 2)
-                                         for layer in circuit.layers)
+    names = {field.name for field in dataclasses.fields(Circuit)}
+    assert vars(circuit).keys() == names
+    assert vars(Circuit(2, circuit.layers)).keys() == names
     twin = parse_circuit(MZ_TEXT)
     assert circuit == twin and hash(circuit) == hash(twin)
-    assert "partition" not in repr(circuit).lower()
 
 
 @settings(max_examples=100, deadline=None)
-@given(circuits())
-def test_partition_property(circuit):
-    for part in circuit.partitions():
-        blocks = [set(part.free), set(part.detectors), set(part.shifters)]
-        for s, t in part.splitter_pairs:
-            blocks.append({s, t})
-        union = set()
-        for block in blocks:
-            assert not (union & block)
-            union |= block
-        assert union == set(range(circuit.width))
+@given(circuits(), st.data())
+def test_validate_layer_property(circuit, data):
+    """Generated layers pass; one more gate on a path the layer already
+    uses, or on a path out of range, is refused wherever it stands."""
+    width = circuit.width
+    for layer in circuit.layers:
+        assert validate_layer(layer, width) is None
+        used = [p for gate in layer.gates for p in gate_paths(gate)]
+        at = data.draw(st.integers(0, len(layer.gates)), label="position")
+        if used:
+            p = data.draw(st.sampled_from(used), label="overlap")
+            gates = list(layer.gates)
+            gates.insert(at, Detector(p))
+            with pytest.raises(LayerConflictError) as err:
+                validate_layer(Layer(gates), width)
+            assert err.value.path == p
+            with pytest.raises(LayerConflictError):
+                Circuit(width, [Layer(gates)])
+        bad = data.draw(st.sampled_from([-1, width, width + 5]), label="bad")
+        gates = list(layer.gates)
+        gates.insert(at, PhaseShifter(bad, 0.0))
+        with pytest.raises(CircuitError, match="out of range"):
+            validate_layer(Layer(gates), width)
 
 
 WIDTH = 3

@@ -737,6 +737,20 @@ def test_oversized_circuit_exits_resource(tmp_path, capsys, suffix, text,
                    f"{MAX_PATHS} per circuit\n")
 
 
+def test_deep_circuit_at_the_path_cap_compares(tmp_path):
+    # 3,000 empty layers at the path cap and a terminal detector: the
+    # circuit costs its gates and the engines their width-sized fields
+    circuit = tmp_path / "deep.circ"
+    circuit.write_text(f"paths {MAX_PATHS}\n" + "layer\n" * 3000
+                       + "layer D 1\n")
+    assert main(["compare", str(circuit), "--shots", "1000",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verdict"] == "pass"
+    assert [(o["outcome"], o["count"], o["probability"])
+            for o in report["outcomes"]] == [("L3001:C1", 1000, 1.0)]
+
+
 def test_memory_exhaustion_exits_resource(mz_file, tmp_path, capsys,
                                           monkeypatch):
     # under the shot cap a run can still outgrow the machine's memory

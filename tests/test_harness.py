@@ -227,12 +227,14 @@ def test_ontic_only_mode():
     assert sum(o.count for o in report.outcomes) == 2000
 
 
-def test_quantum_exact_mode():
-    report = run_experiment(mz_config(mode="quantum-exact"))
-    assert report.verdict == "no-verdict"
-    assert all(o.count is None for o in report.outcomes)
+def test_compare_probabilities_sum_to_one():
+    report = run_experiment(mz_config())
+    assert report.preselection_shots == report.kept_shots == 20000
+    assert sum(o.count for o in report.outcomes) == 20000
     total = sum(o.probability for o in report.outcomes)
     assert total == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ConfigError, match="unknown mode 'quantum-exact'"):
+        mz_config(mode="quantum-exact")
 
 
 def test_postselected_bomb_test():
@@ -274,7 +276,7 @@ def test_outcome_tables_build_no_outcome_record(monkeypatch):
 
 def test_report_files(tmp_path):
     reports = [run_experiment(mz_config(shots=5000, mode=mode))
-               for mode in ("compare", "ontic-only", "quantum-exact")]
+               for mode in ("compare", "ontic-only")]
     reports.append(_quantum_sample_report(mz_config(shots=5000)))
     for report in reports:
         json_path, csv_path = report.save(tmp_path / report.mode)

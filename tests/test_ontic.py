@@ -222,7 +222,7 @@ def test_step_layer_disjoint_supports():
     assert out.u[0] == 1j * math.sqrt(0.5)
 
 
-def test_run_shot_uses_the_circuits_partitions(monkeypatch):
+def test_run_shot_replays_the_validated_layers(monkeypatch):
     # the circuit validated its layers once; a shot or an ensemble replays
     # them unchecked
     circuit = random_circuit(5, 12, np.random.default_rng(12))

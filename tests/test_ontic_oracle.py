@@ -5,11 +5,13 @@ The field of a run is a function of its record prefix, and only the
 particle position differs between the runs that share one. So the oracle
 below holds, per record prefix, the group field and a probability mass per
 particle position, and steps them with the scalar gate rules of
-:mod:`interfersim.ontic` (``_age``, ``_phase``, ``_detect``, ``_split``). A
-splitter moves the mass on its pair with the relocation chance that
-``_split`` itself computes: the draw it is handed records the threshold it
-is compared with, so the oracle restates no gate rule. A detector layer
-splits a prefix by where the particle stands. The result must equal
+:mod:`interfersim.ontic` (``_age``, ``_rotate``, ``_detect``, ``_split``):
+every level ages with the layer clock, then each gate resets its own paths,
+a splitter reading the pre-layer levels. A splitter moves the mass on its
+pair with the relocation chance that ``_split`` itself computes: the draw it
+is handed records the threshold it is compared with, so the oracle restates
+no gate rule. A detector layer splits a prefix by where the particle
+stands. The result must equal
 :func:`interfersim.quantum.exact_outcome_distribution` key by key, within
 :data:`TOL`, with no sampling noise.
 """
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from interfersim.circuits import Detector, PhaseShifter
 from interfersim.ensemble import run_ensemble
-from interfersim.ontic import ZERO_LEVEL, _age, _detect, _phase, _split
+from interfersim.ontic import ZERO_LEVEL, _age, _detect, _rotate, _split
 from interfersim.prepare import prepare_ensemble, quantum_init
 from interfersim.quantum import exact_outcome_distribution, sum_in_order
 from interfersim.records import event_suffix, record_key
@@ -52,23 +54,21 @@ def ontic_record_distribution(circuit, path):
     u, tau, mass = [0j] * width, [ZERO_LEVEL] * width, [0.0] * width
     u[path], tau[path], mass[path] = 1 + 0j, 0, 1.0
     prefixes = [("", u, tau, mass)]
-    for layer_idx, (layer, partition) in enumerate(zip(circuit.layers,
-                                                       circuit.partitions())):
+    for layer_idx, layer in enumerate(circuit.layers):
         grown = []
-        for key, u, tau, mass in prefixes:
-            u, tau, mass = list(u), list(tau), list(mass)
-            for j in partition.free:
-                tau[j] = _age(tau[j])
+        for key, u, before, mass in prefixes:
+            u, mass = list(u), list(mass)
+            tau = [_age(level) for level in before]
             detectors = []
             for gate in layer.gates:
                 if isinstance(gate, PhaseShifter):
-                    _phase(u, tau, gate.path, gate.cos_w, gate.sin_w)
+                    _rotate(u, gate.path, gate.cos_w, gate.sin_w)
                 elif isinstance(gate, Detector):
                     detectors.append(gate.path)
                 else:
                     probe = _ChanceProbe()
-                    _split(u, tau, gate.s, gate.s, gate.t, gate.root_r,
-                           gate.root_t, probe, None)
+                    _split(u, tau, before, gate.s, gate.s, gate.t,
+                           gate.root_r, gate.root_t, probe, None)
                     on_pair = mass[gate.s] + mass[gate.t]
                     mass[gate.s] = on_pair * probe.chance
                     mass[gate.t] = on_pair * (1.0 - probe.chance)
