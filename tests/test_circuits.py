@@ -26,6 +26,7 @@ from interfersim.circuits import (
     circuit_from_json,
     circuit_to_json,
     gate_paths,
+    gate_paths,
     parse_circuit,
     serialize_circuit,
     validate_layer,
@@ -93,16 +94,28 @@ def test_parse_conflict_on_a_later_layer_names_its_position():
     assert str(err.value).startswith("line 5, column 3: ")
 
 
-def test_validate_layer_checks_only_the_gates():
-    # disjoint in-range gates pass, whatever paths they leave free
-    assert validate_layer(Layer([BeamSplitter(0, 1, 0.5), Detector(2)]), 4) is None
-    layer = Layer([BeamSplitter(2, 0, 0.25), PhaseShifter(3, 1.0), Detector(1)])
-    assert validate_layer(layer, 5) is None
+def test_validate_layer_partition():
+    # disjoint in-range gates pass; the path they leave free needs no record
+    layer = Layer([BeamSplitter(0, 1, 0.5), Detector(2)])
+    assert validate_layer(layer, 4) is None
+    assert [gate_paths(g) for g in layer.gates] == [(0, 1), (2,)]
+    assert layer.detector_paths() == (2,)
 
 
 def test_validate_empty_layer_is_all_free():
     assert validate_layer(Layer([]), 2) is None
     assert Circuit(MAX_PATHS, [Layer([])] * 3).depth == 3
+
+
+def test_partition_covers_everything():
+    # the gates and the free paths between them cover every path exactly once
+    layer = Layer([BeamSplitter(2, 0, 0.25), PhaseShifter(3, 1.0), Detector(1)])
+    assert validate_layer(layer, 5) is None
+    touched = [p for g in layer.gates for p in gate_paths(g)]
+    assert len(touched) == len(set(touched))
+    free = set(range(5)) - set(touched)
+    assert free == {4}
+    assert sorted(touched + sorted(free)) == list(range(5))
 
 
 def test_validate_overlap_names_path():
