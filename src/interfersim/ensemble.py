@@ -40,11 +40,21 @@ click sets ``-(layer + 1)`` (absolute level 0 once its layer is done), and
 ``ZERO_LEVEL`` stays a sentinel that no clock moves.
 
 The particles move after their fields. A splitter computes its group
-arithmetic at once and queues its relocation chances and move table; at
-each detector layer, whose split reads the positions, and after the last
-layer, the particles walk through the queued splitters a block of shots at
-a time, so a block's draws are read from cache by every splitter of the
+arithmetic at once and queues its pair and relocation chances; at each
+detector layer, whose split reads the positions, and after the last layer,
+the particles walk through the queued splitters a block of shots at a
+time, so a block's draws are read from cache by every splitter of the
 segment instead of from memory once per splitter.
+
+The walk runs on every core the process may use. A particle reads only its
+own field's group values and its own slice of the stream, so disjoint
+ranges of shots can move at the same time: each walk splits the shots into
+contiguous stripes, one per core but no more than there are blocks, and
+each stripe draws and walks its own blocks on its own thread (the first on
+the caller). The stripes write disjoint rows, and every shot reads the
+same words in the same order as in one stripe, so no output depends on
+the stripe count. numpy releases the GIL in the draw, the compares and the
+gathers that make most of a walk's time.
 
 The draws stay the stream's raw 64-bit words. A queued splitter holds one
 word threshold per group (:func:`interfersim.rng.word_thresholds`), and a
@@ -71,6 +81,8 @@ per group.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,6 +98,10 @@ NO_CLICK = np.int16(-1)
 # Shots per block of the particle walk: a block's rows of the uniform
 # matrix stay in cache across the splitters it moves through.
 _BLOCK = 8192
+# Cores this process may run on: a walk splits its shots into at most this
+# many stripes, each walked on its own thread.
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -187,12 +203,19 @@ def _split_pair(re_s, im_s, re_t, im_t, root_r: float, root_t: float,
 
 
 def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
-          n_splitters: int, later: np.ndarray | None
+          n_splitters: int, later: np.ndarray | None, width: int
           ) -> tuple[int, np.ndarray | None]:
-    """Move the particles through the ``pending`` splitters, a block of
-    :data:`_BLOCK` shots at a time, and empty the list. ``q`` is updated in
-    place; returns the degenerate relocations among the moves and the
-    later-column store.
+    """Move the particles through the ``pending`` splitters and empty the
+    list. ``q`` is updated in place; returns the degenerate relocations
+    among the moves and the later-column store.
+
+    The shots are split into contiguous stripes of about equal size, one
+    per core (:data:`_CORES`) but no more than there are blocks; the first
+    stripe runs on the caller and each other on its own thread. A stripe
+    walks its shots a block of :data:`_BLOCK` at a time, writes only its
+    own rows of ``q`` and of the store, and keeps its own move table: a
+    splitter sets its pair's four entries of the identity table for its
+    gather and resets them after.
 
     The first walk with splitters to pass (``later`` is None) draws each
     block's rows of words of the ontic stream as it reaches the block, and
@@ -207,27 +230,72 @@ def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
         later = np.empty((shots, n_splitters - queued), dtype=np.uint64)
     # stream column of ``ub[:, 0]``: drawn rows hold every column
     offset = 0 if drawing else n_splitters - later.shape[1]
-    degenerate = 0
-    for lo in range(0, shots, _BLOCK):
-        qb, gb = q[lo:lo + _BLOCK], group[lo:lo + _BLOCK]
-        if drawing:
-            ub = rng.ensemble_uniforms(seed, rng.ONTIC_SHOTS, qb.shape[0],
-                                       n_splitters, first=lo)
-            later[lo:lo + _BLOCK] = ub[:, queued:]
-        else:
-            ub = later[lo:lo + _BLOCK]
-        for column, s, t, to, below, always, stuck in pending:
-            move = ub[:, column - offset] < (
-                below[0] if below.shape[0] == 1 else below[gb])
-            if always is not None:
-                move |= always[gb]
-            if stuck is not None:
-                degenerate += int(np.count_nonzero(stuck[gb]
-                                                   & ((qb == s) | (qb == t))))
-            # every index is in range; "clip" skips the buffered checked take
-            np.take(to, 2 * qb + move, out=qb, mode="clip")
+
+    def stripe(lo: int, hi: int) -> int:
+        # Entry 2p + move is where a particle at p goes: p itself off the
+        # splitter's pair; on it, s if its draw falls under the chance,
+        # else t.
+        to = np.arange(width).repeat(2)
+        degenerate = 0
+        for first in range(lo, hi, _BLOCK):
+            last = min(first + _BLOCK, hi)
+            qb, gb = q[first:last], group[first:last]
+            if drawing:
+                ub = rng.ensemble_uniforms(seed, rng.ONTIC_SHOTS, last - first,
+                                           n_splitters, first=first)
+                later[first:last] = ub[:, queued:]
+            else:
+                ub = later[first:last]
+            for column, s, t, below, always, stuck in pending:
+                move = ub[:, column - offset] < (
+                    below[0] if below.shape[0] == 1 else below[gb])
+                if always is not None:
+                    move |= always[gb]
+                if stuck is not None:
+                    degenerate += int(np.count_nonzero(
+                        stuck[gb] & ((qb == s) | (qb == t))))
+                to[2 * s] = to[2 * t] = t
+                to[2 * s + 1] = to[2 * t + 1] = s
+                # indices are in range; "clip" skips the buffered checked take
+                np.take(to, 2 * qb + move, out=qb, mode="clip")
+                to[2 * s] = to[2 * s + 1] = s
+                to[2 * t] = to[2 * t + 1] = t
+            del ub  # freed before the next block is drawn, not after
+        return degenerate
+
+    k = min(_CORES, -(-shots // _BLOCK))
+    degenerate = _in_stripes(stripe, [shots * i // k for i in range(k + 1)])
     pending.clear()
     return degenerate, later
+
+
+def _in_stripes(stripe, bounds: list[int]) -> int:
+    """Sum of ``stripe(lo, hi)`` over consecutive ``bounds``: the first
+    stripe on the caller, each other on its own thread. Every thread is
+    joined before this returns or raises; a thread's exception is raised
+    here."""
+    totals = [0] * (len(bounds) - 1)
+    errors = []
+
+    def work(i: int) -> None:
+        try:
+            totals[i] = stripe(bounds[i], bounds[i + 1])
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = []
+    try:
+        for i in range(1, len(totals)):
+            worker = threading.Thread(target=work, args=(i,))
+            worker.start()
+            workers.append(worker)
+        totals[0] = stripe(bounds[0], bounds[1])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult:
@@ -241,11 +309,11 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
 
     Each distinct field is computed once, for a group of shots (module
     docstring). A splitter mixes the group columns, computes one relocation
-    chance per group, turns it into a word threshold and queues its move
-    table; before a detector layer, and after the last layer, the particles
-    walk through the queued splitters in blocks of shots, one gather per
-    splitter and block. A
-    detector layer splits every group into its no-click and click-at-``j``
+    chance per group, turns it into a word threshold and queues its pair;
+    before a detector layer, and after the last layer, the particles walk
+    through the queued splitters in stripes of shots, one per core, and
+    blocks within a stripe, one gather per splitter and block. A detector
+    layer splits every group into its no-click and click-at-``j``
     children. This is exact: a live path's arithmetic reads only its
     group's values, which depend on the record prefix alone.
 
@@ -303,19 +371,14 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
                 chance_s = np.divide(p_s, total, out=np.full(total.shape, 0.5),
                                      where=total > 0.0)
                 stuck = (total == 0.0) & (lmin != ZERO_LEVEL)
-                # A particle on the pair moves to s if its draw falls under
-                # the chance, else to t; any other stays. Entry 2p + move of
-                # ``to`` is where a particle at p goes.
-                to = np.arange(width).repeat(2)
-                to[[2 * s, 2 * t]] = t
-                to[[2 * s + 1, 2 * t + 1]] = s
                 below, always = rng.word_thresholds(chance_s)
-                pending.append((draw_idx, s, t, to, below,
+                pending.append((draw_idx, s, t, below,
                                 always if always.any() else None,
                                 stuck if stuck.any() else None))
                 draw_idx += 1
         if detectors:
-            moved, later = _walk(q, group, pending, seed, n_splitters, later)
+            moved, later = _walk(q, group, pending, seed, n_splitters, later,
+                                 width)
             degenerate += moved
             # Children: group * n + c, where c is 0 for no click and k for a
             # click at the layer's k-th detector.
@@ -346,7 +409,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
                 > circuit.depth - clock):
             raise AssertionError("strength level left the dyadic range")
 
-    moved, _ = _walk(q, group, pending, seed, n_splitters, later)
+    moved, _ = _walk(q, group, pending, seed, n_splitters, later, width)
     degenerate += moved
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
     return EnsembleResult(detector_layers, q, degenerate,

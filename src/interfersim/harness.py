@@ -422,11 +422,25 @@ def write_trace_lines(fh: IO[str], shot: int,
                             sort_keys=True) + "\n")
 
 
-def _nested(obj: dict, depth: int) -> str:
+def _nested(obj, depth: int) -> str:
     """``obj`` as ``json.dump(..., sort_keys=True, indent=2)`` writes it
-    ``depth`` levels deep, after the indent of its first line."""
-    return json.dumps(obj, sort_keys=True, indent=2).replace(
-        "\n", "\n" + "  " * depth)
+    ``depth`` levels deep, after the indent of its first line.
+
+    Only scalars and empty containers go through ``json.dumps``: its
+    indenting encoder builds closures that form a reference cycle on every
+    call, which only the cyclic collector frees.
+    """
+    if not obj or not isinstance(obj, (dict, list)):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        brackets, items = "{}", [
+            encode_basestring_ascii(key) + ": " + _nested(obj[key], depth + 1)
+            for key in sorted(obj)]
+    else:
+        brackets, items = "[]", [_nested(item, depth + 1) for item in obj]
+    pad = "\n" + "  " * depth
+    return (brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad
+            + brackets[1])
 
 
 def run_traced(config: ExperimentConfig,

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, file outputs."""
 
+import gc
 import hashlib
 import json
 import os
@@ -612,19 +613,28 @@ def test_traced_runs_build_shot_reports_only_for_report(mz_file, tmp_path,
 
 def test_trace_report_is_written_shot_by_shot(tmp_path):
     # ``trace --report`` writes each shot's congruence record as the shot is
-    # checked, so the report adds no memory that grows with the shot count
+    # checked, so the report adds no memory that grows with the shot count.
+    # Each command runs once untimed, so first-call costs stay out of both
+    # peaks, and is measured with the cyclic collector off, so no peak
+    # depends on where a collection falls: the report leaves no cyclic
+    # garbage per shot either.
     circ = tmp_path / "zeno-8.circ"
     export_scenario("zeno-8", circ)
     report = tmp_path / "congruence.json"
     peaks = {}
     for extra in ((), ("--report", str(report))):
+        args = ["trace", str(circ), "--shots", "300", "--seed", "5", "--out",
+                str(tmp_path), *extra]
+        assert main(args) == 0
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         try:
-            assert main(["trace", str(circ), "--shots", "300", "--seed", "5",
-                         "--out", str(tmp_path), *extra]) == 0
+            assert main(args) == 0
             peaks[bool(extra)] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            gc.enable()
     # one held congruence dict per shot would add about 1.2 MB here
     assert peaks[True] < peaks[False] + 100_000, peaks
     obj = json.loads(report.read_text())

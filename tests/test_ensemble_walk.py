@@ -1,11 +1,16 @@
-"""The particle walk of :func:`interfersim.ensemble.run_ensemble` moves shots
-in blocks of ``ensemble._BLOCK`` and draws their uniforms a block at a time;
-nothing a run reports may depend on the block size. Each block size runs at
-one shot under, one over and just past two whole blocks, against the same
-run walked and drawn as one block. Pinned ``compare`` bytes and the draw
-calls of one ``compare`` hold the walk's words to those of the stream."""
+"""The particle walk of :func:`interfersim.ensemble.run_ensemble` splits the
+shots into up to ``ensemble._CORES`` stripes walked at the same time, and
+each stripe moves its shots in blocks of ``ensemble._BLOCK`` and draws their
+uniforms a block at a time; nothing a run reports may depend on the block
+size or the stripe count. Each block size and stripe count runs at one and
+two shots, one shot under, one over and just past two whole blocks, against
+the same run walked and drawn as one block. Pinned ``compare`` bytes and the
+draw calls of one ``compare`` hold the walk's words to those of the
+stream."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -35,6 +40,7 @@ from interfersim.scenarios import (
 )
 
 BLOCKS = (1, 7, ensemble._BLOCK)
+CORES = (1, 2, 3)
 
 
 def _layers(*gates):
@@ -42,7 +48,7 @@ def _layers(*gates):
 
 
 def _shot_counts(block):
-    return [n for n in (block - 1, block + 1, 2 * block + 3) if n > 0]
+    return sorted({1, 2, block + 1, 2 * block + 3} | ({block - 1} - {0}))
 
 
 def _cases():
@@ -75,8 +81,9 @@ def _cases():
     yield pytest.param(walks3, 0, ((2, None),), id="three-walks-postselected")
 
 
-def _run(monkeypatch, circuit, path, shots, block):
+def _run(monkeypatch, circuit, path, shots, block, cores=1):
     monkeypatch.setattr(ensemble, "_BLOCK", block)
+    monkeypatch.setattr(ensemble, "_CORES", cores)
     prepared = prepare_ensemble(path, shots, 11, "disk")
     return run_ensemble(circuit, prepared)
 
@@ -94,11 +101,13 @@ def _observed(result, post=None):
 def test_walk_is_independent_of_block_size(monkeypatch, circuit, path, post,
                                            block):
     for shots in _shot_counts(block):
-        blocked = _run(monkeypatch, circuit, path, shots, block)
-        whole = _run(monkeypatch, circuit, path, shots, shots)
-        if post and shots > 100:
-            assert 0 < sum(postselect(blocked.counts(), post).values()) < shots
-        assert _observed(blocked, post) == _observed(whole, post)
+        whole = _observed(_run(monkeypatch, circuit, path, shots, shots), post)
+        for cores in CORES:
+            blocked = _run(monkeypatch, circuit, path, shots, block, cores)
+            if post and shots > 100:
+                assert 0 < sum(postselect(blocked.counts(),
+                                          post).values()) < shots
+            assert _observed(blocked, post) == whole, cores
 
 
 def _vanishing(re_s, im_s, re_t, im_t, root_r, root_t):
@@ -115,18 +124,19 @@ def test_walk_counts_degenerate_relocations_in_every_block(monkeypatch, name,
     monkeypatch.setattr(ontic, "mix_amplitudes", _vanishing)
     circuit = scenario(name)
     for shots in _shot_counts(block):
-        blocked = _run(monkeypatch, circuit, 0, shots, block)
-        assert blocked.degenerate_relocations > 0
-        assert _observed(blocked) == _observed(
-            _run(monkeypatch, circuit, 0, shots, shots))
+        whole = _run(monkeypatch, circuit, 0, shots, shots)
+        assert whole.degenerate_relocations > 0
         diagnostics = ShotDiagnostics()
         config = ExperimentConfig(circuit=circuit, shots=shots, seed=11,
                                   prepare=PreparationSpec("source", 0, "disk"))
         for shot, record, trajectory in traced_shots(config, diagnostics):
-            assert record == blocked.record_for_shot(shot)
-            assert trajectory[-1].q == blocked.final_q[shot]
+            assert record == whole.record_for_shot(shot)
+            assert trajectory[-1].q == whole.final_q[shot]
         assert diagnostics.degenerate_relocations == \
-            blocked.degenerate_relocations
+            whole.degenerate_relocations
+        for cores in CORES:
+            blocked = _run(monkeypatch, circuit, 0, shots, block, cores)
+            assert _observed(blocked) == _observed(whole), cores
 
 
 def test_run_never_holds_the_whole_uniform_matrix():
@@ -194,9 +204,10 @@ def test_multi_walk_compare_bytes_are_pinned(tmp_path, name):
 
 
 def test_compare_draws_each_block_once(monkeypatch, tmp_path):
-    # one ensemble_uniforms call per block, positional (seed, purpose, shots,
-    # draws) as the benchmark's byte counter reads them, and never a
-    # shot_generator, which serves the per-shot engines alone
+    # ensemble_uniforms calls positional (seed, purpose, shots, draws) as the
+    # benchmark's byte counter reads them, none longer than a block, whose
+    # row ranges tile the shots once; the stripes' calls arrive interleaved.
+    # Never a shot_generator, which serves the per-shot engines alone.
     calls = []
     draw = rng.ensemble_uniforms
 
@@ -210,7 +221,74 @@ def test_compare_draws_each_block_once(monkeypatch, tmp_path):
     monkeypatch.setattr(rng, "ensemble_uniforms", recording)
     monkeypatch.setattr(rng, "shot_generator", forbidden)
     shots, block = 20000, ensemble._BLOCK
-    assert main(["compare", _compare_case("zeno-8", tmp_path), "--shots",
-                 str(shots), "--seed", "7", "--out", str(tmp_path / "out")]) == 0
-    assert calls == [((7, rng.ONTIC_SHOTS, min(block, shots - lo), 8),
-                      {"first": lo}) for lo in range(0, shots, block)]
+    circ = _compare_case("zeno-8", tmp_path)
+    for cores in CORES:
+        monkeypatch.setattr(ensemble, "_CORES", cores)
+        calls.clear()
+        assert main(["compare", circ, "--shots", str(shots), "--seed", "7",
+                     "--out", str(tmp_path / f"out{cores}")]) == 0
+        rows = []
+        for args, kwargs in calls:
+            assert args[:2] + args[3:] == (7, rng.ONTIC_SHOTS, 8)
+            assert list(kwargs) == ["first"] and 0 < args[2] <= block
+            rows.append((kwargs["first"], kwargs["first"] + args[2]))
+        rows.sort()
+        assert [lo for lo, _ in rows] == [0] + [hi for _, hi in rows[:-1]]
+        assert rows[-1][1] == shots
+
+
+@pytest.mark.parametrize("failing", range(3))
+def test_a_failing_stripe_raises_once_every_thread_is_joined(monkeypatch,
+                                                             failing):
+    draw = rng.ensemble_uniforms
+
+    def failing_draw(*args, first):
+        if first == 100 * failing:
+            raise ValueError(f"no words at shot {first}")
+        return draw(*args, first=first)
+
+    monkeypatch.setattr(ensemble, "_BLOCK", 50)
+    monkeypatch.setattr(ensemble, "_CORES", 3)
+    monkeypatch.setattr(rng, "ensemble_uniforms", failing_draw)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"no words at shot {100 * failing}$"):
+        run_ensemble(scenario("zeno-8"), prepare_ensemble(0, 300, 11, "disk"))
+    assert threading.active_count() == threads
+
+
+def test_move_tables_do_not_grow_with_the_splitters(monkeypatch):
+    # a splitter queues its pair, not a 16 B x width move table; each
+    # stripe keeps one table for the walk. The counts are those of the
+    # walk that queued a table per splitter.
+    width, splitters, shots = 4096, 300, 200
+    circuit = Circuit(width, _layers(
+        *[BeamSplitter(1, 2, 0.3)] * splitters, (Detector(1), Detector(2))))
+    table_bytes = 16 * width
+    monkeypatch.setattr(ensemble, "_BLOCK", 50)
+    monkeypatch.setattr(ensemble, "_CORES", 2)
+    prepared = prepare_ensemble(1, shots, 5, "disk")
+    tracemalloc.start()
+    try:
+        result = run_ensemble(circuit, prepared)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.counts() == {"L301:C2": 42, "L301:C3": 158}
+    assert peak < 20 * table_bytes, peak
+
+
+def test_many_stripes_under_fast_thread_switching_match_one_stripe(
+        monkeypatch):
+    # more stripes than cores, switching threads every few microseconds: a
+    # lost write to the positions or the store, or a lost degenerate count,
+    # would show as a difference from the one-stripe run
+    monkeypatch.setattr(ensemble, "mix_amplitudes", _vanishing)
+    circuit = scenario("zeno-8")
+    whole = _observed(_run(monkeypatch, circuit, 0, 997, 997))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        striped = _run(monkeypatch, circuit, 0, 997, 13, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _observed(striped) == whole

@@ -332,6 +332,18 @@ def test_to_json_matches_json_dumps(rows, name, tvd, chi):
     assert report.to_json() == expected
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.recursive(_numbers | _keys, lambda inner: st.lists(
+           inner, max_size=3) | st.dictionaries(_keys, inner, max_size=3),
+           max_leaves=12),
+       depth=st.integers(0, 3))
+def test_nested_matches_json_dumps(obj, depth):
+    """``_nested`` writes the bytes of the indenting ``json.dumps``, every
+    line after the first ``depth`` levels deeper."""
+    assert harness._nested(obj, depth) == json.dumps(
+        obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(circuit=mach_zehnder(0.1), shots=0, seed=0)
