@@ -20,7 +20,7 @@ from interfersim.compiler import (
     reconstruct_unitary,
 )
 from interfersim.harness import ExperimentConfig, PreparationSpec, run_experiment
-from interfersim.records import OutcomeRecord
+from interfersim.records import event_token
 
 
 def main():
@@ -55,7 +55,7 @@ def main():
     column = np.abs(unitary[:, source]) ** 2
     freqs = {o.key: o.frequency for o in report.outcomes}
     for j in range(n):
-        key = OutcomeRecord(((measured.depth - 1, j),)).key
+        key = event_token(measured.depth - 1, j)  # a one-event record
         print(f"{j + 1:>7} {freqs.get(key, 0.0):>9.4f} {column[j]:>9.4f}")
 
 

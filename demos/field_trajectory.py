@@ -44,10 +44,11 @@ def main():
     circuit = mach_zehnder(args.omega)
     gen = np.random.default_rng(args.seed)
     init = source_prepare(0, 2, gen, junk="disk")
-    record, trajectory = run_ontic_shot(circuit, init, gen, trace=True)
+    key, trajectory = run_ontic_shot(circuit, init, gen)
+    tree = RecordTree(circuit, QuantumState.basis(0, 2))
 
     print(f"interferometer with internal phase {args.omega:.4f}; "
-          f"outcome record {record.key}\n")
+          f"outcome record {key}\n")
     label = QuantumState.basis(0, 2)
     print(f"{'layer':<6} {'q':>2}  {'u (per path)':<24} {'tau':<12} "
           f"{'label deviation':>16}")
@@ -55,9 +56,9 @@ def main():
     print(f"{'start':<6} {state.q:>2}  "
           f"{' '.join(fmt_amp(z) for z in state.u):<24} "
           f"{' '.join(fmt_tau(t) for t in state.tau):<12} {'-':>16}")
-    events = dict(record.events)
+    clicks = tree.clicks(key)
     for idx, layer in enumerate(circuit.layers):
-        click = events.get(idx)
+        click = clicks[idx]
         label = predicted_label_update(label, layer, click)
         state = trajectory[idx + 1]
         extracted = extract_label(state)
@@ -67,8 +68,7 @@ def main():
               f"{' '.join(fmt_tau(t) for t in state.tau):<12} "
               f"{deviation:>16.2e}")
 
-    tree = RecordTree(circuit, QuantumState.basis(0, 2))
-    report = verify_congruence(trajectory, record, tree)
+    report = verify_congruence(trajectory, key, tree)
     print(f"\ncongruence over the whole run: max deviation "
           f"{report.max_deviation:.2e}, pass={report.passed}")
 

@@ -14,15 +14,15 @@ from interfersim.circuits import Circuit
 from interfersim.harness import ExperimentConfig, PreparationSpec, run_experiment
 from interfersim.prepare import quantum_init
 from interfersim.quantum import exact_outcome_distribution
-from interfersim.records import OutcomeRecord
+from interfersim.records import event_suffix, event_token, record_key
 from interfersim.scenarios import zeno_chain
 
 
 def survival_key(circuit: Circuit) -> str:
     # every watch stays silent, then the terminal detector finds path 1
     *watches, last = circuit.detector_layers()
-    return OutcomeRecord(tuple((layer, None) for layer in watches)
-                         + ((last, 0),)).key
+    return record_key("".join(event_suffix(layer, None) for layer in watches)
+                      + event_suffix(last, 0))
 
 
 def unwatched_transfer(stages: int) -> float:
@@ -31,7 +31,7 @@ def unwatched_transfer(stages: int) -> float:
                        if not layer.has_detectors])
     dist = exact_outcome_distribution(
         Circuit(2, bare.layers + (circuit.layers[-1],)), quantum_init(0, 2))
-    return dist.probabilities.get(OutcomeRecord(((bare.depth, 1),)).key, 0.0)
+    return dist.probabilities.get(event_token(bare.depth, 1), 0.0)
 
 
 def main():

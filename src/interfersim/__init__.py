@@ -72,6 +72,5 @@ from .quantum import (
     exact_outcome_distribution,
     run_quantum_shot,
 )
-from .records import OutcomeRecord
 
 __version__ = "0.1.0"

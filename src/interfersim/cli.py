@@ -51,7 +51,7 @@ from .quantum import (
     RecordTree,
     run_quantum_shot,
 )
-from .records import parse_event_token
+from .records import TOKEN_METAVAR, parse_event_token
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -184,10 +184,10 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
     circuit = config.circuit
     tree = RecordTree(circuit, quantum_init(config.prepare.path, circuit.width))
     draws = len(circuit.detector_layers())
-    records = (run_quantum_shot(tree, gen)[0]
-               for gen in streams.shot_streams(
-                   config.seed, streams.QUANTUM_SHOTS, config.shots, draws))
-    return sampled_report(config, records)
+    keys = (run_quantum_shot(tree, gen)[0]
+            for gen in streams.shot_streams(
+                config.seed, streams.QUANTUM_SHOTS, config.shots, draws))
+    return sampled_report(config, keys)
 
 
 def cmd_run(args, config: ExperimentConfig) -> int:
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="defaults to config file, then $QM_SEED, then 0")
         p.add_argument("--prepare", default=None, metavar="path=J[,mode=..,junk=..]",
                        help="preparation spec, one-based path")
-        p.add_argument("--postselect", nargs="*", default=None, metavar="L<k>:N|C<j>",
+        p.add_argument("--postselect", nargs="*", default=None, metavar=TOKEN_METAVAR,
                        help="keep only shots matching these outcome tokens")
         p.add_argument("--config", default=None, help="JSON experiment config")
         p.add_argument("--out", default=".", help="report directory")

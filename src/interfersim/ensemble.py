@@ -72,11 +72,11 @@ with terminal detectors, stores none.
 
 :class:`EnsembleResult` keeps the particle positions, the group of every
 shot, and per group a record row and the shot count that the detector
-split counted. It builds the per-shot ``records``, ``final_u`` and
-``final_levels`` from the group rows on first access;
-:meth:`EnsembleResult.counts` works on the group rows and never does.
-Groups are distinct records and each holds a shot, so the tally is a row
-per group.
+split counted. It builds each group's record key once, which
+:meth:`EnsembleResult.counts` and :meth:`EnsembleResult.record_for_shot`
+read, and the per-shot ``final_u`` and ``final_levels`` from the group rows
+on first access. Groups are distinct records and each holds a shot, so the
+tally is a row per group.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from . import rng
 from .circuits import BeamSplitter, Circuit, Detector, PhaseShifter, check_path
 from .ontic import ZERO_LEVEL, mix_amplitudes, rotate_amplitude
 from .prepare import PreparedEnsemble
-from .records import OutcomeRecord, event_suffix, record_key
+from .records import event_suffix, record_key
 
 NO_CLICK = np.int16(-1)
 # Shots per block of the particle walk: a block's rows of the uniform
@@ -137,11 +137,6 @@ class EnsembleResult:
         return self._fields.records.shape[1]
 
     @cached_property
-    def records(self) -> np.ndarray:
-        """(shots, len(detector_layers)) int16, -1 = no click."""
-        return self._fields.records[:, self._fields.group].T
-
-    @cached_property
     def final_u(self) -> np.ndarray:
         """(shots, width) complex amplitudes of each shot's group field:
         zero on dead paths (module docstring)."""
@@ -156,13 +151,24 @@ class EnsembleResult:
         """(shots, width) int64 strength levels."""
         return self._fields.levels[:, self._fields.group].T
 
-    def _record(self, row: np.ndarray) -> OutcomeRecord:
-        return OutcomeRecord(tuple(
-            (layer, None if value == NO_CLICK else value)
-            for layer, value in zip(self.detector_layers, row.tolist())))
+    @cached_property
+    def _keys(self) -> list[str]:
+        """Each group's record key: a column of suffixes per detector layer,
+        made for the outcomes it shows, and one join per group."""
+        columns = []
+        for layer, row in zip(self.detector_layers, self._fields.records):
+            # entry 0 is the no-click, entry j + 1 a click at path j
+            shown = np.flatnonzero(np.bincount(row + 1)).tolist()
+            table = np.empty(shown[-1] + 1, dtype=object)
+            table[shown] = [event_suffix(layer, None if j == 0 else j - 1)
+                            for j in shown]
+            columns.append(table[row + 1].tolist())
+        rows = zip(*columns) if columns else [()]  # no detectors: one group
+        return [record_key("".join(row)) for row in rows]
 
-    def record_for_shot(self, shot: int) -> OutcomeRecord:
-        return self._record(self._fields.records[:, self._fields.group[shot]])
+    def record_for_shot(self, shot: int) -> str:
+        """The record key of one shot."""
+        return self._keys[self._fields.group[shot]]
 
     def counts(self) -> dict[str, int]:
         """Empirical outcome counts keyed by record key, one entry per
@@ -172,15 +178,8 @@ class EnsembleResult:
         f = self._fields
         # one key row per detector layer, the first the most significant
         order = np.lexsort(f.records[::-1]) if f.records.size else np.arange(1)
-        members = f.size[order]
-        keys = np.full(order.shape, "", dtype=object)
-        width = f.levels.shape[0]
-        for layer, row in zip(self.detector_layers, f.records[:, order]):
-            # entry 0 is the no-click, entry j + 1 a click at path j
-            suffixes = np.array([event_suffix(layer, None)] + [
-                event_suffix(layer, j) for j in range(width)], dtype=object)
-            keys += suffixes[row + 1]
-        counts = dict(zip(map(record_key, keys), members.tolist()))
+        counts = dict(zip(map(self._keys.__getitem__, order.tolist()),
+                          f.size[order].tolist()))
         if len(counts) != len(order):
             raise AssertionError("two outcome groups share a record")
         return counts

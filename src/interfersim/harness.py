@@ -13,7 +13,7 @@ that holds both counts and probabilities (``compare``) computes one, and
 ``scipy.special``.
 
 Every report, whichever engines ran (``compare`` and ``ontic-only`` here,
-``quantum-sample`` from sampled quantum records), is
+``quantum-sample`` from the record keys of sampled quantum shots), is
 built by :func:`outcome_report`, the one outcome-table rule. Reports
 persist as JSON plus a CSV summary table whose rows hold the same
 :data:`OUTCOME_COLUMNS`. The persisted JSON is canonical: fixed key order
@@ -48,7 +48,7 @@ from .ontic import (ZERO_LEVEL, OnticState, ShotDiagnostics, initial_states,
 from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
 from .quantum import (BRANCH_CAP, ImpossibleOutcomeError, QuantumState,
                       RecordTree, exact_outcome_distribution, sum_in_order)
-from .records import OutcomeRecord, event_token, postselect
+from .records import event_token, postselect
 
 # Below this many (post-selection) shots no verdict is claimed.
 MIN_VERDICT_SHOTS = 100
@@ -285,9 +285,9 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and
-        a newline; the outcome rows are filled from :data:`_JSON_ROW`."""
-        text = json.dumps({**self._header_dict(), "outcomes": []},
-                          sort_keys=True, indent=2) + "\n"
+        a newline: the header written by :func:`_nested`, the outcome rows
+        filled from :data:`_JSON_ROW`."""
+        text = _nested({**self._header_dict(), "outcomes": []}, 0) + "\n"
         if not self.outcomes:
             return text
         rows = ",\n".join([_JSON_ROW % (
@@ -326,8 +326,8 @@ _JSON_ROW = "    {\n%s\n    }" % ",\n".join(
     f'      "{column}": %s' for column in sorted(OUTCOME_COLUMNS))
 
 
-def _json_scalar(value: int | float | bool | None) -> str:
-    """A cell of an outcome row as ``json.dumps`` writes it."""
+def _json_scalar(value: str | int | float | bool | None) -> str:
+    """A scalar as ``json.dumps`` writes it: the report files' one encoder."""
     if value is None:
         return "null"
     if value is True:
@@ -336,6 +336,8 @@ def _json_scalar(value: int | float | bool | None) -> str:
         return "false"
     if isinstance(value, float):
         return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     return int.__repr__(value)
 
 
@@ -390,10 +392,10 @@ def _prepare(config: ExperimentConfig) -> PreparedEnsemble:
 
 def traced_shots(config: ExperimentConfig,
                  diagnostics: ShotDiagnostics | None = None,
-                 ) -> Iterator[tuple[int, OutcomeRecord, list[OnticState]]]:
+                 ) -> Iterator[tuple[int, str, list[OnticState]]]:
     """Replay every shot of a config through the single-shot engine.
 
-    Yields ``(shot, record, trajectory)`` in shot order; each shot starts
+    Yields ``(shot, record key, trajectory)`` in shot order; each shot starts
     from the prepared field with its row of the amplitudes (junk included,
     for the trace lines print it) and draws its own slice of the stream
     (:func:`interfersim.rng.shot_streams`), so it reproduces the shot of
@@ -408,9 +410,7 @@ def traced_shots(config: ExperimentConfig,
     n_draws = circuit.count_gates(BeamSplitter)
     for shot, (init, gen) in enumerate(zip(inits, streams.shot_streams(
             config.seed, streams.ONTIC_SHOTS, config.shots, n_draws))):
-        record, trajectory = run_ontic_shot(circuit, init, gen, trace=True,
-                                            diagnostics=diagnostics)
-        yield shot, record, trajectory
+        yield (shot, *run_ontic_shot(circuit, init, gen, diagnostics=diagnostics))
 
 
 def write_trace_lines(fh: IO[str], shot: int,
@@ -426,18 +426,21 @@ def _nested(obj, depth: int) -> str:
     """``obj`` as ``json.dump(..., sort_keys=True, indent=2)`` writes it
     ``depth`` levels deep, after the indent of its first line.
 
-    Only scalars and empty containers go through ``json.dumps``: its
-    indenting encoder builds closures that form a reference cycle on every
-    call, which only the cyclic collector frees.
+    Scalars go through :func:`_json_scalar`. Nothing here calls the
+    indenting ``json.dumps``, whose pure-Python encoder builds closures that
+    form a reference cycle on every call, which only the cyclic collector
+    frees.
     """
-    if not obj or not isinstance(obj, (dict, list)):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         brackets, items = "{}", [
             encode_basestring_ascii(key) + ": " + _nested(obj[key], depth + 1)
             for key in sorted(obj)]
-    else:
+    elif isinstance(obj, list):
         brackets, items = "[]", [_nested(item, depth + 1) for item in obj]
+    else:
+        return _json_scalar(obj)
+    if not items:
+        return brackets
     pad = "\n" + "  " * depth
     return (brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad
             + brackets[1])
@@ -452,7 +455,7 @@ def run_traced(config: ExperimentConfig,
     label congruence; returns a summary dict.
 
     When ``cross_check`` holds the vectorised run of the same config, each
-    replayed record is asserted equal to the ensemble's. With a ``jsonl``
+    replayed record key is asserted equal to the ensemble's. With a ``jsonl``
     path, each shot's trace lines (:func:`write_trace_lines`) are written
     there as it is checked. With a ``report`` path, the file gets the bytes
     of ``json.dump({"shots": [...], "summary": summary}, sort_keys=True,
@@ -470,12 +473,12 @@ def run_traced(config: ExperimentConfig,
         trace_fh, report_fh = (
             files.enter_context(overwrite(path)) if path else None
             for path in (jsonl, report))
-        for shot, record, trajectory in traced_shots(config, diagnostics):
-            if cross_check is not None and record != cross_check.record_for_shot(shot):
+        for shot, key, trajectory in traced_shots(config, diagnostics):
+            if cross_check is not None and key != cross_check.record_for_shot(shot):
                 raise AssertionError(
                     f"shot {shot}: single-shot replay disagrees with ensemble record"
                 )
-            check = verify_congruence(trajectory, record, tree)
+            check = verify_congruence(trajectory, key, tree)
             max_dev = max(max_dev, check.max_deviation)
             if not check.passed:
                 violations += 1
@@ -500,9 +503,9 @@ def outcome_report(config: ExperimentConfig, mode: str,
                    counts: Mapping[str, int],
                    probs: Mapping[str, float] | None, degenerate: int = 0,
                    congruence: dict | None = None) -> ExperimentReport:
-    """Build a run's report from its engine results: ``counts`` over the
-    kept (post-selected) shots of a sampling engine, and the exact outcome
-    probabilities ``probs``, ``None`` when the enumeration did not run.
+    """Build a run's report from its engine results: ``counts`` over every
+    shot of a sampling engine, filtered here by the config's post-selection,
+    and the exact probabilities ``probs``, ``None`` when no enumeration ran.
 
     There is one row per outcome of either. Counts fill ``count`` and
     ``frequency``, probabilities fill ``probability``; only with both are
@@ -510,6 +513,8 @@ def outcome_report(config: ExperimentConfig, mode: str,
     computed. No verdict is claimed on fewer than ``MIN_VERDICT_SHOTS``
     kept shots unless an impossible outcome was observed.
     """
+    if config.postselect:
+        counts = postselect(counts, config.postselect)
     both = probs is not None
     kept = sum(counts.values())
     freqs = {key: n / kept for key, n in counts.items()}
@@ -555,15 +560,10 @@ def outcome_report(config: ExperimentConfig, mode: str,
 
 
 def sampled_report(config: ExperimentConfig,
-                   records: Iterable[OutcomeRecord]) -> ExperimentReport:
-    """The ``quantum-sample`` report of sampled quantum-engine records.
-    They are tallied by their event tuples, so each distinct record's key
-    is built once."""
-    tally = Counter(record.events for record in records)
-    counts = {OutcomeRecord(events).key: n for events, n in tally.items()}
-    if config.postselect:
-        counts = postselect(counts, config.postselect)
-    return outcome_report(config, "quantum-sample", counts, None)
+                   keys: Iterable[str]) -> ExperimentReport:
+    """The ``quantum-sample`` report of the record keys of sampled
+    quantum-engine shots, tallied as they come."""
+    return outcome_report(config, "quantum-sample", Counter(keys), None)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -601,11 +601,7 @@ def run_experiment(config: ExperimentConfig,
     if config.trace or jsonl:
         summary = run_traced(config, cross_check=result, jsonl=jsonl)
         congruence = summary if config.trace else None
-    counts = result.counts()
-    if config.postselect:
-        counts = postselect(counts, config.postselect)
-
-    report = outcome_report(config, config.mode, counts, probs,
+    report = outcome_report(config, config.mode, result.counts(), probs,
                             result.degenerate_relocations, congruence)
     report.runtime_seconds = time.perf_counter() - start
     return report

@@ -74,7 +74,7 @@ from .circuits import (
     check_path,
     validate_layer,
 )
-from .records import OutcomeRecord
+from .records import event_suffix, record_key
 
 # Amplitudes carried at the dominant strength stay within modulus 1 for
 # states reachable from valid preparations (a sampled property, see tests).
@@ -327,32 +327,28 @@ def _step(state: OnticState, layer: Layer, rng: np.random.Generator,
 
 
 def run_ontic_shot(circuit: Circuit, init: OnticState, rng: np.random.Generator,
-                   trace: bool = False,
                    diagnostics: ShotDiagnostics | None = None,
-                   ) -> tuple[OutcomeRecord, list[OnticState]]:
+                   ) -> tuple[str, list[OnticState]]:
     """Run all layers of a circuit on one initial state.
 
-    Returns the outcome record and a trajectory: with ``trace`` the state
-    after every layer (the initial state first), otherwise just the final
-    state. Draw consumption matches the vectorised ensemble runner
-    shot-for-shot. The circuit's layers were validated when it was built,
-    so each is stepped unchecked.
+    Returns the shot's record key, one :func:`~interfersim.records.event_suffix`
+    per detector layer, and its trajectory: the initial state, then the state
+    after every layer. Draw consumption matches the vectorised ensemble
+    runner shot-for-shot. The circuit's layers were validated when it was
+    built, so each is stepped unchecked.
     """
     if init.width != circuit.width:
         raise ValueError("initial state width does not match circuit")
     state = init
     trajectory = [state]
-    events: list[tuple[int, int | None]] = []
+    prefix = ""
     for layer_idx, layer in enumerate(circuit.layers):
         results, state = _step(state, layer, rng, diagnostics)
         if results:
             clicked = [path for path, hit in results if hit]
-            events.append((layer_idx, clicked[0] if clicked else None))
-        if trace:
-            trajectory.append(state)
-        else:
-            trajectory[0] = state
-    return OutcomeRecord(tuple(events)), trajectory
+            prefix += event_suffix(layer_idx, clicked[0] if clicked else None)
+        trajectory.append(state)
+    return record_key(prefix), trajectory
 
 
 def trace_json_object(shot: int, layer: int, state: OnticState) -> dict:

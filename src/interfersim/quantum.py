@@ -17,11 +17,12 @@ The state after a layer is a function of the outcome record so far, so
 ``RecordTree`` computes it once per record prefix: each node runs
 ``_measure_layer`` once and each edge ``collapse`` once, however many shots
 or branches pass through. The tree holds its circuit and initial state, so
-the sampler and the label check are handed the tree alone. It serves three
+the sampler and the label check are handed the tree alone, and it states
+each layer's record text once (``RecordTree.suffixes``). It serves three
 consumers.
 ``run_quantum_shot`` walks it, picking one outcome per detector layer from a
 single uniform draw against the node's cached thresholds;
-``interfersim.labels`` walks a given record through it to predict the
+``interfersim.labels`` walks a given record key through it to predict the
 stochastic engine's labels; and ``exact_outcome_distribution`` walks every
 outcome of it, multiplying the node's cached probabilities. Sharing a tree
 changes no bit: every node holds exactly the state that a shot stepping
@@ -31,11 +32,11 @@ stack) and grows each branch in place into its clicks in ascending path
 order and then its no-click, so the result lists outcomes in depth-first
 order. Every live branch ends in at least one leaf, so the branch cap trips
 for exactly the circuits with more leaves than the cap, as soon as the
-frontier passes it. Memory is bounded by the cap and the circuit: at most
-about ``branch_cap`` live branches, each a node, a probability and its
-record key so far (one string, grown by each event's suffix as
-:mod:`interfersim.records` states), on a tree of at most ``1 + depth * (1 +
-detectors)`` nodes.
+frontier passes it. The enumeration never walks back, so its tree lets go
+of each layer's nodes once the next layer's are grown: memory is bounded by
+the cap and the width, not the depth, at most about ``branch_cap`` live
+branches, each a node, a probability and its record key so far, and the
+current layer's click nodes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .circuits import BeamSplitter, Circuit, Gate, Layer, PhaseShifter, check_path
-from .records import OutcomeRecord, event_suffix, record_key
+from .records import event_suffix, key_tokens, record_key
 
 # Norm drift below RENORM_TOL is ignored, between the two it is silently
 # renormalized, beyond FAIL_TOL it is treated as an internal error.
@@ -251,12 +252,8 @@ class _Node:
 
 class RecordTree:
     """The quantum state as a function of the outcome record prefix, built
-    lazily and shared by every shot of one circuit and initial state.
-
-    The tree serves three consumers: the sampler
-    (:func:`run_quantum_shot`), the label check
-    (:func:`interfersim.labels.verify_congruence`) and the exact enumerator
-    (:func:`exact_outcome_distribution`). A node holds the state before
+    lazily and shared by every shot of one circuit and initial state (the
+    module docstring names its consumers). A node holds the state before
     layer ``k``. :meth:`event` runs :func:`_measure_layer` once per node and
     keeps its :class:`LayerEvent`: the click and no-click probabilities and
     the cumulative click thresholds; :meth:`child` runs :func:`collapse`
@@ -264,7 +261,10 @@ class RecordTree:
     child at ``(k, j)`` is one node for the whole tree; a no-click child
     belongs to its parent. The tree therefore holds at most ``1 + depth * (1
     + detectors)`` nodes, whatever the number of shots or branches walked
-    through it.
+    through it. ``suffixes[k]``, the one table that writes and reads record
+    keys, maps each outcome of layer ``k`` (a detector path, or ``None`` for
+    the no-click) to its :func:`~interfersim.records.event_suffix`; a layer
+    without detectors has the one outcome ``None``, which adds nothing.
     """
 
     def __init__(self, circuit: Circuit, init: QuantumState):
@@ -275,6 +275,28 @@ class RecordTree:
         self.nodes = 1
         self._detector_paths = [_detectors(layer) for layer in circuit.layers]
         self._clicks: dict[tuple[int, int], _Node] = {}
+        silent = {None: ""}  # shared by every layer without detectors
+        self.suffixes = [
+            {click: event_suffix(k, click) for click in (*paths, None)}
+            if paths else silent for k, paths in enumerate(self._detector_paths)]
+        self._read = None  # token -> outcome per detector layer, on first read
+
+    def clicks(self, key: str) -> list[int | None]:
+        """Each layer's outcome in the record ``key`` (``None`` for a no-click
+        or no detectors), read through :attr:`suffixes`; a key that does not
+        fit the circuit raises ``ValueError``."""
+        if self._read is None:  # a token is the key of a one-event record
+            self._read = [(k, {record_key(text): c for c, text in table.items()})
+                          for k, table in enumerate(self.suffixes)
+                          if self._detector_paths[k]]
+        clicks = [None] * self.circuit.depth
+        try:  # a token per detector layer, each one of the layer's outcomes
+            for (k, outcomes), token in zip(self._read, key_tokens(key),
+                                            strict=True):
+                clicks[k] = outcomes[token]
+        except (KeyError, ValueError):
+            raise ValueError(f"record {key!r} does not fit the circuit") from None
+        return clicks
 
     def event(self, node: _Node, k: int) -> LayerEvent:
         """Layer ``k`` from ``node``, measured on first use."""
@@ -313,19 +335,20 @@ class RecordTree:
 
 
 def run_quantum_shot(tree: RecordTree, rng: np.random.Generator,
-                     ) -> tuple[OutcomeRecord, QuantumState]:
-    """Execute one sampled run of the tree's circuit from its root state.
+                     ) -> tuple[str, QuantumState]:
+    """Execute one sampled run of the tree's circuit from its root state;
+    returns the shot's record key and final state.
 
     Per layer: apply the unitary gates, then treat the layer's detectors as a
     single measurement event (at most one click, else joint no-click) and
     collapse accordingly. Consumes exactly one uniform draw per detector
     layer, so a shot's stream use is a function of the circuit alone. The
     shot walks ``tree``, which every shot of one circuit and initial state
-    shares.
+    shares, and writes its key from the tree's suffixes.
     """
     node = tree.root
-    measure, child = tree.event, tree.child
-    events: list[tuple[int, int | None]] = []
+    measure, child, suffixes = tree.event, tree.child, tree.suffixes
+    prefix = ""
     for layer_idx in range(tree.circuit.depth):
         event = node.event or measure(node, layer_idx)
         clicked = None
@@ -336,11 +359,11 @@ def run_quantum_shot(tree: RecordTree, rng: np.random.Generator,
                 if u < threshold:
                     clicked = j
                     break
-            events.append((layer_idx, clicked))
+            prefix += suffixes[layer_idx][clicked]
         # a cached no-click child is read without the call
         node = (clicked is None and node.no_click) or child(node, layer_idx,
                                                             clicked)
-    return OutcomeRecord(tuple(events)), node.state
+    return record_key(prefix), node.state
 
 
 @dataclass(frozen=True)
@@ -362,30 +385,27 @@ def exact_outcome_distribution(circuit: Circuit, init: QuantumState,
 
     Live branches are ``(node, probability, key)`` on a :class:`RecordTree`
     of ``circuit`` and ``init``, grown layer by layer as the module
-    docstring describes; each click or no-click appends its event's suffix
-    to the key prefix. Outcomes with probability at most
+    docstring describes; each click or no-click appends the tree's suffix
+    of its outcome to the key prefix. Outcomes with probability at most
     ``IMPOSSIBLE_TOL`` are pruned, so a recorded outcome absent from the
     result is an impossible event. Raises :class:`BranchCapError` as soon as
     more than ``branch_cap`` branches are live.
     """
     tree = RecordTree(circuit, init)
-    branches = [(tree.root, 1.0, "")]
-    for layer_idx, layer in enumerate(circuit.layers):
-        clicks = [event_suffix(layer_idx, j) for j in _detectors(layer)]
-        silent = event_suffix(layer_idx, None)
+    # the tree keeps neither the root nor a finished layer's click nodes
+    branches, tree.root = [(tree.root, 1.0, "")], None
+    for layer_idx, suffix in enumerate(tree.suffixes):
+        tree._clicks.clear()
         grown = []
         for node, prob, key in branches:
-            event = tree.event(node, layer_idx)
-            if not event.detectors:
-                grown.append((tree.child(node, layer_idx, None), prob, key))
-                continue
-            for j, p, click in zip(event.detectors, event.probs, clicks):
+            event = tree.event(node, layer_idx)  # no detectors: a certain no-click
+            for j, p in zip(event.detectors, event.probs):
                 if p > IMPOSSIBLE_TOL:
                     grown.append((tree.child(node, layer_idx, j), prob * p,
-                                  key + click))
+                                  key + suffix[j]))
             if event.no_click > IMPOSSIBLE_TOL:
                 grown.append((tree.child(node, layer_idx, None),
-                              prob * event.no_click, key + silent))
+                              prob * event.no_click, key + suffix[None]))
             if len(grown) > branch_cap:
                 raise BranchCapError(
                     f"outcome enumeration exceeded {branch_cap} branches"

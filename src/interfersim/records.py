@@ -1,14 +1,14 @@
 """Detector outcome records.
 
 A record lists, for every layer that contains detectors, either the path
-whose detector clicked or ``None`` for a joint no-click. A single particle
-means at most one click per layer. Records serialise to a canonical string
-key, ``"L<layer>:C<path>"`` or ``"L<layer>:N"`` joined by ``";"`` with
+whose detector clicked or a joint no-click. A single particle means at most
+one click per layer. Every engine returns a shot's record as its canonical
+string key, and every table, report, post-selection and test compares keys:
+``"L<layer>:C<path>"`` or ``"L<layer>:N"`` tokens joined by ``";"`` with
 one-based layer and path numbers (matching the circuit text format); the
 empty record is ``"-"``. This module is the only statement of that format:
-a key grows by one :func:`event_suffix` per event and ends in
-:func:`record_key`, so the exact enumerator and the ensemble tally key their
-tables without an :class:`OutcomeRecord`, which stays a single shot's record.
+a key grows by one :func:`event_suffix` per detector layer, in layer order,
+and ends in :func:`record_key`; :func:`key_tokens` splits it back.
 
 Post-selection is an agent's update on the records it has seen, so it is
 one rule on record-keyed tables (:func:`postselect`), whichever engine
@@ -17,46 +17,33 @@ filled them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import starmap
 from typing import Mapping, TypeVar
 
 V = TypeVar("V")
+TOKEN_METAVAR = "L<k>:N|C<j>"  # the token syntax as the command line shows it
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """Ordered detector results: ``(layer index, clicked path or None)``."""
-
-    events: tuple[tuple[int, int | None], ...] = ()
-
-    def __post_init__(self):
-        last = -1
-        for layer, _ in self.events:
-            if layer <= last:
-                raise ValueError("record events must have strictly increasing layers")
-            last = layer
-
-    @property
-    def key(self) -> str:
-        return record_key("".join(starmap(event_suffix, self.events)))
+def event_suffix(layer: int, clicked: int | None) -> str:
+    """What one event appends to a key prefix: ``";"`` and its token."""
+    return f";L{layer + 1}:N" if clicked is None else f";L{layer + 1}:C{clicked + 1}"
 
 
 def event_token(layer: int, clicked: int | None) -> str:
     """One event's ``L<layer>:C<path>`` / ``L<layer>:N`` token (one-based);
     the inverse of :func:`parse_event_token`."""
-    return f"L{layer + 1}:N" if clicked is None else f"L{layer + 1}:C{clicked + 1}"
-
-
-def event_suffix(layer: int, clicked: int | None) -> str:
-    """What one event appends to a key prefix: ``";"`` and its token."""
-    return ";" + event_token(layer, clicked)
+    return event_suffix(layer, clicked)[1:]
 
 
 def record_key(prefix: str) -> str:
     """The key of a record whose events' :func:`event_suffix` strings,
     concatenated in layer order, are ``prefix``."""
     return prefix[1:] or "-"
+
+
+def key_tokens(key: str) -> list[str]:
+    """The tokens of a key, in layer order; each is the key of its event's
+    one-event record (:func:`record_key` of its :func:`event_suffix`)."""
+    return [] if key == "-" else key.split(";")
 
 
 def parse_event_token(token: str) -> tuple[int, int | None]:

@@ -34,6 +34,7 @@ from .circuits import (
     parse_circuit,
 )
 from .harness import overwrite
+from .records import event_token
 
 
 def mach_zehnder(omega: float, reflectivity: float = 0.5,
@@ -65,7 +66,8 @@ def elitzur_vaidman() -> Circuit:
             Layer([Detector(0), Detector(1)]),
         ],
         name="elitzur-vaidman",
-        description="post-select on L2:N for the interaction-free branch",
+        description=f"post-select on {event_token(1, None)} for the "
+                    "interaction-free branch",
     )
 
 

@@ -1,7 +1,8 @@
 """Property tests tying the two statements of the stochastic-engine rules
 together: the scalar gate helpers in :mod:`interfersim.ontic` and the
-vectorised layer loop in :mod:`interfersim.ensemble`; and the one
-post-selection rule on outcome tables against per-shot tallies."""
+vectorised layer loop in :mod:`interfersim.ensemble`; the one record
+encoding that every engine returns; and the one post-selection rule on
+outcome tables against per-shot tallies."""
 
 from collections import Counter
 
@@ -9,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interfersim import rng
 from interfersim.circuits import (
     BeamSplitter,
     Detector,
@@ -29,8 +31,18 @@ from interfersim.ontic import (
     step_layer,
 )
 from interfersim.prepare import prepare_ensemble, quantum_init
-from interfersim.quantum import exact_outcome_distribution
-from interfersim.records import parse_event_token, postselect
+from interfersim.quantum import (
+    RecordTree,
+    exact_outcome_distribution,
+    run_quantum_shot,
+)
+from interfersim.records import (
+    event_suffix,
+    event_token,
+    parse_event_token,
+    postselect,
+    record_key,
+)
 from interfersim.scenarios import random_circuit
 
 SHOTS = 16
@@ -59,10 +71,10 @@ def test_scalar_replay_matches_ensemble_rows(width, depth, circuit_seed, seed,
     live = result.final_levels != ZERO_LEVEL
     assert (result.final_u[~live] == 0).all()
     diagnostics = ShotDiagnostics()
-    for shot, record, trajectory in traced_shots(config, diagnostics):
+    for shot, key, trajectory in traced_shots(config, diagnostics):
         final = trajectory[-1]
         assert len(trajectory) == depth + 1
-        assert record == result.record_for_shot(shot)
+        assert key == result.record_for_shot(shot)
         assert final.q == result.final_q[shot]
         assert final.tau == tuple(result.final_levels[shot])
         assert same_bits(np.array(final.u)[live[shot]],
@@ -70,9 +82,50 @@ def test_scalar_replay_matches_ensemble_rows(width, depth, circuit_seed, seed,
     assert diagnostics.degenerate_relocations == result.degenerate_relocations
 
 
-def _shows(events, constraints):
+def _events(key):
+    """``(layer, result)`` of every token of a record key, in key order."""
+    return [] if key == "-" else [parse_event_token(token)
+                                  for token in key.split(";")]
+
+
+def _shows(key, constraints):
+    events = dict(_events(key))
     return all(layer in events and events[layer] == wanted
                for layer, wanted in constraints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(2, 12), depth=st.integers(1, 14),
+       circuit_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 16),
+       p_detector=st.sampled_from([0.15, 0.35]))
+def test_every_engine_writes_one_token_per_detector_layer(
+        width, depth, circuit_seed, seed, p_detector):
+    """The keys of ``run_ontic_shot``, ``run_quantum_shot`` and
+    ``record_for_shot`` split into exactly one canonical token per detector
+    layer, in layer order, each a result the layer can show; the replayed
+    key is the ensemble's. Widths past 9 and depths past 9 give two-digit
+    tokens (``L10:C11``)."""
+    circuit = random_circuit(width, depth, np.random.default_rng(circuit_seed),
+                             p_detector=p_detector)
+    layers = circuit.detector_layers()
+
+    def check(key):
+        events = _events(key)
+        assert [layer for layer, _ in events] == list(layers)
+        for (layer, clicked), token in zip(events, key.split(";")):
+            assert clicked is None or clicked in circuit.layers[layer].detector_paths()
+            assert event_token(layer, clicked) == token
+
+    config = ExperimentConfig(circuit=circuit, shots=SHOTS, seed=seed,
+                              mode="ontic-only")
+    result = run_ensemble(circuit, prepare_ensemble(0, SHOTS, seed))
+    tree = RecordTree(circuit, quantum_init(0, width))
+    for shot, key, _ in traced_shots(config):
+        check(key)
+        assert key == result.record_for_shot(shot)
+        sampled, _ = run_quantum_shot(tree, rng.shot_generator(
+            seed, rng.QUANTUM_SHOTS, shot, len(layers)))
+        check(sampled)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,9 +147,9 @@ def test_postselect_keeps_the_records_that_show_every_constraint(
     result = run_ensemble(circuit, prepare_ensemble(0, shots, seed))
     tally = Counter()
     for shot in range(shots):
-        record = result.record_for_shot(shot)
-        if _shows(dict(record.events), constraints):
-            tally[record.key] += 1
+        key = result.record_for_shot(shot)
+        if _shows(key, constraints):
+            tally[key] += 1
     counts = result.counts()
     kept = postselect(counts, constraints)
     assert kept == tally
@@ -104,7 +157,7 @@ def test_postselect_keeps_the_records_that_show_every_constraint(
     dist = exact_outcome_distribution(circuit, quantum_init(0, width))
     assert list(postselect(dist.probabilities, constraints)) == [
         key for key in dist.probabilities
-        if _shows(dict(map(parse_event_token, key.split(";"))), constraints)]
+        if _shows(key, constraints)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,12 +178,17 @@ def test_counts_are_the_tally_of_group_ids(width, depth, circuit_seed, seed,
     path = data.draw(st.integers(0, width - 1), label="path")
     result = run_ensemble(circuit, prepare_ensemble(path, 300, seed, "disk"))
     group, rows = result._fields.group, result._fields.records
-    records = [result._record(rows[:, g]) for g in range(result.groups)]
+    # each group's key from its record row, one suffix per detector layer
+    keys = [record_key("".join(
+        event_suffix(layer, None if value < 0 else value)
+        for layer, value in zip(result.detector_layers, rows[:, g].tolist())))
+        for g in range(result.groups)]
+    assert [result.record_for_shot(shot) for shot in range(300)] == \
+        [keys[g] for g in group]
     tally = np.bincount(group, minlength=result.groups)
     counts = result.counts()
-    assert counts == {record.key: int(n) for record, n in zip(records, tally)}
-    shows = np.array([_shows(dict(record.events), constraints)
-                      for record in records], dtype=bool)
+    assert counts == {key: int(n) for key, n in zip(keys, tally)}
+    shows = np.array([_shows(key, constraints) for key in keys], dtype=bool)
     assert sum(postselect(counts, constraints).values()) == \
         int(np.count_nonzero(shows[group]))
 

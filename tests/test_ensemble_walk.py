@@ -91,7 +91,8 @@ def _run(monkeypatch, circuit, path, shots, block, cores=1):
 def _observed(result, post=None):
     live = result.final_levels != ZERO_LEVEL
     table = postselect(result.counts(), post) if post else result.counts()
-    return (result.final_q.tobytes(), result.records.tobytes(),
+    rows = result._fields.records[:, result._fields.group]  # a row per shot
+    return (result.final_q.tobytes(), rows.tobytes(),
             result.final_levels.tobytes(), result.final_u[live].tobytes(),
             list(table.items()), result.groups, result.degenerate_relocations)
 
@@ -129,8 +130,8 @@ def test_walk_counts_degenerate_relocations_in_every_block(monkeypatch, name,
         diagnostics = ShotDiagnostics()
         config = ExperimentConfig(circuit=circuit, shots=shots, seed=11,
                                   prepare=PreparationSpec("source", 0, "disk"))
-        for shot, record, trajectory in traced_shots(config, diagnostics):
-            assert record == whole.record_for_shot(shot)
+        for shot, key, trajectory in traced_shots(config, diagnostics):
+            assert key == whole.record_for_shot(shot)
             assert trajectory[-1].q == whole.final_q[shot]
         assert diagnostics.degenerate_relocations == \
             whole.degenerate_relocations

@@ -33,7 +33,7 @@ from interfersim.quantum import (
     ray_overlap,
     run_quantum_shot,
 )
-from interfersim.records import OutcomeRecord
+from interfersim.records import event_token, parse_event_token
 from interfersim.scenarios import (
     available_scenarios,
     build_scenario,
@@ -200,8 +200,8 @@ def test_label_chain_is_sampler_state():
         init = QuantumState.basis(int(gen.integers(width)), width)
         tree = RecordTree(circuit, init)
         for _ in range(20):
-            record, final = run_quantum_shot(tree, gen)
-            label, events = init, dict(record.events)
+            key, final = run_quantum_shot(tree, gen)
+            label, events = init, _clicks(key)
             for idx, layer in enumerate(circuit.layers):
                 label = predicted_label_update(label, layer, events.get(idx))
             assert np.array_equal(label.amplitudes, final.amplitudes)
@@ -212,16 +212,20 @@ def test_label_chain_is_sampler_state():
 def traced_shot(circuit, seed, junk="disk"):
     gen = np.random.default_rng(seed)
     init = source_prepare(0, circuit.width, gen, junk=junk)
-    record, trajectory = run_ontic_shot(circuit, init, gen, trace=True)
-    return record, trajectory
+    return run_ontic_shot(circuit, init, gen)
+
+
+def _clicks(key):
+    """Layer -> result of every token of a record key."""
+    return {} if key == "-" else dict(map(parse_event_token, key.split(";")))
 
 
 @pytest.mark.parametrize("omega", [0.0, math.pi / 3, math.pi / 2, math.pi])
 def test_congruence_on_mach_zehnder(omega):
     circuit = mach_zehnder(omega)
     for seed in range(40):
-        record, trajectory = traced_shot(circuit, seed)
-        report = verify_congruence(trajectory, record,
+        key, trajectory = traced_shot(circuit, seed)
+        report = verify_congruence(trajectory, key,
                                    RecordTree(circuit, QuantumState.basis(0, 2)))
         assert report.passed
         assert report.max_deviation < 1e-12
@@ -230,10 +234,31 @@ def test_congruence_on_mach_zehnder(omega):
 def test_congruence_zero_layer_circuit_vacuous():
     circuit = Circuit(2)
     state = post_click_state(0, 2)
-    report = verify_congruence([state], OutcomeRecord(),
+    report = verify_congruence([state], "-",
                                RecordTree(circuit, QuantumState.basis(0, 2)))
     assert report.passed
     assert report.checks == ()
+
+
+@pytest.mark.parametrize("key", [
+    "-",                   # no outcome of the detector layer
+    "L2:N;L4:C1",          # a key of the bomb tester, a layer too many
+    "L3:C1",               # a layer without detectors
+    "L4:C3",               # a path outside the circuit
+    "L4:C1;L4:C2",         # the detector layer twice
+    "L4:C1;L5:N",          # a layer past the circuit
+    "L4:c1",               # not a token
+])
+def test_congruence_rejects_a_key_of_another_circuit(key):
+    circuit = mach_zehnder(math.pi / 3)
+    good, trajectory = traced_shot(circuit, 3)
+    tree = RecordTree(circuit, QuantumState.basis(0, 2))
+    assert verify_congruence(trajectory, good, tree).passed
+    with pytest.raises(ValueError, match="does not fit"):
+        verify_congruence(trajectory, key, tree)
+    # a key that fits but disagrees with the trajectory fails the check
+    other = "L4:C2" if good == "L4:C1" else "L4:C1"
+    assert not verify_congruence(trajectory, other, tree).passed
 
 
 def test_congruence_rejects_label_of_other_width():
@@ -244,13 +269,13 @@ def test_congruence_rejects_label_of_other_width():
 
 def test_congruence_detects_corruption():
     circuit = mach_zehnder(math.pi / 3)
-    record, trajectory = traced_shot(circuit, 3)
+    key, trajectory = traced_shot(circuit, 3)
     broken = trajectory[2]
     u = list(broken.u)
     u[0] *= np.exp(0.25j)  # corrupt a dominant-strength amplitude
     trajectory[2] = OnticState(broken.q, u, broken.tau)
     tree = RecordTree(circuit, QuantumState.basis(0, 2))
-    report = verify_congruence(trajectory, record, tree)
+    report = verify_congruence(trajectory, key, tree)
     assert not report.passed
     assert any(c.layer == 1 and c.deviation > 1e-9 for c in report.checks)
     assert first_failure(report).layer == 1
@@ -263,7 +288,7 @@ def test_congruence_membership_is_in_class():
     circuit = mach_zehnder(math.pi / 3)
     members = set()
     for seed in range(30):
-        record, trajectory = traced_shot(circuit, seed)
+        key, trajectory = traced_shot(circuit, seed)
         if seed % 3 == 1:
             # the label still matches; the anchor loses the dominant strength
             state = trajectory[-1]
@@ -273,9 +298,9 @@ def test_congruence_membership_is_in_class():
             state = trajectory[2]
             u = state.u * np.array([np.exp(0.25j), 1.0])
             trajectory[2] = OnticState(state.q, u, state.tau)
-        report = verify_congruence(trajectory, record,
+        report = verify_congruence(trajectory, key,
                                    RecordTree(circuit, QuantumState.basis(0, 2)))
-        label, events = QuantumState.basis(0, 2), dict(record.events)
+        label, events = QuantumState.basis(0, 2), _clicks(key)
         for check, layer in zip(report.checks, circuit.layers):
             idx = check.layer
             label = predicted_label_update(label, layer, events.get(idx))
@@ -287,8 +312,8 @@ def test_congruence_membership_is_in_class():
 
 def test_congruence_report_json_shape():
     circuit = mach_zehnder(0.5)
-    record, trajectory = traced_shot(circuit, 8)
-    report = verify_congruence(trajectory, record,
+    key, trajectory = traced_shot(circuit, 8)
+    report = verify_congruence(trajectory, key,
                                RecordTree(circuit, QuantumState.basis(0, 2)))
     obj = report.to_json_dict(shot=5)
     assert obj["shot"] == 5 and obj["pass"] is True
@@ -417,9 +442,9 @@ def test_congruence_through_shared_tree_is_bit_identical(circuit):
     label0 = QuantumState.basis(0, circuit.width)
     tree = RecordTree(circuit, label0)
     for seed in range(25):
-        record, trajectory = traced_shot(circuit, seed)
-        shared = verify_congruence(trajectory, record, tree)
-        alone = verify_congruence(trajectory, record, RecordTree(circuit, label0))
+        key, trajectory = traced_shot(circuit, seed)
+        shared = verify_congruence(trajectory, key, tree)
+        alone = verify_congruence(trajectory, key, RecordTree(circuit, label0))
         assert shared == alone
         assert _report_bits(shared) == _report_bits(alone)
         # Shots that differ only in dead-path junk or in the sign of a zero
@@ -428,10 +453,10 @@ def test_congruence_through_shared_tree_is_bit_identical(circuit):
         for variant in (_dead_junk_swapped, _zeros_flipped):
             twin = [variant(state) for state in trajectory]
             assert repr(twin) != repr(trajectory)  # some bits did change
-            again = verify_congruence(twin, record, tree)
+            again = verify_congruence(twin, key, tree)
             assert _cache_entries(tree) == entries
             assert _report_bits(again) == _report_bits(shared)
-            fresh = verify_congruence(twin, record, RecordTree(circuit, label0))
+            fresh = verify_congruence(twin, key, RecordTree(circuit, label0))
             assert _report_bits(fresh) == _report_bits(shared)
     # States whose dominant paths differ, in amplitude or in which paths
     # they are, get entries of their own at the node of the last layer.
@@ -445,7 +470,7 @@ def test_congruence_through_shared_tree_is_bit_identical(circuit):
     raised[j] = top + 1
     node = tree.root
     for k in range(circuit.depth):
-        node = tree.child(node, k, dict(record.events).get(k))
+        node = tree.child(node, k, _clicks(key).get(k))
     for other in (OnticState(final.q, turned, final.tau),
                   OnticState(final.q, final.u, raised)):
         before = len(node.overlaps)
@@ -457,14 +482,14 @@ def test_congruence_through_shared_tree_keeps_errors():
     circuit = mach_zehnder(math.pi / 3)
     label0 = QuantumState.basis(0, 2)
     tree = RecordTree(circuit, label0)
-    record, trajectory = traced_shot(circuit, 3)
-    verify_congruence(trajectory, record, tree)
+    key, trajectory = traced_shot(circuit, 3)
+    verify_congruence(trajectory, key, tree)
     broken = trajectory[2]
     trajectory[2] = OnticState(broken.q, broken.u * np.array([np.exp(0.25j), 1.0]),
                                broken.tau)
     failures = []
     for shared in (tree, RecordTree(circuit, label0)):
-        report = verify_congruence(trajectory, record, shared)
+        report = verify_congruence(trajectory, key, shared)
         assert not report.passed
         failures.append(first_failure(report))
     assert [check.layer for check in failures] == [1, 1]
@@ -475,7 +500,7 @@ def test_congruence_through_shared_tree_keeps_errors():
     for _ in range(2):
         with pytest.raises(ImpossibleOutcomeError):
             verify_congruence([post_click_state(0, 2)] * 2,
-                              OutcomeRecord(((0, None),)), tree)
+                              event_token(0, None), tree)
 
 
 # -- deviations keep the bits of a plain reference ----------------------------
@@ -504,11 +529,11 @@ def test_congruence_deviations_match_reference_bits(circuit):
     tree = RecordTree(circuit, label0)
     skew = np.exp(0.25j * np.arange(circuit.width))  # off-label fields too
     for seed in range(12):
-        record, trajectory = traced_shot(circuit, seed)
+        key, trajectory = traced_shot(circuit, seed)
         if seed % 3 == 2:
             trajectory = [OnticState(s.q, s.u * skew, s.tau) for s in trajectory]
-        report = verify_congruence(trajectory, record, tree)
-        label, clicks = label0, dict(record.events)
+        report = verify_congruence(trajectory, key, tree)
+        label, clicks = label0, _clicks(key)
         expected = []
         for layer_idx, layer in enumerate(circuit.layers):
             label = predicted_label_update(label, layer, clicks.get(layer_idx))

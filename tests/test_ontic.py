@@ -30,7 +30,7 @@ from interfersim.ontic import (
     trace_json_object,
 )
 from interfersim.prepare import prepare_ensemble, source_prepare
-from interfersim.records import OutcomeRecord, postselect
+from interfersim.records import event_suffix, postselect, record_key
 from interfersim.scenarios import (
     available_scenarios,
     mach_zehnder,
@@ -227,7 +227,7 @@ def test_run_shot_replays_the_validated_layers(monkeypatch):
     # them unchecked
     circuit = random_circuit(5, 12, np.random.default_rng(12))
     state = source_prepare(0, 5, np.random.default_rng(0), junk="disk")
-    expected = run_ontic_shot(circuit, state, np.random.default_rng(1), trace=True)
+    expected = run_ontic_shot(circuit, state, np.random.default_rng(1))
     prepared = prepare_ensemble(0, 100, 1)
     expected_counts = run_ensemble(circuit, prepared).counts()
 
@@ -237,9 +237,8 @@ def test_run_shot_replays_the_validated_layers(monkeypatch):
     monkeypatch.setattr(ontic, "validate_layer", refuse)
     monkeypatch.setattr(ensemble, "validate_layer", refuse, raising=False)
     assert run_ensemble(circuit, prepared).counts() == expected_counts
-    record, trajectory = run_ontic_shot(circuit, state, np.random.default_rng(1),
-                                        trace=True)
-    assert record == expected[0]
+    key, trajectory = run_ontic_shot(circuit, state, np.random.default_rng(1))
+    assert key == expected[0]
     assert [np.array(s.u).tobytes() for s in trajectory] == \
         [np.array(s.u).tobytes() for s in expected[1]]
     with pytest.raises(AssertionError, match="validated again"):
@@ -257,9 +256,8 @@ def test_states_compare_and_hash_by_value():
 
 def test_run_shot_zero_layers():
     state = make_state(0, [1], (0,))
-    record, trajectory = run_ontic_shot(Circuit(1), state,
-                                        np.random.default_rng(0), trace=True)
-    assert record.events == ()
+    key, trajectory = run_ontic_shot(Circuit(1), state, np.random.default_rng(0))
+    assert key == "-"
     assert trajectory == [state]
 
 
@@ -268,8 +266,8 @@ def test_run_shot_mach_zehnder_dark_port():
     gen = np.random.default_rng(5)
     for _ in range(300):
         init = source_prepare(0, 2, gen, junk="disk")
-        record, _ = run_ontic_shot(circuit, init, gen)
-        assert record.key == "L4:C2"
+        key, _ = run_ontic_shot(circuit, init, gen)
+        assert key == "L4:C2"
 
 
 def test_determinism_modulo_relocation():
@@ -280,8 +278,8 @@ def test_determinism_modulo_relocation():
     trajectories = []
     for shot in range(10):
         g = rng.shot_generator(17, rng.ONTIC_SHOTS, shot, 2)
-        record, traj = run_ontic_shot(circuit, init, g, trace=True)
-        assert record.key == "L4:C2"
+        key, traj = run_ontic_shot(circuit, init, g)
+        assert key == "L4:C2"
         trajectories.append(traj)
     for traj in trajectories[1:]:
         for a, b in zip(trajectories[0], traj):
@@ -294,7 +292,7 @@ def test_dyadic_closure_along_random_shots():
     for name in ("random3-a", "random3-b", "random3-c"):
         circuit = scenario(name)
         init = source_prepare(0, circuit.width, gen, junk="disk")
-        _, traj = run_ontic_shot(circuit, init, gen, trace=True)
+        _, traj = run_ontic_shot(circuit, init, gen)
         for state in traj:
             for level in state.tau:
                 assert level == ZERO_LEVEL or 0 <= level <= circuit.depth + 1
@@ -309,7 +307,7 @@ def test_amplitude_bound_on_reachable_states():
         circuit = scenario(name)
         for _ in range(20):
             init = source_prepare(0, circuit.width, gen, junk="disk")
-            _, traj = run_ontic_shot(circuit, init, gen, trace=True)
+            _, traj = run_ontic_shot(circuit, init, gen)
             for state in traj:
                 assert np.isfinite(state.u).all()
                 top = min(state.tau)  # lowest level = strongest field
@@ -349,10 +347,10 @@ def test_ensemble_matches_single_shots_bitwise(name):
     for shot in range(shots):
         init = OnticState(0, u[shot], levels)
         gen = rng.shot_generator(seed, rng.ONTIC_SHOTS, shot, draws)
-        record, traj = run_ontic_shot(circuit, init, gen)
+        key, traj = run_ontic_shot(circuit, init, gen)
         final = traj[-1]
         live = result.final_levels[shot] != ZERO_LEVEL
-        assert record == result.record_for_shot(shot)
+        assert key == result.record_for_shot(shot)
         assert (np.array(final.u)[live].tobytes()
                 == result.final_u[shot][live].tobytes())
         assert final.q == result.final_q[shot]
@@ -367,21 +365,28 @@ def test_ensemble_counts_sum_to_shots():
     assert set(counts) <= {"L4:C1", "L4:C2"}
 
 
+def shot_rows(result):
+    """(shots, detector layers) int16 record rows, -1 for a no-click: each
+    shot's group row."""
+    return result._fields.records[:, result._fields.group].T
+
+
 def reference_counts(result, post=()):
     """The row-sort tally: ``np.unique`` over the whole record rows that
     hold every ``(layer, result)`` constraint of ``post``."""
-    if result.records.shape[1] == 0:
+    records = shot_rows(result)
+    if records.shape[1] == 0:
         return {"-": result.shots}
     column = {layer: i for i, layer in enumerate(result.detector_layers)}
     keep = np.ones(result.shots, dtype=bool)
     for layer, wanted in post:
-        keep &= result.records[:, column[layer]] == (-1 if wanted is None else wanted)
-    rows, counts = np.unique(result.records[keep], axis=0, return_counts=True)
+        keep &= records[:, column[layer]] == (-1 if wanted is None else wanted)
+    rows, counts = np.unique(records[keep], axis=0, return_counts=True)
     out = {}
     for row, n in zip(rows, counts):
-        events = tuple((layer, None if value == -1 else int(value))
-                       for layer, value in zip(result.detector_layers, row))
-        out[OutcomeRecord(events).key] = int(n)
+        out[record_key("".join(
+            event_suffix(layer, None if value == -1 else int(value))
+            for layer, value in zip(result.detector_layers, row)))] = int(n)
     return out
 
 
@@ -402,7 +407,7 @@ def test_ensemble_counts_match_row_sort_tally(name):
     if name == "wide":  # mixed-radix codes of these rows overflow int64
         assert len(result.detector_layers) >= 25
         assert (circuit.width + 1) ** len(result.detector_layers) > 2 ** 63
-        assert len(np.unique(result.records, axis=0)) > 1000
+        assert len(np.unique(shot_rows(result), axis=0)) > 1000
     assert list(postselect(result.counts(), post).items()) == \
         list(reference_counts(result, post).items())
     assert sum(result.counts().values()) == result.shots
@@ -468,7 +473,7 @@ def test_ensemble_has_a_record_row_per_group(name, post):
     circuit = scenario(name)
     result = run_ensemble(circuit, prepare_ensemble(0, 20000, 8, "disk"))
     assert result.groups == len(result.counts())
-    assert len(np.unique(result.records, axis=0)) == result.groups
+    assert len(np.unique(shot_rows(result), axis=0)) == result.groups
     if post:
         kept = postselect(result.counts(), post)
         assert 0 < sum(kept.values()) < 20000

@@ -140,7 +140,9 @@ def _writers(tree: ast.Module, exempt: str | None = None):
     """``(line, text)`` of every call that opens a file for writing outside
     the function named ``exempt``: ``open``/``fdopen`` with a write mode (or
     one not given as a literal), ``Path.open`` likewise, ``os.open``, and
-    ``write_text`` / ``write_bytes``."""
+    ``write_text`` / ``write_bytes``; and of every ``json.dump`` /
+    ``json.dumps`` given an ``indent``, whose pure-Python encoder leaves a
+    reference cycle on every call."""
     allowed = {id(node) for fn in ast.walk(tree)
                if isinstance(fn, ast.FunctionDef) and fn.name == exempt
                for node in ast.walk(fn)}
@@ -152,6 +154,12 @@ def _writers(tree: ast.Module, exempt: str | None = None):
         name = func.attr if method else getattr(func, "id", None)
         owner = getattr(func.value, "id", None) if method else None
         if name in ("write_text", "write_bytes") or (name, owner) == ("open", "os"):
+            yield node.lineno, ast.unparse(node)
+            continue
+        if name in ("dump", "dumps") and any(
+                kw.arg == "indent" and not (isinstance(kw.value, ast.Constant)
+                                            and kw.value.value is None)
+                for kw in node.keywords):
             yield node.lineno, ast.unparse(node)
             continue
         if name not in ("open", "fdopen"):
@@ -191,6 +199,11 @@ def test_every_writer_goes_through_overwrite():
     ("os.fdopen(fd, 'w')", True),
     ("p.write_text('')", True),
     ("p.write_bytes(b'')", True),
+    ("json.dumps(x, sort_keys=True, indent=2)", True),
+    ("json.dump(x, fh, indent=n)", True),
+    ("dumps(x, indent=0)", True),
+    ("json.dumps(x, sort_keys=True)", False),
+    ("json.dumps(x, indent=None)", False),
 ])
 def test_writer_scan_flags_write_calls(source, flagged):
     assert bool(list(_writers(ast.parse(source)))) is flagged

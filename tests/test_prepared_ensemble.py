@@ -56,16 +56,16 @@ def test_outputs_independent_of_junk_bit_for_bit(circuit, path, post):
     result = prepared_run(circuit, path, seed)
     live = result.final_levels != ZERO_LEVEL
     if post:  # the post-selection splits the replayed shots
-        replayed = Counter(result.record_for_shot(shot).key
+        replayed = Counter(result.record_for_shot(shot)
                            for shot in range(REPLAYED))
         assert 0 < sum(postselect(replayed, post).values()) < REPLAYED
     for junk in ("zero", "disk"):
         config = ExperimentConfig(circuit=circuit, shots=SHOTS, seed=seed,
                                   prepare=PreparationSpec("source", path, junk))
-        for shot, record, trajectory in itertools.islice(traced_shots(config),
-                                                         REPLAYED):
+        for shot, key, trajectory in itertools.islice(traced_shots(config),
+                                                      REPLAYED):
             final = trajectory[-1]
-            assert record == result.record_for_shot(shot)
+            assert key == result.record_for_shot(shot)
             assert final.q == result.final_q[shot]
             assert final.tau == tuple(result.final_levels[shot])
             assert (np.array(final.u)[live[shot]].tobytes()

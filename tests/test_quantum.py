@@ -1,6 +1,7 @@
 """Quantum engine: gates, collapse, sampling and exact enumeration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from interfersim.circuits import (
     serialize_circuit,
 )
 from interfersim.cli import main
-from interfersim.records import OutcomeRecord, parse_event_token
+from interfersim.records import event_suffix, event_token, parse_event_token, record_key
 from interfersim.quantum import (
     IMPOSSIBLE_TOL,
     RAY_TOL,
@@ -184,9 +185,9 @@ def test_detection_impossible_outcomes():
 def test_run_shot_no_detectors():
     circuit = Circuit(2, [Layer([BeamSplitter(0, 1, 0.5)]),
                           Layer([PhaseShifter(1, 0.3)])])
-    record, final = run_quantum_shot(RecordTree(circuit, state(1, 0)),
-                                     np.random.default_rng(0))
-    assert record.events == ()
+    key, final = run_quantum_shot(RecordTree(circuit, state(1, 0)),
+                                  np.random.default_rng(0))
+    assert key == "-"
     expected = _evolve(_evolve(state(1, 0), [BeamSplitter(0, 1, 0.5)]),
                        [PhaseShifter(1, 0.3)])
     assert np.allclose(final.amplitudes, expected.amplitudes, atol=1e-15)
@@ -196,8 +197,8 @@ def test_run_shot_mach_zehnder_dark_port():
     tree = RecordTree(mach_zehnder(0.0), state(1, 0))
     gen = np.random.default_rng(1)
     for _ in range(100):
-        record, final = run_quantum_shot(tree, gen)
-        assert record.key == "L4:C2"
+        key, final = run_quantum_shot(tree, gen)
+        assert key == "L4:C2"
         assert np.array_equal(final.amplitudes, [0, 1])
 
 
@@ -208,8 +209,8 @@ def test_run_shot_frequencies_follow_born_rule():
     clicks = 0
     for shot in range(shots):
         gen = rng.shot_generator(21, rng.QUANTUM_SHOTS, shot, 1)
-        record, _ = run_quantum_shot(tree, gen)
-        clicks += record.key == "L1:C1"
+        key, _ = run_quantum_shot(tree, gen)
+        clicks += key == "L1:C1"
     sigma = math.sqrt(0.25 / shots)
     assert abs(clicks / shots - 0.5) < 5 * sigma
 
@@ -354,7 +355,7 @@ def _stepwise_shot(circuit, init, gen):
     # the sampler stated shot by shot, without a tree: one layer step, one
     # uniform through the cumulative (clicks..., no-click) and one collapse
     # per layer; also returns every layer's thresholds
-    state, events, thresholds = init, [], []
+    state, prefix, thresholds = init, "", []
     for layer_idx, layer in enumerate(circuit.layers):
         state, detectors, probs, no_click = _measure_layer(state, layer)
         if not detectors:
@@ -368,8 +369,8 @@ def _stepwise_shot(circuit, init, gen):
         u = float(gen.random())
         clicked = next((j for j, a in cumulative if u < a), None)
         state = collapse(state, detectors, clicked)
-        events.append((layer_idx, clicked))
-    return OutcomeRecord(tuple(events)), state, thresholds
+        prefix += event_suffix(layer_idx, clicked)
+    return record_key(prefix), state, thresholds
 
 
 def _shared_and_fresh(circuit, init, shots, seed):
@@ -393,19 +394,19 @@ def test_shared_tree_sampler_is_bit_identical(circuit):
     shared, fresh = _shared_and_fresh(circuit, init, 150, circuit.depth)
     draws = len(circuit.detector_layers())
     tree = RecordTree(circuit, init)
-    for shot, ((rec_a, final_a), (rec_b, final_b)) in enumerate(zip(shared, fresh)):
-        assert rec_a == rec_b
+    for shot, ((key_a, final_a), (key_b, final_b)) in enumerate(zip(shared, fresh)):
+        assert key_a == key_b
         assert final_a.amplitudes.tobytes() == final_b.amplitudes.tobytes()
-        record, final, thresholds = _stepwise_shot(circuit, init, rng.shot_generator(
+        key, final, thresholds = _stepwise_shot(circuit, init, rng.shot_generator(
             circuit.depth, rng.QUANTUM_SHOTS, shot, draws))
-        assert record == rec_a
+        assert key == key_a
         assert final.amplitudes.tobytes() == final_a.amplitudes.tobytes()
-        node, walked, events = tree.root, [], dict(record.events)
+        node, walked, clicks = tree.root, [], tree.clicks(key)
         for layer_idx in range(circuit.depth):
             event = tree.event(node, layer_idx)
             if event.detectors:
                 walked.append(event.thresholds)
-            node = tree.child(node, layer_idx, events.get(layer_idx))
+            node = tree.child(node, layer_idx, clicks[layer_idx])
         assert [[a.hex() for _, a in c] for c in walked] == \
             [[a.hex() for _, a in c] for c in thresholds]
 
@@ -430,8 +431,9 @@ def test_record_tree_belongs_to_its_circuit_and_state():
     circuit, init = mach_zehnder(0.4), state(1, 0)
     tree = RecordTree(circuit, init)
     assert tree.circuit is circuit and tree.root.state is init
-    record, _ = run_quantum_shot(tree, np.random.default_rng(0))
-    assert [layer for layer, _ in record.events] == [circuit.depth - 1]
+    key, _ = run_quantum_shot(tree, np.random.default_rng(0))
+    assert [parse_event_token(token)[0] for token in key.split(";")] == \
+        [circuit.depth - 1]
     with pytest.raises(ValueError, match="width"):
         RecordTree(circuit, state(1, 0, 0))
 
@@ -456,10 +458,10 @@ def test_shared_tree_sampler_property(width, depth, circuit_seed, seed):
     init = QuantumState.basis(int(circuit_seed % width), width)
     shared, fresh = _shared_and_fresh(circuit, init, 20, seed)
     probs = _frontier_distribution(circuit, init)
-    for (rec_a, final_a), (rec_b, final_b) in zip(shared, fresh):
-        assert rec_a == rec_b
+    for (key_a, final_a), (key_b, final_b) in zip(shared, fresh):
+        assert key_a == key_b
         assert final_a.amplitudes.tobytes() == final_b.amplitudes.tobytes()
-        assert probs.get(rec_a, 0.0) > 0.0
+        assert probs.get(key_a, 0.0) > 0.0
 
 
 # -- exact enumeration on the tree --------------------------------------------
@@ -468,23 +470,25 @@ def _frontier_distribution(circuit, init):
     # the enumerator stated without a tree: a state per live branch, one
     # layer step per branch per layer; clicks in path order, then no-click
     basis = [QuantumState.basis(j, circuit.width) for j in range(circuit.width)]
-    branches = [(init, 1.0, ())]
+    branches = [(init, 1.0, "")]
     for layer_idx, layer in enumerate(circuit.layers):
         grown = []
-        for branch_state, prob, events in branches:
+        for branch_state, prob, prefix in branches:
             branch_state, detectors, probs, no_click = _measure_layer(
                 branch_state, layer)
             if not detectors:
-                grown.append((branch_state, prob, events))
+                grown.append((branch_state, prob, prefix))
                 continue
             for j, p in zip(detectors, probs):
                 if p > IMPOSSIBLE_TOL:
-                    grown.append((basis[j], prob * p, events + ((layer_idx, j),)))
+                    grown.append((basis[j], prob * p,
+                                  prefix + event_suffix(layer_idx, j)))
             if no_click > IMPOSSIBLE_TOL:
                 grown.append((project_no_click(branch_state, detectors),
-                              prob * no_click, events + ((layer_idx, None),)))
+                              prob * no_click,
+                              prefix + event_suffix(layer_idx, None)))
         branches = grown
-    return {OutcomeRecord(events): prob for _, prob, events in branches}
+    return {record_key(prefix): prob for _, prob, prefix in branches}
 
 
 @settings(max_examples=100, deadline=None)
@@ -500,7 +504,7 @@ def test_tree_enumerator_matches_frontier_property(width, depth, circuit_seed,
     dist = exact_outcome_distribution(circuit, init).probabilities
     reference = _frontier_distribution(circuit, init)
     assert [(key, p.hex()) for key, p in dist.items()] == \
-        [(rec.key, p.hex()) for rec, p in reference.items()]
+        [(key, p.hex()) for key, p in reference.items()]
 
 
 def test_enumeration_measures_each_tree_node_once(monkeypatch):
@@ -523,3 +527,25 @@ def test_enumeration_measures_each_tree_node_once(monkeypatch):
     assert len(dist.probabilities) == 2 ** 16
     assert len(measured) <= tree.nodes
     assert tree.nodes <= 1 + circuit.depth * (1 + circuit.count_gates(Detector))
+
+
+@pytest.mark.parametrize("depth", [250, 1000])
+def test_enumeration_memory_does_not_grow_with_depth(depth):
+    # the enumeration keeps its live branches and the current layer's click
+    # nodes, not every node from the root: a state of 4,096 paths is 64 KB,
+    # and 1,000 splitter layers used to keep one each (66 MB)
+    width = 4096
+    circuit = Circuit(width, [Layer([BeamSplitter(0, 1, 0.5)])] * depth
+                      + [Layer([Detector(j) for j in range(width)])])
+    init = QuantumState.basis(0, width)
+    tracemalloc.start()
+    try:
+        dist = exact_outcome_distribution(circuit, init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # each pair of 50/50 splitters swaps the paths
+    assert list(dist.probabilities) == [event_token(depth, depth // 2 % 2)]
+    assert dist.probabilities[event_token(depth, depth // 2 % 2)] == \
+        pytest.approx(1.0, abs=1e-12)
