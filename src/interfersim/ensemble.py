@@ -70,13 +70,17 @@ are copied into one ``(shots, later splitters)`` store; a circuit whose
 splitters all precede its first detector layer, such as a compiled mesh
 with terminal detectors, stores none.
 
-:class:`EnsembleResult` keeps the particle positions, the group of every
-shot, and per group a record row and the shot count that the detector
-split counted. It builds each group's record key once, which
-:meth:`EnsembleResult.counts` and :meth:`EnsembleResult.record_for_shot`
-read, and the per-shot ``final_u`` and ``final_levels`` from the group rows
-on first access. Groups are distinct records and each holds a shot, so the
-tally is a row per group.
+A group's record key grows at the detector splits as every engine's key
+grows, one :func:`~interfersim.records.event_suffix` per detector layer,
+and :func:`~interfersim.records.record_key` closes it after the last
+layer. A split codes the no-click as 0 and the layer's detectors by
+ascending path, so the children of groups in lexicographic record order
+come out in that order. :class:`EnsembleResult` keeps the particle
+positions, the group of every shot, and per group its key and the shot
+count that the split counted, which :meth:`EnsembleResult.counts` (an
+entry per group, in group order) and :meth:`EnsembleResult.record_for_shot`
+read; it gathers the per-shot ``final_u`` and ``final_levels`` from the
+group columns on first access.
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ from .ontic import ZERO_LEVEL, mix_amplitudes, rotate_amplitude
 from .prepare import PreparedEnsemble
 from .records import event_suffix, record_key
 
-NO_CLICK = np.int16(-1)
 # Shots per block of the particle walk: a block's rows of the uniform
 # matrix stay in cache across the splitters it moves through.
 _BLOCK = 8192
@@ -106,12 +109,12 @@ _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 @dataclass(frozen=True)
 class _Fields:
-    """What a run ends with: a column per group for the records and the
+    """What a run ends with: per group its record key and a column of the
     field."""
 
     group: np.ndarray    # (shots,) group of each shot
     size: np.ndarray     # (groups,) shots in each group
-    records: np.ndarray  # (detector_layers, groups) int16, -1 = no click
+    keys: list[str]      # (groups,) record keys, in lexicographic record order
     levels: np.ndarray   # (width, groups) absolute int64 levels
     u_re: np.ndarray     # (width, groups), zero on dead paths
     u_im: np.ndarray
@@ -121,7 +124,6 @@ class _Fields:
 class EnsembleResult:
     """Outcome records and final fields of a vectorised run."""
 
-    detector_layers: tuple[int, ...]
     final_q: np.ndarray     # (shots,)
     degenerate_relocations: int
     _fields: _Fields = field(repr=False)
@@ -132,9 +134,9 @@ class EnsembleResult:
 
     @property
     def groups(self) -> int:
-        """Number of field groups, one per distinct outcome record; every
-        group holds at least one shot."""
-        return self._fields.records.shape[1]
+        """Number of field groups: one per record key, the keys distinct
+        and each held by at least one shot."""
+        return len(self._fields.keys)
 
     @cached_property
     def final_u(self) -> np.ndarray:
@@ -151,36 +153,18 @@ class EnsembleResult:
         """(shots, width) int64 strength levels."""
         return self._fields.levels[:, self._fields.group].T
 
-    @cached_property
-    def _keys(self) -> list[str]:
-        """Each group's record key: a column of suffixes per detector layer,
-        made for the outcomes it shows, and one join per group."""
-        columns = []
-        for layer, row in zip(self.detector_layers, self._fields.records):
-            # entry 0 is the no-click, entry j + 1 a click at path j
-            shown = np.flatnonzero(np.bincount(row + 1)).tolist()
-            table = np.empty(shown[-1] + 1, dtype=object)
-            table[shown] = [event_suffix(layer, None if j == 0 else j - 1)
-                            for j in shown]
-            columns.append(table[row + 1].tolist())
-        rows = zip(*columns) if columns else [()]  # no detectors: one group
-        return [record_key("".join(row)) for row in rows]
-
     def record_for_shot(self, shot: int) -> str:
         """The record key of one shot."""
-        return self._keys[self._fields.group[shot]]
+        return self._fields.keys[self._fields.group[shot]]
 
     def counts(self) -> dict[str, int]:
         """Empirical outcome counts keyed by record key, one entry per
-        group, in lexicographic record order (no click before path 0, 1,
-        ...). Groups are distinct records: two with one key raise
-        ``AssertionError``."""
+        group, in group order: the detector splits make that lexicographic
+        record order (no click before path 0, 1, ...). Groups are distinct
+        records: two with one key raise ``AssertionError``."""
         f = self._fields
-        # one key row per detector layer, the first the most significant
-        order = np.lexsort(f.records[::-1]) if f.records.size else np.arange(1)
-        counts = dict(zip(map(self._keys.__getitem__, order.tolist()),
-                          f.size[order].tolist()))
-        if len(counts) != len(order):
+        counts = dict(zip(f.keys, f.size.tolist()))
+        if len(counts) != len(f.keys):
             raise AssertionError("two outcome groups share a record")
         return counts
 
@@ -337,9 +321,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
     n_splitters = circuit.count_gates(BeamSplitter)
     draw_idx = 0
 
-    detector_layers = circuit.detector_layers()
-    records = np.full((len(detector_layers), 1), NO_CLICK, dtype=np.int16)
-    record_row = {layer: i for i, layer in enumerate(detector_layers)}
+    keys = [""]  # each group's record key prefix
     degenerate = 0
     pending = []  # splitters whose particle moves are not yet made
     later = None  # draws of the splitters queued after the first walk
@@ -380,7 +362,9 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
                                  width)
             degenerate += moved
             # Children: group * n + c, where c is 0 for no click and k for a
-            # click at the layer's k-th detector.
+            # click at the layer's k-th detector in path order, so children
+            # of groups in record order come out in record order.
+            detectors.sort()
             n = len(detectors) + 1
             click_code = np.zeros(width, dtype=np.intp)
             click_code[detectors] = np.arange(1, n)
@@ -390,16 +374,16 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
             size = present[children]
             parent, click = np.divmod(children, n)
             group = (np.cumsum(present > 0) - 1)[child]
-            levels, u_re, u_im, records = (
-                levels[:, parent], u_re[:, parent], u_im[:, parent],
-                records[:, parent])
+            levels, u_re, u_im = (
+                levels[:, parent], u_re[:, parent], u_im[:, parent])
             for k, j in enumerate(detectors, 1):
                 hit = click == k
                 levels[j] = np.where(hit, -clock, ZERO_LEVEL)
                 u_re[j] = np.where(hit, 1.0, 0.0)
                 u_im[j] = 0.0
-            records[record_row[layer_idx]] = np.array([NO_CLICK] + detectors,
-                                                      dtype=np.int16)[click]
+            suffix = [event_suffix(layer_idx, j) for j in [None, *detectors]]
+            keys = [keys[p] + suffix[c]
+                    for p, c in zip(parent.tolist(), click.tolist())]
         if not (np.isfinite(u_re).all() and np.isfinite(u_im).all()):
             raise AssertionError(f"non-finite amplitude after layer {layer_idx}")
         # Absolute levels in [0, depth] or ZERO_LEVEL, as reductions.
@@ -411,5 +395,5 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
     moved, _ = _walk(q, group, pending, seed, n_splitters, later, width)
     degenerate += moved
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
-    return EnsembleResult(detector_layers, q, degenerate,
-                          _Fields(group, size, records, levels, u_re, u_im))
+    return EnsembleResult(q, degenerate, _Fields(
+        group, size, [record_key(key) for key in keys], levels, u_re, u_im))

@@ -36,7 +36,8 @@ frontier passes it. The enumeration never walks back, so its tree lets go
 of each layer's nodes once the next layer's are grown: memory is bounded by
 the cap and the width, not the depth, at most about ``branch_cap`` live
 branches, each a node, a probability and its record key so far, and the
-current layer's click nodes.
+current layer's click nodes. The last layer grows no nodes, since no final
+state is read.
 """
 
 from __future__ import annotations
@@ -396,15 +397,16 @@ def exact_outcome_distribution(circuit: Circuit, init: QuantumState,
     branches, tree.root = [(tree.root, 1.0, "")], None
     for layer_idx, suffix in enumerate(tree.suffixes):
         tree._clicks.clear()
+        leaf = layer_idx == circuit.depth - 1  # no state after it is read
         grown = []
         for node, prob, key in branches:
             event = tree.event(node, layer_idx)  # no detectors: a certain no-click
             for j, p in zip(event.detectors, event.probs):
                 if p > IMPOSSIBLE_TOL:
-                    grown.append((tree.child(node, layer_idx, j), prob * p,
-                                  key + suffix[j]))
+                    grown.append((None if leaf else tree.child(node, layer_idx, j),
+                                  prob * p, key + suffix[j]))
             if event.no_click > IMPOSSIBLE_TOL:
-                grown.append((tree.child(node, layer_idx, None),
+                grown.append((None if leaf else tree.child(node, layer_idx, None),
                               prob * event.no_click, key + suffix[None]))
             if len(grown) > branch_cap:
                 raise BranchCapError(

@@ -36,13 +36,7 @@ from interfersim.quantum import (
     exact_outcome_distribution,
     run_quantum_shot,
 )
-from interfersim.records import (
-    event_suffix,
-    event_token,
-    parse_event_token,
-    postselect,
-    record_key,
-)
+from interfersim.records import event_token, parse_event_token, postselect
 from interfersim.scenarios import random_circuit
 
 SHOTS = 16
@@ -177,12 +171,7 @@ def test_counts_are_the_tally_of_group_ids(width, depth, circuit_seed, seed,
                                   label="constraints"))
     path = data.draw(st.integers(0, width - 1), label="path")
     result = run_ensemble(circuit, prepare_ensemble(path, 300, seed, "disk"))
-    group, rows = result._fields.group, result._fields.records
-    # each group's key from its record row, one suffix per detector layer
-    keys = [record_key("".join(
-        event_suffix(layer, None if value < 0 else value)
-        for layer, value in zip(result.detector_layers, rows[:, g].tolist())))
-        for g in range(result.groups)]
+    group, keys = result._fields.group, result._fields.keys
     assert [result.record_for_shot(shot) for shot in range(300)] == \
         [keys[g] for g in group]
     tally = np.bincount(group, minlength=result.groups)

@@ -91,8 +91,8 @@ def _run(monkeypatch, circuit, path, shots, block, cores=1):
 def _observed(result, post=None):
     live = result.final_levels != ZERO_LEVEL
     table = postselect(result.counts(), post) if post else result.counts()
-    rows = result._fields.records[:, result._fields.group]  # a row per shot
-    return (result.final_q.tobytes(), rows.tobytes(),
+    keys = [result._fields.keys[g] for g in result._fields.group]  # per shot
+    return (result.final_q.tobytes(), keys,
             result.final_levels.tobytes(), result.final_u[live].tobytes(),
             list(table.items()), result.groups, result.degenerate_relocations)
 

@@ -30,7 +30,13 @@ from interfersim.ontic import (
     trace_json_object,
 )
 from interfersim.prepare import prepare_ensemble, source_prepare
-from interfersim.records import event_suffix, postselect, record_key
+from interfersim.records import (
+    event_suffix,
+    key_tokens,
+    parse_event_token,
+    postselect,
+    record_key,
+)
 from interfersim.scenarios import (
     available_scenarios,
     mach_zehnder,
@@ -365,19 +371,29 @@ def test_ensemble_counts_sum_to_shots():
     assert set(counts) <= {"L4:C1", "L4:C2"}
 
 
-def shot_rows(result):
+def shot_rows(circuit, result):
     """(shots, detector layers) int16 record rows, -1 for a no-click: each
-    shot's group row."""
-    return result._fields.records[:, result._fields.group].T
+    shot's key parsed token by token, a token per detector layer."""
+    layers = list(circuit.detector_layers())
+
+    def row(key):
+        events = [parse_event_token(token) for token in key_tokens(key)]
+        assert [layer for layer, _ in events] == layers
+        return [-1 if clicked is None else clicked for _, clicked in events]
+
+    keys = [result.record_for_shot(shot) for shot in range(result.shots)]
+    rows = {key: row(key) for key in set(keys)}
+    return np.array([rows[key] for key in keys],
+                    dtype=np.int16).reshape(result.shots, len(layers))
 
 
-def reference_counts(result, post=()):
+def reference_counts(circuit, result, post=()):
     """The row-sort tally: ``np.unique`` over the whole record rows that
     hold every ``(layer, result)`` constraint of ``post``."""
-    records = shot_rows(result)
+    records = shot_rows(circuit, result)
     if records.shape[1] == 0:
         return {"-": result.shots}
-    column = {layer: i for i, layer in enumerate(result.detector_layers)}
+    column = {layer: i for i, layer in enumerate(circuit.detector_layers())}
     keep = np.ones(result.shots, dtype=bool)
     for layer, wanted in post:
         keep &= records[:, column[layer]] == (-1 if wanted is None else wanted)
@@ -386,7 +402,7 @@ def reference_counts(result, post=()):
     for row, n in zip(rows, counts):
         out[record_key("".join(
             event_suffix(layer, None if value == -1 else int(value))
-            for layer, value in zip(result.detector_layers, row)))] = int(n)
+            for layer, value in zip(circuit.detector_layers(), row)))] = int(n)
     return out
 
 
@@ -405,11 +421,11 @@ def _tally_case(name):
 def test_ensemble_counts_match_row_sort_tally(name):
     circuit, result, post = _tally_case(name)
     if name == "wide":  # mixed-radix codes of these rows overflow int64
-        assert len(result.detector_layers) >= 25
-        assert (circuit.width + 1) ** len(result.detector_layers) > 2 ** 63
-        assert len(np.unique(shot_rows(result), axis=0)) > 1000
+        assert len(circuit.detector_layers()) >= 25
+        assert (circuit.width + 1) ** len(circuit.detector_layers()) > 2 ** 63
+        assert len(np.unique(shot_rows(circuit, result), axis=0)) > 1000
     assert list(postselect(result.counts(), post).items()) == \
-        list(reference_counts(result, post).items())
+        list(reference_counts(circuit, result, post).items())
     assert sum(result.counts().values()) == result.shots
 
 
@@ -473,7 +489,7 @@ def test_ensemble_has_a_record_row_per_group(name, post):
     circuit = scenario(name)
     result = run_ensemble(circuit, prepare_ensemble(0, 20000, 8, "disk"))
     assert result.groups == len(result.counts())
-    assert len(np.unique(shot_rows(result), axis=0)) == result.groups
+    assert len(np.unique(shot_rows(circuit, result), axis=0)) == result.groups
     if post:
         kept = postselect(result.counts(), post)
         assert 0 < sum(kept.values()) < 20000
@@ -481,13 +497,13 @@ def test_ensemble_has_a_record_row_per_group(name, post):
 
 
 def test_counts_refuses_groups_that_share_a_record():
-    # two groups with one record row: a broken split, never merged
+    # two groups with one record key: a broken split, never merged
     fields = ensemble._Fields(
         group=np.array([0, 1, 1]), size=np.array([1, 2]),
-        records=np.full((1, 2), -1, dtype=np.int16),
+        keys=["L1:N", "L1:N"],
         levels=np.zeros((2, 2), dtype=np.int64), u_re=np.zeros((2, 2)),
         u_im=np.zeros((2, 2)))
-    result = ensemble.EnsembleResult((0,), np.zeros(3, dtype=np.int64), 0, fields)
+    result = ensemble.EnsembleResult(np.zeros(3, dtype=np.int64), 0, fields)
     assert result.groups == 2
     with pytest.raises(AssertionError, match="share a record"):
         result.counts()

@@ -549,3 +549,25 @@ def test_enumeration_memory_does_not_grow_with_depth(depth):
     assert list(dist.probabilities) == [event_token(depth, depth // 2 % 2)]
     assert dist.probabilities[event_token(depth, depth // 2 % 2)] == \
         pytest.approx(1.0, abs=1e-12)
+
+
+def test_enumeration_builds_no_state_after_the_last_layer():
+    # nothing reads a state after the last layer, so its clicks build none:
+    # a basis state of 1,024 paths is 16 KB, and each click used to build one
+    width = 1024
+    layers = [Layer([BeamSplitter(j, j | 1 << k, 0.5) for j in range(width)
+                     if not j >> k & 1]) for k in range(width.bit_length() - 1)]
+    circuit = Circuit(width, layers + [Layer([Detector(j) for j in range(width)])])
+    init = QuantumState.basis(0, width)
+    tracemalloc.start()
+    try:
+        dist = exact_outcome_distribution(circuit, init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # the 50/50 butterfly spreads path 0 evenly over every path
+    assert list(dist.probabilities) == [event_token(len(layers), j)
+                                        for j in range(width)]
+    assert list(dist.probabilities.values()) == \
+        pytest.approx([1 / width] * width, rel=1e-9)
