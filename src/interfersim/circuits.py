@@ -161,7 +161,8 @@ class Layer:
         object.__setattr__(self, "gates", tuple(gates))
 
     def detector_paths(self) -> tuple[int, ...]:
-        return tuple(g.path for g in self.gates if isinstance(g, Detector))
+        """Detector paths in ascending order, whatever the gate order."""
+        return tuple(sorted(g.path for g in self.gates if isinstance(g, Detector)))
 
     @property
     def has_detectors(self) -> bool:

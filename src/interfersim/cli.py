@@ -184,7 +184,7 @@ def _quantum_sample_report(config: ExperimentConfig) -> ExperimentReport:
     circuit = config.circuit
     tree = RecordTree(circuit, quantum_init(config.prepare.path, circuit.width))
     draws = len(circuit.detector_layers())
-    keys = (run_quantum_shot(tree, gen)[0]
+    keys = (run_quantum_shot(tree, gen)
             for gen in streams.shot_streams(
                 config.seed, streams.QUANTUM_SHOTS, config.shots, draws))
     return sampled_report(config, keys)

@@ -66,9 +66,10 @@ are a fixed slice of its counter-based stream, so the first walk draws each
 block's rows (:func:`interfersim.rng.ensemble_uniforms` with ``first``)
 when it reaches the block, and drops them after its splitters. Only the
 columns of splitters queued after that walk, which the later walks read,
-are copied into one ``(shots, later splitters)`` store; a circuit whose
-splitters all precede its first detector layer, such as a compiled mesh
-with terminal detectors, stores none.
+are copied into one ``(later splitters, shots)`` store, so a later walk
+reads one contiguous row per splitter; a circuit whose splitters all
+precede its first detector layer, such as a compiled mesh with terminal
+detectors, stores none.
 
 A group's record key grows at the detector splits as every engine's key
 grows, one :func:`~interfersim.records.event_suffix` per detector layer,
@@ -93,7 +94,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .circuits import BeamSplitter, Circuit, Detector, PhaseShifter, check_path
+from .circuits import BeamSplitter, Circuit, PhaseShifter, check_path
 from .ontic import ZERO_LEVEL, mix_amplitudes, rotate_amplitude
 from .prepare import PreparedEnsemble
 from .records import event_suffix, record_key
@@ -202,17 +203,18 @@ def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
 
     The first walk with splitters to pass (``later`` is None) draws each
     block's rows of words of the ontic stream as it reaches the block, and
-    copies the columns of the splitters not yet queued into a new ``(shots,
-    n_splitters - queued)`` store; every later walk reads its words there.
+    copies the columns of the splitters not yet queued into a new
+    ``(n_splitters - queued, shots)`` store, a row per splitter; every
+    later walk reads its words there.
     """
     if not pending:
         return 0, later
     shots, queued = q.shape[0], len(pending)
     drawing = later is None
     if drawing:
-        later = np.empty((shots, n_splitters - queued), dtype=np.uint64)
-    # stream column of ``ub[:, 0]``: drawn rows hold every column
-    offset = 0 if drawing else n_splitters - later.shape[1]
+        later = np.empty((n_splitters - queued, shots), dtype=np.uint64)
+    # stream column of ``ub[0]``: drawn rows hold every column
+    offset = 0 if drawing else n_splitters - later.shape[0]
 
     def stripe(lo: int, hi: int) -> int:
         # Entry 2p + move is where a particle at p goes: p itself off the
@@ -225,12 +227,12 @@ def _walk(q: np.ndarray, group: np.ndarray, pending: list, seed: int,
             qb, gb = q[first:last], group[first:last]
             if drawing:
                 ub = rng.ensemble_uniforms(seed, rng.ONTIC_SHOTS, last - first,
-                                           n_splitters, first=first)
-                later[first:last] = ub[:, queued:]
+                                           n_splitters, first=first).T
+                later[:, first:last] = ub[queued:]
             else:
-                ub = later[first:last]
+                ub = later[:, first:last]
             for column, s, t, below, always, stuck in pending:
-                move = ub[:, column - offset] < (
+                move = ub[column - offset] < (
                     below[0] if below.shape[0] == 1 else below[gb])
                 if always is not None:
                     move |= always[gb]
@@ -328,15 +330,12 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
 
     for layer_idx, layer in enumerate(circuit.layers):
         clock = layer_idx + 1  # layers done once this one is applied
-        detectors = []
         for gate in layer.gates:
             if isinstance(gate, PhaseShifter):
                 j = gate.path
                 u_re[j], u_im[j] = rotate_amplitude(u_re[j], u_im[j],
                                                     gate.cos_w, gate.sin_w)
-            elif isinstance(gate, Detector):
-                detectors.append(gate.path)
-            else:
+            elif isinstance(gate, BeamSplitter):
                 s, t = gate.s, gate.t
                 ls, lt = levels[s], levels[t]
                 lmin = np.minimum(ls, lt)  # lowest level = strongest field
@@ -357,6 +356,7 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
                                 always if always.any() else None,
                                 stuck if stuck.any() else None))
                 draw_idx += 1
+        detectors = layer.detector_paths()
         if detectors:
             moved, later = _walk(q, group, pending, seed, n_splitters, later,
                                  width)
@@ -364,10 +364,9 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
             # Children: group * n + c, where c is 0 for no click and k for a
             # click at the layer's k-th detector in path order, so children
             # of groups in record order come out in record order.
-            detectors.sort()
             n = len(detectors) + 1
             click_code = np.zeros(width, dtype=np.intp)
-            click_code[detectors] = np.arange(1, n)
+            click_code[list(detectors)] = np.arange(1, n)  # a tuple would index axes
             child = group * n + click_code[q]
             present = np.bincount(child)
             children = np.flatnonzero(present)

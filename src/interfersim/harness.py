@@ -46,8 +46,8 @@ from .labels import verify_congruence
 from .ontic import (ZERO_LEVEL, OnticState, ShotDiagnostics, initial_states,
                     run_ontic_shot, trace_json_object)
 from .prepare import JUNK_SAMPLERS, PreparedEnsemble, prepare_ensemble, quantum_init
-from .quantum import (BRANCH_CAP, ImpossibleOutcomeError, QuantumState,
-                      RecordTree, exact_outcome_distribution, sum_in_order)
+from .quantum import (BRANCH_CAP, ImpossibleOutcomeError, RecordTree,
+                      exact_outcome_distribution, sum_in_order)
 from .records import event_token, postselect
 
 # Below this many (post-selection) shots no verdict is claimed.
@@ -464,8 +464,8 @@ def run_traced(config: ExperimentConfig,
     sorts first, so only the summary waits for the end. No per-shot report
     outlives its shot, so memory stays bounded in the shot count.
     """
-    label0 = QuantumState.basis(config.prepare.path, config.circuit.width)
-    tree = RecordTree(config.circuit, label0)  # the labels of every shot
+    circuit = config.circuit  # one tree holds the labels of every shot
+    tree = RecordTree(circuit, quantum_init(config.prepare.path, circuit.width))
     max_dev = 0.0
     violations = 0
     diagnostics = ShotDiagnostics()

@@ -26,18 +26,22 @@ single uniform draw against the node's cached thresholds;
 stochastic engine's labels; and ``exact_outcome_distribution`` walks every
 outcome of it, multiplying the node's cached probabilities. Sharing a tree
 changes no bit: every node holds exactly the state that a shot stepping
-alone would compute. The enumeration walks the layers with a frontier of
-live branches (no recursion, so circuit depth is not limited by Python's
-stack) and grows each branch in place into its clicks in ascending path
-order and then its no-click, so the result lists outcomes in depth-first
-order. Every live branch ends in at least one leaf, so the branch cap trips
-for exactly the circuits with more leaves than the cap, as soon as the
-frontier passes it. The enumeration never walks back, so its tree lets go
-of each layer's nodes once the next layer's are grown: memory is bounded by
-the cap and the width, not the depth, at most about ``branch_cap`` live
-branches, each a node, a probability and its record key so far, and the
-current layer's click nodes. The last layer grows no nodes, since no final
-state is read.
+alone would compute. The two key-only consumers, the sampler and the
+enumeration, take no edge after the last layer, since no final state is
+read: a tree that only the sampler walks holds at most ``depth * (1 +
+detectors)`` nodes, with no basis state per final click.
+
+The enumeration walks the layers with a frontier of live branches (no
+recursion, so circuit depth is not limited by Python's stack) and grows
+each branch in place into its clicks in ascending path order and then its
+no-click, so the result lists outcomes in depth-first order. Every live
+branch ends in at least one leaf, so the branch cap trips for exactly the
+circuits with more leaves than the cap, as soon as the frontier passes it.
+The enumeration never walks back, so its tree lets go of each layer's
+nodes once the next layer's are grown: memory is bounded by the cap and
+the width, not the depth, at most about ``branch_cap`` live branches, each
+a node, a probability and its record key so far, and the current layer's
+click nodes.
 """
 
 from __future__ import annotations
@@ -189,10 +193,6 @@ def unitary_part(layer: Layer, width: int) -> np.ndarray:
     return _apply_gates(np.eye(width, dtype=np.complex128), layer.gates)
 
 
-def _detectors(layer: Layer) -> tuple[int, ...]:
-    return tuple(sorted(layer.detector_paths()))
-
-
 def sum_in_order(values: Iterable[float]) -> float:
     """Add ``values`` left to right from 0, one rounded addition each: the
     bits of the built-in ``sum`` up to Python 3.11. From 3.12 ``sum``
@@ -216,7 +216,7 @@ def _measure_layer(state: QuantumState, layer: Layer,
     ``max(0, 1 - sum(probs))``. A layer without detectors has no event.
     """
     if detectors is None:
-        detectors = _detectors(layer)
+        detectors = layer.detector_paths()
     if len(detectors) < len(layer.gates):  # a phase shifter or splitter
         state = _evolve(state, layer.gates)
     probs = [float(abs(state.amplitudes[j]) ** 2) for j in detectors]
@@ -274,7 +274,7 @@ class RecordTree:
         self.circuit = circuit
         self.root = _Node(init)
         self.nodes = 1
-        self._detector_paths = [_detectors(layer) for layer in circuit.layers]
+        self._detector_paths = [layer.detector_paths() for layer in circuit.layers]
         self._clicks: dict[tuple[int, int], _Node] = {}
         silent = {None: ""}  # shared by every layer without detectors
         self.suffixes = [
@@ -335,21 +335,21 @@ class RecordTree:
         return _Node(state)
 
 
-def run_quantum_shot(tree: RecordTree, rng: np.random.Generator,
-                     ) -> tuple[str, QuantumState]:
+def run_quantum_shot(tree: RecordTree, rng: np.random.Generator) -> str:
     """Execute one sampled run of the tree's circuit from its root state;
-    returns the shot's record key and final state.
+    returns the shot's record key.
 
     Per layer: apply the unitary gates, then treat the layer's detectors as a
     single measurement event (at most one click, else joint no-click) and
     collapse accordingly. Consumes exactly one uniform draw per detector
     layer, so a shot's stream use is a function of the circuit alone. The
     shot walks ``tree``, which every shot of one circuit and initial state
-    shares, and writes its key from the tree's suffixes.
+    shares, and writes its key from the tree's suffixes; it takes no edge
+    after the last layer (module docstring).
     """
     node = tree.root
     measure, child, suffixes = tree.event, tree.child, tree.suffixes
-    prefix = ""
+    prefix, last = "", tree.circuit.depth - 1
     for layer_idx in range(tree.circuit.depth):
         event = node.event or measure(node, layer_idx)
         clicked = None
@@ -361,10 +361,10 @@ def run_quantum_shot(tree: RecordTree, rng: np.random.Generator,
                     clicked = j
                     break
             prefix += suffixes[layer_idx][clicked]
-        # a cached no-click child is read without the call
-        node = (clicked is None and node.no_click) or child(node, layer_idx,
-                                                            clicked)
-    return record_key(prefix), node.state
+        if layer_idx < last:  # a cached no-click child is read without the call
+            node = (clicked is None and node.no_click) or child(
+                node, layer_idx, clicked)
+    return record_key(prefix)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,14 @@ def test_validate_layer_partition():
     assert layer.detector_paths() == (2,)
 
 
+def test_detector_paths_ascend_whatever_the_gate_order():
+    # every engine codes and keys a layer's clicks in path order
+    layer = Layer([Detector(3), BeamSplitter(0, 4, 0.5), Detector(1), Detector(2)])
+    assert layer.detector_paths() == (1, 2, 3)
+    assert parse_circuit("paths 5\nlayer D 5 | D 2 | D 4\n"
+                         ).layers[0].detector_paths() == (1, 3, 4)
+
+
 def test_validate_empty_layer_is_all_free():
     assert validate_layer(Layer([]), 2) is None
     assert Circuit(MAX_PATHS, [Layer([])] * 3).depth == 3

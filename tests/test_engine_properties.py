@@ -117,7 +117,7 @@ def test_every_engine_writes_one_token_per_detector_layer(
     for shot, key, _ in traced_shots(config):
         check(key)
         assert key == result.record_for_shot(shot)
-        sampled, _ = run_quantum_shot(tree, rng.shot_generator(
+        sampled = run_quantum_shot(tree, rng.shot_generator(
             seed, rng.QUANTUM_SHOTS, shot, len(layers)))
         check(sampled)
 

@@ -200,11 +200,15 @@ def test_label_chain_is_sampler_state():
         init = QuantumState.basis(int(gen.integers(width)), width)
         tree = RecordTree(circuit, init)
         for _ in range(20):
-            key, final = run_quantum_shot(tree, gen)
+            key = run_quantum_shot(tree, gen)
+            # the sampler's final state: the key walked through its tree
+            node = tree.root
+            for idx, click in enumerate(tree.clicks(key)):
+                node = tree.child(node, idx, click)
             label, events = init, _clicks(key)
             for idx, layer in enumerate(circuit.layers):
                 label = predicted_label_update(label, layer, events.get(idx))
-            assert np.array_equal(label.amplitudes, final.amplitudes)
+            assert np.array_equal(label.amplitudes, node.state.amplitudes)
 
 
 # -- congruence ---------------------------------------------------------------

@@ -182,24 +182,34 @@ def test_detection_impossible_outcomes():
         collapse(state(1, 0), (0,), None)
 
 
+def _final_state(tree, key):
+    """The state after the last layer of the record ``key``, walked through
+    ``tree`` (the sampler returns the key alone)."""
+    node = tree.root
+    for layer_idx, click in enumerate(tree.clicks(key)):
+        node = tree.child(node, layer_idx, click)
+    return node.state
+
+
 def test_run_shot_no_detectors():
     circuit = Circuit(2, [Layer([BeamSplitter(0, 1, 0.5)]),
                           Layer([PhaseShifter(1, 0.3)])])
-    key, final = run_quantum_shot(RecordTree(circuit, state(1, 0)),
-                                  np.random.default_rng(0))
+    tree = RecordTree(circuit, state(1, 0))
+    key = run_quantum_shot(tree, np.random.default_rng(0))
     assert key == "-"
     expected = _evolve(_evolve(state(1, 0), [BeamSplitter(0, 1, 0.5)]),
                        [PhaseShifter(1, 0.3)])
-    assert np.allclose(final.amplitudes, expected.amplitudes, atol=1e-15)
+    assert np.allclose(_final_state(tree, key).amplitudes, expected.amplitudes,
+                       atol=1e-15)
 
 
 def test_run_shot_mach_zehnder_dark_port():
     tree = RecordTree(mach_zehnder(0.0), state(1, 0))
     gen = np.random.default_rng(1)
     for _ in range(100):
-        key, final = run_quantum_shot(tree, gen)
+        key = run_quantum_shot(tree, gen)
         assert key == "L4:C2"
-        assert np.array_equal(final.amplitudes, [0, 1])
+        assert np.array_equal(_final_state(tree, key).amplitudes, [0, 1])
 
 
 def test_run_shot_frequencies_follow_born_rule():
@@ -209,8 +219,7 @@ def test_run_shot_frequencies_follow_born_rule():
     clicks = 0
     for shot in range(shots):
         gen = rng.shot_generator(21, rng.QUANTUM_SHOTS, shot, 1)
-        key, _ = run_quantum_shot(tree, gen)
-        clicks += key == "L1:C1"
+        clicks += run_quantum_shot(tree, gen) == "L1:C1"
     sigma = math.sqrt(0.25 / shots)
     assert abs(clicks / shots - 0.5) < 5 * sigma
 
@@ -374,16 +383,16 @@ def _stepwise_shot(circuit, init, gen):
 
 
 def _shared_and_fresh(circuit, init, shots, seed):
-    # the same per-shot streams through one shared tree and a tree per shot
+    # the same per-shot streams through one shared tree and a tree per shot;
+    # each shot's key and final state, walked through the tree it sampled
     tree = RecordTree(circuit, init)
     draws = len(circuit.detector_layers())
     shared, fresh = [], []
     for shot in range(shots):
-        shared.append(run_quantum_shot(tree, rng.shot_generator(
-            seed, rng.QUANTUM_SHOTS, shot, draws)))
-        fresh.append(run_quantum_shot(RecordTree(circuit, init),
-                                      rng.shot_generator(
-                                          seed, rng.QUANTUM_SHOTS, shot, draws)))
+        for out, own in ((shared, tree), (fresh, RecordTree(circuit, init))):
+            key = run_quantum_shot(own, rng.shot_generator(
+                seed, rng.QUANTUM_SHOTS, shot, draws))
+            out.append((key, _final_state(own, key)))
     return shared, fresh
 
 
@@ -431,7 +440,8 @@ def test_record_tree_belongs_to_its_circuit_and_state():
     circuit, init = mach_zehnder(0.4), state(1, 0)
     tree = RecordTree(circuit, init)
     assert tree.circuit is circuit and tree.root.state is init
-    key, _ = run_quantum_shot(tree, np.random.default_rng(0))
+    key = run_quantum_shot(tree, np.random.default_rng(0))
+    assert isinstance(key, str)
     assert [parse_event_token(token)[0] for token in key.split(";")] == \
         [circuit.depth - 1]
     with pytest.raises(ValueError, match="width"):
@@ -551,13 +561,20 @@ def test_enumeration_memory_does_not_grow_with_depth(depth):
         pytest.approx(1.0, abs=1e-12)
 
 
+def _butterfly(width):
+    """log2(width) layers of 50/50 splitters ``j``-``j | 2**k``, which spread
+    path 0 evenly over every path, then a detector on every path."""
+    layers = [Layer([BeamSplitter(j, j | 1 << k, 0.5) for j in range(width)
+                     if not j >> k & 1]) for k in range(width.bit_length() - 1)]
+    return Circuit(width, layers + [Layer([Detector(j) for j in range(width)])])
+
+
 def test_enumeration_builds_no_state_after_the_last_layer():
     # nothing reads a state after the last layer, so its clicks build none:
     # a basis state of 1,024 paths is 16 KB, and each click used to build one
     width = 1024
-    layers = [Layer([BeamSplitter(j, j | 1 << k, 0.5) for j in range(width)
-                     if not j >> k & 1]) for k in range(width.bit_length() - 1)]
-    circuit = Circuit(width, layers + [Layer([Detector(j) for j in range(width)])])
+    circuit = _butterfly(width)
+    layers = circuit.layers[:-1]
     init = QuantumState.basis(0, width)
     tracemalloc.start()
     try:
@@ -571,3 +588,24 @@ def test_enumeration_builds_no_state_after_the_last_layer():
                                         for j in range(width)]
     assert list(dist.probabilities.values()) == \
         pytest.approx([1 / width] * width, rel=1e-9)
+
+
+def test_sampling_builds_no_state_after_the_last_layer():
+    # the sampler returns the key alone, so a final click builds no node: a
+    # basis state of 4,096 paths is 64 KB, and each distinct click used to
+    # keep one in the shared tree (about 100 MB at these 2,000 shots)
+    width = 4096
+    circuit = _butterfly(width)
+    tree = RecordTree(circuit, QuantumState.basis(0, width))
+    tracemalloc.start()
+    try:
+        keys = {run_quantum_shot(tree, gen)
+                for gen in rng.shot_streams(5, rng.QUANTUM_SHOTS, 2000, 1)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert len(keys) > 1000  # many distinct final clicks were drawn
+    # the only detector layer is the last: the root and one no-click node per
+    # earlier layer, whatever the shots clicked
+    assert tree.nodes == circuit.depth
