@@ -56,11 +56,11 @@ def main():
     print(f"{'start':<6} {state.q:>2}  "
           f"{' '.join(fmt_amp(z) for z in state.u):<24} "
           f"{' '.join(fmt_tau(t) for t in state.tau):<12} {'-':>16}")
-    clicks = tree.clicks(key)
     for idx, layer in enumerate(circuit.layers):
-        click = clicks[idx]
-        label = predicted_label_update(label, layer, click)
         state = trajectory[idx + 1]
+        # a detector clicks exactly when the particle is on its path
+        click = state.q if state.q in layer.detector_paths() else None
+        label = predicted_label_update(label, layer, click)
         extracted = extract_label(state)
         deviation = 1.0 - ray_overlap(extracted.amplitudes, label.amplitudes)
         print(f"{idx:<6} {state.q:>2}  "
@@ -68,7 +68,7 @@ def main():
               f"{' '.join(fmt_tau(t) for t in state.tau):<12} "
               f"{deviation:>16.2e}")
 
-    report = verify_congruence(trajectory, key, tree)
+    report = verify_congruence(trajectory, tree)
     print(f"\ncongruence over the whole run: max deviation "
           f"{report.max_deviation:.2e}, pass={report.passed}")
 

@@ -369,7 +369,11 @@ def parse_circuit_file(path) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if str(path).endswith(".json"):
-        return circuit_from_json(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CircuitError(f"circuit file {path}: {exc}") from None
+        return circuit_from_json(obj)
     return parse_circuit(text)
 
 

@@ -79,7 +79,10 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config file must hold a JSON object")
     return obj

@@ -108,26 +108,20 @@ _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
-class _Fields:
-    """What a run ends with: per group its record key and a column of the
-    field."""
-
-    group: np.ndarray    # (shots,) group of each shot
-    size: np.ndarray     # (groups,) shots in each group
-    keys: list[str]      # (groups,) record keys, in lexicographic record order
-    levels: np.ndarray   # (width, groups) absolute int64 levels
-    u_re: np.ndarray     # (width, groups), zero on dead paths
-    u_im: np.ndarray
-
-
 @dataclass
 class EnsembleResult:
-    """Outcome records and final fields of a vectorised run."""
+    """What a vectorised run ends with: per shot its particle position and
+    group, per group its record key, its shot count and a column of the
+    field."""
 
     final_q: np.ndarray     # (shots,)
     degenerate_relocations: int
-    _fields: _Fields = field(repr=False)
+    group: np.ndarray = field(repr=False)   # (shots,) group of each shot
+    size: np.ndarray = field(repr=False)    # (groups,) shots in each group
+    keys: list[str] = field(repr=False)     # (groups,) in lexicographic record order
+    levels: np.ndarray = field(repr=False)  # (width, groups) absolute int64 levels
+    u_re: np.ndarray = field(repr=False)    # (width, groups), zero on dead paths
+    u_im: np.ndarray = field(repr=False)
 
     @property
     def shots(self) -> int:
@@ -137,35 +131,34 @@ class EnsembleResult:
     def groups(self) -> int:
         """Number of field groups: one per record key, the keys distinct
         and each held by at least one shot."""
-        return len(self._fields.keys)
+        return len(self.keys)
 
     @cached_property
     def final_u(self) -> np.ndarray:
         """(shots, width) complex amplitudes of each shot's group field:
         zero on dead paths (module docstring)."""
-        f = self._fields
-        final_u = np.empty((self.shots, f.levels.shape[0]), dtype=np.complex128)
-        final_u.real = f.u_re[:, f.group].T
-        final_u.imag = f.u_im[:, f.group].T
+        final_u = np.empty((self.shots, self.levels.shape[0]),
+                           dtype=np.complex128)
+        final_u.real = self.u_re[:, self.group].T
+        final_u.imag = self.u_im[:, self.group].T
         return final_u
 
     @cached_property
     def final_levels(self) -> np.ndarray:
         """(shots, width) int64 strength levels."""
-        return self._fields.levels[:, self._fields.group].T
+        return self.levels[:, self.group].T
 
     def record_for_shot(self, shot: int) -> str:
         """The record key of one shot."""
-        return self._fields.keys[self._fields.group[shot]]
+        return self.keys[self.group[shot]]
 
     def counts(self) -> dict[str, int]:
         """Empirical outcome counts keyed by record key, one entry per
         group, in group order: the detector splits make that lexicographic
         record order (no click before path 0, 1, ...). Groups are distinct
         records: two with one key raise ``AssertionError``."""
-        f = self._fields
-        counts = dict(zip(f.keys, f.size.tolist()))
-        if len(counts) != len(f.keys):
+        counts = dict(zip(self.keys, self.size.tolist()))
+        if len(counts) != len(self.keys):
             raise AssertionError("two outcome groups share a record")
         return counts
 
@@ -394,5 +387,5 @@ def run_ensemble(circuit: Circuit, prepared: PreparedEnsemble) -> EnsembleResult
     moved, _ = _walk(q, group, pending, seed, n_splitters, later, width)
     degenerate += moved
     np.add(levels, circuit.depth, out=levels, where=levels != ZERO_LEVEL)
-    return EnsembleResult(q, degenerate, _Fields(
-        group, size, [record_key(key) for key in keys], levels, u_re, u_im))
+    return EnsembleResult(q, degenerate, group, size,
+                          [record_key(key) for key in keys], levels, u_re, u_im)

@@ -454,10 +454,12 @@ def run_traced(config: ExperimentConfig,
     """Replay every shot with tracing (:func:`traced_shots`) and verify
     label congruence; returns a summary dict.
 
-    When ``cross_check`` holds the vectorised run of the same config, each
-    replayed record key is asserted equal to the ensemble's. With a ``jsonl``
-    path, each shot's trace lines (:func:`write_trace_lines`) are written
-    there as it is checked. With a ``report`` path, the file gets the bytes
+    Each shot's labels are checked along the outcomes its trajectory shows
+    (:func:`~interfersim.labels.verify_congruence`). When ``cross_check``
+    holds the vectorised run of the same config, each replayed record key
+    is asserted equal to the ensemble's. With a ``jsonl`` path, each shot's
+    trace lines (:func:`write_trace_lines`) are written there as it is
+    checked. With a ``report`` path, the file gets the bytes
     of ``json.dump({"shots": [...], "summary": summary}, sort_keys=True,
     indent=2)`` and a newline, each shot's congruence report ``{shot,
     layers: [{deviation}], pass}`` written as it is checked; ``"shots"``
@@ -478,7 +480,7 @@ def run_traced(config: ExperimentConfig,
                 raise AssertionError(
                     f"shot {shot}: single-shot replay disagrees with ensemble record"
                 )
-            check = verify_congruence(trajectory, key, tree)
+            check = verify_congruence(trajectory, tree)
             max_dev = max(max_dev, check.max_deviation)
             if not check.passed:
                 violations += 1

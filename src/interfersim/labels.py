@@ -8,18 +8,19 @@ layer step (``_measure_layer`` and ``collapse``), and
 :func:`verify_congruence` reads each predicted label from the walk of the
 record through a :class:`~interfersim.quantum.RecordTree`, the same walk the
 sampler takes, so a traced run computes each layer step once per record
-prefix rather than once per shot. The tree holds the circuit and the
-initial label, so a check is handed the trajectory, the record key and the
-tree alone. The shots through one prefix carry the same levels and
-dominant-strength amplitudes, so each node also keeps the overlap of every
-state judged there, keyed by ``(tau, *amplitudes at the dominant
-strength)`` (``_judge``): a shot whose entry equals one already judged
-reuses its overlap, whatever junk its dead paths carry. This module extracts
-labels from engine states, tests membership in the family of labelled
-state classes, and verifies that traced trajectories stay congruent with
-the quantum state at every step. It also materialises both sides of the
-projection/update commutation identity that underlies the congruence, for
-randomized checking.
+prefix rather than once per shot. The record is read off the trajectory,
+since a detector clicks exactly when the particle is on its path, and the
+tree holds the circuit and the initial label, so a check is handed the
+trajectory and the tree alone. The shots through one prefix carry the same
+levels and dominant-strength amplitudes, so each node also keeps the
+overlap of every state judged there, keyed by ``(tau, *amplitudes at the
+dominant strength)`` (``_judge``): a shot whose entry equals one already
+judged reuses its overlap, whatever junk its dead paths carry. This module
+extracts labels from engine states, tests membership in the family of
+labelled state classes, and verifies that traced trajectories stay
+congruent with the quantum state at every step. It also materialises both
+sides of the projection/update commutation identity that underlies the
+congruence, for randomized checking.
 """
 
 from __future__ import annotations
@@ -151,32 +152,34 @@ class CongruenceReport:
         }
 
 
-def verify_congruence(trajectory: Sequence[OnticState], key: str,
+def verify_congruence(trajectory: Sequence[OnticState],
                       tree: RecordTree) -> CongruenceReport:
     """Check a traced shot against the quantum engine, layer by layer.
 
     ``trajectory`` must hold the initial state followed by the state after
     every layer of the tree's circuit (``run_ontic_shot``). At each boundary
     the extracted label must ray-equal the quantum state evolved from the
-    tree's root state under the outcomes of the record ``key``, and the
-    state must belong to the labelled class anchored at its particle
-    position. Deviations are ``1 - |overlap|``. The predicted labels are the
-    nodes of ``key`` in ``tree`` (``RecordTree.clicks``, which raises
-    ``ValueError`` for a key of another circuit). The report carries every
-    layer's deviation; a layer fails when its deviation exceeds ``RAY_TOL``
-    or its state is not a member.
+    tree's root state under the shot's outcomes so far, and the state must
+    belong to the labelled class anchored at its particle position.
+    Deviations are ``1 - |overlap|``. The outcomes are read off the
+    trajectory: a detector clicks exactly when the particle is on its path,
+    and no splitter of a layer touches its detector paths, so layer ``k``
+    clicked at ``q`` when the particle ends it on one of the layer's
+    outcomes in ``tree.suffixes[k]``, and gave the no-click otherwise. The
+    predicted labels are the nodes of those outcomes in ``tree``. The report
+    carries every layer's deviation; a layer fails when its deviation
+    exceeds ``RAY_TOL`` or its state is not a member.
     """
     if len(trajectory) != tree.circuit.depth + 1:
         raise ValueError("trajectory must contain the state after every layer")
-    clicks = tree.clicks(key)
     node = tree.root
-    child, judge = tree.child, _judge
+    child, judge, outcomes = tree.child, _judge, tree.suffixes
     checks: list[LayerCheck] = []  # from layer -1, the initial state
     append = checks.append
     max_dev, passed = 0.0, True
     for layer_idx, state in enumerate(trajectory, -1):
         if layer_idx >= 0:  # a cached no-click child is read without the call
-            click = clicks[layer_idx]
+            click = state.q if state.q in outcomes[layer_idx] else None
             node = (click is None and node.no_click) or child(node, layer_idx,
                                                               click)
         deviation, member = judge(state, node.state, node.overlaps)

@@ -22,8 +22,8 @@ each layer's record text once (``RecordTree.suffixes``). It serves three
 consumers.
 ``run_quantum_shot`` walks it, picking one outcome per detector layer from a
 single uniform draw against the node's cached thresholds;
-``interfersim.labels`` walks a given record key through it to predict the
-stochastic engine's labels; and ``exact_outcome_distribution`` walks every
+``interfersim.labels`` walks a traced shot's outcomes through it to predict
+the stochastic engine's labels; and ``exact_outcome_distribution`` walks every
 outcome of it, multiplying the node's cached probabilities. Sharing a tree
 changes no bit: every node holds exactly the state that a shot stepping
 alone would compute. The two key-only consumers, the sampler and the
@@ -47,13 +47,15 @@ click nodes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .circuits import BeamSplitter, Circuit, Gate, Layer, PhaseShifter, check_path
-from .records import event_suffix, key_tokens, record_key
+from .records import event_suffix, record_key
 
 # Norm drift below RENORM_TOL is ignored, between the two it is silently
 # renormalized, beyond FAIL_TOL it is treated as an internal error.
@@ -226,14 +228,15 @@ def _measure_layer(state: QuantumState, layer: Layer,
 class LayerEvent(NamedTuple):
     """A node's measurement event at one layer: the state before collapse,
     the sorted detector paths, their click probabilities, the joint
-    no-click probability, and the ``(path, threshold)`` pairs of cumulative
-    click probabilities over ``(clicks..., no-click)`` in detector order."""
+    no-click probability, and the cumulative click chances in detector
+    order, each added left to right, so a uniform at or above the last
+    one draws the no-click."""
 
     state: QuantumState
     detectors: tuple[int, ...]
     probs: list[float]
     no_click: float
-    thresholds: tuple[tuple[int, float], ...]
+    thresholds: tuple[float, ...]
 
 
 class _Node:
@@ -262,10 +265,11 @@ class RecordTree:
     child at ``(k, j)`` is one node for the whole tree; a no-click child
     belongs to its parent. The tree therefore holds at most ``1 + depth * (1
     + detectors)`` nodes, whatever the number of shots or branches walked
-    through it. ``suffixes[k]``, the one table that writes and reads record
-    keys, maps each outcome of layer ``k`` (a detector path, or ``None`` for
-    the no-click) to its :func:`~interfersim.records.event_suffix`; a layer
-    without detectors has the one outcome ``None``, which adds nothing.
+    through it. ``suffixes[k]``, the one table that writes record keys and
+    lists each layer's outcomes, maps each outcome of layer ``k`` (a detector
+    path, or ``None`` for the no-click) to its
+    :func:`~interfersim.records.event_suffix`; a layer without detectors has
+    the one outcome ``None``, which adds nothing.
     """
 
     def __init__(self, circuit: Circuit, init: QuantumState):
@@ -280,24 +284,6 @@ class RecordTree:
         self.suffixes = [
             {click: event_suffix(k, click) for click in (*paths, None)}
             if paths else silent for k, paths in enumerate(self._detector_paths)]
-        self._read = None  # token -> outcome per detector layer, on first read
-
-    def clicks(self, key: str) -> list[int | None]:
-        """Each layer's outcome in the record ``key`` (``None`` for a no-click
-        or no detectors), read through :attr:`suffixes`; a key that does not
-        fit the circuit raises ``ValueError``."""
-        if self._read is None:  # a token is the key of a one-event record
-            self._read = [(k, {record_key(text): c for c, text in table.items()})
-                          for k, table in enumerate(self.suffixes)
-                          if self._detector_paths[k]]
-        clicks = [None] * self.circuit.depth
-        try:  # a token per detector layer, each one of the layer's outcomes
-            for (k, outcomes), token in zip(self._read, key_tokens(key),
-                                            strict=True):
-                clicks[k] = outcomes[token]
-        except (KeyError, ValueError):
-            raise ValueError(f"record {key!r} does not fit the circuit") from None
-        return clicks
 
     def event(self, node: _Node, k: int) -> LayerEvent:
         """Layer ``k`` from ``node``, measured on first use."""
@@ -305,13 +291,8 @@ class RecordTree:
             state, detectors, probs, no_click = _measure_layer(
                 node.state, self.circuit.layers[k], self._detector_paths[k])
             total = sum_in_order(probs) + no_click
-            acc = 0.0
-            thresholds = []
-            for j, p in zip(detectors, probs):
-                acc += p / total
-                thresholds.append((j, acc))
-            node.event = LayerEvent(state, detectors, probs, no_click,
-                                    tuple(thresholds))
+            node.event = LayerEvent(state, detectors, probs, no_click, tuple(
+                accumulate(p / total for p in probs)))
         return node.event
 
     def child(self, node: _Node, k: int, click: int | None) -> _Node:
@@ -354,12 +335,11 @@ def run_quantum_shot(tree: RecordTree, rng: np.random.Generator) -> str:
         event = node.event or measure(node, layer_idx)
         clicked = None
         if event.detectors:
-            # One uniform draw through the cumulative (clicks..., no-click).
-            u = rng.random()
-            for j, threshold in event.thresholds:
-                if u < threshold:
-                    clicked = j
-                    break
+            # One uniform draw through the cumulative (clicks..., no-click):
+            # the first threshold above it, past the last for the no-click.
+            i = bisect_right(event.thresholds, rng.random())
+            if i < len(event.detectors):
+                clicked = event.detectors[i]
             prefix += suffixes[layer_idx][clicked]
         if layer_idx < last:  # a cached no-click child is read without the call
             node = (clicked is None and node.no_click) or child(

@@ -70,4 +70,4 @@ def postselect(table: Mapping[str, V],
     every constrained result."""
     wanted = {event_token(*c) for c in constraints}
     return {key: value for key, value in table.items()
-            if wanted.issubset(key.split(";"))}
+            if wanted.issubset(key_tokens(key))}

@@ -233,6 +233,19 @@ def test_unknown_prepare_key_is_named(mz_file, tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+def test_malformed_json_names_its_file(mz_file, tmp_path, capsys):
+    # a JSON syntax error says whether the circuit or the config holds it
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"paths": 2 "layers": []}')
+    out = tmp_path / "out"
+    for argv, kind in ((["run", str(bad)], "circuit"),
+                       (["run", mz_file, "--config", str(bad)], "config")):
+        assert main(argv + ["--shots", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} file {bad}: Expecting ',' delimiter")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("token", ["L2:C0", "L2:C9", "L2:C-1", "L2:C1"])
 @pytest.mark.parametrize("command", [["run"], ["run", "--engine", "quantum"],
                                      ["compare"]],

@@ -171,7 +171,7 @@ def test_counts_are_the_tally_of_group_ids(width, depth, circuit_seed, seed,
                                   label="constraints"))
     path = data.draw(st.integers(0, width - 1), label="path")
     result = run_ensemble(circuit, prepare_ensemble(path, 300, seed, "disk"))
-    group, keys = result._fields.group, result._fields.keys
+    group, keys = result.group, result.keys
     assert [result.record_for_shot(shot) for shot in range(300)] == \
         [keys[g] for g in group]
     tally = np.bincount(group, minlength=result.groups)

@@ -91,7 +91,7 @@ def _run(monkeypatch, circuit, path, shots, block, cores=1):
 def _observed(result, post=None):
     live = result.final_levels != ZERO_LEVEL
     table = postselect(result.counts(), post) if post else result.counts()
-    keys = [result._fields.keys[g] for g in result._fields.group]  # per shot
+    keys = [result.keys[g] for g in result.group]  # per shot
     return (result.final_q.tobytes(), keys,
             result.final_levels.tobytes(), result.final_u[live].tobytes(),
             list(table.items()), result.groups, result.degenerate_relocations)

@@ -498,12 +498,12 @@ def test_ensemble_has_a_record_row_per_group(name, post):
 
 def test_counts_refuses_groups_that_share_a_record():
     # two groups with one record key: a broken split, never merged
-    fields = ensemble._Fields(
+    result = ensemble.EnsembleResult(
+        np.zeros(3, dtype=np.int64), 0,
         group=np.array([0, 1, 1]), size=np.array([1, 2]),
         keys=["L1:N", "L1:N"],
         levels=np.zeros((2, 2), dtype=np.int64), u_re=np.zeros((2, 2)),
         u_im=np.zeros((2, 2)))
-    result = ensemble.EnsembleResult(np.zeros(3, dtype=np.int64), 0, fields)
     assert result.groups == 2
     with pytest.raises(AssertionError, match="share a record"):
         result.counts()

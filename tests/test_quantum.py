@@ -182,12 +182,17 @@ def test_detection_impossible_outcomes():
         collapse(state(1, 0), (0,), None)
 
 
+def _clicks(key):
+    """Layer -> result of every token of a record key."""
+    return {} if key == "-" else dict(map(parse_event_token, key.split(";")))
+
+
 def _final_state(tree, key):
     """The state after the last layer of the record ``key``, walked through
     ``tree`` (the sampler returns the key alone)."""
-    node = tree.root
-    for layer_idx, click in enumerate(tree.clicks(key)):
-        node = tree.child(node, layer_idx, click)
+    node, clicks = tree.root, _clicks(key)
+    for layer_idx in range(tree.circuit.depth):
+        node = tree.child(node, layer_idx, clicks.get(layer_idx))
     return node.state
 
 
@@ -410,13 +415,13 @@ def test_shared_tree_sampler_is_bit_identical(circuit):
             circuit.depth, rng.QUANTUM_SHOTS, shot, draws))
         assert key == key_a
         assert final.amplitudes.tobytes() == final_a.amplitudes.tobytes()
-        node, walked, clicks = tree.root, [], tree.clicks(key)
+        node, walked, clicks = tree.root, [], _clicks(key)
         for layer_idx in range(circuit.depth):
             event = tree.event(node, layer_idx)
             if event.detectors:
                 walked.append(event.thresholds)
-            node = tree.child(node, layer_idx, clicks[layer_idx])
-        assert [[a.hex() for _, a in c] for c in walked] == \
+            node = tree.child(node, layer_idx, clicks.get(layer_idx))
+        assert [[a.hex() for a in c] for c in walked] == \
             [[a.hex() for _, a in c] for c in thresholds]
 
 
