@@ -30,10 +30,11 @@ from interfersim.quantum import (
     ImpossibleOutcomeError,
     QuantumState,
     RecordTree,
+    exact_outcome_distribution,
     ray_overlap,
     run_quantum_shot,
 )
-from interfersim.records import parse_event_token
+from interfersim.records import parse_event_token, record_key
 from interfersim.scenarios import (
     available_scenarios,
     build_scenario,
@@ -249,16 +250,43 @@ def test_congruence_zero_layer_circuit_vacuous():
     assert report.checks == ()
 
 
-def test_congruence_rejects_a_key_of_another_circuit():
-    # the record is read off the trajectory: a particle moved onto the other
-    # detector after the last layer shows the other click, which disagrees
-    # with the field it carries, and the check fails there
+def _read_record(trajectory, tree):
+    """The record key a traced shot shows: layer ``k`` clicked where the
+    particle ends it on one of the layer's outcomes, and gave the no-click
+    otherwise."""
+    return record_key("".join(
+        suffix.get(state.q, suffix[None])
+        for suffix, state in zip(tree.suffixes, trajectory[1:])))
+
+
+@pytest.mark.parametrize("key", [
+    "-",                   # no outcome of the detector layer
+    "L2:N;L4:C1",          # a key of the bomb tester, a layer too many
+    "L3:C1",               # a layer without detectors
+    "L4:C3",               # a path outside the circuit
+    "L4:C1;L4:C2",         # the detector layer twice
+    "L4:C1;L5:N",          # a layer past the circuit
+    "L4:c1",               # not a token
+])
+def test_congruence_rejects_a_key_of_another_circuit(key):
+    # the check takes no key: it reads the record off the trajectory, which
+    # is always a record of the tree's circuit and never the foreign key
     circuit = mach_zehnder(math.pi / 3)
-    _, trajectory = traced_shot(circuit, 3)
-    tree = RecordTree(circuit, QuantumState.basis(0, 2))
+    init = QuantumState.basis(0, 2)
+    records = exact_outcome_distribution(circuit, init).probabilities
+    assert key not in records
+    good, trajectory = traced_shot(circuit, 3)
+    tree = RecordTree(circuit, init)
+    assert _read_record(trajectory, tree) == good
+    assert good in records
     assert verify_congruence(trajectory, tree).passed
+    # a particle moved onto the other detector after the last layer shows
+    # the other click, which disagrees with the field it carries, and the
+    # check fails there
     final = trajectory[-1]
     trajectory[-1] = OnticState(1 - final.q, final.u, final.tau)
+    other = _read_record(trajectory, tree)
+    assert other in records and other not in (good, key)
     report = verify_congruence(trajectory, tree)
     assert not report.passed
     assert first_failure(report).layer == circuit.depth - 1
